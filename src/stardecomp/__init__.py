@@ -33,7 +33,6 @@ from .errors import (
     AxiomViolationError,
     DomainMismatchError,
     EmptyFamilyError,
-    EnumerationGuardError,
     ImproperInvolutionError,
     IndeterminateError,
     InternalInconsistencyError,
@@ -48,7 +47,6 @@ from .exactrings import (
     AxiomReport,
     axiom_probe,
     construct_gf_ring,
-    enumerate_ring,
     is_positive,
     positivity_cone,
 )

@@ -68,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--truncation", type=int, default=None)
     p_dec.add_argument("--tol", type=float, default=None)
     p_dec.add_argument("--format", choices=("text", "json"), default="text")
-    p_dec.add_argument("--seed", type=int, default=0)
 
     p_ver = sub.add_parser("verify", help="re-check certificates / run built-in demonstrations")
     p_ver.add_argument("file", nargs="?", default=None)
@@ -119,11 +118,11 @@ def cmd_decompose(args) -> int:
     method = args.method
     if method in _SINGLE_METHODS:
         ops, window = spec.realised(args.truncation, args.nmax)
-        cfg = engine.EngineConfig(n_max=args.nmax, window=window, seed=args.seed)
+        cfg = engine.EngineConfig(n_max=args.nmax, window=window)
         report = _SINGLE_METHODS[method](ops[0], cfg)
     else:
         x1, x2, window = spec.pair_operators(args.truncation, args.nmax)
-        cfg = engine.EngineConfig(n_max=args.nmax, window=window, seed=args.seed)
+        cfg = engine.EngineConfig(n_max=args.nmax, window=window)
         if method in _PAIR_METHODS:
             report = _PAIR_METHODS[method](x1, x2, cfg)
         else:
@@ -138,7 +137,7 @@ def cmd_decompose(args) -> int:
 
 
 def _builtin_remark1(args) -> int:
-    from .exactrings import construct_gf_ring, is_positive, positivity_cone
+    from .exactrings import construct_gf_ring, is_positive
     from .elements import from_rows
     from .projections import from_element, proj_leq
 
@@ -146,8 +145,7 @@ def _builtin_remark1(args) -> int:
     p = from_rows(domain, [[1, 0], [0, 0]])
     q = from_rows(domain, [[0, 0], [0, 1]])
     diff = q - p  # diag(2, 1) over F_3
-    cone = positivity_cone(domain)
-    positive = is_positive(diff) and diff in cone
+    positive = is_positive(diff)
     witness = (p + p + q).equals(diff)
     leq = proj_leq(from_element(p), from_element(q))
     text = f"q-p positive: {'yes' if positive else 'no'}; p <= q: {'yes' if leq else 'no'}"
@@ -167,7 +165,11 @@ def _builtin_ring(args):
 
     name = args.ring or "gf3"
     if name.startswith("gf"):
-        return construct_gf_ring(int(name[2:] or 3), args.dim or 2)
+        try:
+            p = int(name[2:] or 3)
+        except ValueError:
+            raise SpecFileError(f"unknown ring {name!r}: expected gf<prime>, e.g. gf3") from None
+        return construct_gf_ring(p, args.dim or 2)
     if name == "rational":
         return rational_domain()
     if name in ("complex", "complex-float"):
@@ -180,12 +182,12 @@ def _builtin_cone(args) -> int:
 
     domain = _builtin_ring(args)
     if domain.kind is not DomainKind.GF:
-        raise PreconditionError("cone enumeration is only available for gf rings")
+        raise PreconditionError("cone counts are only available for gf rings")
     cone = positivity_cone(domain)
-    text = (f"{domain}: positive cone has {len(cone.members)} elements, "
-            f"{len(cone.squares)} of them of the form x*x")
-    _emit(args, text, {"ring": repr(domain), "cone_size": len(cone.members),
-                       "square_count": len(cone.squares)})
+    text = (f"{domain}: positive cone has {cone.cone_size} elements, "
+            f"{cone.square_count} of them of the form x*x")
+    _emit(args, text, {"ring": repr(domain), "cone_size": cone.cone_size,
+                       "square_count": cone.square_count})
     return EXIT_OK
 
 

@@ -42,9 +42,16 @@ class Element:
             mat = linalg.normalize(self.domain, mat)
         return Element(self.domain, mat)
 
+    def _describe(self) -> str:
+        tol = self.domain.tol
+        if tol is None:
+            return f"{self.domain}/{self.dim}"
+        return (f"{self.domain}(eps_rank={tol.eps_rank:g}, eps_eq={tol.eps_eq:g}, "
+                f"eps_psd={tol.eps_psd:g})/{self.dim}")
+
     def _check(self, other: "Element"):
         if self.domain != other.domain or self.dim != other.dim:
-            raise DomainMismatchError(f"{self.domain}/{self.dim} vs {other.domain}/{other.dim}")
+            raise DomainMismatchError(f"{self._describe()} vs {other._describe()}")
 
     def __add__(self, other: "Element") -> "Element":
         self._check(other)

@@ -41,7 +41,6 @@ from .projections import (
 class EngineConfig:
     n_max: int = 16
     window: Projection | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_max < 1:

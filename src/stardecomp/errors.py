@@ -28,10 +28,6 @@ class ImproperInvolutionError(StarDecompError):
     """The transpose involution on M_dim(F_p) is not proper for this (p, dim)."""
 
 
-class EnumerationGuardError(StarDecompError):
-    """A finite-field enumeration would exceed the configured size guard."""
-
-
 class AxiomViolationError(PreconditionError):
     """The ring is neither smooth nor antisymmetric, so the contraction
     decomposition is refused."""

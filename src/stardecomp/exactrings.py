@@ -1,25 +1,43 @@
-"""Exact scalar domains: rational positivity and finite-field cone closure.
+"""Exact scalar domains: rational positivity and finite-field closed forms.
 
 Rational positivity is decided by an exact symmetric factorisation (a PSD
 rational matrix is a finite sum of rational v v^T, so PSD coincides with
-the sum-of-squares cone).  Finite-field positivity is decided by literally
-enumerating the additive closure of {x^T x}.
+the sum-of-squares cone).  Every finite-field answer is a closed form:
+
+- the transpose involution on M_dim(F_p) is proper only for dim == 1 and
+  for dim == 2 with p % 4 == 3;
+- the positive cone is exactly the symmetric matrices, so it is a subspace
+  (never antisymmetric) and F_p positivity is a symmetry test.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
-from .domains import DomainKind, ScalarDomain, TolerancePolicy
+from .domains import DomainKind, ScalarDomain
 from .elements import Element, from_rows
-from .errors import EnumerationGuardError, ImproperInvolutionError, PreconditionError
+from .errors import ImproperInvolutionError, PreconditionError
 
-ENUMERATION_GUARD = 10**6
+
+def _require_proper(p: int, dim: int):
+    """Raise unless no nonzero row v of F_p^dim has v v^T = 0.
+
+    By Chevalley–Warning every quadratic form in three or more variables
+    over F_p is isotropic; x^2 + y^2 is anisotropic iff -1 is a non-square,
+    i.e. p % 4 == 3.
+    """
+    if dim == 1 or (dim == 2 and p % 4 == 3):
+        return
+    if dim == 2:
+        reason = f"-1 is a square mod {p}, so 1 + c^2 = 0 for some c"
+    else:
+        reason = f"every sum of {dim} squares is isotropic over F_{p} (Chevalley-Warning)"
+    raise ImproperInvolutionError(
+        f"involution on M_{dim}(F_{p}) is improper: {reason}, "
+        "so some nonzero row v has v v^T = 0"
+    )
 
 
 def construct_gf_ring(p: int, dim: int) -> ScalarDomain:
@@ -32,74 +50,37 @@ def construct_gf_ring(p: int, dim: int) -> ScalarDomain:
         raise PreconditionError(f"{p} is not prime")
     if dim < 1:
         raise PreconditionError("dim must be positive")
-    if p**dim > ENUMERATION_GUARD:
-        raise EnumerationGuardError(f"properness check needs {p}**{dim} vectors")
-    for v in itertools.product(range(p), repeat=dim):
-        if any(v) and sum(c * c for c in v) % p == 0:
-            raise ImproperInvolutionError(
-                f"involution on M_{dim}(F_{p}) is improper: row {v} has v v^T = 0"
-            )
+    _require_proper(p, dim)
     return ScalarDomain(DomainKind.GF, p=p, dim=dim)
 
 
-def enumerate_ring(domain: ScalarDomain):
-    """Yield every element of M_dim(F_p).  Guarded by p**(dim*dim) <= 1e6."""
-    if domain.kind is not DomainKind.GF:
-        raise PreconditionError("enumeration only makes sense for finite fields")
-    p, d = domain.p, domain.dim
-    if p ** (d * d) > ENUMERATION_GUARD:
-        raise EnumerationGuardError(f"{p}**{d * d} elements exceed the enumeration guard")
-    for entries in itertools.product(range(p), repeat=d * d):
-        yield from_rows(domain, [entries[i * d : (i + 1) * d] for i in range(d)])
-
-
-def _key(e: Element) -> tuple:
-    return tuple(int(v) for v in e.mat.flat)
-
-
 @dataclass(frozen=True)
-class ConeTable:
-    """The full positive cone of a finite matrix ring.
+class ConeCounts:
+    """Sizes of the positive cone of M_dim(F_p) and of its squares {x^T x}."""
 
-    members: canonical row-major entry tuples of every positive element.
-    squares: the subset {x^T x}; the cone is its additive closure.
+    cone_size: int
+    square_count: int
+
+
+def positivity_cone(domain: ScalarDomain) -> ConeCounts:
+    """Closed-form counts for the additive closure of {x^T x} in M_dim(F_p).
+
+    Congruence-diagonalise a symmetric a = P^T D P; each diagonal
+    coefficient d_i is a sum of d_i ones, and e_i e_i^T is a square, so the
+    cone is all p^(dim(dim+1)/2) symmetric matrices.  The squares are the
+    squares of F_p for dim == 1, and (p^3 + p) / 2 matrices for dim == 2:
+    every singular symmetric matrix plus the nonsingular ones congruent to
+    the identity.
     """
-
-    domain: ScalarDomain
-    members: frozenset
-    squares: frozenset
-
-    def __contains__(self, e: Element) -> bool:
-        return _key(e) in self.members
-
-
-_cone_cache: dict = {}
-
-
-def positivity_cone(domain: ScalarDomain) -> ConeTable:
-    """Fixpoint of C0 = {x^T x} under C ∪ (C + C0)."""
-    cached = _cone_cache.get((domain.p, domain.dim))
-    if cached is not None:
-        return cached
-    squares = {}
-    for x in enumerate_ring(domain):
-        sq = x.star() @ x
-        squares.setdefault(_key(sq), sq)
-    cone = dict(squares)
-    frontier = list(cone.values())
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for s in squares.values():
-                cand = c + s
-                k = _key(cand)
-                if k not in cone:
-                    cone[k] = cand
-                    nxt.append(cand)
-        frontier = nxt
-    table = ConeTable(domain, frozenset(cone), frozenset(squares))
-    _cone_cache[(domain.p, domain.dim)] = table
-    return table
+    if domain.kind is not DomainKind.GF:
+        raise PreconditionError("cone counts are only available for gf rings")
+    p, dim = domain.p, domain.dim
+    _require_proper(p, dim)
+    if dim == 1:
+        squares = 2 if p == 2 else (p + 1) // 2
+    else:
+        squares = (p**3 + p) // 2
+    return ConeCounts(cone_size=p ** (dim * (dim + 1) // 2), square_count=squares)
 
 
 def _rational_psd(e: Element) -> bool:
@@ -128,9 +109,8 @@ def is_positive(a: Element) -> bool:
         raise PreconditionError("use floatring.is_positive_float for the complex domain")
     if not a.equals(a.star()):
         return False
-    if a.domain.kind is DomainKind.RATIONAL:
-        return _rational_psd(a)
-    return a in positivity_cone(a.domain)
+    # over F_p the cone is every symmetric matrix (see positivity_cone)
+    return a.domain.kind is DomainKind.GF or _rational_psd(a)
 
 
 @dataclass(frozen=True)
@@ -150,17 +130,14 @@ def _rational_smooth_witness(dim: int) -> Element:
 def axiom_probe(domain: ScalarDomain, dim: int | None = None, rng=None) -> AxiomReport:
     """Report the order axioms of the positivity cone: proper / antisymmetric / smooth.
 
-    Finite fields are decided by cone enumeration; the rational and float
-    outcomes are analytic facts, spot-checked on random samples.
+    Finite fields are decided by the closed forms of positivity_cone: the
+    cone is a subspace, so it holds -k with every k, and it equals the
+    squares only over F_2.  The rational and float outcomes are analytic
+    facts, spot-checked on random samples.
     """
     if domain.kind is DomainKind.GF:
-        cone = positivity_cone(domain)
-        anti = True
-        for k in cone.members:
-            if any(k) and tuple((-v) % domain.p for v in k) in cone.members:
-                anti = False
-                break
-        return AxiomReport(proper=True, antisymmetric=anti, smooth=cone.members == cone.squares)
+        _require_proper(domain.p, domain.dim)
+        return AxiomReport(proper=True, antisymmetric=False, smooth=domain.p == 2)
     if domain.kind is DomainKind.COMPLEX:
         # PSD cone is proper; every PSD matrix has a square root
         return AxiomReport(proper=True, antisymmetric=True, smooth=True)

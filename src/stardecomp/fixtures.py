@@ -1,4 +1,4 @@
-"""Randomised and enumerated test instances for the concrete rings.
+"""Randomised test instances for the concrete rings.
 
 Rational orthogonal matrices come from Givens rotations with Pythagorean-
 triple cosines, so every entry stays an exact Fraction; conjugating a
@@ -9,13 +9,12 @@ and therefore every *-identity of the model.
 from __future__ import annotations
 
 from fractions import Fraction
-import itertools
 
 import numpy as np
 
 from . import linalg
 from .domains import RATIONAL, ScalarDomain, complex_domain
-from .elements import Element, classify, identity, is_partial_isometry
+from .elements import Element
 from .errors import PreconditionError
 
 _TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29))
@@ -144,68 +143,3 @@ def gf_signed_permutation(domain: ScalarDomain, rng) -> Element:
         mat[int(row), col] = (-1 if rng.integers(2) else 1) % domain.p
     return Element(domain, mat)
 
-
-# --------------------------------------------------- falsification searches
-
-
-def search_non_slocinski(tries: int, rng, dims=(2, 3, 4)):
-    """Hunt for a commuting isometry pair violating the fourfold conditions.
-
-    In finite dimension every isometry is unitary, so the search also walks
-    truncated constructor pairs.  Returns the first violating pair found,
-    or None when the search space is exhausted without a hit.
-    """
-    from .engine import EngineConfig, slocinski
-    from .shiftmodel import pair_instances, truncate
-
-    for _ in range(tries):
-        dim = int(rng.choice(dims))
-        x1, x2 = commuting_orthogonal_pair(dim, rng)
-        if not slocinski(x1, x2).holds:
-            return x1, x2
-    for name in ("grid", "equal-shift", "powers", "unitary-pair", "mixed"):
-        e1, e2 = pair_instances(name)
-        n = 24 if name != "grid" else 6
-        n_max = 4
-        t1 = truncate(e1, n, n_max=n_max)
-        t2 = truncate(e2, n, n_max=n_max)
-        cfg = EngineConfig(n_max=n_max, window=t1.window)
-        if not slocinski(t1.element, t2.element, cfg).holds:
-            return e1, e2
-    return None
-
-
-def search_non_ppi_product_pair(max_gf_dim: int = 2, rational_tries: int = 0, rng=None):
-    """Hunt for commuting PPIs whose product is not a PPI.
-
-    Exhausts M_dim(F_3) for dim <= max_gf_dim and optionally samples random
-    rational pairs.  Returns the first witness pair, or None.
-    """
-    from .exactrings import construct_gf_ring, enumerate_ring
-
-    def is_ppi(e: Element) -> bool:
-        pw = e
-        for _ in range(e.dim):
-            if not is_partial_isometry(pw):
-                return False
-            pw = pw @ e
-        return True
-
-    for dim in range(2, max_gf_dim + 1):
-        domain = construct_gf_ring(3, dim)
-        ppis = [e for e in enumerate_ring(domain) if is_ppi(e)]
-        for x1, x2 in itertools.product(ppis, repeat=2):
-            if not (x1 @ x2).equals(x2 @ x1):
-                continue
-            if not is_ppi(x1 @ x2):
-                return x1, x2
-    if rational_tries and rng is not None:
-        for _ in range(rational_tries):
-            dim = int(rng.integers(2, 5))
-            x1 = random_ppi(dim, rng)
-            # commuting candidates: powers and adjoint powers of x1
-            for x2 in (x1 @ x1, x1 @ x1 @ x1, x1.star()):
-                if (x1 @ x2).equals(x2 @ x1) and is_ppi(x1) and is_ppi(x2):
-                    if not is_ppi(x1 @ x2):
-                        return x1, x2
-    return None

@@ -1,39 +1,17 @@
-"""Floating-point complex matrix domain: tolerance-governed projections
-and positivity via eigenvalue bounds."""
+"""Floating-point complex matrix domain: positivity via eigenvalue bounds."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import subspaces
 from .domains import DomainKind
 from .elements import Element
-from .errors import DomainMismatchError, PreconditionError
-from .projections import Projection, from_basis
+from .errors import PreconditionError
 
 
 def _require_complex(e: Element):
     if e.domain.kind is not DomainKind.COMPLEX:
         raise PreconditionError("float-ring operation on a non-float element")
-
-
-def range_projection_numeric(a: Element) -> Projection:
-    """Projection onto the numerical column space at the eps_rank cutoff."""
-    _require_complex(a)
-    return from_basis(a.domain, a.dim, subspaces.orth(a.domain, a.mat))
-
-
-def subspace_intersection(p: Projection, q: Projection) -> Projection:
-    """Meet of two float projections via the stacked-complement null space."""
-    _require_complex(p.element)
-    if p.dim != q.dim:
-        raise DomainMismatchError("dimension mismatch in subspace_intersection")
-    n = p.dim
-    stacked = np.concatenate(
-        [np.eye(n) - p.element.mat, np.eye(n) - q.element.mat], axis=0
-    )
-    basis = subspaces.nullspace(p.domain, stacked)
-    return from_basis(p.domain, n, basis)
 
 
 def is_positive_float(a: Element) -> bool:

@@ -55,10 +55,6 @@ def rref(domain: ScalarDomain, mat: np.ndarray):
     return m, pivots
 
 
-def rank(domain: ScalarDomain, mat: np.ndarray) -> int:
-    return len(rref(domain, mat)[1])
-
-
 def nullspace(domain: ScalarDomain, mat: np.ndarray) -> np.ndarray:
     """Basis of the right kernel, returned as columns (n x k)."""
     r, pivots = rref(domain, mat)

@@ -1,4 +1,4 @@
-"""The projection lattice: left projections, order, meet/join, invariance.
+"""The projection lattice: left projections, order, meet/join, annihilators.
 
 A projection carries its element together with a cached range basis; every
 lattice operation goes through the subspace primitives so that exact and
@@ -8,12 +8,12 @@ floating domains share one code path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import subspaces
-from .domains import DomainKind, ScalarDomain
+from .domains import ScalarDomain
 from .elements import Element, classify, identity
 from .errors import EmptyFamilyError, PreconditionError
 
@@ -104,20 +104,6 @@ def proj_sup(family: Sequence[Projection]) -> Projection:
         first.element._check(p.element)
     joined = np.concatenate([p.range_basis for p in family], axis=1)
     return from_basis(first.domain, first.dim, subspaces.orth(first.domain, joined))
-
-
-def is_invariant(p: Projection, x: Element) -> bool:
-    """x-invariance of p: x p = p x p."""
-    xp = x @ p.element
-    return xp.equals(p.element @ xp)
-
-
-def commutes(a: Element, b: Element) -> bool:
-    return (a @ b).equals(b @ a)
-
-
-def doubly_commutes(a: Element, b: Element) -> bool:
-    return commutes(a, b) and commutes(a, b.star())
 
 
 def right_annihilator_projection(elements: Sequence[Element]) -> Projection:

@@ -96,9 +96,6 @@ def matrix_to_json(e: Element):
     return [[format_scalar(e.domain, v) for v in row] for row in e.mat.tolist()]
 
 
-_EXPR_PARSERS = {}
-
-
 def parse_expr(obj) -> shiftmodel.OperatorExpr:
     """Nested constructor object -> OperatorExpr."""
     if not isinstance(obj, dict) or "op" not in obj:
@@ -173,7 +170,7 @@ class OperatorSpec:
             else:
                 if truncation is None:
                     raise SpecFileError("expr operators need --truncation")
-                tr = shiftmodel.truncate(op, truncation, n_max=n_max)
+                tr = shiftmodel.truncate(op, truncation, n_max=n_max, domain=self.domain)
                 out.append(tr.element)
                 window = tr.window
         return out, window

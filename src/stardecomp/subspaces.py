@@ -82,10 +82,3 @@ def preimage(domain: ScalarDomain, op: np.ndarray, basis: np.ndarray) -> np.ndar
         comp = linalg.normalize(domain, comp)
     return nullspace(domain, comp @ op)
 
-
-def subspace_leq(domain: ScalarDomain, b1: np.ndarray, b2: np.ndarray) -> bool:
-    """span(b1) ⊆ span(b2) (rank test; tolerance-governed for floats)."""
-    if b1.shape[1] == 0:
-        return True
-    joint = orth(domain, np.concatenate([b2, b1], axis=1))
-    return dim_of(joint) == dim_of(orth(domain, b2))

@@ -1,13 +1,14 @@
 """Spec-file parsing, report serialization round-trips, and the CLI
 exit-code contract."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from stardecomp import COMPLEX, RATIONAL, construct_gf_ring, from_rows, wold
-from stardecomp.cli import main
+from stardecomp.cli import _load, main
 from stardecomp.errors import SpecFileError
 from stardecomp.fixtures import rational_orthogonal
 from stardecomp.serialize import (
@@ -197,3 +198,43 @@ def test_cli_verify_spec_with_oracle(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["pass"] is True
     assert payload["checks"]["oracle_unitary_rank"] is True
+
+
+def test_cli_builtin_malformed_ring_is_exit_2(capsys):
+    assert main(["verify", "--builtin", "cone", "--ring", "gfx", "--dim", "2"]) == 2
+    assert "unknown ring 'gfx'" in capsys.readouterr().err
+
+
+_UNITARY_EXPR = {"op": "unitary", "rows": [["0.6+0.8 i", "0"], ["0", "-1"]]}
+
+
+@pytest.mark.parametrize("ring,extra", [
+    ({"kind": "complex-float", "tolerance": 1e-6}, []),
+    ({"kind": "complex-float"}, ["--tol", "1e-6"]),
+])
+def test_cli_tolerance_reaches_expr_operators_in_mixed_pair(tmp_path, capsys, ring, extra):
+    """An expr operator and a matrix operator share the spec's tolerance."""
+    spec = _write(tmp_path, "mixed.json", {
+        "ring": ring,
+        "operators": [{"expr": _UNITARY_EXPR}, {"matrix": [["1", "0"], ["0", "0+1 i"]]}],
+        "pair": [0, 1],
+    })
+    assert main(["decompose", spec, "--method", "slocinski", "--truncation", "32",
+                 "--format", "json", *extra]) == 0
+    assert json.loads(capsys.readouterr().out)["holds"] is True
+
+
+@pytest.mark.parametrize("ring,tol", [
+    ({"kind": "complex-float", "tolerance": 1e-6}, None),
+    ({"kind": "complex-float"}, 1e-6),
+])
+def test_cli_tolerance_reaches_expr_only_spec(tmp_path, ring, tol):
+    spec = _write(tmp_path, "expr.json", {
+        "ring": ring,
+        "operators": [{"expr": {"op": "direct-sum",
+                                "terms": [_UNITARY_EXPR, {"op": "shift", "mult": 1}]}}],
+    })
+    args = argparse.Namespace(file=spec, tol=tol)
+    ops, window = _load(args).realised(32, 16)
+    assert ops[0].domain.tol.eps_eq == 1e-6
+    assert window.domain.tol.eps_eq == 1e-6

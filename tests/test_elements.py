@@ -12,7 +12,9 @@ from stardecomp import (
     DomainMismatchError,
     Element,
     MalformedElementError,
+    TolerancePolicy,
     classify,
+    complex_domain,
     construct_gf_ring,
     from_rows,
     identity,
@@ -53,6 +55,12 @@ def test_domain_mismatch():
     b = identity(COMPLEX, 2)
     with pytest.raises(DomainMismatchError):
         a + b
+
+
+def test_domain_mismatch_names_both_tolerances():
+    loose = identity(complex_domain(TolerancePolicy(eps_eq=1e-6)), 2)
+    with pytest.raises(DomainMismatchError, match=r"eps_eq=1e-06.* vs .*eps_eq=1e-08"):
+        loose @ identity(COMPLEX, 2)
 
 
 @given(rational_matrices(), rational_matrices())

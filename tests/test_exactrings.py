@@ -1,24 +1,37 @@
-"""Finite-field ring construction, cone enumeration, rational positivity
-and the order-axiom probes."""
+"""Finite-field ring construction and closed forms (checked against the
+enumeration oracle in gf_enumeration), rational positivity and the
+order-axiom probes."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import gf_enumeration
 from stardecomp import (
-    EnumerationGuardError,
+    AxiomReport,
     ImproperInvolutionError,
     PreconditionError,
     RATIONAL,
     axiom_probe,
     construct_gf_ring,
-    enumerate_ring,
     from_rows,
     is_positive,
     positivity_cone,
 )
 from stardecomp.fixtures import rational_orthogonal
+
+PRIMES_TO_23 = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+# every (p, dim) with p <= 11 whose transpose involution is proper
+PROPER_TO_11 = ((2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (3, 2), (7, 2), (11, 2))
+
+
+def _gf_elements(domain):
+    return [from_rows(domain, m.tolist()) for m in gf_enumeration.elements(domain.p, domain.dim)]
+
+
+def _entries(e) -> tuple:
+    return tuple(int(v) for v in e.mat.flat)
 
 
 def test_gf_requires_prime():
@@ -41,30 +54,61 @@ def test_gf_proper_cases():
     construct_gf_ring(5, 1)
 
 
+@pytest.mark.parametrize("dim", (1, 2, 3, 4))
+@pytest.mark.parametrize("p", PRIMES_TO_23)
+def test_properness_matches_enumeration(p, dim):
+    if gf_enumeration.proper(p, dim):
+        assert construct_gf_ring(p, dim).p == p
+    else:
+        with pytest.raises(ImproperInvolutionError):
+            construct_gf_ring(p, dim)
+
+
+@pytest.mark.parametrize("p,dim", PROPER_TO_11)
+def test_closed_forms_match_enumeration(p, dim):
+    domain = construct_gf_ring(p, dim)
+    cone = gf_enumeration.cone(p, dim)
+    counts = positivity_cone(domain)
+    assert counts.cone_size == len(cone.members)
+    assert counts.square_count == len(cone.squares)
+    assert axiom_probe(domain) == AxiomReport(
+        proper=True, antisymmetric=cone.antisymmetric, smooth=cone.smooth)
+
+
+@pytest.mark.parametrize("p,dim", [(p, d) for p, d in PROPER_TO_11 if p <= 7])
+def test_is_positive_matches_enumerated_cone(p, dim):
+    domain = construct_gf_ring(p, dim)
+    members = gf_enumeration.cone(p, dim).members
+    for e in _gf_elements(domain):
+        assert is_positive(e) == (_entries(e) in members)
+
+
 def test_enumeration_guard():
-    dom = construct_gf_ring(3, 2)
-    assert len(list(enumerate_ring(dom))) == 3 ** 4
-    big = construct_gf_ring(43, 2)
-    with pytest.raises(EnumerationGuardError):
-        list(enumerate_ring(big))
+    """The oracle lists all p^(dim^2) elements; the closed forms need no
+    enumeration, so they answer for rings far past the oracle's reach."""
+    assert len(gf_enumeration.elements(3, 2)) == 3 ** 4
+    big = positivity_cone(construct_gf_ring(43, 2))
+    assert big.cone_size == 43 ** 3
+    assert big.square_count == (43 ** 3 + 43) // 2
+    assert axiom_probe(construct_gf_ring(43, 2)) == AxiomReport(True, False, False)
 
 
 def test_cone_m2f3():
-    dom = construct_gf_ring(3, 2)
-    cone = positivity_cone(dom)
+    cone = gf_enumeration.cone(3, 2)
     # the cone strictly exceeds the squares: the ring is not smooth
     assert cone.squares < cone.members
-    # every member is symmetric
-    for key in cone.members:
-        a, b, c, d = key
-        assert b == c
+    # every member is symmetric, and every symmetric matrix is a member
+    entries = map(tuple, gf_enumeration.elements(3, 2).reshape(-1, 4).tolist())
+    assert cone.members == {k for k in entries if k[1] == k[2]}
+    counts = positivity_cone(construct_gf_ring(3, 2))
+    assert (counts.cone_size, counts.square_count) == (27, 15)
 
 
 def test_cone_membership_vs_is_positive():
     dom = construct_gf_ring(3, 2)
-    cone = positivity_cone(dom)
-    for e in enumerate_ring(dom):
-        assert is_positive(e) == (e.equals(e.star()) and e in cone)
+    cone = gf_enumeration.cone(3, 2)
+    for e in _gf_elements(dom):
+        assert is_positive(e) == (e.equals(e.star()) and _entries(e) in cone.members)
 
 
 def test_baer_annihilator_spotcheck():
@@ -73,7 +117,7 @@ def test_baer_annihilator_spotcheck():
 
     dom = construct_gf_ring(3, 2)
     rng = np.random.default_rng(0)
-    elems = list(enumerate_ring(dom))
+    elems = _gf_elements(dom)
     for _ in range(25):
         a = elems[rng.integers(len(elems))]
         p = right_annihilator_projection([a])

@@ -1,5 +1,5 @@
-"""Tolerance-governed float-ring primitives: range projections, meets,
-positivity."""
+"""Tolerance-governed float-ring primitives: range projections and meets
+through the shared projection lattice, and positivity."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from stardecomp import COMPLEX, Element, PreconditionError, RATIONAL, identity
 from stardecomp.fixtures import random_complex_unitary
-from stardecomp.floatring import (
-    is_positive_float,
-    range_projection_numeric,
-    subspace_intersection,
-)
+from stardecomp.floatring import is_positive_float
+from stardecomp.projections import left_projection, proj_inf
 
 
 def _rand_complex(rng, n=5):
@@ -23,7 +20,7 @@ def _rand_complex(rng, n=5):
 def test_range_projection_idempotent_selfadjoint(seed):
     rng = np.random.default_rng(seed)
     a = _rand_complex(rng)
-    p = range_projection_numeric(a)
+    p = left_projection(a)
     e = p.element
     assert (e @ e - e).norm() < 1e-10
     assert (e - e.star()).norm() < 1e-10
@@ -34,7 +31,7 @@ def test_range_projection_rank_deficient():
     rng = np.random.default_rng(1)
     v = rng.standard_normal((4, 1))
     a = Element(COMPLEX, (v @ v.T).astype(complex))
-    assert range_projection_numeric(a).rank == 1
+    assert left_projection(a).rank == 1
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -44,9 +41,9 @@ def test_intersection_of_coordinate_planes(seed):
     u = random_complex_unitary(5, rng)
     d1 = np.diag([1.0, 1, 1, 0, 0]).astype(complex)
     d2 = np.diag([0.0, 1, 1, 1, 0]).astype(complex)
-    p = range_projection_numeric(u @ Element(COMPLEX, d1) @ u.star())
-    q = range_projection_numeric(u @ Element(COMPLEX, d2) @ u.star())
-    m = subspace_intersection(p, q)
+    p = left_projection(u @ Element(COMPLEX, d1) @ u.star())
+    q = left_projection(u @ Element(COMPLEX, d2) @ u.star())
+    m = proj_inf([p, q])
     assert m.rank == 2
     expected = u @ Element(COMPLEX, np.diag([0.0, 1, 1, 0, 0]).astype(complex)) @ u.star()
     assert (m.element - expected).norm() < 1e-8
@@ -73,4 +70,4 @@ def test_is_positive_float_tolerates_noise():
 
 def test_float_ring_rejects_exact_elements():
     with pytest.raises(PreconditionError):
-        range_projection_numeric(identity(RATIONAL, 2))
+        is_positive_float(identity(RATIONAL, 2))
