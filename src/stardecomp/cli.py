@@ -169,7 +169,7 @@ def _builtin_ring(args):
             p = int(name[2:] or 3)
         except ValueError:
             raise SpecFileError(f"unknown ring {name!r}: expected gf<prime>, e.g. gf3") from None
-        return construct_gf_ring(p, args.dim or 2)
+        return construct_gf_ring(p, 2 if args.dim is None else args.dim)
     if name == "rational":
         return rational_domain()
     if name in ("complex", "complex-float"):

@@ -1,9 +1,15 @@
 """All decomposition algorithms, each emitting a report with certificates.
 
-Infinite infima and series are replaced by stabilisation detection: range
-chains of (power partial) isometries are monotone, so they stabilise within
-dim steps; the iteration cap is max(n_max, dim + 1) and a chain that still
-moves at the cap raises IndeterminateError instead of silently truncating.
+Infinite infima and series are replaced by stabilisation detection.  A
+range chain ∧ₙ[xⁿ] is constant from some index k ≤ dim on (Fitting's
+lemma).  It is walked in doubling steps: the basis spans x^(2^j - 1) of the
+start and moves by x^(2^j), kept by squaring.  The first step that keeps
+the rank shows x injective there, so the chain is fixed; this takes at most
+⌈log₂(k + 1)⌉ + 1 factorisations.  The weak bi-shift wandering subspaces
+and the NFL kernels form nested chains, so one repeated rank marks their
+fixpoint; the wandering series ends when its term vanishes.  The iteration
+cap is max(n_max, dim + 1), and a chain still moving at the cap raises
+IndeterminateError instead of silently truncating.
 Certificate residuals are measured after compression to the probe window
 when the input came from a truncated symbolic operator.
 """
@@ -98,14 +104,24 @@ class _Ctx:
 
 
 def _range_chain_inf(ctx: _Ctx, x: Element, start: np.ndarray | None = None) -> Projection:
-    """Stabilised infimum of the decreasing chain of ranges of x^n (start)."""
-    basis = start if start is not None else subspaces.orth(ctx.domain, ctx.one.mat)
-    for _ in range(ctx.cap + 1):
-        nxt = subspaces.orth(ctx.domain, x.mat @ basis)
+    """Stabilised infimum of the decreasing chain of ranges of x^n (start).
+
+    basis spans x^step (start) with step = 2^j - 1; one step applies
+    pw = x^(2^j).  If pw keeps the rank of basis, x is injective on it and
+    the chain is fixed from step on.
+    """
+    basis = start if start is not None else ctx.one.mat
+    pw = x
+    step = 0
+    while True:
+        nxt = subspaces.orth(ctx.domain, pw.mat @ basis)
         if subspaces.dim_of(nxt) == subspaces.dim_of(basis):
             return from_basis(ctx.domain, ctx.dim, nxt)
+        if step >= ctx.cap:
+            raise IndeterminateError("range chain did not stabilise within the cap")
         basis = nxt
-    raise IndeterminateError("range chain did not stabilise within the cap")
+        step = 2 * step + 1
+        pw = pw @ pw
 
 
 def _wandering_series(ctx: _Ctx, x: Element) -> Projection:
@@ -328,6 +344,23 @@ def corollary_check(x1: Element, x2: Element, cfg: EngineConfig | None = None) -
     return direct
 
 
+def _mixed_wandering(ctx: _Ctx, a: Element, b: Element) -> Projection:
+    """inf over n of (1 - [a^{*n} b]), i.e. the chain K_n = ∩_{k<n} ker(b* a^k).
+
+    K_(n+1) = K_1 ∩ a^{-1} K_n, so one repeated rank means the chain is fixed.
+    """
+    a_star = a.star()
+    y = b
+    acc = _complement_of_range(ctx, b)
+    for _ in range(ctx.cap):
+        y = a_star @ y
+        nxt = proj_inf([acc, _complement_of_range(ctx, y)])
+        if nxt.rank == acc.rank:
+            return nxt
+        acc = nxt
+    raise IndeterminateError("mixed wandering subspace did not stabilise within the cap")
+
+
 def weak_bishift(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
     """The fourfold basis {p_uu, p_us, p_su, p_ws} that always exists."""
     cfg = cfg or EngineConfig()
@@ -336,18 +369,8 @@ def weak_bishift(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> D
              "weak_bishift requires two isometries")
     _require(ctx.commute_ok(x1, x2), "weak_bishift requires a commuting pair")
 
-    def mixed_wandering(a: Element, b: Element) -> Projection:
-        # inf over n of (1 - [a^{*n} b])
-        acc = None
-        y = b
-        for _ in range(ctx.cap + 1):
-            comp = _complement_of_range(ctx, y)
-            acc = comp if acc is None else proj_inf([acc, comp])
-            y = a.star() @ y
-        return acc
-
-    w_us = mixed_wandering(x1, x2)
-    w_su = mixed_wandering(x2, x1)
+    w_us = _mixed_wandering(ctx, x1, x2)
+    w_su = _mixed_wandering(ctx, x2, x1)
 
     pu1, ps1 = _wold_parts(ctx, x1, cfg)
     pu2, ps2 = _wold_parts(ctx, x2, cfg)
@@ -452,18 +475,30 @@ def hw_pair_doubly(x1: Element, x2: Element, cfg: EngineConfig | None = None) ->
 def _lemma_certificates(ctx: _Ctx, x1: Element, x2: Element) -> dict:
     """Residuals of the two power-walking identities used by the pair split."""
     out = {}
-    y = x1 @ x2
+    top = min(ctx.cfg.n_max, ctx.dim)
     for label, x in (("x1", x1), ("x2", x2)):
-        lp_star = left_projection(x.star()).element
-        for n in range(1, min(ctx.cfg.n_max, ctx.dim) + 1):
-            xn1 = x.power(n - 1)
-            lp_n = left_projection(x.star().power(n)).element
+        x_star = x.star()
+        lp_star = left_projection(x_star).element
+        xn1 = ctx.one  # x^(n-1)
+        xsn = x_star  # (x*)^n
+        for n in range(1, top + 1):
+            if n > 1:
+                xn1 = xn1 @ x
+                xsn = xsn @ x_star
+            lp_n = left_projection(xsn).element
             out[f"lemmaA1[{label},n={n}]"] = ctx.wres(lp_star @ xn1 @ lp_n - xn1 @ lp_n)
+    # [y^n] for n = 0..top, y = x1 x2; shared by both labels
+    y = x1 @ x2
+    lp_y = [left_projection(ctx.one).element]
+    yn = ctx.one
+    for _ in range(top):
+        yn = yn @ y
+        lp_y.append(left_projection(yn).element)
     for label, x in (("x1", x1), ("x2", x2)):
-        for n in range(1, min(ctx.cfg.n_max, ctx.dim) + 1):
-            lhs = left_projection(x.star() @ left_projection(y.power(n)).element).element
-            rhs = left_projection(y.power(n - 1)).element
-            out[f"lemmaA2[{label},n={n}]"] = ctx.wres(lhs @ rhs - lhs)
+        x_star = x.star()
+        for n in range(1, top + 1):
+            lhs = left_projection(x_star @ lp_y[n]).element
+            out[f"lemmaA2[{label},n={n}]"] = ctx.wres(lhs @ lp_y[n - 1] - lhs)
     return out
 
 
@@ -561,6 +596,31 @@ def _positive(e: Element) -> bool:
     return is_positive(e)
 
 
+def _nfl_unitary_part(ctx: _Ctx, x: Element) -> Projection:
+    """∩_n K+_n ∩ K-_n with K+_n = ker(1 - x*^n x^n), K-_n = ker(1 - x^n x*^n).
+
+    For a contraction both chains are nested and K+_(n+1) = K+_1 ∩ x^{-1} K+_n
+    (likewise K-), so once both ranks repeat neither chain moves again.
+    """
+    p_u = identity_projection(ctx.domain, ctx.dim)
+    x_star = x.star()
+    fwd = ctx.one
+    bwd = ctx.one
+    ranks = None
+    for _ in range(1, ctx.cap + 1):
+        fwd = fwd @ x
+        bwd = bwd @ x_star
+        q_pos = _kernel_projection(ctx, ctx.one - fwd.star() @ fwd)
+        q_neg = _kernel_projection(ctx, ctx.one - bwd.star() @ bwd)
+        if (q_pos.rank, q_neg.rank) == ranks:
+            return p_u
+        ranks = (q_pos.rank, q_neg.rank)
+        p_u = proj_inf([p_u, q_pos, q_neg])
+        if p_u.rank == 0:
+            return p_u
+    raise IndeterminateError("nfl kernel chains did not stabilise within the cap")
+
+
 def nfl(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
     """Unitary / completely-non-unitary split of a contraction."""
     cfg = cfg or EngineConfig()
@@ -568,17 +628,7 @@ def nfl(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
     _axiom_gate(ctx.domain)
     _require(_positive(ctx.one - x.star() @ x) and _positive(ctx.one - x @ x.star()),
              "nfl requires a contraction (1 - x*x and 1 - xx* positive)")
-    p_u = identity_projection(ctx.domain, ctx.dim)
-    fwd = ctx.one
-    bwd = ctx.one
-    for _ in range(1, ctx.cap + 1):
-        fwd = fwd @ x
-        bwd = bwd @ x.star()
-        q_pos = _kernel_projection(ctx, ctx.one - fwd.star() @ fwd)
-        q_neg = _kernel_projection(ctx, ctx.one - bwd.star() @ bwd)
-        p_u = proj_inf([p_u, q_pos, q_neg])
-        if p_u.rank == 0:
-            break
+    p_u = _nfl_unitary_part(ctx, x)
     p_c = p_u.complement()
     certificates = {
         "commute_u": ctx.wres(x @ p_u.element - p_u.element @ x),

@@ -205,6 +205,12 @@ def test_cli_builtin_malformed_ring_is_exit_2(capsys):
     assert "unknown ring 'gfx'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("builtin", ["cone", "axioms"])
+def test_cli_builtin_dim_0_is_exit_3(capsys, builtin):
+    assert main(["verify", "--builtin", builtin, "--ring", "gf3", "--dim", "0"]) == 3
+    assert "dim must be positive" in capsys.readouterr().err
+
+
 _UNITARY_EXPR = {"op": "unitary", "rows": [["0.6+0.8 i", "0"], ["0", "-1"]]}
 
 
