@@ -1,15 +1,15 @@
 """All decomposition algorithms, each emitting a report with certificates.
 
-Infinite infima and series are replaced by stabilisation detection.  A
-range chain ∧ₙ[xⁿ] is constant from some index k ≤ dim on (Fitting's
-lemma).  It is walked in doubling steps: the basis spans x^(2^j - 1) of the
-start and moves by x^(2^j), kept by squaring.  The first step that keeps
-the rank shows x injective there, so the chain is fixed; this takes at most
-⌈log₂(k + 1)⌉ + 1 factorisations.  The weak bi-shift wandering subspaces
-and the NFL kernels form nested chains, so one repeated rank marks their
-fixpoint; the wandering series ends when its term vanishes.  The iteration
-cap is max(n_max, dim + 1), and a chain still moving at the cap raises
-IndeterminateError instead of silently truncating.
+Infinite infima and series are replaced by stabilisation detection.  Along
+a range chain ∧ₙ[xⁿ] the rank falls by at least one per index until it is
+constant (Fitting's lemma), so with d₁ = rank of the first step the chain is
+fixed by index 1 + d₁.  It costs at most three factorisations: one step,
+one jump by x^m with m = min(d₁, cap - 1), and one step confirming that the
+rank no longer moves.  The weak bi-shift wandering subspaces, the NFL
+kernels and the product-PPI range pairs form nested chains, so one repeated
+rank marks their fixpoint; the wandering series ends when its term
+vanishes.  The iteration cap is max(n_max, dim + 1), and a chain still
+moving at the cap raises IndeterminateError instead of silently truncating.
 Certificate residuals are measured after compression to the probe window
 when the input came from a truncated symbolic operator.
 """
@@ -106,22 +106,20 @@ class _Ctx:
 def _range_chain_inf(ctx: _Ctx, x: Element, start: np.ndarray | None = None) -> Projection:
     """Stabilised infimum of the decreasing chain of ranges of x^n (start).
 
-    basis spans x^step (start) with step = 2^j - 1; one step applies
-    pw = x^(2^j).  If pw keeps the rank of basis, x is injective on it and
-    the chain is fixed from step on.
+    Ranks fall by at least one per index until the chain is fixed, so with
+    d1 = rank x (start) it is fixed by index 1 + d1.  One step, one jump by
+    x^m with m = min(d1, cap - 1), and one step confirming the rank.
     """
     basis = start if start is not None else ctx.one.mat
-    pw = x
-    step = 0
-    while True:
-        nxt = subspaces.orth(ctx.domain, pw.mat @ basis)
-        if subspaces.dim_of(nxt) == subspaces.dim_of(basis):
-            return from_basis(ctx.domain, ctx.dim, nxt)
-        if step >= ctx.cap:
-            raise IndeterminateError("range chain did not stabilise within the cap")
-        basis = nxt
-        step = 2 * step + 1
-        pw = pw @ pw
+    nxt = subspaces.orth(ctx.domain, x.mat @ basis)
+    d1 = subspaces.dim_of(nxt)
+    if d1 == 0 or d1 == subspaces.dim_of(basis):
+        return from_basis(ctx.domain, ctx.dim, nxt)
+    fixed = subspaces.orth(ctx.domain, x.power(min(d1, ctx.cap - 1)).mat @ nxt)
+    rank = subspaces.dim_of(fixed)
+    if rank and subspaces.dim_of(subspaces.orth(ctx.domain, x.mat @ fixed)) != rank:
+        raise IndeterminateError("range chain did not stabilise within the cap")
+    return from_basis(ctx.domain, ctx.dim, fixed)
 
 
 def _wandering_series(ctx: _Ctx, x: Element) -> Projection:
@@ -144,10 +142,6 @@ def _wandering_series(ctx: _Ctx, x: Element) -> Projection:
 def _complement_of_range(ctx: _Ctx, a: Element) -> Projection:
     """1 - [a], realised as the projection onto ker(a*)."""
     return from_basis(ctx.domain, ctx.dim, subspaces.nullspace(ctx.domain, a.star().mat))
-
-
-def _kernel_projection(ctx: _Ctx, a: Element) -> Projection:
-    return from_basis(ctx.domain, ctx.dim, subspaces.nullspace(ctx.domain, a.mat))
 
 
 def _difference_projection(ctx: _Ctx, big: Projection, small: Projection) -> Projection:
@@ -547,6 +541,30 @@ def hw_pair_product(x1: Element, x2: Element, cfg: EngineConfig | None = None) -
     )
 
 
+def _product_ppi_constraint(ctx: _Ctx, x1: Element, x2: Element) -> Projection:
+    """∩_n (1 - [[x1^n][x2*^n] - [x2*^n][x1^n]]) over the commutator defects.
+
+    [x1^n] and [x2*^n] are decreasing chains, so once both ranks repeat
+    the defects repeat too and the constraint is fixed.
+    """
+    constraint = identity_projection(ctx.domain, ctx.dim)
+    x2_star = x2.star()
+    fwd = ctx.one
+    bwd = ctx.one
+    ranks = None
+    for _ in range(ctx.cap):
+        fwd = fwd @ x1
+        bwd = bwd @ x2_star
+        pn = left_projection(fwd)
+        qn = left_projection(bwd)
+        if (pn.rank, qn.rank) == ranks:
+            return constraint
+        ranks = (pn.rank, qn.rank)
+        defect = pn.element @ qn.element - qn.element @ pn.element
+        constraint = proj_inf([constraint, _complement_of_range(ctx, defect)])
+    raise IndeterminateError("product-PPI constraint chains did not stabilise within the cap")
+
+
 def largest_product_ppi(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> Projection:
     """Largest commuting projection whose corner makes x1 x2 a PPI."""
     cfg = cfg or EngineConfig()
@@ -554,13 +572,7 @@ def largest_product_ppi(x1: Element, x2: Element, cfg: EngineConfig | None = Non
     _require(ctx.commute_ok(x1, x2), "largest_product_ppi requires a commuting pair")
     _require(_ppi_on_window(ctx, x1) and _ppi_on_window(ctx, x2),
              "largest_product_ppi requires power partial isometries")
-    constraint = identity_projection(ctx.domain, ctx.dim)
-    for n in range(1, ctx.cap + 1):
-        pn = left_projection(x1.power(n)).element
-        qn = left_projection(x2.star().power(n)).element
-        defect = pn @ qn - qn @ pn
-        constraint = proj_inf([constraint, _complement_of_range(ctx, defect)])
-    p = reducing_fixpoint([x1, x2], constraint, cfg)
+    p = reducing_fixpoint([x1, x2], _product_ppi_constraint(ctx, x1, x2), cfg)
     y = p.element @ x1 @ x2 @ p.element
     pw = y
     for n in range(1, min(ctx.cfg.n_max, ctx.dim) + 1):
@@ -602,22 +614,23 @@ def _nfl_unitary_part(ctx: _Ctx, x: Element) -> Projection:
     For a contraction both chains are nested and K+_(n+1) = K+_1 ∩ x^{-1} K+_n
     (likewise K-), so once both ranks repeat neither chain moves again.
     """
-    p_u = identity_projection(ctx.domain, ctx.dim)
+    part = ctx.one.mat
     x_star = x.star()
     fwd = ctx.one
     bwd = ctx.one
     ranks = None
-    for _ in range(1, ctx.cap + 1):
+    for _ in range(ctx.cap):
         fwd = fwd @ x
         bwd = bwd @ x_star
-        q_pos = _kernel_projection(ctx, ctx.one - fwd.star() @ fwd)
-        q_neg = _kernel_projection(ctx, ctx.one - bwd.star() @ bwd)
-        if (q_pos.rank, q_neg.rank) == ranks:
-            return p_u
-        ranks = (q_pos.rank, q_neg.rank)
-        p_u = proj_inf([p_u, q_pos, q_neg])
-        if p_u.rank == 0:
-            return p_u
+        k_pos = subspaces.nullspace(ctx.domain, (ctx.one - fwd.star() @ fwd).mat)
+        k_neg = subspaces.nullspace(ctx.domain, (ctx.one - bwd.star() @ bwd).mat)
+        now = (subspaces.dim_of(k_pos), subspaces.dim_of(k_neg))
+        if now == ranks:
+            return from_basis(ctx.domain, ctx.dim, part)
+        ranks = now
+        part = subspaces.intersect(ctx.domain, subspaces.intersect(ctx.domain, part, k_pos), k_neg)
+        if subspaces.dim_of(part) == 0:
+            return from_basis(ctx.domain, ctx.dim, part)
     raise IndeterminateError("nfl kernel chains did not stabilise within the cap")
 
 
@@ -645,21 +658,12 @@ def nfl(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
 
 
 def _corner_cnu_res(ctx: _Ctx, x: Element, p_c: Projection) -> float:
-    """Residual norm of the unitary part of the compression to p_c."""
-    y = p_c.element @ x @ p_c.element
-    part = p_c.range_basis
-    fwd = y
-    bwd = y.star()
-    for _ in range(1, ctx.cap + 1):
-        k_pos = subspaces.nullspace(ctx.domain, (p_c.element - fwd.star() @ fwd).mat)
-        k_neg = subspaces.nullspace(ctx.domain, (p_c.element - bwd.star() @ bwd).mat)
-        part = subspaces.intersect(ctx.domain, part, k_pos)
-        part = subspaces.intersect(ctx.domain, part, k_neg)
-        if subspaces.dim_of(part) == 0:
-            return 0.0
-        fwd = fwd @ y
-        bwd = bwd @ y.star()
-    return ctx.wres(from_basis(ctx.domain, ctx.dim, part).element)
+    """Residual norm of the unitary part of the compression to p_c.
+
+    y = p_c x p_c vanishes off p_c, so 1 - y*^n y^n is the identity there and
+    the NFL kernels of y already lie in p_c.
+    """
+    return ctx.wres(_nfl_unitary_part(ctx, p_c.element @ x @ p_c.element).element)
 
 
 def nfl_pair_doubly(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> DecompositionReport:

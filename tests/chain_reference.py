@@ -1,10 +1,11 @@
 """Stepped reference versions of the engine's stabilised chains.
 
 Each function walks its chain one index at a time, and runs on to the cap
-where the engine stops at a detected fixpoint; the lemma residuals take
-every power from Element.power.  `reference_engine` swaps them into
-`stardecomp.engine`, so a whole decomposition can be run both ways and
-compared.
+where the engine stops at a detected fixpoint.  The lemma residuals and the
+product-PPI constraint take every power from Element.power, and the cnu
+corner keeps its own kernel loop instead of reusing the NFL one.
+`reference_engine` swaps them into `stardecomp.engine`, so a whole
+decomposition can be run both ways and compared.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ def mixed_wandering_to_cap(ctx, a, b):
     return acc
 
 
+def _kernel_projection(ctx, a):
+    return from_basis(ctx.domain, ctx.dim, subspaces.nullspace(ctx.domain, a.mat))
+
+
 def nfl_unitary_part_to_cap(ctx, x):
     """∩_{n <= cap} of the NFL kernels, stopping early only at rank 0."""
     p_u = identity_projection(ctx.domain, ctx.dim)
@@ -44,12 +49,42 @@ def nfl_unitary_part_to_cap(ctx, x):
     for _ in range(1, ctx.cap + 1):
         fwd = fwd @ x
         bwd = bwd @ x.star()
-        q_pos = engine._kernel_projection(ctx, ctx.one - fwd.star() @ fwd)
-        q_neg = engine._kernel_projection(ctx, ctx.one - bwd.star() @ bwd)
+        q_pos = _kernel_projection(ctx, ctx.one - fwd.star() @ fwd)
+        q_neg = _kernel_projection(ctx, ctx.one - bwd.star() @ bwd)
         p_u = proj_inf([p_u, q_pos, q_neg])
         if p_u.rank == 0:
             break
     return p_u
+
+
+def product_ppi_constraint_to_cap(ctx, x1, x2):
+    """The product-PPI defect constraint over every n <= cap, powers from
+    Element.power."""
+    constraint = identity_projection(ctx.domain, ctx.dim)
+    for n in range(1, ctx.cap + 1):
+        pn = left_projection(x1.power(n)).element
+        qn = left_projection(x2.star().power(n)).element
+        defect = pn @ qn - qn @ pn
+        constraint = proj_inf([constraint, engine._complement_of_range(ctx, defect)])
+    return constraint
+
+
+def corner_cnu_res_to_cap(ctx, x, p_c):
+    """The NFL kernels of p_c x p_c intersected inside p_c, run to the cap."""
+    y = p_c.element @ x @ p_c.element
+    part = p_c.range_basis
+    fwd = y
+    bwd = y.star()
+    for _ in range(1, ctx.cap + 1):
+        k_pos = subspaces.nullspace(ctx.domain, (p_c.element - fwd.star() @ fwd).mat)
+        k_neg = subspaces.nullspace(ctx.domain, (p_c.element - bwd.star() @ bwd).mat)
+        part = subspaces.intersect(ctx.domain, part, k_pos)
+        part = subspaces.intersect(ctx.domain, part, k_neg)
+        if subspaces.dim_of(part) == 0:
+            return 0.0
+        fwd = fwd @ y
+        bwd = bwd @ y.star()
+    return ctx.wres(from_basis(ctx.domain, ctx.dim, part).element)
 
 
 def power_lemma_certificates(ctx, x1, x2):
@@ -75,6 +110,8 @@ REFERENCES = {
     "_mixed_wandering": mixed_wandering_to_cap,
     "_nfl_unitary_part": nfl_unitary_part_to_cap,
     "_lemma_certificates": power_lemma_certificates,
+    "_product_ppi_constraint": product_ppi_constraint_to_cap,
+    "_corner_cnu_res": corner_cnu_res_to_cap,
 }
 
 

@@ -1,8 +1,7 @@
-"""The doubling range chain and the fixpoint exits against their stepped
-references (tests/chain_reference.py), plus the stabilisation contract:
-logarithmically many factorisations, and IndeterminateError past the cap."""
-
-import math
+"""The range chain and the fixpoint exits against their stepped and
+run-to-cap references (tests/chain_reference.py), plus the stabilisation
+contract: at most three factorisations per range chain, and
+IndeterminateError past the cap."""
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from stardecomp import (
     from_rows,
     halmos_wallen,
     hw_pair_product,
+    largest_product_ppi,
     nfl,
     pair_instances,
     slocinski,
@@ -37,8 +37,10 @@ from stardecomp.fixtures import (
     random_contraction,
     random_ppi,
 )
+from stardecomp.projections import identity_projection
 
 from chain_reference import (
+    corner_cnu_res_to_cap,
     mixed_wandering_to_cap,
     power_lemma_certificates,
     reference_engine,
@@ -96,6 +98,34 @@ def test_exact_pairs_match_stepped_chains():
         x1, x2 = commuting_orthogonal_pair(int(rng.integers(2, 7)), rng)
         _assert_identical(*_both(weak_bishift, x1, x2))
         _assert_identical(*_both(slocinski, x1, x2))
+
+
+def test_exact_largest_product_ppi_matches_run_to_cap():
+    rng = np.random.default_rng(80)  # acceptance criterion 8
+    for _ in range(15):
+        dim = int(rng.integers(3, 6))
+        commuting_orthogonal_pair(dim, rng)
+        x = random_ppi(dim, rng)
+        got, want = _both(largest_product_ppi, x, x.power(2))
+        assert np.array_equal(got.element.mat, want.element.mat)
+        # the criterion's maximality probe draws nothing around the identity
+        assert got.rank == dim
+
+
+def test_exact_cnu_corner_matches_its_own_loop():
+    # both corners of each split, so the u-corners give nonzero residuals
+    rng = np.random.default_rng(70)  # acceptance criterion 7
+    nonzero = 0
+    for _ in range(16):
+        x = random_contraction(int(rng.integers(2, 9)), rng)
+        ctx = engine._Ctx(x, EngineConfig())
+        for _, p in nfl(x).basis.members:
+            if not p.rank:
+                continue
+            got = engine._corner_cnu_res(ctx, x, p)
+            assert got == corner_cnu_res_to_cap(ctx, x, p)
+            nonzero += got > 0
+    assert nonzero
 
 
 @pytest.mark.parametrize("p,dim", [(3, 2), (7, 2), (3, 1), (2, 1)])
@@ -174,9 +204,7 @@ def test_truncated_complex_matches_stepped_chain(case):
 # -------------------------------------------------- stabilisation contract
 
 
-def test_range_chain_factorisations_are_logarithmic(monkeypatch):
-    tr = truncate(Shift(1), 128, n_max=16)
-    ctx = engine._Ctx(tr.element, EngineConfig(n_max=16, window=tr.window))
+def _count_svds(monkeypatch):
     calls = []
     svd = np.linalg.svd
 
@@ -185,18 +213,56 @@ def test_range_chain_factorisations_are_logarithmic(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    p = engine._range_chain_inf(ctx, tr.element)
-    assert p.rank == 0
-    assert len(calls) <= math.ceil(math.log2(129)) + 1
+    return calls
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_range_chain_costs_at_most_three_factorisations(monkeypatch, n):
+    tr = truncate(Shift(1), n, n_max=16)
+    ctx = engine._Ctx(tr.element, EngineConfig(n_max=16, window=tr.window))
+    calls = _count_svds(monkeypatch)
+    assert engine._range_chain_inf(ctx, tr.element).rank == 0
+    assert len(calls) <= 3
     calls.clear()
     assert stepped_range_chain_inf(ctx, tr.element).rank == 0
-    assert len(calls) > 128
+    assert len(calls) > n
+
+
+def test_range_chain_confirming_step_on_a_unitary_part(monkeypatch):
+    # the chain keeps rank 3, so the confirming step runs
+    u3 = unitary(random_complex_unitary(3, np.random.default_rng(2)).mat)
+    tr = truncate(direct_sum(u3, Shift(1)), 128, n_max=16)
+    ctx = engine._Ctx(tr.element, EngineConfig(n_max=16, window=tr.window))
+    calls = _count_svds(monkeypatch)
+    assert engine._range_chain_inf(ctx, tr.element).rank == 3
+    assert len(calls) == 3
 
 
 def _ctx_with_cap(x, cap):
     ctx = engine._Ctx(x, EngineConfig())
     ctx.cap = cap
     return ctx
+
+
+def _chain_or_raise(chain, ctx, x):
+    try:
+        return chain(ctx, x)
+    except IndeterminateError:
+        return None
+
+
+def _sweep_caps(x, caps, same):
+    for cap in caps:
+        got = _chain_or_raise(engine._range_chain_inf, _ctx_with_cap(x, cap), x)
+        want = _chain_or_raise(stepped_range_chain_inf, _ctx_with_cap(x, cap), x)
+        assert (got is None) == (want is None), cap
+        if got is not None:
+            assert got.rank == want.rank, cap
+            assert same(got.element.mat, want.element.mat), cap
+
+
+def _close(a, b):
+    return np.linalg.norm(a - b) <= 1e-8
 
 
 @pytest.mark.parametrize("cap,raises", [(31, True), (32, False)])
@@ -210,6 +276,25 @@ def test_range_chain_cap_matches_stepped_chain(cap, raises):
                 chain(ctx, x)
         else:
             assert chain(ctx, x).rank == 0
+
+
+def test_range_chain_cap_sweep_on_shift():
+    _sweep_caps(truncate(Shift(1), 32, n_max=16).element, range(1, 36), _close)
+
+
+def test_range_chain_cap_sweep_on_unitary_plus_truncated_shift():
+    u3 = unitary(random_complex_unitary(3, np.random.default_rng(2)).mat)
+    x = truncate(direct_sum(u3, Trunc(4)), 8, n_max=4).element
+    _sweep_caps(x, range(1, 9), _close)
+
+
+def test_range_chain_cap_sweep_exact():
+    rng = np.random.default_rng(50)
+    for _ in range(6):
+        x = random_ppi(int(rng.integers(4, 7)), rng)
+        _sweep_caps(x, range(1, 9), np.array_equal)
+        _sweep_caps(x.star(), range(1, 9), np.array_equal)
+    _sweep_caps(J3, range(1, 6), np.array_equal)
 
 
 @pytest.mark.parametrize("cap,raises", [(2, True), (3, False)])
@@ -258,4 +343,33 @@ def test_cli_indeterminate_is_exit_4(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     _small_cap(monkeypatch, 1)
     assert main(["decompose", str(spec), "--method", "nfl"]) == 4
+    assert "indeterminate" in capsys.readouterr().err
+
+
+def test_largest_product_ppi_raises_past_the_cap(monkeypatch):
+    # [J3^n] and [J3*^n] have ranks 2, 1, 0, 0: they repeat at n = 4
+    want = largest_product_ppi(J3, J3)
+    _small_cap(monkeypatch, 4)
+    assert np.array_equal(largest_product_ppi(J3, J3).element.mat, want.element.mat)
+    _small_cap(monkeypatch, 3)
+    with pytest.raises(IndeterminateError):
+        largest_product_ppi(J3, J3)
+
+
+def test_cnu_corner_raises_past_the_cap():
+    one = identity_projection(RATIONAL, 3)
+    assert engine._corner_cnu_res(_ctx_with_cap(J3, 2), J3, one) == 0.0
+    with pytest.raises(IndeterminateError):
+        engine._corner_cnu_res(_ctx_with_cap(J3, 1), J3, one)
+
+
+def test_cli_largest_ppi_indeterminate_is_exit_4(tmp_path, monkeypatch, capsys):
+    j3 = '{"matrix": [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"]]}'
+    spec = tmp_path / "j3j3.json"
+    spec.write_text(f'{{"ring": {{"kind": "rational"}}, "operators": [{j3}, {j3}], '
+                    '"pair": [0, 1]}')
+    assert main(["decompose", str(spec), "--method", "largest-ppi"]) == 0
+    capsys.readouterr()
+    _small_cap(monkeypatch, 3)
+    assert main(["decompose", str(spec), "--method", "largest-ppi"]) == 4
     assert "indeterminate" in capsys.readouterr().err
