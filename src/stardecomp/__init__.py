@@ -5,7 +5,9 @@ concrete matrix *-rings: exact rationals, complex floats and prime fields.
 from .domains import (
     COMPLEX,
     RATIONAL,
-    DomainKind,
+    ComplexDomain,
+    GFDomain,
+    RationalDomain,
     ScalarDomain,
     TolerancePolicy,
     complex_domain,

@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import engine, oracle, serialize
-from .domains import DomainKind, TolerancePolicy, complex_domain, rational_domain
+from .domains import TolerancePolicy, complex_domain, rational_domain
 from .elements import classify
 from .errors import (
     IndeterminateError,
@@ -44,6 +44,19 @@ _PROJECTION_METHODS = {
 }
 
 
+def _positive(cast):
+    """argparse type: a strictly positive value of type cast."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse says "invalid int value: 'x'"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stardec",
@@ -54,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="print the class flags of each operator")
     p_classify.add_argument("file", help="operator spec file (JSON)")
-    p_classify.add_argument("--nmax", type=int, default=16)
+    p_classify.add_argument("--nmax", type=_positive(int), default=16)
     p_classify.add_argument("--truncation", type=int, default=None)
     p_classify.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -64,9 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method", required=True,
         choices=sorted(_SINGLE_METHODS | _PAIR_METHODS | _PROJECTION_METHODS),
     )
-    p_dec.add_argument("--nmax", type=int, default=16)
+    p_dec.add_argument("--nmax", type=_positive(int), default=16)
     p_dec.add_argument("--truncation", type=int, default=None)
-    p_dec.add_argument("--tol", type=float, default=None)
+    p_dec.add_argument("--tol", type=_positive(float), default=None)
     p_dec.add_argument("--format", choices=("text", "json"), default="text")
 
     p_ver = sub.add_parser("verify", help="re-check certificates / run built-in demonstrations")
@@ -75,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--method", choices=sorted(_SINGLE_METHODS | _PAIR_METHODS), default=None)
     p_ver.add_argument("--ring", default=None, help="builtin target ring, e.g. gf3 or rational")
     p_ver.add_argument("--dim", type=int, default=None)
-    p_ver.add_argument("--nmax", type=int, default=16)
+    p_ver.add_argument("--nmax", type=_positive(int), default=16)
     p_ver.add_argument("--truncation", type=int, default=None)
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
     return parser
@@ -83,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> serialize.OperatorSpec:
     spec = serialize.load_spec(args.file)
-    if getattr(args, "tol", None) is not None and spec.domain.kind is DomainKind.COMPLEX:
+    if getattr(args, "tol", None) is not None and not spec.domain.exact:
         spec.domain = complex_domain(TolerancePolicy(eps_eq=args.tol))
         spec.operators = [
             op if not hasattr(op, "domain") else type(op)(spec.domain, op.mat)
@@ -181,8 +194,6 @@ def _builtin_cone(args) -> int:
     from .exactrings import positivity_cone
 
     domain = _builtin_ring(args)
-    if domain.kind is not DomainKind.GF:
-        raise PreconditionError("cone counts are only available for gf rings")
     cone = positivity_cone(domain)
     text = (f"{domain}: positive cone has {cone.cone_size} elements, "
             f"{cone.square_count} of them of the form x*x")
@@ -225,8 +236,7 @@ def cmd_verify(args) -> int:
         cfg = engine.EngineConfig(n_max=args.nmax, window=window)
         report = _PAIR_METHODS[args.method](x1, x2, cfg)
         x = x1
-    tol = 0.0 if x.domain.exact else x.domain.tol.eps_eq * x.dim
-    checks = {"certificates": report.max_residual() <= tol}
+    checks = {"certificates": report.max_residual() <= x.domain.residual_tol(x.dim)}
     if report.basis is not None:
         checks["basis"] = report.basis.verify()
     if (args.method in ("wold", "nfl") and x.domain.exact and x.dim <= 8

@@ -1,21 +1,26 @@
-"""Scalar domains underlying the concrete matrix *-rings.
+"""Scalar domains: one object per domain, owning every domain-dependent choice.
 
-Three kinds are supported: exact rationals (transpose involution),
-complex floats (conjugate-transpose involution, tolerance governed) and
-prime fields F_p (transpose involution, validated at construction).
+The decompositions need only the Baer *-ring operations, so the package asks
+its domain object instead of branching on the domain.  Each class owns its
+scalars, matrix storage, adjoint, equality (exact, or within a tolerance),
+positivity with the closed-form order axioms of its cone {sum of x* x}, and
+the spec-file text of a scalar.  ``ScalarDomain`` holds the object-array
+code shared by ``RationalDomain`` and ``GFDomain(p, dim)``;
+``ComplexDomain(tol)`` stores complex128 arrays.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
 
-class DomainKind(enum.Enum):
-    RATIONAL = "rational"
-    COMPLEX = "complex-float"
-    GF = "finite-field"
+from .errors import ImproperInvolutionError, PreconditionError
+
+_NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_COMPLEX_RE = re.compile(rf"^\s*({_NUM})\s*(?:([+-])\s*({_NUM})?\s*i)?\s*$")
 
 
 @dataclass(frozen=True)
@@ -36,67 +41,191 @@ class TolerancePolicy:
             raise ValueError("all tolerances must be strictly positive")
 
 
-@dataclass(frozen=True)
 class ScalarDomain:
-    """A scalar domain tag carried by every Element.
+    """Base of the domains, with the exact domains' code.  Subclasses supply
+    coerce, format and __repr__; p and dim are set for GF, tol for complex."""
 
-    For GF the matrix size is part of the domain because properness of the
-    involution depends on it; use exactrings.construct_gf_ring to build one.
-    Exact domains carry no tolerance.
-    """
-
-    kind: DomainKind
-    p: int | None = None
-    dim: int | None = None
-    tol: TolerancePolicy | None = None
-
-    @property
-    def exact(self) -> bool:
-        return self.kind is not DomainKind.COMPLEX
+    exact = True
+    dtype = object
+    # order axioms of the positive cone; the default is the rational PSD cone
+    antisymmetric = True
+    smooth = False
+    symmetric_cone = False  # True when the cone is every symmetric matrix
 
     def zero(self):
-        if self.kind is DomainKind.RATIONAL:
-            return Fraction(0)
-        if self.kind is DomainKind.GF:
-            return 0
-        return 0j
+        return self.coerce(0)
 
     def one(self):
-        if self.kind is DomainKind.RATIONAL:
-            return Fraction(1)
-        if self.kind is DomainKind.GF:
-            return 1
-        return 1 + 0j
-
-    def coerce(self, value):
-        """Normalise a raw scalar into this domain's representation."""
-        if self.kind is DomainKind.RATIONAL:
-            return Fraction(value)
-        if self.kind is DomainKind.GF:
-            return int(value) % self.p
-        return complex(value)
+        return self.coerce(1)
 
     def inv(self, value):
-        if self.kind is DomainKind.RATIONAL:
-            return Fraction(1) / value
-        if self.kind is DomainKind.GF:
-            return pow(int(value), self.p - 2, self.p)
-        return 1.0 / value
+        return self.one() / value
 
-    def __repr__(self):  # keep reports readable
-        if self.kind is DomainKind.GF:
-            return f"gf({self.p},dim={self.dim})"
-        if self.kind is DomainKind.RATIONAL:
-            return "rational"
+    def parse(self, raw):
+        return self.coerce(raw)
+
+    def zeros(self, rows: int, cols: int) -> np.ndarray:
+        return np.full((rows, cols), self.zero(), dtype=self.dtype)
+
+    def eye(self, n: int) -> np.ndarray:
+        out = self.zeros(n, n)
+        np.fill_diagonal(out, self.one())
+        return out
+
+    def array(self, rows) -> np.ndarray:
+        return np.array([[self.coerce(v) for v in r] for r in rows], dtype=self.dtype)
+
+    def normalize(self, mat: np.ndarray) -> np.ndarray:
+        return mat
+
+    def adjoint(self, mat: np.ndarray) -> np.ndarray:
+        return mat.T.copy()
+
+    def norm(self, mat: np.ndarray) -> float:
+        """Frobenius norm (of the floats of the entries for exact domains)."""
+        return float(np.sqrt(sum(float(v) ** 2 for v in mat.flat)))
+
+    def is_zero(self, mat: np.ndarray) -> bool:
+        return bool(np.all(mat == self.zero()))
+
+    def residual_tol(self, dim: int) -> float:
+        return 0.0
+
+    def is_positive(self, e) -> bool:
+        from .exactrings import is_positive
+
+        return is_positive(e)
+
+
+@dataclass(frozen=True)
+class RationalDomain(ScalarDomain):
+    """Exact rationals, transpose involution; the PSD cone is not smooth."""
+
+    p = dim = tol = None
+
+    def coerce(self, value):
+        return Fraction(value)
+
+    def parse(self, raw):
+        return Fraction(raw) if isinstance(raw, str) else Fraction(int(raw))
+
+    def format(self, value):
+        return str(value)
+
+    def __repr__(self):
+        return "rational"
+
+
+@dataclass(frozen=True)
+class GFDomain(ScalarDomain):
+    """M_dim(F_p), transpose involution; the size is part of the domain.
+
+    By Chevalley–Warning the involution is proper iff dim == 1, or dim == 2
+    and -1 is a non-square (p % 4 == 3).  The positive cone is every
+    symmetric matrix: never antisymmetric, and the squares only over F_2.
+    """
+
+    p: int
+    dim: int
+    tol = None
+    antisymmetric = False
+    symmetric_cone = True
+
+    def __post_init__(self):
+        p, dim = self.p, self.dim
+        if p < 2 or any(p % k == 0 for k in range(2, int(p**0.5) + 1)):
+            raise PreconditionError(f"{p} is not prime")
+        if dim < 1:
+            raise PreconditionError("dim must be positive")
+        if dim == 1 or (dim == 2 and p % 4 == 3):
+            return
+        if dim == 2:
+            reason = f"-1 is a square mod {p}, so 1 + c^2 = 0 for some c"
+        else:
+            reason = f"every sum of {dim} squares is isotropic over F_{p} (Chevalley-Warning)"
+        raise ImproperInvolutionError(
+            f"involution on M_{dim}(F_{p}) is improper: {reason}, "
+            "so some nonzero row v has v v^T = 0"
+        )
+
+    @property
+    def smooth(self) -> bool:
+        return self.p == 2
+
+    def coerce(self, value):
+        return int(value) % self.p
+
+    def inv(self, value):
+        return pow(int(value), self.p - 2, self.p)
+
+    def normalize(self, mat: np.ndarray) -> np.ndarray:
+        return np.vectorize(lambda v: int(v) % self.p, otypes=[object])(mat)
+
+    def format(self, value):
+        return int(value)
+
+    def __repr__(self):
+        return f"gf({self.p},dim={self.dim})"
+
+
+@dataclass(frozen=True)
+class ComplexDomain(ScalarDomain):
+    """complex128, conjugate transpose; the PSD cone has square roots (smooth)."""
+
+    tol: TolerancePolicy = field(default_factory=TolerancePolicy)
+    p = dim = None
+    exact = False
+    dtype = complex
+    smooth = True
+
+    def coerce(self, value):
+        return complex(value)
+
+    def parse(self, raw):
+        if isinstance(raw, (int, float)):
+            return complex(raw)
+        m = _COMPLEX_RE.match(str(raw))
+        if not m:
+            raise ValueError(raw)
+        imag = 0.0
+        if m.group(2):
+            imag = float(m.group(3)) if m.group(3) else 1.0
+            if m.group(2) == "-":
+                imag = -imag
+        return complex(float(m.group(1)), imag)
+
+    def format(self, value):
+        v = complex(value)
+        sign = "+" if v.imag >= 0 else "-"
+        return f"{v.real:.17g}{sign}{abs(v.imag):.17g} i"
+
+    def adjoint(self, mat: np.ndarray) -> np.ndarray:
+        return mat.conj().T.copy()
+
+    def norm(self, mat: np.ndarray) -> float:
+        return float(np.linalg.norm(mat))
+
+    def is_zero(self, mat: np.ndarray) -> bool:
+        return self.norm(mat) <= self.residual_tol(mat.shape[0])
+
+    def residual_tol(self, dim: int) -> float:
+        return self.tol.eps_eq * dim
+
+    def is_positive(self, e) -> bool:
+        from .floatring import is_positive_float
+
+        return is_positive_float(e)
+
+    def __repr__(self):
         return "complex-float"
 
 
-def rational_domain() -> ScalarDomain:
-    return ScalarDomain(DomainKind.RATIONAL)
+def rational_domain() -> RationalDomain:
+    return RationalDomain()
 
 
-def complex_domain(tol: TolerancePolicy | None = None) -> ScalarDomain:
-    return ScalarDomain(DomainKind.COMPLEX, tol=tol or TolerancePolicy())
+def complex_domain(tol: TolerancePolicy | None = None) -> ComplexDomain:
+    return ComplexDomain(tol or TolerancePolicy())
 
 
 RATIONAL = rational_domain()

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import subspaces
-from .domains import DomainKind, ScalarDomain
+from .domains import ScalarDomain
 from .elements import Element, identity
 from .errors import (
     AxiomViolationError,
@@ -68,17 +68,13 @@ class DecompositionReport:
 
 
 class _Ctx:
-    """Shared state: domain, tolerance, window compression, chain cap."""
+    """Shared state: domain, window compression, chain cap."""
 
     def __init__(self, x: Element, cfg: EngineConfig):
         self.domain = x.domain
         self.dim = x.dim
         self.cfg = cfg
         self.window = cfg.window.element if cfg.window is not None else None
-        if self.domain.exact:
-            self.tol = 0.0
-        else:
-            self.tol = self.domain.tol.eps_eq * self.dim
         self.cap = max(cfg.n_max, self.dim + 1)
         self.one = identity(self.domain, self.dim)
 
@@ -91,9 +87,7 @@ class _Ctx:
         return self.compress(e).norm()
 
     def ok(self, e: Element) -> bool:
-        if self.domain.exact and self.window is None:
-            return e.is_zero()
-        return self.wres(e) <= self.tol
+        return self.compress(e).is_zero()
 
     def commute_ok(self, a: Element, b: Element) -> bool:
         return self.ok(a @ b - b @ a)
@@ -128,11 +122,7 @@ def _wandering_series(ctx: _Ctx, x: Element) -> Projection:
     pieces = []
     for _ in range(ctx.cap + 1):
         if subspaces.dim_of(term) == 0:
-            joined = (
-                np.concatenate(pieces, axis=1)
-                if pieces
-                else subspaces.empty_basis(ctx.domain, ctx.dim)
-            )
+            joined = np.concatenate(pieces, axis=1) if pieces else ctx.domain.zeros(ctx.dim, 0)
             return from_basis(ctx.domain, ctx.dim, subspaces.orth(ctx.domain, joined))
         pieces.append(term)
         term = subspaces.orth(ctx.domain, x.mat @ term)
@@ -587,25 +577,12 @@ def largest_product_ppi(x1: Element, x2: Element, cfg: EngineConfig | None = Non
 
 
 def _axiom_gate(domain: ScalarDomain):
-    if domain.kind is DomainKind.GF:
-        from .exactrings import axiom_probe
-
-        report = axiom_probe(domain)
-        if not (report.smooth or report.antisymmetric):
-            raise AxiomViolationError(
-                f"{domain} is neither smooth nor antisymmetric; the unitary/completely-"
-                "non-unitary split is not available"
-            )
-
-
-def _positive(e: Element) -> bool:
-    if e.domain.kind is DomainKind.COMPLEX:
-        from .floatring import is_positive_float
-
-        return is_positive_float(e)
-    from .exactrings import is_positive
-
-    return is_positive(e)
+    """Refuse a domain whose positive cone is neither smooth nor antisymmetric."""
+    if not (domain.smooth or domain.antisymmetric):
+        raise AxiomViolationError(
+            f"{domain} is neither smooth nor antisymmetric; the unitary/completely-"
+            "non-unitary split is not available"
+        )
 
 
 def _nfl_unitary_part(ctx: _Ctx, x: Element) -> Projection:
@@ -639,7 +616,8 @@ def nfl(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
     cfg = cfg or EngineConfig()
     ctx = _Ctx(x, cfg)
     _axiom_gate(ctx.domain)
-    _require(_positive(ctx.one - x.star() @ x) and _positive(ctx.one - x @ x.star()),
+    positive = ctx.domain.is_positive
+    _require(positive(ctx.one - x.star() @ x) and positive(ctx.one - x @ x.star()),
              "nfl requires a contraction (1 - x*x and 1 - xx* positive)")
     p_u = _nfl_unitary_part(ctx, x)
     p_c = p_u.complement()
@@ -723,25 +701,20 @@ def maximality_probe(p: Projection, ops: list, predicate, rng, tries: int = 20) 
     if comp.rank == 0:
         return True
     for _ in range(tries):
-        if domain.kind is DomainKind.COMPLEX:
+        if domain.exact:
+            raw = np.array([domain.coerce(int(c)) for c in rng.integers(-9, 10, size=p.dim)],
+                           dtype=object)
+            v = comp.element.mat @ raw
+            nrm = domain.coerce(sum(c * c for c in v))
+            if nrm == 0:
+                continue
+            cand_mat = p.element.mat + np.outer(v, v) * domain.inv(nrm)
+        else:
             v = comp.element.mat @ (rng.standard_normal(p.dim) + 1j * rng.standard_normal(p.dim))
             nrm = np.vdot(v, v).real
             if nrm < 1e-12:
                 continue
             cand_mat = p.element.mat + np.outer(v, v.conj()) / nrm
-        else:
-            raw = np.array([domain.coerce(int(c)) for c in rng.integers(-9, 10, size=p.dim)],
-                           dtype=object)
-            v = comp.element.mat @ raw
-            nrm = sum(c * c for c in v)
-            if domain.kind is DomainKind.GF:
-                if nrm % domain.p == 0:
-                    continue
-                cand_mat = p.element.mat + np.outer(v, v) * domain.inv(nrm)
-            else:
-                if nrm == 0:
-                    continue
-                cand_mat = p.element.mat + np.outer(v, v) / nrm
         try:
             cand = from_element(Element(domain, cand_mat))
         except PreconditionError:

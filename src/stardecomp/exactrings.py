@@ -1,13 +1,11 @@
-"""Exact scalar domains: rational positivity and finite-field closed forms.
+"""Exact positive cones: rational positivity and finite-field closed forms.
 
 Rational positivity is decided by an exact symmetric factorisation (a PSD
 rational matrix is a finite sum of rational v v^T, so PSD coincides with
-the sum-of-squares cone).  Every finite-field answer is a closed form:
-
-- the transpose involution on M_dim(F_p) is proper only for dim == 1 and
-  for dim == 2 with p % 4 == 3;
-- the positive cone is exactly the symmetric matrices, so it is a subspace
-  (never antisymmetric) and F_p positivity is a symmetry test.
+the sum-of-squares cone).  Every finite-field answer is a closed form: the
+positive cone is exactly the symmetric matrices, so it is a subspace (never
+antisymmetric) and F_p positivity is a symmetry test.  Properness of the
+F_p involution is checked where a GFDomain is constructed (see domains).
 """
 
 from __future__ import annotations
@@ -16,42 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import DomainKind, ScalarDomain
+from .domains import GFDomain, ScalarDomain
 from .elements import Element, from_rows
-from .errors import ImproperInvolutionError, PreconditionError
+from .errors import PreconditionError
 
 
-def _require_proper(p: int, dim: int):
-    """Raise unless no nonzero row v of F_p^dim has v v^T = 0.
-
-    By Chevalley–Warning every quadratic form in three or more variables
-    over F_p is isotropic; x^2 + y^2 is anisotropic iff -1 is a non-square,
-    i.e. p % 4 == 3.
-    """
-    if dim == 1 or (dim == 2 and p % 4 == 3):
-        return
-    if dim == 2:
-        reason = f"-1 is a square mod {p}, so 1 + c^2 = 0 for some c"
-    else:
-        reason = f"every sum of {dim} squares is isotropic over F_{p} (Chevalley-Warning)"
-    raise ImproperInvolutionError(
-        f"involution on M_{dim}(F_{p}) is improper: {reason}, "
-        "so some nonzero row v has v v^T = 0"
-    )
-
-
-def construct_gf_ring(p: int, dim: int) -> ScalarDomain:
-    """Domain for M_dim(F_p) with transpose involution.
-
-    Rejects (p, dim) whenever the involution fails to be proper, i.e. some
-    nonzero row vector v has v v^T = 0 (a vanishing sum of dim squares).
-    """
-    if p < 2 or any(p % k == 0 for k in range(2, int(p**0.5) + 1)):
-        raise PreconditionError(f"{p} is not prime")
-    if dim < 1:
-        raise PreconditionError("dim must be positive")
-    _require_proper(p, dim)
-    return ScalarDomain(DomainKind.GF, p=p, dim=dim)
+def construct_gf_ring(p: int, dim: int) -> GFDomain:
+    """Domain for M_dim(F_p) with transpose involution; rejects (p, dim) when
+    some nonzero row v has v v^T = 0 (a vanishing sum of dim squares)."""
+    return GFDomain(p, dim)
 
 
 @dataclass(frozen=True)
@@ -72,10 +43,9 @@ def positivity_cone(domain: ScalarDomain) -> ConeCounts:
     every singular symmetric matrix plus the nonsingular ones congruent to
     the identity.
     """
-    if domain.kind is not DomainKind.GF:
+    if not isinstance(domain, GFDomain):
         raise PreconditionError("cone counts are only available for gf rings")
     p, dim = domain.p, domain.dim
-    _require_proper(p, dim)
     if dim == 1:
         squares = 2 if p == 2 else (p + 1) // 2
     else:
@@ -105,12 +75,12 @@ def _rational_psd(e: Element) -> bool:
 
 def is_positive(a: Element) -> bool:
     """Membership in the positive cone {sum of x* x} of the exact domains."""
-    if a.domain.kind is DomainKind.COMPLEX:
+    if not a.domain.exact:
         raise PreconditionError("use floatring.is_positive_float for the complex domain")
     if not a.equals(a.star()):
         return False
     # over F_p the cone is every symmetric matrix (see positivity_cone)
-    return a.domain.kind is DomainKind.GF or _rational_psd(a)
+    return a.domain.symmetric_cone or _rational_psd(a)
 
 
 @dataclass(frozen=True)
@@ -120,30 +90,24 @@ class AxiomReport:
     smooth: bool
 
 
-def _rational_smooth_witness(dim: int) -> Element:
-    # diag(2,1,...,1) is PSD but not x^T x: its discriminant 2 is not a
-    # rational square, so the form is not rationally congruent to I_dim.
-    rows = [[2 if i == j == 0 else int(i == j) for j in range(dim)] for i in range(dim)]
-    return from_rows(ScalarDomain(DomainKind.RATIONAL), rows)
-
-
 def axiom_probe(domain: ScalarDomain, dim: int | None = None, rng=None) -> AxiomReport:
     """Report the order axioms of the positivity cone: proper / antisymmetric / smooth.
 
-    Finite fields are decided by the closed forms of positivity_cone: the
-    cone is a subspace, so it holds -k with every k, and it equals the
-    squares only over F_2.  The rational and float outcomes are analytic
-    facts, spot-checked on random samples.
+    Each domain states its axioms in closed form (see domains).  The
+    rational claim, antisymmetric but not smooth, is spot-checked on random
+    dim x dim squares x^T x.
     """
-    if domain.kind is DomainKind.GF:
-        _require_proper(domain.p, domain.dim)
-        return AxiomReport(proper=True, antisymmetric=False, smooth=domain.p == 2)
-    if domain.kind is DomainKind.COMPLEX:
-        # PSD cone is proper; every PSD matrix has a square root
-        return AxiomReport(proper=True, antisymmetric=True, smooth=True)
+    if dim is not None and dim < 1:
+        raise PreconditionError("dim must be positive")
+    report = AxiomReport(proper=True, antisymmetric=domain.antisymmetric, smooth=domain.smooth)
+    if not report.antisymmetric or report.smooth:
+        return report
     dim = dim or 1
     rng = rng or np.random.default_rng(0)
-    witness = _rational_smooth_witness(dim)
+    # diag(2,1,...,1) is PSD but not x^T x: its discriminant 2 is not a
+    # rational square, so the form is not rationally congruent to I_dim.
+    rows = [[2 if i == j == 0 else int(i == j) for j in range(dim)] for i in range(dim)]
+    witness = from_rows(domain, rows)
     if not is_positive(witness):
         raise PreconditionError("smoothness witness failed its positivity spot-check")
     for _ in range(25):
@@ -155,4 +119,4 @@ def axiom_probe(domain: ScalarDomain, dim: int | None = None, rng=None) -> Axiom
             raise PreconditionError("antisymmetry spot-check failed: x^T x not positive")
         if not sq.is_zero() and is_positive(-sq):
             raise PreconditionError("antisymmetry spot-check failed: proper cone violated")
-    return AxiomReport(proper=True, antisymmetric=True, smooth=False)
+    return report

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
 from .domains import RATIONAL, ScalarDomain, complex_domain
 from .elements import Element
 from .errors import PreconditionError
@@ -21,7 +20,7 @@ _TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29))
 
 
 def _givens(dim: int, i: int, j: int, c: Fraction, s: Fraction) -> np.ndarray:
-    g = linalg.eye(RATIONAL, dim)
+    g = RATIONAL.eye(dim)
     g[i, i] = c
     g[j, j] = c
     g[i, j] = -s
@@ -33,7 +32,7 @@ def rational_orthogonal(dim: int, rng, steps: int | None = None) -> Element:
     """Random special-orthogonal rational matrix (exact Q Q^T = 1)."""
     if dim < 1:
         raise PreconditionError("dim must be positive")
-    q = linalg.eye(RATIONAL, dim)
+    q = RATIONAL.eye(dim)
     if dim == 1:
         if rng.integers(2):
             q[0, 0] = Fraction(-1)
@@ -44,14 +43,14 @@ def rational_orthogonal(dim: int, rng, steps: int | None = None) -> Element:
         q = q @ _givens(dim, int(i), int(j), Fraction(a, c), Fraction(b, c))
     perm = rng.permutation(dim)
     signs = rng.integers(2, size=dim)
-    pmat = linalg.zeros(RATIONAL, dim, dim)
+    pmat = RATIONAL.zeros(dim, dim)
     for col, row in enumerate(perm):
         pmat[int(row), col] = Fraction(-1 if signs[col] else 1)
-    return Element(RATIONAL, linalg.normalize(RATIONAL, q @ pmat))
+    return Element(RATIONAL, q @ pmat)
 
 
 def _jordan_block(dim: int) -> np.ndarray:
-    j = linalg.zeros(RATIONAL, dim, dim)
+    j = RATIONAL.zeros(dim, dim)
     for i in range(dim - 1):
         j[i + 1, i] = Fraction(1)
     return j
@@ -80,7 +79,7 @@ def random_ppi(dim: int, rng, unitary_rank: int | None = None) -> Element:
         blocks.append(rational_orthogonal(unitary_rank, rng).mat)
     for size in _random_partition(dim - unitary_rank, rng, at_least_one_big=False):
         blocks.append(_jordan_block(size))
-    mat = linalg.zeros(RATIONAL, dim, dim)
+    mat = RATIONAL.zeros(dim, dim)
     at = 0
     for b in blocks:
         d = b.shape[0]
@@ -94,7 +93,7 @@ def random_contraction(dim: int, rng, unitary_rank: int | None = None) -> Elemen
     """Random rational contraction: unitary ⊕ strictly damped blocks."""
     if unitary_rank is None:
         unitary_rank = int(rng.integers(0, dim + 1))
-    mat = linalg.zeros(RATIONAL, dim, dim)
+    mat = RATIONAL.zeros(dim, dim)
     if unitary_rank:
         mat[:unitary_rank, :unitary_rank] = rational_orthogonal(unitary_rank, rng).mat
     at = unitary_rank
@@ -105,23 +104,23 @@ def random_contraction(dim: int, rng, unitary_rank: int | None = None) -> Elemen
         mat[at : at + size, at : at + size] = block
         at += size
     q = rational_orthogonal(dim, rng)
-    return q @ Element(RATIONAL, linalg.normalize(RATIONAL, mat)) @ q.star()
+    return q @ Element(RATIONAL, mat) @ q.star()
 
 
 def commuting_orthogonal_pair(dim: int, rng) -> tuple:
     """Two commuting rational orthogonal matrices (rotations in shared planes)."""
     if dim < 2:
         raise PreconditionError("need dim >= 2")
-    q1 = linalg.eye(RATIONAL, dim)
-    q2 = linalg.eye(RATIONAL, dim)
+    q1 = RATIONAL.eye(dim)
+    q2 = RATIONAL.eye(dim)
     for i in range(0, dim - 1, 2):
         a1, b1, c1 = _TRIPLES[rng.integers(len(_TRIPLES))]
         a2, b2, c2 = _TRIPLES[rng.integers(len(_TRIPLES))]
         q1 = q1 @ _givens(dim, i, i + 1, Fraction(a1, c1), Fraction(b1, c1))
         q2 = q2 @ _givens(dim, i, i + 1, Fraction(a2, c2), Fraction(b2, c2))
     q = rational_orthogonal(dim, rng)
-    e1 = q @ Element(RATIONAL, linalg.normalize(RATIONAL, q1)) @ q.star()
-    e2 = q @ Element(RATIONAL, linalg.normalize(RATIONAL, q2)) @ q.star()
+    e1 = q @ Element(RATIONAL, q1) @ q.star()
+    e2 = q @ Element(RATIONAL, q2) @ q.star()
     return e1, e2
 
 
@@ -137,9 +136,9 @@ def random_complex_unitary(dim: int, rng, tol=None) -> Element:
 def gf_signed_permutation(domain: ScalarDomain, rng) -> Element:
     """Random orthogonal element of M_dim(F_p) of signed-permutation form."""
     dim = domain.dim
-    mat = linalg.zeros(domain, dim, dim)
+    mat = domain.zeros(dim, dim)
     perm = rng.permutation(dim)
     for col, row in enumerate(perm):
-        mat[int(row), col] = (-1 if rng.integers(2) else 1) % domain.p
+        mat[int(row), col] = domain.coerce(-1 if rng.integers(2) else 1)
     return Element(domain, mat)
 

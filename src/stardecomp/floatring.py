@@ -4,19 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domains import DomainKind
 from .elements import Element
 from .errors import PreconditionError
 
 
-def _require_complex(e: Element):
-    if e.domain.kind is not DomainKind.COMPLEX:
-        raise PreconditionError("float-ring operation on a non-float element")
-
-
 def is_positive_float(a: Element) -> bool:
     """Self-adjoint within eps_eq and min eigenvalue >= -eps_psd (relative)."""
-    _require_complex(a)
+    if a.domain.exact:
+        raise PreconditionError("float-ring operation on a non-float element")
     tol = a.domain.tol
     scale = max(a.norm(), 1.0)
     if (a - a.star()).norm() > tol.eps_eq * scale:

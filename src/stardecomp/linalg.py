@@ -1,34 +1,20 @@
-"""Exact dense linear algebra over the rational and prime-field domains.
+"""Exact dense Gaussian elimination over the rational and prime-field domains.
 
-Matrices are numpy object arrays (Fraction entries for rationals, python
-ints reduced mod p for GF).  Everything here is plain Gaussian elimination
-over the field; exactness is what matters, not speed, at the sizes used.
+Matrices are numpy object arrays; the domain object supplies the scalars,
+the storage and the reduction of computed entries, so only the elimination
+lives here.  Exactness is what matters, not speed, at the sizes used.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .domains import DomainKind, ScalarDomain
+from .domains import ScalarDomain
 
 
 def normalize(domain: ScalarDomain, mat: np.ndarray) -> np.ndarray:
-    if domain.kind is DomainKind.GF:
-        return np.vectorize(lambda v: int(v) % domain.p, otypes=[object])(mat)
-    return mat
-
-
-def zeros(domain: ScalarDomain, rows: int, cols: int) -> np.ndarray:
-    out = np.empty((rows, cols), dtype=object)
-    out[:] = domain.zero()
-    return out
-
-
-def eye(domain: ScalarDomain, n: int) -> np.ndarray:
-    out = zeros(domain, n, n)
-    for i in range(n):
-        out[i, i] = domain.one()
-    return out
+    """The domain's canonical entries; every elimination step goes through here."""
+    return domain.normalize(mat)
 
 
 def rref(domain: ScalarDomain, mat: np.ndarray):
@@ -60,7 +46,7 @@ def nullspace(domain: ScalarDomain, mat: np.ndarray) -> np.ndarray:
     r, pivots = rref(domain, mat)
     rows, cols = mat.shape
     free = [c for c in range(cols) if c not in pivots]
-    basis = zeros(domain, cols, len(free))
+    basis = domain.zeros(cols, len(free))
     for j, fc in enumerate(free):
         basis[fc, j] = domain.one()
         for i, pc in enumerate(pivots):
@@ -72,7 +58,7 @@ def column_space(domain: ScalarDomain, mat: np.ndarray) -> np.ndarray:
     """Pivot columns of the original matrix, as an (n x r) basis."""
     _, pivots = rref(domain, mat)
     if not pivots:
-        return np.empty((mat.shape[0], 0), dtype=object)
+        return domain.zeros(mat.shape[0], 0)
     return normalize(domain, mat[:, pivots].copy())
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .domains import DomainKind, ScalarDomain
+from .domains import ScalarDomain
 from .elements import Element
 from .errors import PreconditionError, StructuralAnomalyError
 
@@ -27,17 +27,17 @@ def _cut(s: np.ndarray, eps_rank: float) -> int:
 
 
 def _null(domain: ScalarDomain, mat: np.ndarray) -> np.ndarray:
-    if domain.kind is DomainKind.COMPLEX:
-        u, s, vh = np.linalg.svd(mat)
-        return vh[_cut(s, domain.tol.eps_rank):].conj().T
-    return linalg.nullspace(domain, mat)
+    if domain.exact:
+        return linalg.nullspace(domain, mat)
+    u, s, vh = np.linalg.svd(mat)
+    return vh[_cut(s, domain.tol.eps_rank):].conj().T
 
 
 def _colspace(domain: ScalarDomain, mat: np.ndarray) -> np.ndarray:
-    if domain.kind is DomainKind.COMPLEX:
-        u, s, _ = np.linalg.svd(mat)
-        return u[:, : _cut(s, domain.tol.eps_rank)]
-    return linalg.column_space(domain, mat)
+    if domain.exact:
+        return linalg.column_space(domain, mat)
+    u, s, _ = np.linalg.svd(mat)
+    return u[:, : _cut(s, domain.tol.eps_rank)]
 
 
 def _rank(domain: ScalarDomain, mat: np.ndarray) -> int:
@@ -63,18 +63,13 @@ def brute_unitary_part(x: Element) -> np.ndarray:
     if x.dim > _UNITARY_DIM_GUARD:
         raise PreconditionError(f"brute_unitary_part is guarded to dim <= {_UNITARY_DIM_GUARD}")
     domain = x.domain
-    one = np.eye(x.dim, dtype=complex) if domain.kind is DomainKind.COMPLEX else linalg.eye(domain, x.dim)
+    one = domain.eye(x.dim)
     conditions = []
     fwd = x.mat
     bwd = x.star().mat
     for _ in range(x.dim):
-        fstar = fwd.conj().T if domain.kind is DomainKind.COMPLEX else fwd.T
-        bstar = bwd.conj().T if domain.kind is DomainKind.COMPLEX else bwd.T
-        lhs1 = one - fstar @ fwd
-        lhs2 = one - bstar @ bwd
-        if domain.exact:
-            lhs1 = linalg.normalize(domain, lhs1)
-            lhs2 = linalg.normalize(domain, lhs2)
+        lhs1 = domain.normalize(one - domain.adjoint(fwd) @ fwd)
+        lhs2 = domain.normalize(one - domain.adjoint(bwd) @ bwd)
         conditions.extend([lhs1, lhs2])
         fwd = fwd @ x.mat
         bwd = bwd @ x.star().mat
@@ -82,11 +77,8 @@ def brute_unitary_part(x: Element) -> np.ndarray:
     # shrink to the joint x / x* invariant core
     while basis.shape[1] > 0:
         rows = _membership_rows(domain, basis)
-        m1 = rows @ x.mat
-        m2 = rows @ x.star().mat
-        if domain.exact:
-            m1 = linalg.normalize(domain, m1)
-            m2 = linalg.normalize(domain, m2)
+        m1 = domain.normalize(rows @ x.mat)
+        m2 = domain.normalize(rows @ x.star().mat)
         nxt = _stack_null(domain, [rows, m1, m2])
         if nxt.shape[1] == basis.shape[1]:
             break

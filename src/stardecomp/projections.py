@@ -60,7 +60,7 @@ def from_element(e: Element) -> Projection:
 
 
 def zero_projection(domain: ScalarDomain, dim: int) -> Projection:
-    return from_basis(domain, dim, subspaces.empty_basis(domain, dim))
+    return from_basis(domain, dim, domain.zeros(dim, 0))
 
 
 def identity_projection(domain: ScalarDomain, dim: int) -> Projection:
@@ -157,7 +157,7 @@ class ProjectionBasis:
         return out
 
     def verify(self, tol: float | None = None) -> bool:
-        dom = self.members[0][1].domain
         if tol is None:
-            tol = 0.0 if dom.exact else dom.tol.eps_eq * self.members[0][1].dim
+            first = self.members[0][1]
+            tol = first.domain.residual_tol(first.dim)
         return all(v <= tol for v in self.residuals().values())

@@ -2,57 +2,39 @@
 
 Exact scalars travel as strings ("a/b" rationals, integers for field
 elements, "re+im i" for complex entries) so JSON round-trips never lose
-exactness.
+exactness; each domain's ``parse`` and ``format`` own the text form, and
+this module turns their errors into SpecFileError.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .domains import DomainKind, ScalarDomain, TolerancePolicy, complex_domain, rational_domain
+from .domains import COMPLEX, ScalarDomain, TolerancePolicy, complex_domain, rational_domain
 from .elements import Element, from_rows
 from .errors import SpecFileError
 from . import shiftmodel
-
-_NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_COMPLEX_RE = re.compile(rf"^\s*({_NUM})\s*(?:([+-])\s*({_NUM})?\s*i)?\s*$")
 
 
 def parse_scalar(domain: ScalarDomain, raw):
     """One scalar from its JSON representation into the domain."""
     try:
-        if domain.kind is DomainKind.RATIONAL:
-            return Fraction(raw) if isinstance(raw, str) else Fraction(int(raw))
-        if domain.kind is DomainKind.GF:
-            return int(raw) % domain.p
-        if isinstance(raw, (int, float)):
-            return complex(raw)
-        m = _COMPLEX_RE.match(str(raw))
-        if not m:
-            raise ValueError(raw)
-        real = float(m.group(1))
-        imag = 0.0
-        if m.group(2):
-            mag = m.group(3)
-            imag = float(mag) if mag else 1.0
-            if m.group(2) == "-":
-                imag = -imag
-        return complex(real, imag)
-    except (ValueError, ZeroDivisionError) as exc:
+        return domain.parse(raw)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SpecFileError(f"bad scalar {raw!r} for domain {domain}") from exc
 
 
 def format_scalar(domain: ScalarDomain, value):
-    if domain.kind is DomainKind.RATIONAL:
-        return str(value)
-    if domain.kind is DomainKind.GF:
-        return int(value)
-    v = complex(value)
-    sign = "+" if v.imag >= 0 else "-"
-    return f"{v.real:.17g}{sign}{abs(v.imag):.17g} i"
+    return domain.format(value)
+
+
+def _ring_field(obj: dict, name: str, parse):
+    """parse(obj[name]), with a bad value reported as a spec error naming the field."""
+    try:
+        return parse(obj[name])
+    except (TypeError, ValueError) as exc:
+        raise SpecFileError(f"bad ring field {name!r}: {obj[name]!r} ({exc})") from exc
 
 
 def parse_ring(obj) -> ScalarDomain:
@@ -62,15 +44,16 @@ def parse_ring(obj) -> ScalarDomain:
     if kind == "rational":
         return rational_domain()
     if kind == "complex-float":
-        tol = obj.get("tolerance")
-        policy = TolerancePolicy(eps_eq=float(tol)) if tol is not None else None
-        return complex_domain(policy)
+        if obj.get("tolerance") is None:
+            return complex_domain()
+        return complex_domain(_ring_field(obj, "tolerance",
+                                          lambda v: TolerancePolicy(eps_eq=float(v))))
     if kind == "gf":
         from .exactrings import construct_gf_ring
 
         if "p" not in obj or "dim" not in obj:
             raise SpecFileError("gf ring needs fields 'p' and 'dim'")
-        return construct_gf_ring(int(obj["p"]), int(obj["dim"]))
+        return construct_gf_ring(_ring_field(obj, "p", int), _ring_field(obj, "dim", int))
     raise SpecFileError(f"unknown ring kind {kind!r}")
 
 
@@ -104,7 +87,7 @@ def parse_expr(obj) -> shiftmodel.OperatorExpr:
     try:
         if op == "unitary":
             return shiftmodel.unitary(
-                [[parse_scalar(complex_domain(), v) for v in row] for row in obj["rows"]]
+                [[parse_scalar(COMPLEX, v) for v in row] for row in obj["rows"]]
             )
         if op == "shift":
             return shiftmodel.Shift(int(obj.get("mult", 1)))
@@ -127,8 +110,7 @@ def parse_expr(obj) -> shiftmodel.OperatorExpr:
 
 def expr_to_json(e: shiftmodel.OperatorExpr):
     if isinstance(e, shiftmodel.Unitary):
-        dom = complex_domain()
-        return {"op": "unitary", "rows": [[format_scalar(dom, v) for v in row] for row in e.mat]}
+        return {"op": "unitary", "rows": [[format_scalar(COMPLEX, v) for v in row] for row in e.mat]}
     if isinstance(e, shiftmodel.Shift):
         return {"op": "shift", "mult": e.mult}
     if isinstance(e, shiftmodel.BackShift):
@@ -197,7 +179,7 @@ def parse_spec(data) -> OperatorSpec:
             if "matrix" in op:
                 operators.append(parse_matrix(domain, op["matrix"]))
             else:
-                if domain.kind is not DomainKind.COMPLEX:
+                if domain.exact:
                     raise SpecFileError("expr operators require the complex-float ring")
                 operators.append(parse_expr(op["expr"]))
         except SpecFileError as exc:

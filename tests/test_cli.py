@@ -205,10 +205,53 @@ def test_cli_builtin_malformed_ring_is_exit_2(capsys):
     assert "unknown ring 'gfx'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("builtin", ["cone", "axioms"])
-def test_cli_builtin_dim_0_is_exit_3(capsys, builtin):
-    assert main(["verify", "--builtin", builtin, "--ring", "gf3", "--dim", "0"]) == 3
+@pytest.mark.parametrize("builtin,ring,dim", [
+    pytest.param("cone", "gf3", "0", id="cone"),
+    pytest.param("axioms", "gf3", "0", id="axioms"),
+    pytest.param("axioms", "rational", "0", id="axioms-rational-0"),
+    pytest.param("axioms", "rational", "-1", id="axioms-rational-neg"),
+    pytest.param("axioms", "complex", "0", id="axioms-complex-0"),
+    pytest.param("axioms", "complex", "-1", id="axioms-complex-neg"),
+])
+def test_cli_builtin_dim_0_is_exit_3(capsys, builtin, ring, dim):
+    assert main(["verify", "--builtin", builtin, "--ring", ring, "--dim", dim]) == 3
     assert "dim must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ring,field", [
+    ({"kind": "complex-float", "tolerance": "abc"}, "tolerance"),
+    ({"kind": "complex-float", "tolerance": -1}, "tolerance"),
+    ({"kind": "complex-float", "tolerance": [1e-6]}, "tolerance"),
+    ({"kind": "gf", "p": "x", "dim": 2}, "p"),
+    ({"kind": "gf", "p": 3, "dim": "two"}, "dim"),
+])
+def test_cli_bad_ring_field_is_exit_2(tmp_path, capsys, ring, field):
+    spec = _write(tmp_path, "ring.json", {"ring": ring, "operators": [{"matrix": [[1, 0], [0, 1]]}]})
+    assert main(["decompose", spec, "--method", "wold"]) == 2
+    assert f"bad ring field {field!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "SPEC", "--method", "wold", "--tol", "0"],
+    ["decompose", "SPEC", "--method", "wold", "--tol", "-1"],
+    ["decompose", "SPEC", "--method", "wold", "--tol", "nan"],
+    ["decompose", "SPEC", "--method", "wold", "--nmax", "0"],
+    ["classify", "SPEC", "--nmax", "-3"],
+    ["verify", "SPEC", "--method", "wold", "--nmax", "0"],
+])
+def test_cli_non_positive_flag_is_exit_2(tmp_path, capsys, argv):
+    spec = _write(tmp_path, "id.json", {"ring": {"kind": "rational"},
+                                        "operators": [{"matrix": [["1", "0"], ["0", "1"]]}]})
+    with pytest.raises(SystemExit) as exc:
+        main([spec if a == "SPEC" else a for a in argv])
+    assert exc.value.code == 2
+    assert "must be positive" in capsys.readouterr().err
+
+
+def test_cli_non_numeric_flag_keeps_argparse_message(capsys):
+    with pytest.raises(SystemExit):
+        main(["decompose", "spec.json", "--method", "wold", "--nmax", "many"])
+    assert "invalid int value: 'many'" in capsys.readouterr().err
 
 
 _UNITARY_EXPR = {"op": "unitary", "rows": [["0.6+0.8 i", "0"], ["0", "-1"]]}

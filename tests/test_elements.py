@@ -84,6 +84,23 @@ def test_power_matches_repeated_product(a, n):
     assert a.power(n).equals(expected)
 
 
+def test_power_multiplies_no_identity(monkeypatch):
+    """x^5 = x (x^2)^2 takes three products: two squarings and one multiply."""
+    calls = []
+    matmul = Element.__matmul__
+
+    def counting(self, other):
+        calls.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setattr(Element, "__matmul__", counting)
+    j = from_rows(RATIONAL, [[0, 0, 0], [1, 0, 0], [0, 1, 1]])
+    assert j.power(5).equals(j @ j @ j @ j @ j)
+    assert len(calls) == 3 + 4
+    assert j.power(1) is j
+    assert j.power(0).equals(identity(RATIONAL, 3))
+
+
 def test_gf_arithmetic_wraps_mod_p():
     a = from_rows(GF3, [[2, 2], [1, 0]])
     sq = a @ a
