@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_classify = sub.add_parser("classify", help="print the class flags of each operator")
     p_classify.add_argument("file", help="operator spec file (JSON)")
     p_classify.add_argument("--nmax", type=_positive(int), default=16)
-    p_classify.add_argument("--truncation", type=int, default=None)
+    p_classify.add_argument("--truncation", type=_positive(int), default=None)
     p_classify.add_argument("--format", choices=("text", "json"), default="text")
 
     p_dec = sub.add_parser("decompose", help="run one decomposition method")
@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=sorted(_SINGLE_METHODS | _PAIR_METHODS | _PROJECTION_METHODS),
     )
     p_dec.add_argument("--nmax", type=_positive(int), default=16)
-    p_dec.add_argument("--truncation", type=int, default=None)
+    p_dec.add_argument("--truncation", type=_positive(int), default=None)
     p_dec.add_argument("--tol", type=_positive(float), default=None)
     p_dec.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--ring", default=None, help="builtin target ring, e.g. gf3 or rational")
     p_ver.add_argument("--dim", type=int, default=None)
     p_ver.add_argument("--nmax", type=_positive(int), default=16)
-    p_ver.add_argument("--truncation", type=int, default=None)
+    p_ver.add_argument("--truncation", type=_positive(int), default=None)
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 

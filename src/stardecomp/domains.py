@@ -23,6 +23,10 @@ _NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(rf"^\s*({_NUM})\s*(?:([+-])\s*({_NUM})?\s*i)?\s*$")
 
 
+class InexactNumberError(ValueError):
+    """A JSON number that an exact domain could only take by truncating it."""
+
+
 @dataclass(frozen=True)
 class TolerancePolicy:
     """All floating-point cutoffs used by the complex domain.
@@ -51,6 +55,7 @@ class ScalarDomain:
     antisymmetric = True
     smooth = False
     symmetric_cone = False  # True when the cone is every symmetric matrix
+    fraction_hint = 'write a fraction as a string, e.g. "1/2"'
 
     def zero(self):
         return self.coerce(0)
@@ -62,6 +67,10 @@ class ScalarDomain:
         return self.one() / value
 
     def parse(self, raw):
+        """A spec-file scalar.  A fractional JSON number is refused, not
+        truncated, because coerce would drop its fractional part."""
+        if isinstance(raw, float) and not raw.is_integer():
+            raise InexactNumberError(f"not an integer; {self.fraction_hint}")
         return self.coerce(raw)
 
     def zeros(self, rows: int, cols: int) -> np.ndarray:
@@ -106,9 +115,6 @@ class RationalDomain(ScalarDomain):
     def coerce(self, value):
         return Fraction(value)
 
-    def parse(self, raw):
-        return Fraction(raw) if isinstance(raw, str) else Fraction(int(raw))
-
     def format(self, value):
         return str(value)
 
@@ -130,6 +136,7 @@ class GFDomain(ScalarDomain):
     tol = None
     antisymmetric = False
     symmetric_cone = True
+    fraction_hint = "gf entries are integers"
 
     def __post_init__(self):
         p, dim = self.p, self.dim

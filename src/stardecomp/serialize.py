@@ -11,7 +11,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .domains import COMPLEX, ScalarDomain, TolerancePolicy, complex_domain, rational_domain
+from .domains import (
+    COMPLEX,
+    InexactNumberError,
+    ScalarDomain,
+    TolerancePolicy,
+    complex_domain,
+    rational_domain,
+)
 from .elements import Element, from_rows
 from .errors import SpecFileError
 from . import shiftmodel
@@ -21,6 +28,8 @@ def parse_scalar(domain: ScalarDomain, raw):
     """One scalar from its JSON representation into the domain."""
     try:
         return domain.parse(raw)
+    except InexactNumberError as exc:
+        raise SpecFileError(f"bad scalar {raw!r} for domain {domain}: {exc}") from exc
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SpecFileError(f"bad scalar {raw!r} for domain {domain}") from exc
 

@@ -27,7 +27,7 @@ from stardecomp.serialize import (
 
 
 @pytest.mark.parametrize("raw,expected", [
-    ("3/5", "3/5"), ("-7/2", "-7/2"), ("4", "4"), (5, "5"),
+    ("3/5", "3/5"), ("-7/2", "-7/2"), ("4", "4"), (5, "5"), (2.0, "2"),
 ])
 def test_rational_scalar_roundtrip(raw, expected):
     v = parse_scalar(RATIONAL, raw)
@@ -44,6 +44,7 @@ def test_complex_scalar_roundtrip(raw):
 def test_gf_scalar_wraps():
     dom = construct_gf_ring(3, 2)
     assert parse_scalar(dom, 5) == 2
+    assert parse_scalar(dom, 5.0) == 2
     assert format_scalar(dom, 2) == 2
 
 
@@ -127,6 +128,19 @@ def test_cli_parse_error_is_exit_2(tmp_path, capsys):
     assert main(["classify", spec]) == 2
     err = capsys.readouterr().err
     assert "row 0" in err and "column 1" in err
+
+
+@pytest.mark.parametrize("ring,hint", [
+    ({"kind": "rational"}, '"1/2"'),
+    ({"kind": "gf", "p": 7, "dim": 2}, "gf entries are integers"),
+])
+def test_cli_fractional_json_number_in_exact_spec_is_exit_2(tmp_path, capsys, ring, hint):
+    """0.5 would be truncated to 0, so the spec is refused instead."""
+    spec = _write(tmp_path, "half.json", {"ring": ring,
+                                          "operators": [{"matrix": [[0.5, 0], [0, 1]]}]})
+    assert main(["classify", spec]) == 2
+    err = capsys.readouterr().err
+    assert "row 0, column 0" in err and "0.5" in err and hint in err
 
 
 def test_cli_precondition_is_exit_3(tmp_path, capsys):
@@ -238,6 +252,12 @@ def test_cli_bad_ring_field_is_exit_2(tmp_path, capsys, ring, field):
     ["decompose", "SPEC", "--method", "wold", "--nmax", "0"],
     ["classify", "SPEC", "--nmax", "-3"],
     ["verify", "SPEC", "--method", "wold", "--nmax", "0"],
+    ["classify", "SPEC", "--truncation", "0"],
+    ["classify", "SPEC", "--truncation", "-5"],
+    ["decompose", "SPEC", "--method", "wold", "--truncation", "0"],
+    ["decompose", "SPEC", "--method", "wold", "--truncation", "-5"],
+    ["verify", "SPEC", "--method", "wold", "--truncation", "0"],
+    ["verify", "SPEC", "--method", "wold", "--truncation", "-5"],
 ])
 def test_cli_non_positive_flag_is_exit_2(tmp_path, capsys, argv):
     spec = _write(tmp_path, "id.json", {"ring": {"kind": "rational"},
@@ -246,6 +266,13 @@ def test_cli_non_positive_flag_is_exit_2(tmp_path, capsys, argv):
         main([spec if a == "SPEC" else a for a in argv])
     assert exc.value.code == 2
     assert "must be positive" in capsys.readouterr().err
+
+
+def test_cli_truncation_too_small_for_the_spec_is_exit_3(tmp_path, capsys):
+    spec = _write(tmp_path, "trunc.json", {"ring": {"kind": "complex-float"},
+                                           "operators": [{"expr": {"op": "trunc", "n": 3}}]})
+    assert main(["decompose", spec, "--method", "hw", "--truncation", "4"]) == 3
+    assert "n=4 < twice the largest finite segment" in capsys.readouterr().err
 
 
 def test_cli_non_numeric_flag_keeps_argparse_message(capsys):
