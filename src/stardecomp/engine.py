@@ -12,6 +12,13 @@ vanishes.  The iteration cap is max(n_max, dim + 1), and a chain still
 moving at the cap raises IndeterminateError instead of silently truncating.
 Certificate residuals are measured after compression to the probe window
 when the input came from a truncated symbolic operator.
+
+Two constructions are shared.  Halmos–Wallen and the product-PPI split are
+one chain-pair split (`_chain_pair_split`): the infima f, b of the range
+chains of y and of y*, their meet u, the differences b - u and f - u and
+the remainder, applied to y = x and to y = x1 x2.  The doubly-commuting
+pair methods for PPIs and for contractions share one product basis
+(`_product_basis`) of meets of the two single-operator splits.
 """
 
 from __future__ import annotations
@@ -134,11 +141,6 @@ def _complement_of_range(ctx: _Ctx, a: Element) -> Projection:
     return from_basis(ctx.domain, ctx.dim, subspaces.nullspace(ctx.domain, a.star().mat))
 
 
-def _difference_projection(ctx: _Ctx, big: Projection, small: Projection) -> Projection:
-    """big - small for small <= big, returned as a checked projection."""
-    return from_element(big.element - small.element)
-
-
 def reducing_fixpoint(ops: list, e: Projection, cfg: EngineConfig | None = None) -> Projection:
     """Largest projection <= e commuting with every listed operator.
 
@@ -193,10 +195,6 @@ def _corner_shift_res(ctx: _Ctx, x: Element, p: Projection) -> float:
     return max(ctx.wres(p.element @ x.star() @ x @ p.element - p.element), ctx.wres(inf_proj.element))
 
 
-def _corner_backshift_res(ctx: _Ctx, x: Element, p: Projection) -> float:
-    return _corner_shift_res(ctx, x.star(), p)
-
-
 def _corner_truncated_res(ctx: _Ctx, x: Element, p: Projection) -> float:
     y = p.element @ x @ p.element
     fwd = _range_chain_inf(ctx, y, start=p.range_basis)
@@ -207,13 +205,17 @@ def _corner_truncated_res(ctx: _Ctx, x: Element, p: Projection) -> float:
 # ---------------------------------------------------------------- Wold
 
 
+def _wold_parts(ctx: _Ctx, x: Element):
+    """The unitary part ∧[xⁿ] and the shift part, the wandering series."""
+    return _range_chain_inf(ctx, x), _wandering_series(ctx, x)
+
+
 def wold(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
     """Split an isometry into its unitary and unilateral-shift parts."""
     cfg = cfg or EngineConfig()
     ctx = _Ctx(x, cfg)
     _require(_isometry_on_window(ctx, x), "wold requires an isometry (on the probe window)")
-    p_u = _range_chain_inf(ctx, x)
-    p_s = _wandering_series(ctx, x)
+    p_u, p_s = _wold_parts(ctx, x)
     certificates = {
         "sum_to_one": ctx.wres(p_u.element + p_s.element - ctx.one),
         "orth": ctx.wres(p_u.element @ p_s.element),
@@ -233,11 +235,6 @@ def wold(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
 # ---------------------------------------------------- Slocinski pairs
 
 
-def _wold_parts(ctx: _Ctx, x: Element, cfg: EngineConfig):
-    rep = wold(x, cfg)
-    return rep.basis["u"], rep.basis["s"]
-
-
 def slocinski(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
     """Evaluate the six equivalent fourfold-decomposition conditions.
 
@@ -250,16 +247,13 @@ def slocinski(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> Deco
     _require(_isometry_on_window(ctx, x1) and _isometry_on_window(ctx, x2),
              "slocinski requires two isometries")
     _require(ctx.commute_ok(x1, x2), "slocinski requires a commuting pair")
-    pu1, ps1 = _wold_parts(ctx, x1, cfg)
-    pu2, ps2 = _wold_parts(ctx, x2, cfg)
+    pu1, ps1 = _wold_parts(ctx, x1)
+    pu2, ps2 = _wold_parts(ctx, x2)
     parts1 = {"u": pu1, "s": ps1}
     parts2 = {"u": pu2, "s": ps2}
 
-    fixpoints = {}
-    for a in "us":
-        for b in "us":
-            seed = proj_inf([parts1[a], parts2[b]])
-            fixpoints[a + b] = reducing_fixpoint([x1, x2], seed, cfg)
+    seeds = {a + b: proj_inf([parts1[a], parts2[b]]) for a in "us" for b in "us"}
+    fixpoints = {k: reducing_fixpoint([x1, x2], seed, cfg) for k, seed in seeds.items()}
 
     total = sum((fixpoints[k].element for k in ("us", "su", "ss")), fixpoints["uu"].element)
     c1 = ctx.ok(total - ctx.one)
@@ -299,7 +293,7 @@ def slocinski(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> Deco
     for a in "us":
         for b in "us":
             label = a + b
-            p = proj_inf([parts1[a], parts2[b]])
+            p = seeds[label]
             members.append((label, p))
             block_classes[label] = {"x1": "unitary" if a == "u" else "unilateral-shift",
                                     "x2": "unitary" if b == "u" else "unilateral-shift"}
@@ -356,8 +350,8 @@ def weak_bishift(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> D
     w_us = _mixed_wandering(ctx, x1, x2)
     w_su = _mixed_wandering(ctx, x2, x1)
 
-    pu1, ps1 = _wold_parts(ctx, x1, cfg)
-    pu2, ps2 = _wold_parts(ctx, x2, cfg)
+    pu1, ps1 = _wold_parts(ctx, x1)
+    pu2, ps2 = _wold_parts(ctx, x2)
     x12 = x1 @ x2
     p_uu = _range_chain_inf(ctx, x12)
     p_us = reducing_fixpoint([x1, x2], proj_inf([pu1, ps2]), cfg)
@@ -396,35 +390,72 @@ def weak_bishift(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> D
 # ------------------------------------------------------ Halmos-Wallen
 
 
+def _chain_pair_split(ctx: _Ctx, y: Element) -> tuple:
+    """The fourfold split by the range chains of y and of y*.
+
+    With f = ∧[yⁿ] and b = ∧[y*ⁿ] it returns u = f ∧ b, b - u, f - u and
+    1 - (f + b - u): Halmos–Wallen's u, s, b, t for a power partial
+    isometry y, and the product-PPI u, is, cis, t for y = x1 x2.
+    """
+    fwd = _range_chain_inf(ctx, y)
+    bwd = _range_chain_inf(ctx, y.star())
+    p_u = proj_inf([fwd, bwd])
+    return (
+        p_u,
+        from_element(bwd.element - p_u.element),
+        from_element(fwd.element - p_u.element),
+        from_element(ctx.one - (fwd.element + bwd.element - p_u.element)),
+    )
+
+
 def halmos_wallen(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
     """Fourfold split of a power partial isometry: {u, s, b, t}."""
     cfg = cfg or EngineConfig()
     ctx = _Ctx(x, cfg)
     _require(_ppi_on_window(ctx, x), "halmos_wallen requires a power partial isometry")
-    i_fwd = _range_chain_inf(ctx, x)
-    i_bwd = _range_chain_inf(ctx, x.star())
-    p_u = proj_inf([i_fwd, i_bwd])
-    p_s = _difference_projection(ctx, i_bwd, p_u)
-    p_b = _difference_projection(ctx, i_fwd, p_u)
-    p_t = from_element(ctx.one - (i_fwd.element + i_bwd.element - p_u.element))
-    basis = ProjectionBasis((("u", p_u), ("s", p_s), ("b", p_b), ("t", p_t)))
+    basis = ProjectionBasis(tuple(zip("usbt", _chain_pair_split(ctx, x))))
     certificates = {f"basis_{k}": v for k, v in basis.residuals().items()}
     for lbl, p in basis.members:
         certificates[f"commute[{lbl}]"] = ctx.wres(x @ p.element - p.element @ x)
+    # the backward-shift corner is the shift corner of x*
     corner = {
-        "u": _corner_unitary_res,
-        "s": _corner_shift_res,
-        "b": _corner_backshift_res,
-        "t": _corner_truncated_res,
+        "u": (_corner_unitary_res, x),
+        "s": (_corner_shift_res, x),
+        "b": (_corner_shift_res, x.star()),
+        "t": (_corner_truncated_res, x),
     }
     for lbl, p in basis.members:
         if p.rank:
-            certificates[f"block[{lbl}]"] = corner[lbl](ctx, x, p)
+            res, op = corner[lbl]
+            certificates[f"block[{lbl}]"] = res(ctx, op, p)
     block_classes = {"u": "unitary", "s": "unilateral-shift",
                      "b": "backward-shift", "t": "truncated-shifts"}
     return DecompositionReport(
         method="hw", basis=basis, block_classes=block_classes, certificates=certificates,
     )
+
+
+def _product_basis(ctx: _Ctx, method: str, rep1: DecompositionReport,
+                   rep2: DecompositionReport, sep: str) -> DecompositionReport:
+    """The product basis {p ∧ q} of two single-operator splits of a doubly
+    commuting pair, labelled l1 sep l2 and classed by each factor's block.
+    Each certificate checks that pq is a projection, so that p ∧ q = pq."""
+    members = []
+    block_classes = {}
+    certificates = {}
+    for l1, p in rep1.basis.members:
+        for l2, q in rep2.basis.members:
+            label = f"{l1}{sep}{l2}"
+            prod = p.element @ q.element
+            certificates[f"projection[{label}]"] = max(
+                ctx.wres(prod @ prod - prod), ctx.wres(prod.star() - prod)
+            )
+            members.append((label, proj_inf([p, q])))
+            block_classes[label] = {"x1": rep1.block_classes[l1], "x2": rep2.block_classes[l2]}
+    basis = ProjectionBasis(tuple(members))
+    certificates.update({f"basis_{k}": v for k, v in basis.residuals().items()})
+    return DecompositionReport(method=method, basis=basis, block_classes=block_classes,
+                               certificates=certificates)
 
 
 def hw_pair_doubly(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
@@ -433,27 +464,8 @@ def hw_pair_doubly(x1: Element, x2: Element, cfg: EngineConfig | None = None) ->
     ctx = _Ctx(x1, cfg)
     _require(ctx.commute_ok(x1, x2) and ctx.commute_ok(x1, x2.star()),
              "hw_pair_doubly requires a doubly commuting pair")
-    rep1 = halmos_wallen(x1, cfg)
-    rep2 = halmos_wallen(x2, cfg)
-    members = []
-    block_classes = {}
-    certificates = {}
-    names = {"u": "unitary", "s": "unilateral-shift", "b": "backward-shift", "t": "truncated-shifts"}
-    for l1, p in rep1.basis.members:
-        for l2, q in rep2.basis.members:
-            label = f"{l1}.{l2}"
-            prod = p.element @ q.element
-            certificates[f"projection[{label}]"] = max(
-                ctx.wres(prod @ prod - prod), ctx.wres(prod.star() - prod)
-            )
-            members.append((label, proj_inf([p, q])))
-            block_classes[label] = {"x1": names[l1], "x2": names[l2]}
-    basis = ProjectionBasis(tuple(members))
-    certificates.update({f"basis_{k}": v for k, v in basis.residuals().items()})
-    return DecompositionReport(
-        method="hw-pair-doubly", basis=basis, block_classes=block_classes,
-        certificates=certificates,
-    )
+    rep1, rep2 = halmos_wallen(x1, cfg), halmos_wallen(x2, cfg)
+    return _product_basis(ctx, "hw-pair-doubly", rep1, rep2, ".")
 
 
 def _lemma_certificates(ctx: _Ctx, x1: Element, x2: Element) -> dict:
@@ -499,12 +511,7 @@ def hw_pair_product(x1: Element, x2: Element, cfg: EngineConfig | None = None) -
             "x1 x2 is not a power partial isometry; use largest_product_ppi to find "
             "the corner where the decomposition applies"
         )
-    t_cis = _range_chain_inf(ctx, y)
-    t_is = _range_chain_inf(ctx, y.star())
-    p_u = proj_inf([t_is, t_cis])
-    p_is = _difference_projection(ctx, t_is, p_u)
-    p_cis = _difference_projection(ctx, t_cis, p_u)
-    p_t = from_element(ctx.one - (t_is.element + t_cis.element - p_u.element))
+    p_u, p_is, p_cis, p_t = _chain_pair_split(ctx, y)
     basis = ProjectionBasis((("u", p_u), ("is", p_is), ("cis", p_cis), ("t", p_t)))
     certificates = {f"basis_{k}": v for k, v in basis.residuals().items()}
     certificates.update(_lemma_certificates(ctx, x1, x2))
@@ -563,13 +570,8 @@ def largest_product_ppi(x1: Element, x2: Element, cfg: EngineConfig | None = Non
     _require(_ppi_on_window(ctx, x1) and _ppi_on_window(ctx, x2),
              "largest_product_ppi requires power partial isometries")
     p = reducing_fixpoint([x1, x2], _product_ppi_constraint(ctx, x1, x2), cfg)
-    y = p.element @ x1 @ x2 @ p.element
-    pw = y
-    for n in range(1, min(ctx.cfg.n_max, ctx.dim) + 1):
-        if n > 1:
-            pw = pw @ y
-        if not ctx.ok(pw @ pw.star() @ pw - pw):
-            raise InternalInconsistencyError("compressed product failed its PPI certificate")
+    if not _ppi_on_window(ctx, p.element @ x1 @ x2 @ p.element):
+        raise InternalInconsistencyError("compressed product failed its PPI certificate")
     return p
 
 
@@ -650,26 +652,7 @@ def nfl_pair_doubly(x1: Element, x2: Element, cfg: EngineConfig | None = None) -
     ctx = _Ctx(x1, cfg)
     _require(ctx.commute_ok(x1, x2) and ctx.commute_ok(x1, x2.star()),
              "nfl_pair_doubly requires a doubly commuting pair")
-    rep1 = nfl(x1, cfg)
-    rep2 = nfl(x2, cfg)
-    members = []
-    block_classes = {}
-    certificates = {}
-    names = {"u": "unitary", "c": "completely-non-unitary"}
-    for l1, p in rep1.basis.members:
-        for l2, q in rep2.basis.members:
-            label = l1 + l2
-            prod = p.element @ q.element
-            certificates[f"projection[{label}]"] = max(
-                ctx.wres(prod @ prod - prod), ctx.wres(prod.star() - prod)
-            )
-            members.append((label, proj_inf([p, q])))
-            block_classes[label] = {"x1": names[l1], "x2": names[l2]}
-    basis = ProjectionBasis(tuple(members))
-    certificates.update({f"basis_{k}": v for k, v in basis.residuals().items()})
-    return DecompositionReport(
-        method="nfl-pair", basis=basis, block_classes=block_classes, certificates=certificates,
-    )
+    return _product_basis(ctx, "nfl-pair", nfl(x1, cfg), nfl(x2, cfg), "")
 
 
 def largest_doubly_commuting(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> Projection:

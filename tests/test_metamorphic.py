@@ -1,0 +1,125 @@
+"""Metamorphic properties of the decompositions, from their uniqueness.
+
+No oracle is needed: the product-PPI split of (x1, x2) is the chain-pair
+split of x1 x2, the adjoint swaps the shift and backward-shift parts, and
+every split of a direct sum is the direct sum of the splits.  Exact inputs
+are compared bit for bit.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from stardecomp import (
+    RATIONAL,
+    EngineConfig,
+    Element,
+    Shift,
+    direct_sum,
+    halmos_wallen,
+    hw_pair_product,
+    identity,
+    nfl,
+    truncate,
+    wold,
+)
+from stardecomp.fixtures import (
+    random_complex_unitary,
+    random_contraction,
+    random_ppi,
+    rational_orthogonal,
+)
+from stardecomp.projections import from_element
+from stardecomp.shiftmodel import unitary
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _dsum(a: Element, b: Element) -> Element:
+    mat = a.domain.zeros(a.dim + b.dim, a.dim + b.dim)
+    mat[: a.dim, : a.dim] = a.mat
+    mat[a.dim :, a.dim :] = b.mat
+    return Element(a.domain, mat)
+
+
+def _same(p, q) -> bool:
+    return np.array_equal(p.element.mat, q.element.mat)
+
+
+def _assert_close(got, want, tol, what):
+    """Bit for bit when tol is 0, else within tol entrywise."""
+    if tol:
+        assert np.abs(got - want).max() <= tol, what
+    else:
+        assert np.array_equal(got, want), what
+
+
+def _commuting_ppi_pair(rng):
+    """x1, x2 commuting PPIs whose product is a PPI: powers of one PPI, or
+    PPIs acting on complementary blocks."""
+    if rng.integers(2):
+        x = random_ppi(int(rng.integers(2, 5)), rng)
+        return x, x.power(int(rng.integers(0, 4)))
+    a = random_ppi(int(rng.integers(1, 3)), rng)
+    b = random_ppi(int(rng.integers(1, 3)), rng)
+    return _dsum(a, identity(RATIONAL, b.dim)), _dsum(identity(RATIONAL, a.dim), b)
+
+
+@given(SEEDS)
+@settings(max_examples=25, deadline=None)
+def test_hw_pair_product_is_the_chain_pair_split_of_the_product(seed):
+    x1, x2 = _commuting_ppi_pair(np.random.default_rng(seed))
+    pair = hw_pair_product(x1, x2).basis
+    single = halmos_wallen(x1 @ x2).basis
+    for lp, lh in (("u", "u"), ("is", "s"), ("cis", "b"), ("t", "t")):
+        assert _same(pair[lp], single[lh]), (lp, lh)
+
+
+@given(SEEDS)
+@settings(max_examples=25, deadline=None)
+def test_halmos_wallen_of_the_adjoint_swaps_s_and_b(seed):
+    """A finite PPI has s = b = 0, so here the swap shows in u and t only."""
+    rng = np.random.default_rng(seed)
+    x = random_ppi(int(rng.integers(2, 5)), rng)
+    rep, adj = halmos_wallen(x).basis, halmos_wallen(x.star()).basis
+    for lbl, la in (("u", "u"), ("s", "b"), ("b", "s"), ("t", "t")):
+        assert _same(rep[lbl], adj[la]), (lbl, la)
+
+
+@given(SEEDS)
+@settings(max_examples=25, deadline=None)
+def test_nfl_of_the_adjoint_keeps_u(seed):
+    rng = np.random.default_rng(seed)
+    x = random_contraction(int(rng.integers(2, 5)), rng)
+    assert _same(nfl(x).basis["u"], nfl(x.star()).basis["u"])
+
+
+def _assert_blocks_add(method, x, y, cfg_x=None, cfg_y=None, cfg_xy=None, tol=0.0):
+    rx, ry, rxy = method(x, cfg_x), method(y, cfg_y), method(_dsum(x, y), cfg_xy)
+    assert rxy.basis.labels() == rx.basis.labels() == ry.basis.labels()
+    for lbl in rxy.basis.labels():
+        want = _dsum(rx.basis[lbl].element, ry.basis[lbl].element).mat
+        _assert_close(rxy.basis[lbl].element.mat, want, tol, lbl)
+
+
+@given(SEEDS)
+@settings(max_examples=15, deadline=None)
+def test_rational_blocks_of_a_direct_sum_are_direct_sums(seed):
+    rng = np.random.default_rng(seed)
+    dims = [int(d) for d in rng.integers(1, 4, size=2)]
+    _assert_blocks_add(halmos_wallen, *(random_ppi(d, rng) for d in dims))
+    _assert_blocks_add(nfl, *(random_contraction(d, rng) for d in dims))
+    _assert_blocks_add(wold, *(rational_orthogonal(d, rng) for d in dims))
+
+
+@given(SEEDS)
+@settings(max_examples=4, deadline=None)
+def test_complex_wold_blocks_of_a_direct_sum_are_direct_sums(seed):
+    """Truncated unitary ⊕ shift operators, each with its probe window."""
+    rng = np.random.default_rng(seed)
+    trs = [truncate(direct_sum(unitary(random_complex_unitary(2, rng).mat), Shift(mult)),
+                    24, n_max=8) for mult in (1, 2)]
+    cfgs = [EngineConfig(n_max=8, window=tr.window) for tr in trs]
+    window = from_element(_dsum(trs[0].window.element, trs[1].window.element))
+    dim = trs[0].element.dim + trs[1].element.dim
+    _assert_blocks_add(wold, trs[0].element, trs[1].element, *cfgs,
+                       EngineConfig(n_max=8, window=window), tol=1e-8 * dim)
