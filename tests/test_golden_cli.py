@@ -20,7 +20,7 @@ import io
 import json
 import os
 import re
-import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -31,6 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SPECS = ROOT / "bench" / "specs"
 FIXTURE = Path(__file__).with_name("golden_cli.json")
 INLINE_LIMIT = 2000  # longer exact outputs are stored as a sha256 of their bytes
+COLUMNS = "80"  # argparse wraps its usage text to the terminal width
 
 # the cli-cold benchmark workload's commands; {s} is the spec directory
 CLI_COLD = (
@@ -232,6 +233,7 @@ def test_golden_covers_every_command(golden):
 @pytest.mark.parametrize("command", COMMANDS)
 def test_golden_cli(command, golden, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", COLUMNS)
     _write_bad_specs(tmp_path)
     argv = _argv(command)
     code = _main(argv)
@@ -241,9 +243,8 @@ def test_golden_cli(command, golden, tmp_path, monkeypatch, capsys):
 
 def record():
     """Run every command and rewrite the fixture."""
-    import tempfile
-
     out = {}
+    os.environ["COLUMNS"] = COLUMNS
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)
@@ -261,4 +262,4 @@ def record():
 
 
 if __name__ == "__main__":
-    sys.exit(record())
+    record()
