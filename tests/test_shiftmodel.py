@@ -1,6 +1,8 @@
 """Constructor algebra: matrices of truncated expressions, windows,
 ground-truth indicators and size embeddings."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -138,3 +140,106 @@ def test_embedding_indices_align_operators():
     mask = np.real(np.diag(small.window.element.mat)) > 0.5
     diff = (small.element.mat - sub)[np.ix_(mask, mask)]
     assert np.abs(diff).max() < 1e-14
+
+
+# ------------------------------------------------------- layout digests
+
+_LAYOUT_EXPRS = {
+    "unitary": U2,
+    "shift1": Shift(1),
+    "shift2": Shift(2),
+    "shift3": Shift(3),
+    "backshift2": BackShift(2),
+    "trunc": Trunc(3),
+    "grid1": GridShift(1),
+    "grid2": GridShift(2),
+    "sum": direct_sum(U2, Shift(2), BackShift(1), Trunc(3)),
+    "shift-power": shift_power(2),
+    "compose": compose(direct_sum(U2, Shift(1)), direct_sum(Adjoint(U2), Shift(1))),
+    "compose-backward": compose(Shift(1), Adjoint(Shift(1))),
+    "adjoint": Adjoint(direct_sum(U2, Shift(1))),
+    **{f"pair {name} {k}": e for name in ("grid", "equal-shift", "powers", "unitary-pair", "mixed")
+       for k, e in enumerate(pair_instances(name))},
+}
+
+
+def _truth_bytes(h, build, e, n):
+    try:
+        gt = build(e, n)
+    except PreconditionError as exc:
+        h.update(type(exc).__name__.encode())
+        return
+    h.update(repr(gt.labels).encode())
+    for lbl, p in gt.projections.items():
+        h.update(lbl.encode() + p.element.mat.tobytes())
+
+
+def _layout_digest(e) -> str:
+    """sha256 of the truncated element, window, dims, ground truths and
+    embeddings: no SVD output, so the digest does not depend on BLAS."""
+    h = hashlib.sha256()
+    for n, n_max in ((8, 2), (12, 4)):
+        tr = truncate(e, n, n_max=n_max)
+        h.update(tr.element.mat.tobytes() + tr.window.element.mat.tobytes())
+        h.update(f"w={tr.w} dim={total_dim(e, n)}".encode())
+        _truth_bytes(h, ground_truth_wold, e, n)
+        _truth_bytes(h, ground_truth_hw, e, n)
+    for small, big in ((5, 8), (8, 12)):
+        for idx in embedding_indices(e, small, big):
+            h.update(str(idx.dtype).encode() + idx.tobytes())
+    return h.hexdigest()
+
+
+_LAYOUT_DIGESTS = {
+    "unitary":
+        "3171599eb0d5558cc2005e0581075781978b4bcadadb5658ea83dc53b0eecfef",
+    "shift1":
+        "46cfba2907ebbdfc4cce279a999fa2da5d82ffe6655dd05546b39ca5370156db",
+    "shift2":
+        "12b47a40ef7c43d5d5d452701110cbdf5816b644b108b9b3c50f4549d0dd93eb",
+    "shift3":
+        "e1dfc3dabfa5856f84ab0153b105ba40621801c758890ec211dcf38945e97ec3",
+    "backshift2":
+        "ffcf91a2c785dbaf93d1474d535b66a0d8d73a95def8c2167e84ae2fc62c57ed",
+    "trunc":
+        "2afdd4900956976ed63962d391abdf39d28f099178151133b8a98cee889b5ddc",
+    "grid1":
+        "e56a3c63cc6d1fc8cff82bfbf8e81d4dee0bd301475df468bd726c395d1dcd59",
+    "grid2":
+        "9c2c0dbd06922b743cadc230362b2f006c4244a7eaac6fda9b756f711db64a45",
+    "sum":
+        "225bf19d8b1c8ee60760e808f51f2b5be7857b689e13cccf738343b477a4e72e",
+    "shift-power":
+        "b8696fcda9f6540bbf5aa70457c8e131d44fa9b99eb707a09813ca6090fe846e",
+    "compose":
+        "edb54102181a8ddc412d180579e88164d2db54a5861b34a53c99d9c3e2543152",
+    "compose-backward":
+        "99ab8df3cbbca4eb97f5f9cad3239139d9d39c054b87bf628df46636e02ea697",
+    "adjoint":
+        "90728e040b13a8c128b32595bd20c40fa3416376d3300bd570853c5e71cc9852",
+    "pair grid 0":
+        "e56a3c63cc6d1fc8cff82bfbf8e81d4dee0bd301475df468bd726c395d1dcd59",
+    "pair grid 1":
+        "9c2c0dbd06922b743cadc230362b2f006c4244a7eaac6fda9b756f711db64a45",
+    "pair equal-shift 0":
+        "46cfba2907ebbdfc4cce279a999fa2da5d82ffe6655dd05546b39ca5370156db",
+    "pair equal-shift 1":
+        "46cfba2907ebbdfc4cce279a999fa2da5d82ffe6655dd05546b39ca5370156db",
+    "pair powers 0":
+        "b8696fcda9f6540bbf5aa70457c8e131d44fa9b99eb707a09813ca6090fe846e",
+    "pair powers 1":
+        "d86e139be471126371fa43f27e274a759f8aba200bf807072fd0be82aba59d9b",
+    "pair unitary-pair 0":
+        "3171599eb0d5558cc2005e0581075781978b4bcadadb5658ea83dc53b0eecfef",
+    "pair unitary-pair 1":
+        "bbae911f1d92400231c774cdc2462176546ad0861841f44804fc335af8fa651e",
+    "pair mixed 0":
+        "bf7229f2ef24ab17f7d55842bbb46570bb921367ab26aeab6a97fa8aaf7f1c35",
+    "pair mixed 1":
+        "c304fb185b8c2a031c1b928c9c7ac6b342359c20058c0c00fc35d771d9ec161b",
+}
+
+
+def test_layout_digests():
+    got = {name: _layout_digest(e) for name, e in _LAYOUT_EXPRS.items()}
+    assert got == _LAYOUT_DIGESTS
