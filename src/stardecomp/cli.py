@@ -126,26 +126,30 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def cmd_decompose(args) -> int:
-    spec = _load(args)
-    method = args.method
-    if method in _SINGLE_METHODS:
+def _run_method(spec: serialize.OperatorSpec, args):
+    """Realise the spec's operands and run ``args.method`` on them.
+
+    Returns the method's result (a report, or a projection for the
+    projection methods) and the first operand.
+    """
+    if args.method in _SINGLE_METHODS:
         ops, window = spec.realised(args.truncation, args.nmax)
-        cfg = engine.EngineConfig(n_max=args.nmax, window=window)
-        report = _SINGLE_METHODS[method](ops[0], cfg)
+        method, operands = _SINGLE_METHODS[args.method], ops[:1]
     else:
         x1, x2, window = spec.pair_operators(args.truncation, args.nmax)
-        cfg = engine.EngineConfig(n_max=args.nmax, window=window)
-        if method in _PAIR_METHODS:
-            report = _PAIR_METHODS[method](x1, x2, cfg)
-        else:
-            p = _PROJECTION_METHODS[method](x1, x2, cfg)
-            text = f"method: {method}\nrank: {p.rank}"
-            payload = {"method": method, "rank": p.rank,
-                       "projection": serialize.matrix_to_json(p.element)}
-            _emit(args, text, payload)
-            return EXIT_OK
-    _emit(args, serialize.report_to_text(report), serialize.report_to_json(report))
+        method, operands = (_PAIR_METHODS | _PROJECTION_METHODS)[args.method], [x1, x2]
+    return method(*operands, engine.EngineConfig(n_max=args.nmax, window=window)), operands[0]
+
+
+def cmd_decompose(args) -> int:
+    result, _ = _run_method(_load(args), args)
+    if args.method in _PROJECTION_METHODS:
+        text = f"method: {args.method}\nrank: {result.rank}"
+        payload = {"method": args.method, "rank": result.rank,
+                   "projection": serialize.matrix_to_json(result.element)}
+        _emit(args, text, payload)
+    else:
+        _emit(args, serialize.report_to_text(result), serialize.report_to_json(result))
     return EXIT_OK
 
 
@@ -225,17 +229,7 @@ def cmd_verify(args) -> int:
         raise SpecFileError("verify needs a spec file or --builtin")
     if args.method is None:
         raise SpecFileError("verify on a spec file needs --method")
-    spec = serialize.load_spec(args.file)
-    if args.method in _SINGLE_METHODS:
-        ops, window = spec.realised(args.truncation, args.nmax)
-        cfg = engine.EngineConfig(n_max=args.nmax, window=window)
-        report = _SINGLE_METHODS[args.method](ops[0], cfg)
-        x = ops[0]
-    else:
-        x1, x2, window = spec.pair_operators(args.truncation, args.nmax)
-        cfg = engine.EngineConfig(n_max=args.nmax, window=window)
-        report = _PAIR_METHODS[args.method](x1, x2, cfg)
-        x = x1
+    report, x = _run_method(serialize.load_spec(args.file), args)
     checks = {"certificates": report.max_residual() <= x.domain.residual_tol(x.dim)}
     if report.basis is not None:
         checks["basis"] = report.basis.verify()

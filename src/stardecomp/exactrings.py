@@ -90,7 +90,7 @@ class AxiomReport:
     smooth: bool
 
 
-def axiom_probe(domain: ScalarDomain, dim: int | None = None, rng=None) -> AxiomReport:
+def axiom_probe(domain: ScalarDomain, dim: int | None = None) -> AxiomReport:
     """Report the order axioms of the positivity cone: proper / antisymmetric / smooth.
 
     Each domain states its axioms in closed form (see domains).  The
@@ -103,7 +103,7 @@ def axiom_probe(domain: ScalarDomain, dim: int | None = None, rng=None) -> Axiom
     if not report.antisymmetric or report.smooth:
         return report
     dim = dim or 1
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     # diag(2,1,...,1) is PSD but not x^T x: its discriminant 2 is not a
     # rational square, so the form is not rationally congruent to I_dim.
     rows = [[2 if i == j == 0 else int(i == j) for j in range(dim)] for i in range(dim)]

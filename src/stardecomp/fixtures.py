@@ -28,7 +28,7 @@ def _givens(dim: int, i: int, j: int, c: Fraction, s: Fraction) -> np.ndarray:
     return g
 
 
-def rational_orthogonal(dim: int, rng, steps: int | None = None) -> Element:
+def rational_orthogonal(dim: int, rng) -> Element:
     """Random special-orthogonal rational matrix (exact Q Q^T = 1)."""
     if dim < 1:
         raise PreconditionError("dim must be positive")
@@ -37,7 +37,7 @@ def rational_orthogonal(dim: int, rng, steps: int | None = None) -> Element:
         if rng.integers(2):
             q[0, 0] = Fraction(-1)
         return Element(RATIONAL, q)
-    for _ in range(steps if steps is not None else 2 * dim):
+    for _ in range(2 * dim):
         a, b, c = _TRIPLES[rng.integers(len(_TRIPLES))]
         i, j = rng.choice(dim, size=2, replace=False)
         q = q @ _givens(dim, int(i), int(j), Fraction(a, c), Fraction(b, c))
@@ -56,13 +56,11 @@ def _jordan_block(dim: int) -> np.ndarray:
     return j
 
 
-def _random_partition(total: int, rng, at_least_one_big: bool) -> list:
+def _random_partition(total: int, rng) -> list:
     parts = []
     left = total
     while left:
-        hi = min(left, 3)
-        lo = 2 if (at_least_one_big and not parts and left >= 2) else 1
-        size = int(rng.integers(lo, hi + 1))
+        size = int(rng.integers(1, min(left, 3) + 1))
         parts.append(size)
         left -= size
     return parts
@@ -77,7 +75,7 @@ def random_ppi(dim: int, rng, unitary_rank: int | None = None) -> Element:
     blocks = []
     if unitary_rank:
         blocks.append(rational_orthogonal(unitary_rank, rng).mat)
-    for size in _random_partition(dim - unitary_rank, rng, at_least_one_big=False):
+    for size in _random_partition(dim - unitary_rank, rng):
         blocks.append(_jordan_block(size))
     mat = RATIONAL.zeros(dim, dim)
     at = 0

@@ -5,6 +5,14 @@ truncated shifts, direct sums, compositions and the two quarter-plane grid
 generators.  `truncate` realises an expression as a complex matrix; results
 of downstream decompositions are trusted only on the probe window, because
 truncation corrupts at most one tail coordinate per applied power.
+
+The truncated layout at size n puts the segments of `space` one after
+another.  Each coordinate of a segment has a row, a column and a depth
+(`_coords`), and its offset within the segment is row·n + col.  A finite
+segment of dimension d is one row of d columns, all of depth 0; a tail of
+multiplicity m is m rows of n columns, of depth col; the grid is n rows of n
+columns, of depth max(row, col).  The probe window of width w holds the
+coordinates of depth < w.
 """
 
 from __future__ import annotations
@@ -113,17 +121,21 @@ def space(e: OperatorExpr) -> tuple:
     raise PreconditionError(f"unknown expression node {e!r}")
 
 
-def _segment_dim(seg: tuple, n: int) -> int:
-    kind = seg[0]
-    if kind == "finite":
-        return seg[1]
-    if kind == "tail":
-        return seg[1] * n
-    return n * n
+def _coords(seg: tuple, n: int):
+    """Row, column and depth of every coordinate of one segment at size n."""
+    if seg[0] == "finite":
+        col = np.arange(seg[1])
+        return 0 * col, col, 0 * col
+    row, col = np.divmod(np.arange((seg[1] if seg[0] == "tail" else n) * n), n)
+    return row, col, (col if seg[0] == "tail" else np.maximum(row, col))
+
+
+def _sizes(e: OperatorExpr, n: int) -> list:
+    return [len(_coords(s, n)[0]) for s in space(e)]
 
 
 def total_dim(e: OperatorExpr, n: int) -> int:
-    return sum(_segment_dim(s, n) for s in space(e))
+    return sum(_sizes(e, n))
 
 
 def _matrix(e: OperatorExpr, n: int) -> np.ndarray:
@@ -131,21 +143,14 @@ def _matrix(e: OperatorExpr, n: int) -> np.ndarray:
         return e.matrix()
     if isinstance(e, Trunc):
         return np.eye(e.n, k=-1, dtype=complex)
-    if isinstance(e, Shift):
-        tail = np.eye(n, k=-1, dtype=complex)
-        return _block_diag([tail] * e.mult)
-    if isinstance(e, BackShift):
-        tail = np.eye(n, k=1, dtype=complex)
-        return _block_diag([tail] * e.mult)
+    if isinstance(e, (Shift, BackShift)):
+        step = np.eye(n, k=-1 if isinstance(e, Shift) else 1, dtype=complex)
+        return np.kron(np.eye(e.mult), step)
     if isinstance(e, GridShift):
-        m = np.zeros((n * n, n * n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                if e.axis == 1 and i + 1 < n:
-                    m[(i + 1) * n + j, i * n + j] = 1
-                if e.axis == 2 and j + 1 < n:
-                    m[i * n + j + 1, i * n + j] = 1
-        return m
+        if e.axis not in (1, 2):
+            raise PreconditionError(f"GridShift axis must be 1 or 2, not {e.axis}")
+        step, eye = np.eye(n, k=-1, dtype=complex), np.eye(n)
+        return np.kron(step, eye) if e.axis == 1 else np.kron(eye, step)
     if isinstance(e, DirectSum):
         return _block_diag([_matrix(t, n) for t in e.terms])
     if isinstance(e, Compose):
@@ -167,21 +172,6 @@ def _block_diag(blocks) -> np.ndarray:
     return out
 
 
-def _window_indicator(segments: tuple, n: int, w: int) -> np.ndarray:
-    flags = []
-    for seg in segments:
-        if seg[0] == "finite":
-            flags.extend([1.0] * seg[1])
-        elif seg[0] == "tail":
-            for _ in range(seg[1]):
-                flags.extend([1.0] * w + [0.0] * (n - w))
-        else:
-            for i in range(n):
-                for j in range(n):
-                    flags.append(1.0 if i < w and j < w else 0.0)
-    return np.array(flags)
-
-
 @dataclass(frozen=True)
 class Truncation:
     element: Element
@@ -195,19 +185,23 @@ def truncate(e: OperatorExpr, n: int, n_max: int = 16, window: int | None = None
     """Numeric realisation on the truncated basis, with its probe window.
 
     Each shift tail keeps its first n coordinates and kills the last basis
-    vector; the window spans the first w coordinates per tail, at most
+    vector; the window holds the coordinates of depth < w, with w at most
     n - n_max (the region truncation cannot corrupt within n_max powers).
     """
     segs = space(e)
     finite_dims = [s[1] for s in segs if s[0] == "finite"]
     if finite_dims and n < 2 * max(finite_dims):
         raise TruncationTooSmallError(f"n={n} < twice the largest finite segment")
+    if n <= n_max:
+        raise TruncationTooSmallError(
+            f"truncation {n} must exceed n_max {n_max} (--truncation > --nmax)")
     w = window if window is not None else n - n_max
     if w < 1 or w > n - n_max:
         raise TruncationTooSmallError(f"window {w} outside the trusted range 1..{n - n_max}")
     domain = domain or complex_domain()
     elem = Element(domain, _matrix(e, n))
-    wind = from_element(Element(domain, np.diag(_window_indicator(segs, n, w)).astype(complex)))
+    depth = np.concatenate([_coords(s, n)[2] for s in segs])
+    wind = from_element(Element(domain, np.diag(depth < w).astype(complex)))
     return Truncation(element=elem, window=wind, w=w, n=n)
 
 
@@ -217,24 +211,6 @@ class GroundTruth:
 
     labels: tuple  # one label per segment
     projections: dict  # label -> Projection
-
-
-def _wold_labels(e: OperatorExpr) -> tuple:
-    if isinstance(e, Unitary):
-        return ("u",)
-    if isinstance(e, (Shift, GridShift)):
-        return ("s",)
-    if isinstance(e, DirectSum):
-        return sum((_wold_labels(t) for t in e.terms), ())
-    if isinstance(e, Compose):
-        lf, lg = _wold_labels(e.f), _wold_labels(e.g)
-        return tuple("u" if a == b == "u" else "s" for a, b in zip(lf, lg))
-    if isinstance(e, Adjoint):
-        inner = _wold_labels(e.inner)
-        if any(l != "u" for l in inner):
-            raise PreconditionError("adjoint of a non-unitary expression is not an isometry")
-        return inner
-    raise PreconditionError(f"{type(e).__name__} is not an isometry expression")
 
 
 def _hw_labels(e: OperatorExpr) -> tuple:
@@ -260,25 +236,19 @@ def _hw_labels(e: OperatorExpr) -> tuple:
 
 
 def _indicator_truth(e: OperatorExpr, labels: tuple, label_set: tuple, n: int) -> GroundTruth:
-    segs = space(e)
-    dims = [_segment_dim(s, n) for s in segs]
+    per_coord = np.repeat(labels, _sizes(e, n))
     dom = complex_domain()
-    total = sum(dims)
-    projections = {}
-    for lbl in label_set:
-        diag = np.zeros(total)
-        at = 0
-        for seg_lbl, d in zip(labels, dims):
-            if seg_lbl == lbl:
-                diag[at : at + d] = 1.0
-            at += d
-        projections[lbl] = from_element(Element(dom, np.diag(diag).astype(complex)))
+    projections = {lbl: from_element(Element(dom, np.diag(per_coord == lbl).astype(complex)))
+                   for lbl in label_set}
     return GroundTruth(labels=labels, projections=projections)
 
 
 def ground_truth_wold(e: OperatorExpr, n: int) -> GroundTruth:
     """Exact Wold projections {u, s} as segment indicators (truncated layout)."""
-    return _indicator_truth(e, _wold_labels(e), ("u", "s"), n)
+    labels = _hw_labels(e)
+    if not set(labels) <= {"u", "s"}:
+        raise PreconditionError(f"not an isometry expression: its segments are {labels}")
+    return _indicator_truth(e, labels, ("u", "s"), n)
 
 
 def ground_truth_hw(e: OperatorExpr, n: int) -> GroundTruth:
@@ -286,8 +256,6 @@ def ground_truth_hw(e: OperatorExpr, n: int) -> GroundTruth:
     return _indicator_truth(e, _hw_labels(e), ("u", "s", "b", "t"), n)
 
 
-_U1 = ((0.6 + 0.8j,),)
-_U2 = ((0 + 1j,),)
 _U2X2 = ((0.6 + 0.8j, 0), (0, -1))
 _U2X2B = ((1j, 0), (0, 0.8 + 0.6j))
 
@@ -311,25 +279,9 @@ def pair_instances(name: str):
 
 def embedding_indices(e: OperatorExpr, n_small: int, n_big: int):
     """Coordinate maps identifying the n_small layout inside the n_big one."""
-    segs = space(e)
-    idx_small, idx_big = [], []
-    at_s = at_b = 0
-    for seg in segs:
-        ds, db = _segment_dim(seg, n_small), _segment_dim(seg, n_big)
-        if seg[0] == "finite":
-            for i in range(ds):
-                idx_small.append(at_s + i)
-                idx_big.append(at_b + i)
-        elif seg[0] == "tail":
-            for t in range(seg[1]):
-                for i in range(n_small):
-                    idx_small.append(at_s + t * n_small + i)
-                    idx_big.append(at_b + t * n_big + i)
-        else:
-            for i in range(n_small):
-                for j in range(n_small):
-                    idx_small.append(at_s + i * n_small + j)
-                    idx_big.append(at_b + i * n_big + j)
-        at_s += ds
-        at_b += db
-    return np.array(idx_small), np.array(idx_big)
+    idx_big, at = [], 0
+    for seg, size in zip(space(e), _sizes(e, n_big)):
+        row, col, _ = _coords(seg, n_small)
+        idx_big.append(at + row * n_big + col)
+        at += size
+    return np.arange(total_dim(e, n_small)), np.concatenate(idx_big)

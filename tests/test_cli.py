@@ -275,6 +275,20 @@ def test_cli_truncation_too_small_for_the_spec_is_exit_3(tmp_path, capsys):
     assert "n=4 < twice the largest finite segment" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["classify", "SPEC", "--truncation", "16"], "truncation 16 must exceed n_max 16"),
+    (["decompose", "SPEC", "--method", "wold", "--truncation", "10"],
+     "truncation 10 must exceed n_max 16"),
+    (["verify", "SPEC", "--method", "wold", "--truncation", "8", "--nmax", "12"],
+     "truncation 8 must exceed n_max 12"),
+])
+def test_cli_truncation_not_above_nmax_names_both_flags(tmp_path, capsys, argv, message):
+    spec = _write(tmp_path, "shift.json", {"ring": {"kind": "complex-float"},
+                                           "operators": [{"expr": {"op": "shift"}}]})
+    assert main([spec if a == "SPEC" else a for a in argv]) == 3
+    assert f"{message} (--truncation > --nmax)" in capsys.readouterr().err
+
+
 def test_cli_non_numeric_flag_keeps_argparse_message(capsys):
     with pytest.raises(SystemExit):
         main(["decompose", "spec.json", "--method", "wold", "--nmax", "many"])

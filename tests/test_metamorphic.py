@@ -1,19 +1,27 @@
 """Metamorphic properties of the decompositions, from their uniqueness.
 
 No oracle is needed: the product-PPI split of (x1, x2) is the chain-pair
-split of x1 x2, the adjoint swaps the shift and backward-shift parts, and
-every split of a direct sum is the direct sum of the splits.  Exact inputs
-are compared bit for bit.
+split of x1 x2, the adjoint swaps the shift and backward-shift parts, every
+split of a direct sum is the direct sum of the splits, the splits of P x P*
+for a signed permutation P are the P-conjugates of the splits of x, and a
+matrix with entries in {0, ±1} splits into blocks of the same ranks over
+every ring in which it is the same partial permutation.  Exact inputs are
+compared bit for bit.
 """
 
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from stardecomp import (
+    COMPLEX,
     RATIONAL,
     EngineConfig,
     Element,
     Shift,
+    construct_gf_ring,
     direct_sum,
     halmos_wallen,
     hw_pair_product,
@@ -22,6 +30,7 @@ from stardecomp import (
     truncate,
     wold,
 )
+from stardecomp.elements import from_rows
 from stardecomp.fixtures import (
     random_complex_unitary,
     random_contraction,
@@ -123,3 +132,59 @@ def test_complex_wold_blocks_of_a_direct_sum_are_direct_sums(seed):
     dim = trs[0].element.dim + trs[1].element.dim
     _assert_blocks_add(wold, trs[0].element, trs[1].element, *cfgs,
                        EngineConfig(n_max=8, window=window), tol=1e-8 * dim)
+
+
+def _signed_permutation(domain, dim: int, rng) -> Element:
+    mat = domain.zeros(dim, dim)
+    for col, row in enumerate(rng.permutation(dim)):
+        mat[int(row), col] = domain.coerce(-1 if rng.integers(2) else 1)
+    return Element(domain, mat)
+
+
+def _assert_covariant(method, x, p, cfg=None, cfg_conj=None, tol=0.0):
+    rep, conj = method(x, cfg).basis, method(p @ x @ p.star(), cfg_conj).basis
+    assert conj.labels() == rep.labels()
+    for lbl in rep.labels():
+        want = (p @ rep[lbl].element @ p.star()).mat
+        _assert_close(conj[lbl].element.mat, want, tol, lbl)
+
+
+@given(SEEDS)
+@settings(max_examples=15, deadline=None)
+def test_rational_blocks_are_covariant_under_signed_permutations(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 5))
+    p = _signed_permutation(RATIONAL, dim, rng)
+    _assert_covariant(halmos_wallen, random_ppi(dim, rng), p)
+    _assert_covariant(nfl, random_contraction(dim, rng), p)
+
+
+@given(SEEDS)
+@settings(max_examples=3, deadline=None)
+def test_complex_wold_blocks_are_covariant_under_signed_permutations(seed):
+    """A truncated unitary ⊕ shift, its probe window conjugated with it."""
+    rng = np.random.default_rng(seed)
+    tr = truncate(direct_sum(unitary(random_complex_unitary(2, rng).mat), Shift(1)), 24, n_max=8)
+    p = _signed_permutation(COMPLEX, tr.element.dim, rng)
+    window = from_element(p @ tr.window.element @ p.star())
+    _assert_covariant(wold, tr.element, p, EngineConfig(n_max=8, window=tr.window),
+                      EngineConfig(n_max=8, window=window),
+                      tol=COMPLEX.tol.eps_eq * tr.element.dim)
+
+
+def _partial_permutations():
+    """Every 2x2 matrix over {0, ±1} with at most one nonzero per row and column."""
+    for entries in itertools.product((-1, 0, 1), repeat=4):
+        m = np.array(entries).reshape(2, 2)
+        if (np.abs(m).sum(axis=0) <= 1).all() and (np.abs(m).sum(axis=1) <= 1).all():
+            yield m.tolist()
+
+
+@pytest.mark.parametrize("rows", list(_partial_permutations()))
+def test_block_ranks_agree_over_rationals_and_finite_fields(rows):
+    """wold on the eight signed permutations, halmos_wallen on all seventeen."""
+    methods = (wold, halmos_wallen) if np.abs(rows).sum() == 2 else (halmos_wallen,)
+    for method in methods:
+        ranks = [{lbl: p.rank for lbl, p in method(from_rows(dom, rows)).basis.members}
+                 for dom in (RATIONAL, construct_gf_ring(3, 2), construct_gf_ring(7, 2))]
+        assert ranks[1] == ranks[0] == ranks[2], method.__name__

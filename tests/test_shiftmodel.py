@@ -107,6 +107,19 @@ def test_ground_truth_wold_rejects_backshift():
         ground_truth_wold(BackShift(1), 8)
 
 
+@pytest.mark.parametrize("e", [Adjoint(BackShift(1)), Adjoint(Adjoint(Shift(1)))])
+def test_ground_truth_wold_accepts_adjoint_isometries(e):
+    gt, shift = ground_truth_wold(e, 8), ground_truth_wold(Shift(1), 8)
+    assert gt.labels == ("s",)
+    for lbl in ("u", "s"):
+        assert gt.projections[lbl].equals(shift.projections[lbl])
+
+
+def test_grid_axis_outside_1_2_is_refused():
+    with pytest.raises(PreconditionError, match="axis must be 1 or 2"):
+        truncate(GridShift(3), 5, n_max=2)
+
+
 def test_ground_truth_hw_labels():
     e = direct_sum(U2, Shift(1), BackShift(1), Trunc(3))
     gt = ground_truth_hw(e, 6)
