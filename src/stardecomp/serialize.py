@@ -88,6 +88,14 @@ def matrix_to_json(e: Element):
     return [[format_scalar(e.domain, v) for v in row] for row in e.mat.tolist()]
 
 
+def _count(value, choices=None) -> int:
+    """A positive integer expr field, one of ``choices`` when given."""
+    n = int(value)
+    if n < 1 or (choices and n not in choices):
+        raise ValueError(f"{value!r} is not " + (f"one of {choices}" if choices else "positive"))
+    return n
+
+
 def parse_expr(obj) -> shiftmodel.OperatorExpr:
     """Nested constructor object -> OperatorExpr."""
     if not isinstance(obj, dict) or "op" not in obj:
@@ -99,13 +107,13 @@ def parse_expr(obj) -> shiftmodel.OperatorExpr:
                 [[parse_scalar(COMPLEX, v) for v in row] for row in obj["rows"]]
             )
         if op == "shift":
-            return shiftmodel.Shift(int(obj.get("mult", 1)))
+            return shiftmodel.Shift(_count(obj.get("mult", 1)))
         if op == "back-shift":
-            return shiftmodel.BackShift(int(obj.get("mult", 1)))
+            return shiftmodel.BackShift(_count(obj.get("mult", 1)))
         if op == "trunc":
-            return shiftmodel.Trunc(int(obj["n"]))
+            return shiftmodel.Trunc(_count(obj["n"]))
         if op == "grid-shift":
-            return shiftmodel.GridShift(int(obj["axis"]))
+            return shiftmodel.GridShift(_count(obj["axis"], (1, 2)))
         if op == "direct-sum":
             return shiftmodel.DirectSum(tuple(parse_expr(t) for t in obj["terms"]))
         if op == "compose":

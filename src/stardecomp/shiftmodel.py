@@ -147,8 +147,6 @@ def _matrix(e: OperatorExpr, n: int) -> np.ndarray:
         step = np.eye(n, k=-1 if isinstance(e, Shift) else 1, dtype=complex)
         return np.kron(np.eye(e.mult), step)
     if isinstance(e, GridShift):
-        if e.axis not in (1, 2):
-            raise PreconditionError(f"GridShift axis must be 1 or 2, not {e.axis}")
         step, eye = np.eye(n, k=-1, dtype=complex), np.eye(n)
         return np.kron(step, eye) if e.axis == 1 else np.kron(eye, step)
     if isinstance(e, DirectSum):

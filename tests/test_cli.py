@@ -130,6 +130,19 @@ def test_cli_parse_error_is_exit_2(tmp_path, capsys):
     assert "row 0" in err and "column 1" in err
 
 
+@pytest.mark.parametrize("node,message", [
+    ({"op": "shift", "mult": 0}, "0 is not positive"),
+    ({"op": "back-shift", "mult": -1}, "-1 is not positive"),
+    ({"op": "trunc", "n": -2}, "-2 is not positive"),
+    ({"op": "grid-shift", "axis": 3}, "3 is not one of (1, 2)"),
+])
+def test_cli_expr_node_out_of_range_is_exit_2(tmp_path, capsys, node, message):
+    spec = _write(tmp_path, "expr.json", {"ring": {"kind": "complex-float"},
+                                          "operators": [{"expr": node}]})
+    assert main(["decompose", spec, "--method", "wold", "--truncation", "20"]) == 2
+    assert f"malformed {node['op']!r} expr node: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("ring,hint", [
     ({"kind": "rational"}, '"1/2"'),
     ({"kind": "gf", "p": 7, "dim": 2}, "gf entries are integers"),

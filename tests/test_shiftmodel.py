@@ -115,11 +115,6 @@ def test_ground_truth_wold_accepts_adjoint_isometries(e):
         assert gt.projections[lbl].equals(shift.projections[lbl])
 
 
-def test_grid_axis_outside_1_2_is_refused():
-    with pytest.raises(PreconditionError, match="axis must be 1 or 2"):
-        truncate(GridShift(3), 5, n_max=2)
-
-
 def test_ground_truth_hw_labels():
     e = direct_sum(U2, Shift(1), BackShift(1), Trunc(3))
     gt = ground_truth_hw(e, 6)
