@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import engine, oracle, serialize
-from .domains import TolerancePolicy, complex_domain, rational_domain
+from .domains import complex_domain, rational_domain
 from .elements import classify
 from .errors import (
     IndeterminateError,
@@ -94,17 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> serialize.OperatorSpec:
-    spec = serialize.load_spec(args.file)
-    if getattr(args, "tol", None) is not None and not spec.domain.exact:
-        spec.domain = complex_domain(TolerancePolicy(eps_eq=args.tol))
-        spec.operators = [
-            op if not hasattr(op, "domain") else type(op)(spec.domain, op.mat)
-            for op in spec.operators
-        ]
-    return spec
-
-
 def _emit(args, payload_text: str, payload_json):
     if args.format == "json":
         print(json.dumps(payload_json, indent=2))
@@ -113,8 +102,7 @@ def _emit(args, payload_text: str, payload_json):
 
 
 def cmd_classify(args) -> int:
-    spec = _load(args)
-    ops, _ = spec.realised(args.truncation, args.nmax)
+    ops, _ = serialize.load_spec(args.file).realised(args.truncation, args.nmax)
     lines = []
     rows = []
     for k, op in enumerate(ops):
@@ -142,7 +130,7 @@ def _run_method(spec: serialize.OperatorSpec, args):
 
 
 def cmd_decompose(args) -> int:
-    result, _ = _run_method(_load(args), args)
+    result, _ = _run_method(serialize.load_spec(args.file, args.tol), args)
     if args.method in _PROJECTION_METHODS:
         text = f"method: {args.method}\nrank: {result.rank}"
         payload = {"method": args.method, "rank": result.rank,
@@ -233,11 +221,11 @@ def cmd_verify(args) -> int:
     checks = {"certificates": report.max_residual() <= x.domain.residual_tol(x.dim)}
     if report.basis is not None:
         checks["basis"] = report.basis.verify()
-    if (args.method in ("wold", "nfl") and x.domain.exact and x.dim <= 8
-            and report.basis is not None):
+    if (args.method in ("wold", "nfl") and x.domain.exact
+            and x.dim <= oracle.UNITARY_DIM_GUARD and report.basis is not None):
         brute = oracle.brute_unitary_part(x)
         checks["oracle_unitary_rank"] = brute.shape[1] == report.basis["u"].rank
-    if args.method == "hw" and x.domain.exact and x.dim <= 6:
+    if args.method == "hw" and x.domain.exact and x.dim <= oracle.CHAIN_DIM_GUARD:
         chains = oracle.brute_hw_classify(x)
         checks["oracle_ranks"] = (
             chains.u_rank == report.basis["u"].rank

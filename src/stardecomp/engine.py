@@ -75,14 +75,15 @@ class DecompositionReport:
 
 
 class _Ctx:
-    """Shared state: domain, window compression, chain cap."""
+    """Shared state: domain, window compression, chain cap, and the
+    EngineConfig (the default one when a method is given none)."""
 
-    def __init__(self, x: Element, cfg: EngineConfig):
+    def __init__(self, x: Element, cfg: EngineConfig | None = None):
         self.domain = x.domain
         self.dim = x.dim
-        self.cfg = cfg
-        self.window = cfg.window.element if cfg.window is not None else None
-        self.cap = max(cfg.n_max, self.dim + 1)
+        self.cfg = cfg if cfg is not None else EngineConfig()
+        self.window = self.cfg.window.element if self.cfg.window is not None else None
+        self.cap = max(self.cfg.n_max, self.dim + 1)
         self.one = identity(self.domain, self.dim)
 
     def compress(self, e: Element) -> Element:
@@ -113,14 +114,14 @@ def _range_chain_inf(ctx: _Ctx, x: Element, start: np.ndarray | None = None) -> 
     """
     basis = start if start is not None else ctx.one.mat
     nxt = subspaces.orth(ctx.domain, x.mat @ basis)
-    d1 = subspaces.dim_of(nxt)
-    if d1 == 0 or d1 == subspaces.dim_of(basis):
-        return from_basis(ctx.domain, ctx.dim, nxt)
+    d1 = nxt.shape[1]
+    if d1 == 0 or d1 == basis.shape[1]:
+        return from_basis(ctx.domain, nxt)
     fixed = subspaces.orth(ctx.domain, x.power(min(d1, ctx.cap - 1)).mat @ nxt)
-    rank = subspaces.dim_of(fixed)
-    if rank and subspaces.dim_of(subspaces.orth(ctx.domain, x.mat @ fixed)) != rank:
+    rank = fixed.shape[1]
+    if rank and subspaces.orth(ctx.domain, x.mat @ fixed).shape[1] != rank:
         raise IndeterminateError("range chain did not stabilise within the cap")
-    return from_basis(ctx.domain, ctx.dim, fixed)
+    return from_basis(ctx.domain, fixed)
 
 
 def _wandering_series(ctx: _Ctx, x: Element) -> Projection:
@@ -128,9 +129,9 @@ def _wandering_series(ctx: _Ctx, x: Element) -> Projection:
     term = subspaces.nullspace(ctx.domain, x.star().mat)  # range of 1 - [x]
     pieces = []
     for _ in range(ctx.cap + 1):
-        if subspaces.dim_of(term) == 0:
+        if term.shape[1] == 0:
             joined = np.concatenate(pieces, axis=1) if pieces else ctx.domain.zeros(ctx.dim, 0)
-            return from_basis(ctx.domain, ctx.dim, subspaces.orth(ctx.domain, joined))
+            return from_basis(ctx.domain, subspaces.orth(ctx.domain, joined))
         pieces.append(term)
         term = subspaces.orth(ctx.domain, x.mat @ term)
     raise IndeterminateError("wandering series did not terminate within the cap")
@@ -138,7 +139,7 @@ def _wandering_series(ctx: _Ctx, x: Element) -> Projection:
 
 def _complement_of_range(ctx: _Ctx, a: Element) -> Projection:
     """1 - [a], realised as the projection onto ker(a*)."""
-    return from_basis(ctx.domain, ctx.dim, subspaces.nullspace(ctx.domain, a.star().mat))
+    return from_basis(ctx.domain, subspaces.nullspace(ctx.domain, a.star().mat))
 
 
 def reducing_fixpoint(ops: list, e: Projection, cfg: EngineConfig | None = None) -> Projection:
@@ -147,17 +148,17 @@ def reducing_fixpoint(ops: list, e: Projection, cfg: EngineConfig | None = None)
     Subspace iteration M <- M ∩ (∩_a a^{-1} M) over ops and their adjoints;
     rank strictly decreases until the fixpoint, so termination is immediate.
     """
-    ctx = _Ctx(e.element, cfg or EngineConfig())
+    ctx = _Ctx(e.element, cfg)
     allops = [a.mat for a in ops] + [a.star().mat for a in ops]
     basis = e.range_basis
     while True:
-        if subspaces.dim_of(basis) == 0:
+        if basis.shape[1] == 0:
             return zero_projection(ctx.domain, ctx.dim)
         nxt = basis
         for m in allops:
             nxt = subspaces.intersect(ctx.domain, nxt, subspaces.preimage(ctx.domain, m, basis))
-        if subspaces.dim_of(nxt) == subspaces.dim_of(basis):
-            return from_basis(ctx.domain, ctx.dim, nxt)
+        if nxt.shape[1] == basis.shape[1]:
+            return from_basis(ctx.domain, nxt)
         basis = nxt
 
 
@@ -180,19 +181,21 @@ def _ppi_on_window(ctx: _Ctx, x: Element) -> bool:
     return True
 
 
-def _corner_unitary_res(ctx: _Ctx, x: Element, p: Projection) -> float:
+def _isometry_res(ctx: _Ctx, x: Element, p: Projection) -> float:
+    """Residual of p x* x p = p: x is an isometry on the corner p."""
     pe = p.element
-    return max(
-        ctx.wres(pe @ x.star() @ x @ pe - pe),
-        ctx.wres(pe @ x @ x.star() @ pe - pe),
-    )
+    return ctx.wres(pe @ x.star() @ x @ pe - pe)
+
+
+def _corner_unitary_res(ctx: _Ctx, x: Element, p: Projection) -> float:
+    return max(_isometry_res(ctx, x, p), _isometry_res(ctx, x.star(), p))
 
 
 def _corner_shift_res(ctx: _Ctx, x: Element, p: Projection) -> float:
     """Residual of the pure-shift certificate inf [ (xp)^n ] = 0 in the corner."""
     y = p.element @ x @ p.element
     inf_proj = _range_chain_inf(ctx, y, start=p.range_basis)
-    return max(ctx.wres(p.element @ x.star() @ x @ p.element - p.element), ctx.wres(inf_proj.element))
+    return max(_isometry_res(ctx, x, p), ctx.wres(inf_proj.element))
 
 
 def _corner_truncated_res(ctx: _Ctx, x: Element, p: Projection) -> float:
@@ -212,7 +215,6 @@ def _wold_parts(ctx: _Ctx, x: Element):
 
 def wold(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
     """Split an isometry into its unitary and unilateral-shift parts."""
-    cfg = cfg or EngineConfig()
     ctx = _Ctx(x, cfg)
     _require(_isometry_on_window(ctx, x), "wold requires an isometry (on the probe window)")
     p_u, p_s = _wold_parts(ctx, x)
@@ -242,7 +244,6 @@ def slocinski(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> Deco
     error.  When they hold, the emitted basis is {p_uu, p_us, p_su, p_ss}
     with per-coordinate block certificates.
     """
-    cfg = cfg or EngineConfig()
     ctx = _Ctx(x1, cfg)
     _require(_isometry_on_window(ctx, x1) and _isometry_on_window(ctx, x2),
              "slocinski requires two isometries")
@@ -253,7 +254,7 @@ def slocinski(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> Deco
     parts2 = {"u": pu2, "s": ps2}
 
     seeds = {a + b: proj_inf([parts1[a], parts2[b]]) for a in "us" for b in "us"}
-    fixpoints = {k: reducing_fixpoint([x1, x2], seed, cfg) for k, seed in seeds.items()}
+    fixpoints = {k: reducing_fixpoint([x1, x2], seed, ctx.cfg) for k, seed in seeds.items()}
 
     total = sum((fixpoints[k].element for k in ("us", "su", "ss")), fixpoints["uu"].element)
     c1 = ctx.ok(total - ctx.one)
@@ -311,7 +312,6 @@ def slocinski(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> Deco
 
 def corollary_check(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> bool:
     """holds(x1,x2) must equal holds(x1, x1 x2) and holds(x2, x1 x2)."""
-    cfg = cfg or EngineConfig()
     x12 = x1 @ x2
     direct = slocinski(x1, x2, cfg).holds
     via = slocinski(x1, x12, cfg).holds and slocinski(x2, x12, cfg).holds
@@ -341,7 +341,6 @@ def _mixed_wandering(ctx: _Ctx, a: Element, b: Element) -> Projection:
 
 def weak_bishift(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
     """The fourfold basis {p_uu, p_us, p_su, p_ws} that always exists."""
-    cfg = cfg or EngineConfig()
     ctx = _Ctx(x1, cfg)
     _require(_isometry_on_window(ctx, x1) and _isometry_on_window(ctx, x2),
              "weak_bishift requires two isometries")
@@ -354,8 +353,8 @@ def weak_bishift(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> D
     pu2, ps2 = _wold_parts(ctx, x2)
     x12 = x1 @ x2
     p_uu = _range_chain_inf(ctx, x12)
-    p_us = reducing_fixpoint([x1, x2], proj_inf([pu1, ps2]), cfg)
-    p_su = reducing_fixpoint([x1, x2], proj_inf([ps1, pu2]), cfg)
+    p_us = reducing_fixpoint([x1, x2], proj_inf([pu1, ps2]), ctx.cfg)
+    p_su = reducing_fixpoint([x1, x2], proj_inf([ps1, pu2]), ctx.cfg)
     p_ws = from_element(ctx.one - (p_uu.element + p_us.element + p_su.element))
 
     m_us = _range_chain_inf(ctx, x1, start=w_us.range_basis)
@@ -410,7 +409,6 @@ def _chain_pair_split(ctx: _Ctx, y: Element) -> tuple:
 
 def halmos_wallen(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
     """Fourfold split of a power partial isometry: {u, s, b, t}."""
-    cfg = cfg or EngineConfig()
     ctx = _Ctx(x, cfg)
     _require(_ppi_on_window(ctx, x), "halmos_wallen requires a power partial isometry")
     basis = ProjectionBasis(tuple(zip("usbt", _chain_pair_split(ctx, x))))
@@ -460,11 +458,10 @@ def _product_basis(ctx: _Ctx, method: str, rep1: DecompositionReport,
 
 def hw_pair_doubly(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
     """Sixteen-fold product basis for a doubly commuting pair of PPIs."""
-    cfg = cfg or EngineConfig()
     ctx = _Ctx(x1, cfg)
     _require(ctx.commute_ok(x1, x2) and ctx.commute_ok(x1, x2.star()),
              "hw_pair_doubly requires a doubly commuting pair")
-    rep1, rep2 = halmos_wallen(x1, cfg), halmos_wallen(x2, cfg)
+    rep1, rep2 = halmos_wallen(x1, ctx.cfg), halmos_wallen(x2, ctx.cfg)
     return _product_basis(ctx, "hw-pair-doubly", rep1, rep2, ".")
 
 
@@ -500,7 +497,6 @@ def _lemma_certificates(ctx: _Ctx, x1: Element, x2: Element) -> dict:
 
 def hw_pair_product(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
     """Basis {p_u, p_is, p_cis, p_t} for commuting PPIs with PPI product."""
-    cfg = cfg or EngineConfig()
     ctx = _Ctx(x1, cfg)
     _require(ctx.commute_ok(x1, x2), "hw_pair_product requires a commuting pair")
     _require(_ppi_on_window(ctx, x1) and _ppi_on_window(ctx, x2),
@@ -519,13 +515,9 @@ def hw_pair_product(x1: Element, x2: Element, cfg: EngineConfig | None = None) -
         certificates["block[u]"] = max(_corner_unitary_res(ctx, x1, p_u),
                                        _corner_unitary_res(ctx, x2, p_u))
     if p_is.rank:
-        certificates["block[is]"] = max(
-            ctx.wres(p_is.element @ x.star() @ x @ p_is.element - p_is.element) for x in (x1, x2)
-        )
+        certificates["block[is]"] = max(_isometry_res(ctx, x, p_is) for x in (x1, x2))
     if p_cis.rank:
-        certificates["block[cis]"] = max(
-            ctx.wres(p_cis.element @ x @ x.star() @ p_cis.element - p_cis.element) for x in (x1, x2)
-        )
+        certificates["block[cis]"] = max(_isometry_res(ctx, x.star(), p_cis) for x in (x1, x2))
     if p_t.rank:
         certificates["block[t]"] = _corner_truncated_res(ctx, y, p_t)
     literal_agrees = proj_leq(p_u, proj_sup([p_is, p_cis])) if p_u.rank else True
@@ -564,12 +556,11 @@ def _product_ppi_constraint(ctx: _Ctx, x1: Element, x2: Element) -> Projection:
 
 def largest_product_ppi(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> Projection:
     """Largest commuting projection whose corner makes x1 x2 a PPI."""
-    cfg = cfg or EngineConfig()
     ctx = _Ctx(x1, cfg)
     _require(ctx.commute_ok(x1, x2), "largest_product_ppi requires a commuting pair")
     _require(_ppi_on_window(ctx, x1) and _ppi_on_window(ctx, x2),
              "largest_product_ppi requires power partial isometries")
-    p = reducing_fixpoint([x1, x2], _product_ppi_constraint(ctx, x1, x2), cfg)
+    p = reducing_fixpoint([x1, x2], _product_ppi_constraint(ctx, x1, x2), ctx.cfg)
     if not _ppi_on_window(ctx, p.element @ x1 @ x2 @ p.element):
         raise InternalInconsistencyError("compressed product failed its PPI certificate")
     return p
@@ -603,19 +594,18 @@ def _nfl_unitary_part(ctx: _Ctx, x: Element) -> Projection:
         bwd = bwd @ x_star
         k_pos = subspaces.nullspace(ctx.domain, (ctx.one - fwd.star() @ fwd).mat)
         k_neg = subspaces.nullspace(ctx.domain, (ctx.one - bwd.star() @ bwd).mat)
-        now = (subspaces.dim_of(k_pos), subspaces.dim_of(k_neg))
+        now = (k_pos.shape[1], k_neg.shape[1])
         if now == ranks:
-            return from_basis(ctx.domain, ctx.dim, part)
+            return from_basis(ctx.domain, part)
         ranks = now
         part = subspaces.intersect(ctx.domain, subspaces.intersect(ctx.domain, part, k_pos), k_neg)
-        if subspaces.dim_of(part) == 0:
-            return from_basis(ctx.domain, ctx.dim, part)
+        if part.shape[1] == 0:
+            return from_basis(ctx.domain, part)
     raise IndeterminateError("nfl kernel chains did not stabilise within the cap")
 
 
 def nfl(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
     """Unitary / completely-non-unitary split of a contraction."""
-    cfg = cfg or EngineConfig()
     ctx = _Ctx(x, cfg)
     _axiom_gate(ctx.domain)
     positive = ctx.domain.is_positive
@@ -648,21 +638,19 @@ def _corner_cnu_res(ctx: _Ctx, x: Element, p_c: Projection) -> float:
 
 def nfl_pair_doubly(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
     """Fourfold product basis for a doubly commuting pair of contractions."""
-    cfg = cfg or EngineConfig()
     ctx = _Ctx(x1, cfg)
     _require(ctx.commute_ok(x1, x2) and ctx.commute_ok(x1, x2.star()),
              "nfl_pair_doubly requires a doubly commuting pair")
-    return _product_basis(ctx, "nfl-pair", nfl(x1, cfg), nfl(x2, cfg), "")
+    return _product_basis(ctx, "nfl-pair", nfl(x1, ctx.cfg), nfl(x2, ctx.cfg), "")
 
 
 def largest_doubly_commuting(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> Projection:
     """Largest commuting projection whose corner makes the pair doubly commute."""
-    cfg = cfg or EngineConfig()
     ctx = _Ctx(x1, cfg)
     _require(ctx.commute_ok(x1, x2), "largest_doubly_commuting requires a commuting pair")
     defect = x2 @ x1.star() - x1.star() @ x2
     e = _complement_of_range(ctx, defect)
-    p = reducing_fixpoint([x1, x2], e, cfg)
+    p = reducing_fixpoint([x1, x2], e, ctx.cfg)
     pe = p.element
     if not (ctx.ok(pe @ (x1 @ x2.star() - x2.star() @ x1) @ pe)
             and ctx.ok(pe @ (x1 @ x2 - x2 @ x1) @ pe)):

@@ -17,8 +17,8 @@ from .domains import ScalarDomain
 from .elements import Element
 from .errors import PreconditionError, StructuralAnomalyError
 
-_UNITARY_DIM_GUARD = 8
-_CHAIN_DIM_GUARD = 6
+UNITARY_DIM_GUARD = 8
+CHAIN_DIM_GUARD = 6
 
 
 def _cut(s: np.ndarray, eps_rank: float) -> int:
@@ -60,8 +60,8 @@ def brute_unitary_part(x: Element) -> np.ndarray:
     n up to the dimension, then shrinks to the largest subspace invariant
     under both x and x*.  Small dimensions only.
     """
-    if x.dim > _UNITARY_DIM_GUARD:
-        raise PreconditionError(f"brute_unitary_part is guarded to dim <= {_UNITARY_DIM_GUARD}")
+    if x.dim > UNITARY_DIM_GUARD:
+        raise PreconditionError(f"brute_unitary_part is guarded to dim <= {UNITARY_DIM_GUARD}")
     domain = x.domain
     one = domain.eye(x.dim)
     conditions = []
@@ -103,8 +103,8 @@ def brute_hw_classify(x: Element) -> ChainReport:
     x* x^j v = x^{j-1} v.  Failure to exhaust the space is a structural
     anomaly, never silently ignored.
     """
-    if x.dim > _CHAIN_DIM_GUARD:
-        raise PreconditionError(f"brute_hw_classify is guarded to dim <= {_CHAIN_DIM_GUARD}")
+    if x.dim > CHAIN_DIM_GUARD:
+        raise PreconditionError(f"brute_hw_classify is guarded to dim <= {CHAIN_DIM_GUARD}")
     if not x.domain.exact:
         raise PreconditionError("brute_hw_classify requires an exact domain")
     domain = x.domain

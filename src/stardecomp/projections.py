@@ -45,7 +45,7 @@ class Projection:
         return self.element.equals(other.element)
 
 
-def from_basis(domain: ScalarDomain, dim: int, basis: np.ndarray) -> Projection:
+def from_basis(domain: ScalarDomain, basis: np.ndarray) -> Projection:
     mat = subspaces.proj_matrix(domain, basis)
     return Projection(Element(domain, mat), basis)
 
@@ -60,7 +60,7 @@ def from_element(e: Element) -> Projection:
 
 
 def zero_projection(domain: ScalarDomain, dim: int) -> Projection:
-    return from_basis(domain, dim, domain.zeros(dim, 0))
+    return from_basis(domain, domain.zeros(dim, 0))
 
 
 def identity_projection(domain: ScalarDomain, dim: int) -> Projection:
@@ -73,7 +73,7 @@ def left_projection(a: Element) -> Projection:
     Satisfies the annihilator law  b a = 0  iff  b [a] = 0.
     """
     basis = subspaces.orth(a.domain, a.mat)
-    return from_basis(a.domain, a.dim, basis)
+    return from_basis(a.domain, basis)
 
 
 def proj_leq(p: Projection, q: Projection) -> bool:
@@ -91,7 +91,7 @@ def proj_inf(family: Sequence[Projection]) -> Projection:
     for p in family[1:]:
         first.element._check(p.element)
         basis = subspaces.intersect(first.domain, basis, p.range_basis)
-    return from_basis(first.domain, first.dim, basis)
+    return from_basis(first.domain, basis)
 
 
 def proj_sup(family: Sequence[Projection]) -> Projection:
@@ -103,7 +103,7 @@ def proj_sup(family: Sequence[Projection]) -> Projection:
     for p in family[1:]:
         first.element._check(p.element)
     joined = np.concatenate([p.range_basis for p in family], axis=1)
-    return from_basis(first.domain, first.dim, subspaces.orth(first.domain, joined))
+    return from_basis(first.domain, subspaces.orth(first.domain, joined))
 
 
 def right_annihilator_projection(elements: Sequence[Element]) -> Projection:
@@ -111,12 +111,12 @@ def right_annihilator_projection(elements: Sequence[Element]) -> Projection:
     elements = list(elements)
     if not elements:
         raise EmptyFamilyError("annihilator of an empty set")
-    domain, dim = elements[0].domain, elements[0].dim
+    domain = elements[0].domain
     basis = subspaces.nullspace(domain, elements[0].mat)
     for s in elements[1:]:
         elements[0]._check(s)
         basis = subspaces.intersect(domain, basis, subspaces.nullspace(domain, s.mat))
-    return from_basis(domain, dim, basis)
+    return from_basis(domain, basis)
 
 
 def key_identity_check(x: Element, q: Projection) -> bool:

@@ -34,10 +34,6 @@ def parse_scalar(domain: ScalarDomain, raw):
         raise SpecFileError(f"bad scalar {raw!r} for domain {domain}") from exc
 
 
-def format_scalar(domain: ScalarDomain, value):
-    return domain.format(value)
-
-
 def _ring_field(obj: dict, name: str, parse):
     """parse(obj[name]), with a bad value reported as a spec error naming the field."""
     try:
@@ -46,17 +42,19 @@ def _ring_field(obj: dict, name: str, parse):
         raise SpecFileError(f"bad ring field {name!r}: {obj[name]!r} ({exc})") from exc
 
 
-def parse_ring(obj) -> ScalarDomain:
+def parse_ring(obj, tol: float | None = None) -> ScalarDomain:
+    """The spec's scalar domain; ``tol`` replaces a complex ring's eps_eq, but
+    the ring's own fields must still parse."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SpecFileError("ring section must be an object with a 'kind'")
     kind = obj["kind"]
     if kind == "rational":
         return rational_domain()
     if kind == "complex-float":
-        if obj.get("tolerance") is None:
-            return complex_domain()
-        return complex_domain(_ring_field(obj, "tolerance",
-                                          lambda v: TolerancePolicy(eps_eq=float(v))))
+        policy = None
+        if obj.get("tolerance") is not None:
+            policy = _ring_field(obj, "tolerance", lambda v: TolerancePolicy(eps_eq=float(v)))
+        return complex_domain(TolerancePolicy(eps_eq=tol) if tol is not None else policy)
     if kind == "gf":
         from .exactrings import construct_gf_ring
 
@@ -85,11 +83,14 @@ def parse_matrix(domain: ScalarDomain, rows) -> Element:
 
 
 def matrix_to_json(e: Element):
-    return [[format_scalar(e.domain, v) for v in row] for row in e.mat.tolist()]
+    return [[e.domain.format(v) for v in row] for row in e.mat.tolist()]
 
 
 def _count(value, choices=None) -> int:
-    """A positive integer expr field, one of ``choices`` when given."""
+    """A positive integer expr field, one of ``choices`` when given.  A
+    fractional JSON number or a boolean is refused, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
     n = int(value)
     if n < 1 or (choices and n not in choices):
         raise ValueError(f"{value!r} is not " + (f"one of {choices}" if choices else "positive"))
@@ -125,32 +126,6 @@ def parse_expr(obj) -> shiftmodel.OperatorExpr:
     raise SpecFileError(f"unknown expr op {op!r}")
 
 
-def expr_to_json(e: shiftmodel.OperatorExpr):
-    if isinstance(e, shiftmodel.Unitary):
-        return {"op": "unitary", "rows": [[format_scalar(COMPLEX, v) for v in row] for row in e.mat]}
-    if isinstance(e, shiftmodel.Shift):
-        return {"op": "shift", "mult": e.mult}
-    if isinstance(e, shiftmodel.BackShift):
-        return {"op": "back-shift", "mult": e.mult}
-    if isinstance(e, shiftmodel.Trunc):
-        return {"op": "trunc", "n": e.n}
-    if isinstance(e, shiftmodel.GridShift):
-        return {"op": "grid-shift", "axis": e.axis}
-    if isinstance(e, shiftmodel.DirectSum):
-        return {"op": "direct-sum", "terms": [expr_to_json(t) for t in e.terms]}
-    if isinstance(e, shiftmodel.Compose):
-        factors = []
-        node = e
-        while isinstance(node, shiftmodel.Compose):
-            factors.append(node.g)
-            node = node.f
-        factors.append(node)
-        return {"op": "compose", "factors": [expr_to_json(t) for t in reversed(factors)]}
-    if isinstance(e, shiftmodel.Adjoint):
-        return {"op": "adjoint", "inner": expr_to_json(e.inner)}
-    raise SpecFileError(f"unknown expr node {e!r}")
-
-
 @dataclass
 class OperatorSpec:
     """Parsed spec file: a ring, its operators, and an optional pair."""
@@ -182,12 +157,12 @@ class OperatorSpec:
         return ops[i], ops[j], window
 
 
-def parse_spec(data) -> OperatorSpec:
+def parse_spec(data, tol: float | None = None) -> OperatorSpec:
     if not isinstance(data, dict):
         raise SpecFileError("spec file must be a JSON object")
     if "ring" not in data or "operators" not in data:
         raise SpecFileError("spec file needs 'ring' and 'operators' sections")
-    domain = parse_ring(data["ring"])
+    domain = parse_ring(data["ring"], tol)
     operators = []
     for k, op in enumerate(data["operators"]):
         if not isinstance(op, dict) or len(op.keys() & {"matrix", "expr"}) != 1:
@@ -213,7 +188,7 @@ def parse_spec(data) -> OperatorSpec:
     return OperatorSpec(domain=domain, operators=operators, pair=pair)
 
 
-def load_spec(path: str) -> OperatorSpec:
+def load_spec(path: str, tol: float | None = None) -> OperatorSpec:
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -223,7 +198,7 @@ def load_spec(path: str) -> OperatorSpec:
         raise SpecFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return parse_spec(data)
+    return parse_spec(data, tol)
 
 
 def report_to_json(report) -> dict:

@@ -32,10 +32,6 @@ def orth(domain: ScalarDomain, mat: np.ndarray) -> np.ndarray:
     return u[:, : _rank_cut(s, domain.tol.eps_rank)]
 
 
-def dim_of(basis: np.ndarray) -> int:
-    return basis.shape[1]
-
-
 def proj_matrix(domain: ScalarDomain, basis: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto span(basis)."""
     n = basis.shape[0]

@@ -20,8 +20,8 @@ def stepped_range_chain_inf(ctx, x, start=None):
     basis = start if start is not None else subspaces.orth(ctx.domain, ctx.one.mat)
     for _ in range(ctx.cap + 1):
         nxt = subspaces.orth(ctx.domain, x.mat @ basis)
-        if subspaces.dim_of(nxt) == subspaces.dim_of(basis):
-            return from_basis(ctx.domain, ctx.dim, nxt)
+        if nxt.shape[1] == basis.shape[1]:
+            return from_basis(ctx.domain, nxt)
         basis = nxt
     raise IndeterminateError("range chain did not stabilise within the cap")
 
@@ -38,7 +38,7 @@ def mixed_wandering_to_cap(ctx, a, b):
 
 
 def _kernel_projection(ctx, a):
-    return from_basis(ctx.domain, ctx.dim, subspaces.nullspace(ctx.domain, a.mat))
+    return from_basis(ctx.domain, subspaces.nullspace(ctx.domain, a.mat))
 
 
 def nfl_unitary_part_to_cap(ctx, x):
@@ -80,11 +80,11 @@ def corner_cnu_res_to_cap(ctx, x, p_c):
         k_neg = subspaces.nullspace(ctx.domain, (p_c.element - bwd.star() @ bwd).mat)
         part = subspaces.intersect(ctx.domain, part, k_pos)
         part = subspaces.intersect(ctx.domain, part, k_neg)
-        if subspaces.dim_of(part) == 0:
+        if part.shape[1] == 0:
             return 0.0
         fwd = fwd @ y
         bwd = bwd @ y.star()
-    return ctx.wres(from_basis(ctx.domain, ctx.dim, part).element)
+    return ctx.wres(from_basis(ctx.domain, part).element)
 
 
 def power_lemma_certificates(ctx, x1, x2):

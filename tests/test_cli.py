@@ -1,26 +1,25 @@
 """Spec-file parsing, report serialization round-trips, and the CLI
 exit-code contract."""
 
-import argparse
 import json
 
 import numpy as np
 import pytest
 
-from stardecomp import COMPLEX, RATIONAL, construct_gf_ring, from_rows, wold
-from stardecomp.cli import _load, main
+from stardecomp import COMPLEX, RATIONAL, construct_gf_ring, oracle, wold
+from stardecomp.cli import main
 from stardecomp.errors import SpecFileError
 from stardecomp.fixtures import rational_orthogonal
 from stardecomp.serialize import (
-    format_scalar,
+    load_spec,
     matrix_to_json,
     parse_expr,
     parse_matrix,
     parse_scalar,
     parse_spec,
     report_to_json,
-    expr_to_json,
 )
+from stardecomp.shiftmodel import Shift, compose, direct_sum, unitary
 
 
 # -------------------------------------------------------------- scalars
@@ -31,13 +30,13 @@ from stardecomp.serialize import (
 ])
 def test_rational_scalar_roundtrip(raw, expected):
     v = parse_scalar(RATIONAL, raw)
-    assert format_scalar(RATIONAL, v) == expected
+    assert RATIONAL.format(v) == expected
 
 
 @pytest.mark.parametrize("raw", ["0.6+0.8 i", "-1", "2.5", "1e-3-2 i", "3+i", "0-1 i"])
 def test_complex_scalar_roundtrip(raw):
     v = parse_scalar(COMPLEX, raw)
-    again = parse_scalar(COMPLEX, format_scalar(COMPLEX, v))
+    again = parse_scalar(COMPLEX, COMPLEX.format(v))
     assert abs(v - again) < 1e-15
 
 
@@ -45,7 +44,7 @@ def test_gf_scalar_wraps():
     dom = construct_gf_ring(3, 2)
     assert parse_scalar(dom, 5) == 2
     assert parse_scalar(dom, 5.0) == 2
-    assert format_scalar(dom, 2) == 2
+    assert dom.format(2) == 2
 
 
 def test_bad_scalar_raises():
@@ -79,9 +78,8 @@ def test_parse_expr_roundtrip():
         {"op": "unitary", "rows": [["0.6+0.8 i", "0"], ["0", "-1"]]},
         {"op": "compose", "factors": [{"op": "shift", "mult": 1}, {"op": "shift", "mult": 1}]},
     ]}
-    expr = parse_expr(obj)
-    again = parse_expr(expr_to_json(expr))
-    assert again == expr
+    built = direct_sum(unitary([[0.6 + 0.8j, 0], [0, -1]]), compose(Shift(1), Shift(1)))
+    assert parse_expr(obj) == built
 
 
 def test_report_json_roundtrip_recheck():
@@ -135,11 +133,21 @@ def test_cli_parse_error_is_exit_2(tmp_path, capsys):
     ({"op": "back-shift", "mult": -1}, "-1 is not positive"),
     ({"op": "trunc", "n": -2}, "-2 is not positive"),
     ({"op": "grid-shift", "axis": 3}, "3 is not one of (1, 2)"),
+    ({"op": "shift", "mult": 1.9}, "1.9 is not an integer"),
+    ({"op": "trunc", "n": 2.5}, "2.5 is not an integer"),
+    ({"op": "grid-shift", "axis": True}, "True is not an integer"),
+    ({"op": "shift", "mult": 2.0}, None),
 ])
 def test_cli_expr_node_out_of_range_is_exit_2(tmp_path, capsys, node, message):
+    """A fractional or boolean field is refused, not truncated; an integral
+    float such as 2.0 is accepted (message None), as for matrix entries."""
     spec = _write(tmp_path, "expr.json", {"ring": {"kind": "complex-float"},
                                           "operators": [{"expr": node}]})
-    assert main(["decompose", spec, "--method", "wold", "--truncation", "20"]) == 2
+    code = main(["decompose", spec, "--method", "wold", "--truncation", "20"])
+    if message is None:
+        assert code == 0
+        return
+    assert code == 2
     assert f"malformed {node['op']!r} expr node: {message}" in capsys.readouterr().err
 
 
@@ -227,6 +235,31 @@ def test_cli_verify_spec_with_oracle(tmp_path, capsys):
     assert payload["checks"]["oracle_unitary_rank"] is True
 
 
+def _cycle(n):
+    """The cyclic permutation of n coordinates: a rational unitary."""
+    return [["1" if i == (j + 1) % n else "0" for j in range(n)] for i in range(n)]
+
+
+def _jordan(n):
+    """The nilpotent shift on n coordinates: a rational power partial isometry."""
+    return [["1" if i == j + 1 else "0" for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("method,matrix,guard,check", [
+    ("wold", _cycle, oracle.UNITARY_DIM_GUARD, "oracle_unitary_rank"),
+    ("hw", _jordan, oracle.CHAIN_DIM_GUARD, "oracle_ranks"),
+])
+def test_cli_verify_runs_the_oracle_up_to_its_guard(tmp_path, capsys, method, matrix, guard, check):
+    """verify reports the oracle check at the oracle's own size guard and not above it."""
+    for dim, reported in ((guard, True), (guard + 1, False)):
+        spec = _write(tmp_path, f"{method}{dim}.json", {"ring": {"kind": "rational"},
+                                                        "operators": [{"matrix": matrix(dim)}]})
+        assert main(["verify", spec, "--method", method, "--format", "json"]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert (check in checks) is reported
+        assert all(checks.values())
+
+
 def test_cli_builtin_malformed_ring_is_exit_2(capsys):
     assert main(["verify", "--builtin", "cone", "--ring", "gfx", "--dim", "2"]) == 2
     assert "unknown ring 'gfx'" in capsys.readouterr().err
@@ -253,9 +286,11 @@ def test_cli_builtin_dim_0_is_exit_3(capsys, builtin, ring, dim):
     ({"kind": "gf", "p": 3, "dim": "two"}, "dim"),
 ])
 def test_cli_bad_ring_field_is_exit_2(tmp_path, capsys, ring, field):
+    """--tol replaces a complex ring's eps_eq, but the ring's own field must still parse."""
     spec = _write(tmp_path, "ring.json", {"ring": ring, "operators": [{"matrix": [[1, 0], [0, 1]]}]})
-    assert main(["decompose", spec, "--method", "wold"]) == 2
-    assert f"bad ring field {field!r}" in capsys.readouterr().err
+    for tol in ([], ["--tol", "1e-6"]):
+        assert main(["decompose", spec, "--method", "wold", *tol]) == 2
+        assert f"bad ring field {field!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -330,6 +365,7 @@ def test_cli_tolerance_reaches_expr_operators_in_mixed_pair(tmp_path, capsys, ri
 @pytest.mark.parametrize("ring,tol", [
     ({"kind": "complex-float", "tolerance": 1e-6}, None),
     ({"kind": "complex-float"}, 1e-6),
+    ({"kind": "complex-float", "tolerance": 1e-3}, 1e-6),  # --tol wins
 ])
 def test_cli_tolerance_reaches_expr_only_spec(tmp_path, ring, tol):
     spec = _write(tmp_path, "expr.json", {
@@ -337,7 +373,6 @@ def test_cli_tolerance_reaches_expr_only_spec(tmp_path, ring, tol):
         "operators": [{"expr": {"op": "direct-sum",
                                 "terms": [_UNITARY_EXPR, {"op": "shift", "mult": 1}]}}],
     })
-    args = argparse.Namespace(file=spec, tol=tol)
-    ops, window = _load(args).realised(32, 16)
+    ops, window = load_spec(spec, tol).realised(32, 16)
     assert ops[0].domain.tol.eps_eq == 1e-6
     assert window.domain.tol.eps_eq == 1e-6

@@ -120,6 +120,10 @@ BAD_SPECS = {
                      "operators": [{"matrix": [[1, 0], [0, 1]]}]},
     "rational_expr.json": {"ring": {"kind": "rational"},
                            "operators": [{"expr": {"op": "shift", "mult": 1}}]},
+    "frac_mult.json": {"ring": {"kind": "complex-float"},
+                       "operators": [{"expr": {"op": "shift", "mult": 1.9}}]},
+    "bool_axis.json": {"ring": {"kind": "complex-float"},
+                       "operators": [{"expr": {"op": "grid-shift", "axis": True}}]},
     "gf3.json": {"ring": {"kind": "gf", "p": 3, "dim": 2},
                  "operators": [{"matrix": [[1, 0], [0, 2]]}]},
     "gf5.json": {"ring": {"kind": "gf", "p": 5, "dim": 2},
@@ -142,10 +146,13 @@ BAD = (
     "classify bad_scalar.json",
     "decompose no_pair.json --method slocinski",
     "decompose bad_tol.json --method wold",
+    "decompose bad_tol.json --method wold --tol 1e-6",
     "decompose neg_tol.json --method wold",
     "decompose bad_p.json --method wold",
     "decompose bad_dim.json --method wold",
     "decompose rational_expr.json --method wold",
+    "decompose frac_mult.json --method wold --truncation 20",
+    "decompose bool_axis.json --method wold --truncation 20",
     "decompose missing.json --method wold",
     "decompose no_pair.json --method wold --tol 0",
     "decompose no_pair.json --method wold --tol -1",
