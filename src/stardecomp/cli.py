@@ -1,19 +1,24 @@
 """Batch command-line front end: classify / decompose / verify.
 
-Exit codes are a stable contract: 0 success, 2 spec-file parse error,
-3 precondition failure (the message names the violated predicate),
-4 indeterminate stabilisation.
+Exit codes are a stable contract: 0 success, 1 a ``verify`` check failed
+(the output marks it FAIL), 2 spec-file parse error, 3 precondition failure
+(the message names the violated predicate), 4 indeterminate stabilisation.
+
+Each subcommand imports the modules it uses when it runs, so a process pays
+only for its own command: ``verify --builtin cone|axioms`` on a gf ring is
+integer arithmetic and never loads numpy.  When numpy is not loaded yet,
+``main`` defaults BLAS to one thread; a value the caller set wins.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import engine, oracle, serialize
 from .domains import complex_domain, rational_domain
-from .elements import classify
 from .errors import (
     IndeterminateError,
     PreconditionError,
@@ -21,27 +26,32 @@ from .errors import (
     StarDecompError,
 )
 
+if TYPE_CHECKING:
+    from . import serialize
+
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_INDETERMINATE = 4
 
+# method name -> engine function name, looked up on engine when the method runs
 _SINGLE_METHODS = {
-    "wold": engine.wold,
-    "hw": engine.halmos_wallen,
-    "nfl": engine.nfl,
+    "wold": "wold",
+    "hw": "halmos_wallen",
+    "nfl": "nfl",
 }
 _PAIR_METHODS = {
-    "slocinski": engine.slocinski,
-    "weak-bishift": engine.weak_bishift,
-    "hw-pair-doubly": engine.hw_pair_doubly,
-    "hw-pair-product": engine.hw_pair_product,
-    "nfl-pair": engine.nfl_pair_doubly,
+    "slocinski": "slocinski",
+    "weak-bishift": "weak_bishift",
+    "hw-pair-doubly": "hw_pair_doubly",
+    "hw-pair-product": "hw_pair_product",
+    "nfl-pair": "nfl_pair_doubly",
 }
 _PROJECTION_METHODS = {
-    "pd": engine.largest_doubly_commuting,
-    "largest-ppi": engine.largest_product_ppi,
+    "pd": "largest_doubly_commuting",
+    "largest-ppi": "largest_product_ppi",
 }
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _positive(cast):
@@ -102,6 +112,9 @@ def _emit(args, payload_text: str, payload_json):
 
 
 def cmd_classify(args) -> int:
+    from . import serialize
+    from .elements import classify
+
     ops, _ = serialize.load_spec(args.file).realised(args.truncation, args.nmax)
     lines = []
     rows = []
@@ -120,16 +133,21 @@ def _run_method(spec: serialize.OperatorSpec, args):
     Returns the method's result (a report, or a projection for the
     projection methods) and the first operand.
     """
+    from . import engine
+
     if args.method in _SINGLE_METHODS:
         ops, window = spec.realised(args.truncation, args.nmax)
-        method, operands = _SINGLE_METHODS[args.method], ops[:1]
+        name, operands = _SINGLE_METHODS[args.method], ops[:1]
     else:
         x1, x2, window = spec.pair_operators(args.truncation, args.nmax)
-        method, operands = (_PAIR_METHODS | _PROJECTION_METHODS)[args.method], [x1, x2]
-    return method(*operands, engine.EngineConfig(n_max=args.nmax, window=window)), operands[0]
+        name, operands = (_PAIR_METHODS | _PROJECTION_METHODS)[args.method], [x1, x2]
+    cfg = engine.EngineConfig(n_max=args.nmax, window=window)
+    return getattr(engine, name)(*operands, cfg), operands[0]
 
 
 def cmd_decompose(args) -> int:
+    from . import serialize
+
     result, _ = _run_method(serialize.load_spec(args.file, args.tol), args)
     if args.method in _PROJECTION_METHODS:
         text = f"method: {args.method}\nrank: {result.rank}"
@@ -142,8 +160,9 @@ def cmd_decompose(args) -> int:
 
 
 def _builtin_remark1(args) -> int:
-    from .exactrings import construct_gf_ring, is_positive
+    from . import serialize
     from .elements import from_rows
+    from .exactrings import construct_gf_ring, is_positive
     from .projections import from_element, proj_leq
 
     domain = construct_gf_ring(3, 2)
@@ -217,22 +236,27 @@ def cmd_verify(args) -> int:
         raise SpecFileError("verify needs a spec file or --builtin")
     if args.method is None:
         raise SpecFileError("verify on a spec file needs --method")
+    from . import serialize
+
     report, x = _run_method(serialize.load_spec(args.file), args)
     checks = {"certificates": report.max_residual() <= x.domain.residual_tol(x.dim)}
     if report.basis is not None:
         checks["basis"] = report.basis.verify()
-    if (args.method in ("wold", "nfl") and x.domain.exact
-            and x.dim <= oracle.UNITARY_DIM_GUARD and report.basis is not None):
-        brute = oracle.brute_unitary_part(x)
-        checks["oracle_unitary_rank"] = brute.shape[1] == report.basis["u"].rank
-    if args.method == "hw" and x.domain.exact and x.dim <= oracle.CHAIN_DIM_GUARD:
-        chains = oracle.brute_hw_classify(x)
-        checks["oracle_ranks"] = (
-            chains.u_rank == report.basis["u"].rank
-            and chains.t_rank == report.basis["t"].rank
-            and report.basis["s"].rank == 0
-            and report.basis["b"].rank == 0
-        )
+    if x.domain.exact:  # the oracle runs on exact inputs only
+        from . import oracle
+
+        if (args.method in ("wold", "nfl") and x.dim <= oracle.UNITARY_DIM_GUARD
+                and report.basis is not None):
+            brute = oracle.brute_unitary_part(x)
+            checks["oracle_unitary_rank"] = brute.shape[1] == report.basis["u"].rank
+        if args.method == "hw" and x.dim <= oracle.CHAIN_DIM_GUARD:
+            chains = oracle.brute_hw_classify(x)
+            checks["oracle_ranks"] = (
+                chains.u_rank == report.basis["u"].rank
+                and chains.t_rank == report.basis["t"].rank
+                and report.basis["s"].rank == 0
+                and report.basis["b"].rank == 0
+            )
     ok = all(checks.values())
     text = "\n".join([f"{k}: {'pass' if v else 'FAIL'}" for k, v in checks.items()])
     _emit(args, text, {"method": args.method, "checks": checks, "pass": ok})
@@ -240,6 +264,11 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:
+        # BLAS reads these once, when numpy loads; its default of one thread
+        # per core oversubscribes a host that runs several processes
+        for var in _BLAS_THREAD_VARS:
+            os.environ.setdefault(var, "1")
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -6,7 +6,9 @@ scalars, matrix storage, adjoint, equality (exact, or within a tolerance),
 positivity with the closed-form order axioms of its cone {sum of x* x}, and
 the spec-file text of a scalar.  ``ScalarDomain`` holds the object-array
 code shared by ``RationalDomain`` and ``GFDomain(p, dim)``;
-``ComplexDomain(tol)`` stores complex128 arrays.
+``ComplexDomain(tol)`` stores complex128 arrays.  numpy is imported by the
+storage methods that use it, so a closed-form answer about a domain (its
+order axioms, its cone) never loads it.
 """
 
 from __future__ import annotations
@@ -14,10 +16,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ImproperInvolutionError, PreconditionError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(rf"^\s*({_NUM})\s*(?:([+-])\s*({_NUM})?\s*i)?\s*$")
@@ -74,14 +78,20 @@ class ScalarDomain:
         return self.coerce(raw)
 
     def zeros(self, rows: int, cols: int) -> np.ndarray:
+        import numpy as np
+
         return np.full((rows, cols), self.zero(), dtype=self.dtype)
 
     def eye(self, n: int) -> np.ndarray:
+        import numpy as np
+
         out = self.zeros(n, n)
         np.fill_diagonal(out, self.one())
         return out
 
     def array(self, rows) -> np.ndarray:
+        import numpy as np
+
         return np.array([[self.coerce(v) for v in r] for r in rows], dtype=self.dtype)
 
     def normalize(self, mat: np.ndarray) -> np.ndarray:
@@ -92,9 +102,13 @@ class ScalarDomain:
 
     def norm(self, mat: np.ndarray) -> float:
         """Frobenius norm (of the floats of the entries for exact domains)."""
+        import numpy as np
+
         return float(np.sqrt(sum(float(v) ** 2 for v in mat.flat)))
 
     def is_zero(self, mat: np.ndarray) -> bool:
+        import numpy as np
+
         return bool(np.all(mat == self.zero()))
 
     def residual_tol(self, dim: int) -> float:
@@ -166,6 +180,8 @@ class GFDomain(ScalarDomain):
         return pow(int(value), self.p - 2, self.p)
 
     def normalize(self, mat: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return np.vectorize(lambda v: int(v) % self.p, otypes=[object])(mat)
 
     def format(self, value):
@@ -210,6 +226,8 @@ class ComplexDomain(ScalarDomain):
         return mat.conj().T.copy()
 
     def norm(self, mat: np.ndarray) -> float:
+        import numpy as np
+
         return float(np.linalg.norm(mat))
 
     def is_zero(self, mat: np.ndarray) -> bool:

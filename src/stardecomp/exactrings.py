@@ -11,12 +11,13 @@ F_p involution is checked where a GFDomain is constructed (see domains).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .domains import GFDomain, ScalarDomain
-from .elements import Element, from_rows
 from .errors import PreconditionError
+
+if TYPE_CHECKING:
+    from .elements import Element
 
 
 def construct_gf_ring(p: int, dim: int) -> GFDomain:
@@ -102,6 +103,10 @@ def axiom_probe(domain: ScalarDomain, dim: int | None = None) -> AxiomReport:
     report = AxiomReport(proper=True, antisymmetric=domain.antisymmetric, smooth=domain.smooth)
     if not report.antisymmetric or report.smooth:
         return report
+    import numpy as np
+
+    from .elements import from_rows
+
     dim = dim or 1
     rng = np.random.default_rng(0)
     # diag(2,1,...,1) is PSD but not x^T x: its discriminant 2 is not a

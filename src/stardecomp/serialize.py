@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .domains import (
     COMPLEX,
@@ -21,7 +22,9 @@ from .domains import (
 )
 from .elements import Element, from_rows
 from .errors import SpecFileError
-from . import shiftmodel
+
+if TYPE_CHECKING:
+    from . import shiftmodel
 
 
 def parse_scalar(domain: ScalarDomain, raw):
@@ -99,6 +102,8 @@ def _count(value, choices=None) -> int:
 
 def parse_expr(obj) -> shiftmodel.OperatorExpr:
     """Nested constructor object -> OperatorExpr."""
+    from . import shiftmodel
+
     if not isinstance(obj, dict) or "op" not in obj:
         raise SpecFileError("expr node must be an object with an 'op'")
     op = obj["op"]
@@ -144,6 +149,8 @@ class OperatorSpec:
             else:
                 if truncation is None:
                     raise SpecFileError("expr operators need --truncation")
+                from . import shiftmodel
+
                 tr = shiftmodel.truncate(op, truncation, n_max=n_max, domain=self.domain)
                 out.append(tr.element)
                 window = tr.window

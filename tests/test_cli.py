@@ -1,12 +1,13 @@
 """Spec-file parsing, report serialization round-trips, and the CLI
 exit-code contract."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from stardecomp import COMPLEX, RATIONAL, construct_gf_ring, oracle, wold
+from stardecomp import COMPLEX, RATIONAL, construct_gf_ring, engine, oracle, wold
 from stardecomp.cli import main
 from stardecomp.errors import SpecFileError
 from stardecomp.fixtures import rational_orthogonal
@@ -233,6 +234,25 @@ def test_cli_verify_spec_with_oracle(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["pass"] is True
     assert payload["checks"]["oracle_unitary_rank"] is True
+
+
+def test_cli_verify_failed_check_is_exit_1(tmp_path, capsys, monkeypatch):
+    """A corrupted certificate fails verify: exit 1 and FAIL.  The method is
+    looked up on engine when it runs, so the patched wold is the one called."""
+    real_wold = engine.wold
+
+    def corrupted_wold(*args):
+        report = real_wold(*args)
+        first = next(iter(report.certificates))
+        return dataclasses.replace(report, certificates={**report.certificates, first: 1.0})
+
+    monkeypatch.setattr(engine, "wold", corrupted_wold)
+    spec = _write(tmp_path, "rot.json", {
+        "ring": {"kind": "rational"},
+        "operators": [{"matrix": [["3/5", "-4/5", "0"], ["4/5", "3/5", "0"], ["0", "0", "1"]]}],
+    })
+    assert main(["verify", spec, "--method", "wold"]) == 1
+    assert "certificates: FAIL" in capsys.readouterr().out
 
 
 def _cycle(n):
