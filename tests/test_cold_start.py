@@ -12,12 +12,10 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
-from test_golden_cli import COLUMNS, SPECS, _argv, _observe, _write_bad_specs
+from test_golden_cli import COLUMNS, FIXTURE, ROOT, SPECS, _argv, _observe, _write_bad_specs
 
-ROOT = Path(__file__).resolve().parents[1]
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # runs one command through cli.main, then prints its exit code, the loaded
@@ -106,7 +104,7 @@ COLD_GOLDEN = (
 
 @pytest.fixture(scope="module")
 def golden():
-    return json.loads((ROOT / "tests" / "golden_cli.json").read_text())
+    return json.loads(FIXTURE.read_text())
 
 
 @pytest.mark.parametrize("command", COLD_GOLDEN)
