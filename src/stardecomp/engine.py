@@ -11,7 +11,9 @@ rank marks their fixpoint; the wandering series ends when its term
 vanishes.  The iteration cap is max(n_max, dim + 1), and a chain still
 moving at the cap raises IndeterminateError instead of silently truncating.
 Certificate residuals are measured after compression to the probe window
-when the input came from a truncated symbolic operator.
+when the input came from a truncated symbolic operator.  The window is a
+0/1 diagonal, so the compression w e w is the entrywise product of e with
+the mask w wᵀ, which is exact.
 
 Two constructions are shared.  Halmos–Wallen and the product-PPI split are
 one chain-pair split (`_chain_pair_split`): the infima f, b of the range
@@ -52,6 +54,11 @@ from .projections import (
 
 @dataclass(frozen=True)
 class EngineConfig:
+    """n_max: the power horizon of the chains and certificates.
+    window: the probe window, a 0/1 diagonal projection on the operator's
+    space (as `shiftmodel.truncate` builds it); a method given any other
+    window raises PreconditionError."""
+
     n_max: int = 16
     window: Projection | None = None
 
@@ -75,21 +82,30 @@ class DecompositionReport:
 
 
 class _Ctx:
-    """Shared state: domain, window compression, chain cap, and the
-    EngineConfig (the default one when a method is given none)."""
+    """Shared state: domain, window mask, chain cap, and the EngineConfig
+    (the default one when a method is given none)."""
 
     def __init__(self, x: Element, cfg: EngineConfig | None = None):
         self.domain = x.domain
         self.dim = x.dim
         self.cfg = cfg if cfg is not None else EngineConfig()
-        self.window = self.cfg.window.element if self.cfg.window is not None else None
         self.cap = max(self.cfg.n_max, self.dim + 1)
         self.one = identity(self.domain, self.dim)
+        self.mask = None
+        if self.cfg.window is not None:
+            window = self.cfg.window.element
+            x._check(window)
+            diag = np.diagonal(window.mat)
+            if not (np.array_equal(window.mat, np.diag(diag))
+                    and all(v == 0 or v == 1 for v in diag)):
+                raise PreconditionError("the probe window must be a 0/1 diagonal projection")
+            self.mask = np.outer(diag, diag)
 
     def compress(self, e: Element) -> Element:
-        if self.window is None:
+        """w e w for the window w, as the entrywise product with the mask."""
+        if self.mask is None:
             return e
-        return self.window @ e @ self.window
+        return Element(self.domain, e.mat * self.mask)
 
     def wres(self, e: Element) -> float:
         return self.compress(e).norm()
@@ -105,28 +121,30 @@ class _Ctx:
         return self.ok(xp - p.element @ xp)
 
 
-def _range_chain_inf(ctx: _Ctx, x: Element, start: np.ndarray | None = None) -> Projection:
+def _range_chain_inf(ctx: _Ctx, x: Element, start: np.ndarray | None = None,
+                     first: np.ndarray | None = None) -> Projection:
     """Stabilised infimum of the decreasing chain of ranges of x^n (start).
 
     Ranks fall by at least one per index until the chain is fixed, so with
     d1 = rank x (start) it is fixed by index 1 + d1.  One step, one jump by
-    x^m with m = min(d1, cap - 1), and one step confirming the rank.
+    x^m with m = min(d1, cap - 1), and one step confirming the rank.  A
+    caller that already holds a basis of the first step passes it as first.
     """
-    basis = start if start is not None else ctx.one.mat
-    nxt = subspaces.orth(ctx.domain, x.mat @ basis)
-    d1 = nxt.shape[1]
-    if d1 == 0 or d1 == basis.shape[1]:
-        return from_basis(ctx.domain, nxt)
-    fixed = subspaces.orth(ctx.domain, x.power(min(d1, ctx.cap - 1)).mat @ nxt)
+    if first is None:
+        first = subspaces.orth(ctx.domain, x.mat if start is None else x.mat @ start)
+    d1 = first.shape[1]
+    if d1 == 0 or d1 == (ctx.dim if start is None else start.shape[1]):
+        return from_basis(ctx.domain, first)
+    fixed = subspaces.orth(ctx.domain, x.power(min(d1, ctx.cap - 1)).mat @ first)
     rank = fixed.shape[1]
     if rank and subspaces.orth(ctx.domain, x.mat @ fixed).shape[1] != rank:
         raise IndeterminateError("range chain did not stabilise within the cap")
     return from_basis(ctx.domain, fixed)
 
 
-def _wandering_series(ctx: _Ctx, x: Element) -> Projection:
-    """Stabilised orthogonal series sum of [x^n (1 - [x])]."""
-    term = subspaces.nullspace(ctx.domain, x.star().mat)  # range of 1 - [x]
+def _wandering_series(ctx: _Ctx, x: Element, term: np.ndarray) -> Projection:
+    """Stabilised orthogonal series sum of [x^n (1 - [x])], from a basis
+    term of the range of 1 - [x]."""
     pieces = []
     for _ in range(ctx.cap + 1):
         if term.shape[1] == 0:
@@ -147,19 +165,22 @@ def reducing_fixpoint(ops: list, e: Projection, cfg: EngineConfig | None = None)
 
     Subspace iteration M <- M ∩ (∩_a a^{-1} M) over ops and their adjoints;
     rank strictly decreases until the fixpoint, so termination is immediate.
+    Each sweep forms 1 - [M] once and meets one operator's preimage at a
+    time, as one kernel inside the part of M kept so far.
     """
     ctx = _Ctx(e.element, cfg)
     allops = [a.mat for a in ops] + [a.star().mat for a in ops]
-    basis = e.range_basis
+    p = e
     while True:
-        if basis.shape[1] == 0:
+        if p.rank == 0:
             return zero_projection(ctx.domain, ctx.dim)
-        nxt = basis
+        comp = (ctx.one - p.element).mat
+        nxt = p.range_basis
         for m in allops:
-            nxt = subspaces.intersect(ctx.domain, nxt, subspaces.preimage(ctx.domain, m, basis))
-        if nxt.shape[1] == basis.shape[1]:
-            return from_basis(ctx.domain, nxt)
-        basis = nxt
+            nxt = subspaces.preimage(ctx.domain, m, comp, nxt)
+        if nxt.shape[1] == p.rank:
+            return p
+        p = from_basis(ctx.domain, nxt)
 
 
 def _require(cond: bool, message: str):
@@ -209,8 +230,12 @@ def _corner_truncated_res(ctx: _Ctx, x: Element, p: Projection) -> float:
 
 
 def _wold_parts(ctx: _Ctx, x: Element):
-    """The unitary part ∧[xⁿ] and the shift part, the wandering series."""
-    return _range_chain_inf(ctx, x), _wandering_series(ctx, x)
+    """The unitary part ∧[xⁿ] and the shift part, the wandering series.
+
+    One factorisation of x gives both the chain's first step [x] and the
+    series' first term 1 - [x] = [ker x*]."""
+    rng, coker = subspaces.range_and_cokernel(ctx.domain, x.mat)
+    return _range_chain_inf(ctx, x, first=rng), _wandering_series(ctx, x, coker)
 
 
 def wold(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:

@@ -44,6 +44,19 @@ def proj_matrix(domain: ScalarDomain, basis: np.ndarray) -> np.ndarray:
     return domain.normalize(basis @ ginv_bt)
 
 
+def range_and_cokernel(domain: ScalarDomain, mat: np.ndarray) -> tuple:
+    """Bases of the range of mat and of ker mat*, from one factorisation.
+
+    For floats both come from one full SVD mat = U S V*: the first r
+    columns of U span the range and the rest span its complement ker mat*.
+    """
+    if domain.exact:
+        return linalg.column_space(domain, mat), linalg.nullspace(domain, domain.adjoint(mat))
+    u, s, _ = np.linalg.svd(mat)
+    r = _rank_cut(s, domain.tol.eps_rank)
+    return u[:, :r], u[:, r:]
+
+
 def nullspace(domain: ScalarDomain, mat: np.ndarray) -> np.ndarray:
     if domain.exact:
         return linalg.nullspace(domain, mat)
@@ -63,7 +76,15 @@ def intersect(domain: ScalarDomain, b1: np.ndarray, b2: np.ndarray) -> np.ndarra
     return orth(domain, b1 @ ker[: b1.shape[1]])
 
 
-def preimage(domain: ScalarDomain, op: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Basis of {v : op v ∈ span(basis)}."""
-    comp = domain.normalize(domain.eye(op.shape[0]) - proj_matrix(domain, basis))
-    return nullspace(domain, comp @ op)
+def preimage(domain: ScalarDomain, op: np.ndarray, comp: np.ndarray,
+             within: np.ndarray) -> np.ndarray:
+    """Basis of {v ∈ span(within) : comp op v = 0}.
+
+    With comp = 1 - [basis] these are the vectors of span(within) that op
+    maps into span(basis); one kernel of the thin matrix comp op within.
+    An orthonormal `within` gives an orthonormal result.
+    """
+    if within.shape[1] == 0:
+        return within
+    ker = nullspace(domain, comp @ (op @ within))
+    return domain.normalize(within @ ker)

@@ -3,7 +3,8 @@
 Each function walks its chain one index at a time, and runs on to the cap
 where the engine stops at a detected fixpoint.  The lemma residuals and the
 product-PPI constraint take every power from Element.power, and the cnu
-corner keeps its own kernel loop instead of reusing the NFL one.
+corner keeps its own kernel loop instead of reusing the NFL one.  The
+reducing fixpoint meets each operator's full preimage with the subspace.
 `reference_engine` swaps them into `stardecomp.engine`, so a whole
 decomposition can be run both ways and compared.
 """
@@ -12,11 +13,19 @@ from __future__ import annotations
 
 from stardecomp import engine, subspaces
 from stardecomp.errors import IndeterminateError
-from stardecomp.projections import from_basis, identity_projection, left_projection, proj_inf
+from stardecomp.projections import (
+    from_basis,
+    identity_projection,
+    left_projection,
+    proj_inf,
+    zero_projection,
+)
 
 
-def stepped_range_chain_inf(ctx, x, start=None):
-    """One factorisation per chain index: basis <- orth(x @ basis)."""
+def stepped_range_chain_inf(ctx, x, start=None, first=None):
+    """One factorisation per chain index: basis <- orth(x @ basis).  A
+    first step handed in by the caller is ignored, so the walk stays
+    independent of it."""
     basis = start if start is not None else subspaces.orth(ctx.domain, ctx.one.mat)
     for _ in range(ctx.cap + 1):
         nxt = subspaces.orth(ctx.domain, x.mat @ basis)
@@ -105,6 +114,26 @@ def power_lemma_certificates(ctx, x1, x2):
     return out
 
 
+def reducing_fixpoint_by_meets(ops, e, cfg=None):
+    """M <- M ∩ a^{-1} M over ops and adjoints, each preimage a full kernel
+    of (1 - [M]) a met with M."""
+    ctx = engine._Ctx(e.element, cfg)
+    allops = [a.mat for a in ops] + [a.star().mat for a in ops]
+    basis = e.range_basis
+    while True:
+        if basis.shape[1] == 0:
+            return zero_projection(ctx.domain, ctx.dim)
+        nxt = basis
+        for m in allops:
+            proj = subspaces.proj_matrix(ctx.domain, basis)
+            comp = ctx.domain.normalize(ctx.domain.eye(ctx.dim) - proj)
+            pre = subspaces.nullspace(ctx.domain, comp @ m)
+            nxt = subspaces.intersect(ctx.domain, nxt, pre)
+        if nxt.shape[1] == basis.shape[1]:
+            return from_basis(ctx.domain, nxt)
+        basis = nxt
+
+
 REFERENCES = {
     "_range_chain_inf": stepped_range_chain_inf,
     "_mixed_wandering": mixed_wandering_to_cap,
@@ -112,6 +141,7 @@ REFERENCES = {
     "_lemma_certificates": power_lemma_certificates,
     "_product_ppi_constraint": product_ppi_constraint_to_cap,
     "_corner_cnu_res": corner_cnu_res_to_cap,
+    "reducing_fixpoint": reducing_fixpoint_by_meets,
 }
 
 

@@ -1,7 +1,8 @@
 """The range chain and the fixpoint exits against their stepped and
 run-to-cap references (tests/chain_reference.py), plus the stabilisation
 contract: at most three factorisations per range chain, and
-IndeterminateError past the cap."""
+IndeterminateError past the cap.  The factorisation budgets of Wold's
+shared first step and of one reducing-fixpoint sweep are pinned too."""
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from stardecomp import (
     construct_gf_ring,
     direct_sum,
     from_rows,
+    ground_truth_wold,
     halmos_wallen,
     hw_pair_product,
     largest_product_ppi,
@@ -43,6 +45,7 @@ from chain_reference import (
     corner_cnu_res_to_cap,
     mixed_wandering_to_cap,
     power_lemma_certificates,
+    reducing_fixpoint_by_meets,
     reference_engine,
     stepped_range_chain_inf,
 )
@@ -236,6 +239,35 @@ def test_range_chain_confirming_step_on_a_unitary_part(monkeypatch):
     calls = _count_svds(monkeypatch)
     assert engine._range_chain_inf(ctx, tr.element).rank == 3
     assert len(calls) == 3
+
+
+def _unitary_plus_shift():
+    u3 = unitary(random_complex_unitary(3, np.random.default_rng(2)).mat)
+    return direct_sum(u3, Shift(1))
+
+
+def test_wold_parts_share_the_first_factorisation(monkeypatch):
+    # one SVD of x gives the chain's first step [x] and the series' first
+    # term ker x*; the thin confirming step and wandering terms are not counted
+    tr = truncate(_unitary_plus_shift(), 128, n_max=16)
+    ctx = engine._Ctx(tr.element, EngineConfig(n_max=16, window=tr.window))
+    calls = _count_svds(monkeypatch)
+    p_u, p_s = engine._wold_parts(ctx, tr.element)
+    assert (p_u.rank, p_s.rank) == (3, 128)
+    assert len([shape for shape in calls if min(shape) > 4]) <= 3
+
+
+def test_reducing_fixpoint_sweep_is_one_kernel_per_operator(monkeypatch):
+    # the unitary coordinates reduce x, so the fixpoint ends after one sweep
+    expr = _unitary_plus_shift()
+    tr = truncate(expr, 32, n_max=8)
+    e = ground_truth_wold(expr, 32).projections["u"]
+    calls = _count_svds(monkeypatch)
+    p = engine.reducing_fixpoint([tr.element], e)
+    assert len(calls) == 2  # x and x*
+    want = reducing_fixpoint_by_meets([tr.element], e)
+    assert p.rank == want.rank == 3
+    assert np.linalg.norm(p.element.mat - want.element.mat) <= 1e-10
 
 
 def _ctx_with_cap(x, cap):

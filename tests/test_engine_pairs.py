@@ -5,23 +5,28 @@ import numpy as np
 import pytest
 
 from stardecomp import (
+    COMPLEX,
     EngineConfig,
     PreconditionError,
     RATIONAL,
     corollary_check,
     from_rows,
+    halmos_wallen,
     hw_pair_doubly,
     hw_pair_product,
     largest_doubly_commuting,
     largest_product_ppi,
     maximality_probe,
+    nfl,
     nfl_pair_doubly,
     pair_instances,
     reducing_fixpoint,
     slocinski,
     truncate,
     weak_bishift,
+    wold,
 )
+from stardecomp import subspaces
 from stardecomp.elements import classify
 from stardecomp.fixtures import (
     commuting_orthogonal_pair,
@@ -243,3 +248,59 @@ def test_maximality_probe_detects_enlargeable():
     one = identity(RATIONAL, 3)
     p0 = zero_projection(RATIONAL, 3)
     assert maximality_probe(p0, [one], lambda q: True, rng, tries=20) is False
+
+
+# ------------------------------------------ every entry point, edge inputs
+# The 1x1 identity and the 2x2 zero reach rank r = dim and r = 0 in the
+# shared Wold factorisation, and comp = 0 in every fixpoint sweep.  Pair
+# methods take (x, x); a table entry lists the nonzero block ranks.
+
+_EDGE_RANKS = {
+    "one": {
+        wold: {"u": 1}, halmos_wallen: {"u": 1}, nfl: {"u": 1}, slocinski: {"uu": 1},
+        weak_bishift: {"uu": 1}, hw_pair_doubly: {"u.u": 1}, hw_pair_product: {"u": 1},
+        nfl_pair_doubly: {"uu": 1}, largest_doubly_commuting: 1, largest_product_ppi: 1,
+        reducing_fixpoint: 1,
+    },
+    "zero": {
+        wold: PreconditionError, halmos_wallen: {"t": 2}, nfl: {"c": 2},
+        slocinski: PreconditionError, weak_bishift: PreconditionError,
+        hw_pair_doubly: {"t.t": 2}, hw_pair_product: {"t": 2}, nfl_pair_doubly: {"cc": 2},
+        largest_doubly_commuting: 2, largest_product_ppi: 2, reducing_fixpoint: 2,
+    },
+}
+_EDGE_ROWS = {"one": [[1]], "zero": [[0, 0], [0, 0]]}
+
+
+def _ranks(method, x):
+    if method is reducing_fixpoint:
+        return method([x], identity_projection(x.domain, x.dim)).rank
+    out = method(x) if method in (wold, halmos_wallen, nfl) else method(x, x)
+    if not hasattr(out, "basis"):
+        return out.rank
+    return {lbl: p.rank for lbl, p in out.basis.members if p.rank}
+
+
+@pytest.mark.parametrize("domain", [RATIONAL, COMPLEX], ids=str)
+@pytest.mark.parametrize("name", sorted(_EDGE_ROWS))
+@pytest.mark.parametrize("method", list(_EDGE_RANKS["one"]), ids=lambda m: m.__name__)
+def test_edge_inputs_keep_their_block_ranks(domain, name, method):
+    x = from_rows(domain, _EDGE_ROWS[name])
+    want = _EDGE_RANKS[name][method]
+    if isinstance(want, type):
+        with pytest.raises(want):
+            _ranks(method, x)
+    else:
+        assert _ranks(method, x) == want
+
+
+@pytest.mark.parametrize("domain", [RATIONAL, COMPLEX], ids=str)
+def test_subspace_primitives_at_the_rank_extremes(domain):
+    for rows, rank in (([[0, 0], [0, 0]], 0), ([[1, 0], [0, 1]], 2), ([[0, 0], [1, 0]], 1)):
+        x = from_rows(domain, rows)
+        rng, coker = subspaces.range_and_cokernel(domain, x.mat)
+        assert (rng.shape, coker.shape) == ((2, rank), (2, 2 - rank))
+        assert x.star().mat @ coker == pytest.approx(0)
+    comp = domain.eye(2)
+    assert subspaces.preimage(domain, domain.eye(2), comp, domain.zeros(2, 0)).shape == (2, 0)
+    assert subspaces.preimage(domain, domain.zeros(2, 2), comp, domain.eye(2)).shape == (2, 2)

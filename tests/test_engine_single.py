@@ -1,16 +1,21 @@
-"""Single-operator decompositions: Wold, Halmos-Wallen, NFL."""
+"""Single-operator decompositions: Wold, Halmos-Wallen, NFL, and the probe
+window's compression."""
 
 import numpy as np
 import pytest
 
 from stardecomp import (
     AxiomViolationError,
+    COMPLEX,
+    DomainMismatchError,
+    Element,
     EngineConfig,
     PreconditionError,
     RATIONAL,
     Shift,
     construct_gf_ring,
     direct_sum,
+    from_element,
     from_rows,
     ground_truth_hw,
     ground_truth_wold,
@@ -21,12 +26,14 @@ from stardecomp import (
     unitary,
     wold,
 )
+from stardecomp import engine
 from stardecomp.fixtures import (
     gf_signed_permutation,
     random_contraction,
     random_ppi,
     rational_orthogonal,
 )
+from stardecomp.projections import identity_projection
 
 U2 = unitary([[0.6 + 0.8j, 0], [0, -1]])
 J3 = from_rows(RATIONAL, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
@@ -166,3 +173,54 @@ def test_nfl_split_matches_construction():
 def test_nfl_jordan_block_contraction():
     rep = nfl(J3)
     assert rep.basis["u"].rank == 0
+
+
+# ---------------------------------------------------------- probe window
+
+
+def _random_complex(dim, rng):
+    return Element(COMPLEX, rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+
+
+def test_window_mask_equals_the_two_products():
+    # 0·x and x + 0 are exact, so the mask and w e w agree bit for bit
+    rng = np.random.default_rng(9)
+    tr = truncate(direct_sum(U2, Shift(1)), 24, n_max=8)
+    ctx = engine._Ctx(tr.element, EngineConfig(n_max=8, window=tr.window))
+    w = tr.window.element
+    for _ in range(5):
+        e = _random_complex(tr.element.dim, rng)
+        assert np.array_equal(ctx.compress(e).mat, (w @ e @ w).mat)
+    x = random_contraction(4, rng)
+    w = from_rows(RATIONAL, [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    ctx = engine._Ctx(x, EngineConfig(window=from_element(w)))
+    for _ in range(5):
+        e = random_contraction(4, rng)
+        assert np.array_equal(ctx.compress(e).mat, (w @ e @ w).mat)
+
+
+def test_window_residual_makes_no_matmul(monkeypatch):
+    tr = truncate(Shift(1), 24, n_max=8)
+    ctx = engine._Ctx(tr.element, EngineConfig(n_max=8, window=tr.window))
+    e = _random_complex(tr.element.dim, np.random.default_rng(9))
+    calls = []
+    matmul = Element.__matmul__
+    monkeypatch.setattr(Element, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
+    assert ctx.wres(e) > 0 and not ctx.ok(e)
+    assert not calls
+
+
+def test_window_must_be_a_coordinate_mask():
+    swap = from_rows(RATIONAL, [[0, 1], [1, 0]])
+    tilted = from_element(from_rows(RATIONAL, [["1/2", "1/2"], ["1/2", "1/2"]]))
+    with pytest.raises(PreconditionError, match="0/1 diagonal"):
+        wold(swap, EngineConfig(window=tilted))
+    # a projection within eps_eq, but its diagonal is not 0/1
+    near = from_element(Element(COMPLEX, np.diag([1, 1 - 1e-12]).astype(complex)))
+    with pytest.raises(PreconditionError, match="0/1 diagonal"):
+        wold(Element(COMPLEX, np.diag([0.6 + 0.8j, -1])), EngineConfig(window=near))
+    # a window of another size or domain is refused as the products refused it
+    with pytest.raises(DomainMismatchError):
+        wold(swap, EngineConfig(window=identity_projection(RATIONAL, 3)))
+    with pytest.raises(DomainMismatchError):
+        wold(swap, EngineConfig(window=identity_projection(COMPLEX, 2)))
