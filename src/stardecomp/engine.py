@@ -3,17 +3,28 @@
 Infinite infima and series are replaced by stabilisation detection.  Along
 a range chain ∧ₙ[xⁿ] the rank falls by at least one per index until it is
 constant (Fitting's lemma), so with d₁ = rank of the first step the chain is
-fixed by index 1 + d₁.  It costs at most three factorisations: one step,
-one jump by x^m with m = min(d₁, cap - 1), and one step confirming that the
-rank no longer moves.  The weak bi-shift wandering subspaces, the NFL
-kernels and the product-PPI range pairs form nested chains, so one repeated
-rank marks their fixpoint; the wandering series ends when its term
-vanishes.  The iteration cap is max(n_max, dim + 1), and a chain still
-moving at the cap raises IndeterminateError instead of silently truncating.
-Certificate residuals are measured after compression to the probe window
-when the input came from a truncated symbolic operator.  The window is a
-0/1 diagonal, so the compression w e w is the entrywise product of e with
-the mask w wᵀ, which is exact.
+fixed by index 1 + d₁.  It costs at most three factorisations: the first
+step's rank from singular values alone (rref pivots when exact), one jump
+from that raw step by x^m, and the confirming step's rank.  Only the jump
+builds a basis, or the first step when the chain stops there.  m is the
+least power of two >= d₁, which takes squarings only, or cap - 1 once d₁
+reaches the cap; past index 1 + d₁ the chain no longer moves.  Jumping
+from the raw step is safe because every chain runs on an operator of norm
+<= 1 on its window (isometries, power partial isometries, their corners,
+x1 x2), so a direction below the rank cutoff cannot grow past it.  The
+chains of y and of y* share one power, (y*)^m = (y^m)*.  A float matrix
+whose Frobenius norm is below the rank cutoff takes no SVD, since
+σ₁ <= ‖·‖_F, and x*x and xx* are formed once per operator.
+
+The weak bi-shift wandering subspaces, the NFL kernels and the product-PPI
+range pairs form nested chains, so one repeated rank marks their fixpoint;
+the wandering series ends when its term vanishes.  The iteration cap is
+max(n_max, dim + 1), and a chain still moving at the cap raises
+IndeterminateError instead of silently truncating.  Certificate residuals
+are measured after compression to the probe window when the input came
+from a truncated symbolic operator.  The window is a 0/1 diagonal, so the
+compression w e w is the entrywise product of e with the mask w wᵀ, which
+is exact.
 
 Two constructions are shared.  Halmos–Wallen and the product-PPI split are
 one chain-pair split (`_chain_pair_split`): the infima f, b of the range
@@ -25,6 +36,7 @@ pair methods for PPIs and for contractions share one product basis
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,8 +94,8 @@ class DecompositionReport:
 
 
 class _Ctx:
-    """Shared state: domain, window mask, chain cap, and the EngineConfig
-    (the default one when a method is given none)."""
+    """Shared state: domain, window mask, chain cap, the EngineConfig (the
+    default one when a method is given none) and the Gram products."""
 
     def __init__(self, x: Element, cfg: EngineConfig | None = None):
         self.domain = x.domain
@@ -92,6 +104,7 @@ class _Ctx:
         self.cap = max(self.cfg.n_max, self.dim + 1)
         self.one = identity(self.domain, self.dim)
         self.mask = None
+        self._grams = {}
         if self.cfg.window is not None:
             window = self.cfg.window.element
             x._check(window)
@@ -106,6 +119,14 @@ class _Ctx:
         if self.mask is None:
             return e
         return Element(self.domain, e.mat * self.mask)
+
+    def gram(self, x: Element, star: bool = False) -> Element:
+        """x* x, or x x* with star, formed once per operator.  Each entry
+        holds x itself, so x's id cannot pass to another operator."""
+        key = (id(x), star)
+        if key not in self._grams:
+            self._grams[key] = (x, x @ x.star() if star else x.star() @ x)
+        return self._grams[key][1]
 
     def wres(self, e: Element) -> float:
         return self.compress(e).norm()
@@ -122,24 +143,41 @@ class _Ctx:
 
 
 def _range_chain_inf(ctx: _Ctx, x: Element, start: np.ndarray | None = None,
-                     first: np.ndarray | None = None) -> Projection:
+                     first: np.ndarray | None = None, power=None) -> Projection:
     """Stabilised infimum of the decreasing chain of ranges of x^n (start).
 
     Ranks fall by at least one per index until the chain is fixed, so with
-    d1 = rank x (start) it is fixed by index 1 + d1.  One step, one jump by
-    x^m with m = min(d1, cap - 1), and one step confirming the rank.  A
-    caller that already holds a basis of the first step passes it as first.
+    d1 = rank x (start) it is fixed by index 1 + d1.  d1 is read without a
+    basis, which is built only when the chain stops at the first step.
+    Otherwise one jump from the raw step x (start) by x^m, m the least
+    power of two >= d1 (cap - 1 once d1 reaches the cap, so that the chain
+    raises exactly when it still moves at index cap), and one step
+    confirming the rank.  A caller that already holds a basis of the first
+    step passes it as first; one that shares x^m with another chain passes
+    power, a function m -> x^m.
     """
     if first is None:
-        first = subspaces.orth(ctx.domain, x.mat if start is None else x.mat @ start)
-    d1 = first.shape[1]
-    if d1 == 0 or d1 == (ctx.dim if start is None else start.shape[1]):
-        return from_basis(ctx.domain, first)
-    fixed = subspaces.orth(ctx.domain, x.power(min(d1, ctx.cap - 1)).mat @ first)
+        step = x.mat if start is None else x.mat @ start
+        d1 = subspaces.rank(ctx.domain, step)
+    else:
+        step, d1 = first, first.shape[1]
+    if d1 == 0:
+        return zero_projection(ctx.domain, ctx.dim)
+    if d1 == (ctx.dim if start is None else start.shape[1]):
+        return from_basis(ctx.domain, first if first is not None else subspaces.orth(ctx.domain, step))
+    m = ctx.cap - 1 if d1 >= ctx.cap else 1 << (d1 - 1).bit_length()
+    fixed = subspaces.orth(ctx.domain, (power or x.power)(m).mat @ step)
     rank = fixed.shape[1]
-    if rank and subspaces.orth(ctx.domain, x.mat @ fixed).shape[1] != rank:
+    if rank and subspaces.rank(ctx.domain, x.mat @ fixed) != rank:
         raise IndeterminateError("range chain did not stabilise within the cap")
     return from_basis(ctx.domain, fixed)
+
+
+def _range_chain_pair(ctx: _Ctx, y: Element, start: np.ndarray | None = None) -> tuple:
+    """The range-chain infima of y and of y*, sharing one power: (y*)^m = (y^m)*."""
+    power = functools.cache(y.power)
+    return (_range_chain_inf(ctx, y, start, power=power),
+            _range_chain_inf(ctx, y.star(), start, power=lambda m: power(m).star()))
 
 
 def _wandering_series(ctx: _Ctx, x: Element, term: np.ndarray) -> Projection:
@@ -189,7 +227,7 @@ def _require(cond: bool, message: str):
 
 
 def _isometry_on_window(ctx: _Ctx, x: Element) -> bool:
-    return ctx.ok(x.star() @ x - ctx.one)
+    return ctx.ok(ctx.gram(x) - ctx.one)
 
 
 def _ppi_on_window(ctx: _Ctx, x: Element) -> bool:
@@ -202,14 +240,15 @@ def _ppi_on_window(ctx: _Ctx, x: Element) -> bool:
     return True
 
 
-def _isometry_res(ctx: _Ctx, x: Element, p: Projection) -> float:
-    """Residual of p x* x p = p: x is an isometry on the corner p."""
+def _isometry_res(ctx: _Ctx, x: Element, p: Projection, star: bool = False) -> float:
+    """Residual of p x* x p = p: x is an isometry on the corner p (x* is,
+    p x x* p = p, with star)."""
     pe = p.element
-    return ctx.wres(pe @ x.star() @ x @ pe - pe)
+    return ctx.wres(pe @ ctx.gram(x, star) @ pe - pe)
 
 
 def _corner_unitary_res(ctx: _Ctx, x: Element, p: Projection) -> float:
-    return max(_isometry_res(ctx, x, p), _isometry_res(ctx, x.star(), p))
+    return max(_isometry_res(ctx, x, p), _isometry_res(ctx, x, p, star=True))
 
 
 def _corner_shift_res(ctx: _Ctx, x: Element, p: Projection) -> float:
@@ -220,9 +259,7 @@ def _corner_shift_res(ctx: _Ctx, x: Element, p: Projection) -> float:
 
 
 def _corner_truncated_res(ctx: _Ctx, x: Element, p: Projection) -> float:
-    y = p.element @ x @ p.element
-    fwd = _range_chain_inf(ctx, y, start=p.range_basis)
-    bwd = _range_chain_inf(ctx, y.star(), start=p.range_basis)
+    fwd, bwd = _range_chain_pair(ctx, p.element @ x @ p.element, p.range_basis)
     return max(ctx.wres(fwd.element), ctx.wres(bwd.element))
 
 
@@ -421,8 +458,7 @@ def _chain_pair_split(ctx: _Ctx, y: Element) -> tuple:
     1 - (f + b - u): Halmos–Wallen's u, s, b, t for a power partial
     isometry y, and the product-PPI u, is, cis, t for y = x1 x2.
     """
-    fwd = _range_chain_inf(ctx, y)
-    bwd = _range_chain_inf(ctx, y.star())
+    fwd, bwd = _range_chain_pair(ctx, y)
     p_u = proj_inf([fwd, bwd])
     return (
         p_u,
@@ -497,20 +533,22 @@ def _lemma_certificates(ctx: _Ctx, x1: Element, x2: Element) -> dict:
     for label, x in (("x1", x1), ("x2", x2)):
         x_star = x.star()
         lp_star = left_projection(x_star).element
-        xn1 = ctx.one  # x^(n-1)
+        xn1 = None  # x^(n-1); None for x^0 = 1, which multiplies nothing
         xsn = x_star  # (x*)^n
         for n in range(1, top + 1):
             if n > 1:
-                xn1 = xn1 @ x
+                xn1 = x if xn1 is None else xn1 @ x
                 xsn = xsn @ x_star
             lp_n = left_projection(xsn).element
-            out[f"lemmaA1[{label},n={n}]"] = ctx.wres(lp_star @ xn1 @ lp_n - xn1 @ lp_n)
+            moved = lp_n if xn1 is None else xn1 @ lp_n
+            out[f"lemmaA1[{label},n={n}]"] = ctx.wres(lp_star @ moved - moved)
     # [y^n] for n = 0..top, y = x1 x2; shared by both labels
     y = x1 @ x2
     lp_y = [left_projection(ctx.one).element]
-    yn = ctx.one
-    for _ in range(top):
-        yn = yn @ y
+    yn = y
+    for n in range(top):
+        if n:
+            yn = yn @ y
         lp_y.append(left_projection(yn).element)
     for label, x in (("x1", x1), ("x2", x2)):
         x_star = x.star()
@@ -542,7 +580,7 @@ def hw_pair_product(x1: Element, x2: Element, cfg: EngineConfig | None = None) -
     if p_is.rank:
         certificates["block[is]"] = max(_isometry_res(ctx, x, p_is) for x in (x1, x2))
     if p_cis.rank:
-        certificates["block[cis]"] = max(_isometry_res(ctx, x.star(), p_cis) for x in (x1, x2))
+        certificates["block[cis]"] = max(_isometry_res(ctx, x, p_cis, star=True) for x in (x1, x2))
     if p_t.rank:
         certificates["block[t]"] = _corner_truncated_res(ctx, y, p_t)
     literal_agrees = proj_leq(p_u, proj_sup([p_is, p_cis])) if p_u.rank else True
@@ -563,12 +601,12 @@ def _product_ppi_constraint(ctx: _Ctx, x1: Element, x2: Element) -> Projection:
     """
     constraint = identity_projection(ctx.domain, ctx.dim)
     x2_star = x2.star()
-    fwd = ctx.one
-    bwd = ctx.one
+    fwd, bwd = x1, x2_star
     ranks = None
-    for _ in range(ctx.cap):
-        fwd = fwd @ x1
-        bwd = bwd @ x2_star
+    for n in range(ctx.cap):
+        if n:
+            fwd = fwd @ x1
+            bwd = bwd @ x2_star
         pn = left_projection(fwd)
         qn = left_projection(bwd)
         if (pn.rank, qn.rank) == ranks:
@@ -611,12 +649,12 @@ def _nfl_unitary_part(ctx: _Ctx, x: Element) -> Projection:
     """
     part = ctx.one.mat
     x_star = x.star()
-    fwd = ctx.one
-    bwd = ctx.one
+    fwd, bwd = x, x_star
     ranks = None
-    for _ in range(ctx.cap):
-        fwd = fwd @ x
-        bwd = bwd @ x_star
+    for n in range(ctx.cap):
+        if n:
+            fwd = fwd @ x
+            bwd = bwd @ x_star
         k_pos = subspaces.nullspace(ctx.domain, (ctx.one - fwd.star() @ fwd).mat)
         k_neg = subspaces.nullspace(ctx.domain, (ctx.one - bwd.star() @ bwd).mat)
         now = (k_pos.shape[1], k_neg.shape[1])
@@ -634,7 +672,7 @@ def nfl(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
     ctx = _Ctx(x, cfg)
     _axiom_gate(ctx.domain)
     positive = ctx.domain.is_positive
-    _require(positive(ctx.one - x.star() @ x) and positive(ctx.one - x @ x.star()),
+    _require(positive(ctx.one - ctx.gram(x)) and positive(ctx.one - ctx.gram(x, star=True)),
              "nfl requires a contraction (1 - x*x and 1 - xx* positive)")
     p_u = _nfl_unitary_part(ctx, x)
     p_c = p_u.complement()

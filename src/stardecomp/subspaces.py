@@ -23,13 +23,27 @@ def _rank_cut(s: np.ndarray, eps_rank: float) -> int:
 
 
 def orth(domain: ScalarDomain, mat: np.ndarray) -> np.ndarray:
-    """Basis of the column space of mat (orthonormal for floats)."""
+    """Basis of the column space of mat (orthonormal for floats).  A float
+    matrix whose Frobenius norm is below eps_rank takes no SVD."""
     if domain.exact:
         return linalg.column_space(domain, mat)
     if mat.shape[1] == 0:
         return mat.astype(complex)
+    if np.linalg.norm(mat) < domain.tol.eps_rank:
+        # σ₁ <= ‖mat‖_F, so the SVD would keep no singular value
+        return np.zeros((mat.shape[0], 0), dtype=np.result_type(mat.dtype, np.float32))
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     return u[:, : _rank_cut(s, domain.tol.eps_rank)]
+
+
+def rank(domain: ScalarDomain, mat: np.ndarray) -> int:
+    """Rank of mat, without a basis: rref pivots for exact domains,
+    singular values only for floats."""
+    if domain.exact:
+        return len(linalg.rref(domain, mat)[1])
+    if mat.shape[1] == 0 or np.linalg.norm(mat) < domain.tol.eps_rank:
+        return 0
+    return _rank_cut(np.linalg.svd(mat, compute_uv=False), domain.tol.eps_rank)
 
 
 def proj_matrix(domain: ScalarDomain, basis: np.ndarray) -> np.ndarray:

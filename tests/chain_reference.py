@@ -22,10 +22,10 @@ from stardecomp.projections import (
 )
 
 
-def stepped_range_chain_inf(ctx, x, start=None, first=None):
+def stepped_range_chain_inf(ctx, x, start=None, first=None, power=None):
     """One factorisation per chain index: basis <- orth(x @ basis).  A
-    first step handed in by the caller is ignored, so the walk stays
-    independent of it."""
+    first step or a power handed in by the caller is ignored, so the walk
+    stays independent of them."""
     basis = start if start is not None else subspaces.orth(ctx.domain, ctx.one.mat)
     for _ in range(ctx.cap + 1):
         nxt = subspaces.orth(ctx.domain, x.mat @ basis)

@@ -2,14 +2,22 @@
 run-to-cap references (tests/chain_reference.py), plus the stabilisation
 contract: at most three factorisations per range chain, and
 IndeterminateError past the cap.  The factorisation budgets of Wold's
-shared first step and of one reducing-fixpoint sweep are pinned too."""
+shared first step and of one reducing-fixpoint sweep are pinned too, with
+the SVD, matmul and power budgets of one `wold` and one `halmos_wallen`.
+The chain layer's rank and zero-matrix exit are checked against the SVD
+path."""
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stardecomp import (
+    COMPLEX,
     Adjoint,
+    Element,
     EngineConfig,
     IndeterminateError,
     RATIONAL,
@@ -30,7 +38,7 @@ from stardecomp import (
     weak_bishift,
     wold,
 )
-from stardecomp import engine
+from stardecomp import engine, serialize, subspaces
 from stardecomp.cli import main
 from stardecomp.fixtures import (
     commuting_orthogonal_pair,
@@ -51,6 +59,11 @@ from chain_reference import (
 )
 
 J3 = from_rows(RATIONAL, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+SPECS = Path(__file__).resolve().parents[1] / "bench" / "specs"
+
+
+def _spec_operators(name, truncation=None):
+    return serialize.load_spec(str(SPECS / name)).realised(truncation, 16)
 
 
 def _both(fn, *args):
@@ -207,12 +220,15 @@ def test_truncated_complex_matches_stepped_chain(case):
 # -------------------------------------------------- stabilisation contract
 
 
-def _count_svds(monkeypatch):
+def _count_svds(monkeypatch, vectors_only=False):
+    """Shapes of the SVDs taken; with vectors_only, of those that return
+    singular vectors."""
     calls = []
     svd = np.linalg.svd
 
     def counting_svd(*args, **kwargs):
-        calls.append(args[0].shape)
+        if not vectors_only or kwargs.get("compute_uv", True):
+            calls.append(args[0].shape)
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
@@ -225,10 +241,12 @@ def test_range_chain_costs_at_most_three_factorisations(monkeypatch, n):
     ctx = engine._Ctx(tr.element, EngineConfig(n_max=16, window=tr.window))
     calls = _count_svds(monkeypatch)
     assert engine._range_chain_inf(ctx, tr.element).rank == 0
-    assert len(calls) <= 3
+    # the first step's rank; the jump lands on a zero matrix, which takes no SVD
+    assert len(calls) == 1
     calls.clear()
     assert stepped_range_chain_inf(ctx, tr.element).rank == 0
-    assert len(calls) > n
+    # one per index; the last step is the zero matrix
+    assert len(calls) >= n
 
 
 def test_range_chain_confirming_step_on_a_unitary_part(monkeypatch):
@@ -257,6 +275,75 @@ def test_wold_parts_share_the_first_factorisation(monkeypatch):
     assert len([shape for shape in calls if min(shape) > 4]) <= 3
 
 
+def _count_calls(monkeypatch, name):
+    """Patch Element.<name> to record each call's caller."""
+    callers = []
+    method = getattr(Element, name)
+
+    def counting(self, *args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return method(self, *args)
+
+    monkeypatch.setattr(Element, name, counting)
+    return callers
+
+
+def _wold_128(monkeypatch):
+    """(SVD shapes with singular vectors, matmul callers) of one wold call."""
+    tr = truncate(_unitary_plus_shift(), 128, n_max=16)
+    cfg = EngineConfig(n_max=16, window=tr.window)
+    svds = _count_svds(monkeypatch, vectors_only=True)
+    matmuls = _count_calls(monkeypatch, "__matmul__")
+    wold(tr.element, cfg)
+    return svds, matmuls
+
+
+def test_wold_takes_three_basis_factorisations(monkeypatch):
+    # the shared SVD of x, the unitary part's jump and the wandering
+    # series' final basis; the shift corner's jump lands on a zero matrix,
+    # every other rank comes from singular values alone, and thin bases
+    # (a side <= 4) are not counted
+    svds, _ = _wold_128(monkeypatch)
+    assert len([shape for shape in svds if min(shape) > 4]) <= 3
+
+
+def test_wold_matmul_budget(monkeypatch):
+    # x*x and xx* are formed once, and each Fitting jump squares only
+    _, matmuls = _wold_128(monkeypatch)
+    assert len(matmuls) <= 30
+
+
+def test_halmos_wallen_shares_one_power_per_chain_pair(monkeypatch):
+    # the split's chains of x and x*, then the t corner's chains of p x p
+    # and its adjoint: one power each pair
+    (x,), window = _spec_operators("hw64.json", 64)
+    powers = _count_calls(monkeypatch, "power")
+    rep = halmos_wallen(x, EngineConfig(n_max=16, window=window))
+    assert rep.basis["t"].rank
+    assert powers == ["_range_chain_inf", "_range_chain_inf"]
+
+
+def test_carried_powers_start_at_x(monkeypatch):
+    # the nfl kernels, the product-PPI constraint and the lemma residuals
+    # carry x^n from x itself: none multiplies by the identity on the left
+    (c8,), _ = _spec_operators("contraction8.json")
+    (x1, x2), _ = _spec_operators("ppipair4.json")
+    by_identity = []
+    matmul = Element.__matmul__
+
+    def recording(self, other):
+        if self.domain.is_zero(self.mat - self.domain.eye(self.dim)):
+            by_identity.append(sys._getframe(1).f_code.co_name)
+        return matmul(self, other)
+
+    monkeypatch.setattr(Element, "__matmul__", recording)
+    nfl(c8)
+    hw_pair_product(x1, x2)
+    largest_product_ppi(x1, x2)
+    carried = {"_nfl_unitary_part", "_product_ppi_constraint", "_lemma_certificates"}
+    assert not carried & set(by_identity)
+
+
 def test_reducing_fixpoint_sweep_is_one_kernel_per_operator(monkeypatch):
     # the unitary coordinates reduce x, so the fixpoint ends after one sweep
     expr = _unitary_plus_shift()
@@ -268,6 +355,65 @@ def test_reducing_fixpoint_sweep_is_one_kernel_per_operator(monkeypatch):
     want = reducing_fixpoint_by_meets([tr.element], e)
     assert p.rank == want.rank == 3
     assert np.linalg.norm(p.element.mat - want.element.mat) <= 1e-10
+
+
+# ------------------------------------------------------ subspace primitives
+
+EPS_RANK = COMPLEX.tol.eps_rank
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+@pytest.mark.parametrize("scale", [0.0, 1e-13])
+def test_orth_zero_exit_matches_the_svd_path(monkeypatch, dtype, scale):
+    mat = (scale * np.random.default_rng(0).standard_normal((5, 3))).astype(dtype)
+    want = np.linalg.svd(mat, full_matrices=False)[0][:, :0]
+    calls = _count_svds(monkeypatch)
+    got = subspaces.orth(COMPLEX, mat)
+    assert got.shape == want.shape == (5, 0)
+    assert got.dtype == want.dtype
+    assert subspaces.rank(COMPLEX, mat) == 0
+    assert not calls
+
+
+def test_orth_factorises_just_above_the_threshold(monkeypatch):
+    calls = _count_svds(monkeypatch)
+    # rank one, Frobenius norm = σ₁ just above the cutoff
+    above = np.zeros((4, 4), dtype=complex)
+    above[1, 2] = 1.01 * EPS_RANK
+    assert subspaces.orth(COMPLEX, above).shape == (4, 1)
+    # Frobenius norm above the cutoff, every singular value below it
+    spread = 0.6 * EPS_RANK * np.eye(4, dtype=complex)
+    assert subspaces.orth(COMPLEX, spread).shape == (4, 0)
+    assert len(calls) == 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 7), cols=st.integers(1, 7),
+       rank=st.integers(0, 7), norm=st.sampled_from([None, 0.25, 0.9, 1.1, 3.0, 1e3]))
+def test_rank_matches_orth_on_complex_matrices(seed, rows, cols, rank, norm):
+    # rank-deficient products, rescaled to a Frobenius norm of norm * eps_rank
+    rng = np.random.default_rng(seed)
+    rank = min(rank, rows, cols)
+    left = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+    right = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
+    mat = left @ right
+    if norm is not None and rank:
+        mat *= norm * EPS_RANK / np.linalg.norm(mat)
+    assert subspaces.rank(COMPLEX, mat) == subspaces.orth(COMPLEX, mat).shape[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=5, max_size=5),
+       b=st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=4, max_size=4),
+       inner=st.integers(0, 4))
+def test_rank_matches_orth_on_rational_matrices(a, b, inner):
+    # a 5x3 product through an inner dimension of at most 4
+    if inner:
+        mat = RATIONAL.array([row[:inner] for row in a]) @ RATIONAL.array(b[:inner])
+    else:
+        mat = RATIONAL.zeros(5, 3)
+    assert subspaces.rank(RATIONAL, mat) == subspaces.orth(RATIONAL, mat).shape[1]
 
 
 def _ctx_with_cap(x, cap):
