@@ -18,11 +18,15 @@ whose Frobenius norm is below the rank cutoff takes no SVD, since
 
 The weak bi-shift wandering subspaces, the NFL kernels and the product-PPI
 range pairs form nested chains, so one repeated rank marks their fixpoint;
-the wandering series ends when its term vanishes.  The iteration cap is
-max(n_max, dim + 1), and a chain still moving at the cap raises
-IndeterminateError instead of silently truncating.  Certificate residuals
-are measured after compression to the probe window when the input came
-from a truncated symbolic operator.  The window is a 0/1 diagonal, so the
+each wandering subspace step is one preimage kernel inside K_1.  The
+wandering series ends when its term vanishes; a float step or final join
+whose Gram matrix is within dim·ε of the identity is its own orthonormal
+basis and takes no SVD.  Float certificates multiply by a projection of
+rank below dim/2 through its range basis (`Projection.product`).  The
+iteration cap is max(n_max, dim + 1), and a chain still moving at the cap
+raises IndeterminateError instead of silently truncating.  Certificate
+residuals are measured after compression to the probe window when the
+input came from a truncated symbolic operator.  The window is a 0/1 diagonal, so the
 compression w e w is the entrywise product of e with the mask w wᵀ, which
 is exact.
 
@@ -148,7 +152,9 @@ def _range_chain_inf(ctx: _Ctx, x: Element, start: np.ndarray | None = None,
 
     Ranks fall by at least one per index until the chain is fixed, so with
     d1 = rank x (start) it is fixed by index 1 + d1.  d1 is read without a
-    basis, which is built only when the chain stops at the first step.
+    basis, which is built only when the chain stops at the first step; at
+    full rank the step is its own basis when exact, since every column is
+    a pivot.
     Otherwise one jump from the raw step x (start) by x^m, m the least
     power of two >= d1 (cap - 1 once d1 reaches the cap, so that the chain
     raises exactly when it still moves at index cap), and one step
@@ -164,7 +170,9 @@ def _range_chain_inf(ctx: _Ctx, x: Element, start: np.ndarray | None = None,
     if d1 == 0:
         return zero_projection(ctx.domain, ctx.dim)
     if d1 == (ctx.dim if start is None else start.shape[1]):
-        return from_basis(ctx.domain, first if first is not None else subspaces.orth(ctx.domain, step))
+        if first is None:
+            first = subspaces.own_basis(ctx.domain, step, independent=True)
+        return from_basis(ctx.domain, first)
     m = ctx.cap - 1 if d1 >= ctx.cap else 1 << (d1 - 1).bit_length()
     fixed = subspaces.orth(ctx.domain, (power or x.power)(m).mat @ step)
     rank = fixed.shape[1]
@@ -182,14 +190,19 @@ def _range_chain_pair(ctx: _Ctx, y: Element, start: np.ndarray | None = None) ->
 
 def _wandering_series(ctx: _Ctx, x: Element, term: np.ndarray) -> Projection:
     """Stabilised orthogonal series sum of [x^n (1 - [x])], from a basis
-    term of the range of 1 - [x]."""
+    term of the range of 1 - [x].
+
+    An isometry maps an orthonormal block to an orthonormal block, and the
+    blocks are mutually orthogonal, so each float step x term and the final
+    join are their own bases (`subspaces.own_basis`) unless roundoff or the
+    truncation boundary has moved them off; only those take an SVD."""
     pieces = []
     for _ in range(ctx.cap + 1):
         if term.shape[1] == 0:
             joined = np.concatenate(pieces, axis=1) if pieces else ctx.domain.zeros(ctx.dim, 0)
-            return from_basis(ctx.domain, subspaces.orth(ctx.domain, joined))
+            return from_basis(ctx.domain, subspaces.own_basis(ctx.domain, joined))
         pieces.append(term)
-        term = subspaces.orth(ctx.domain, x.mat @ term)
+        term = subspaces.own_basis(ctx.domain, x.mat @ term)
     raise IndeterminateError("wandering series did not terminate within the cap")
 
 
@@ -243,8 +256,12 @@ def _ppi_on_window(ctx: _Ctx, x: Element) -> bool:
 def _isometry_res(ctx: _Ctx, x: Element, p: Projection, star: bool = False) -> float:
     """Residual of p x* x p = p: x is an isometry on the corner p (x* is,
     p x x* p = p, with star)."""
-    pe = p.element
-    return ctx.wres(pe @ ctx.gram(x, star) @ pe - pe)
+    return ctx.wres(p.product(ctx.gram(x, star)) - p.element)
+
+
+def _commute_res(ctx: _Ctx, x: Element, p: Projection) -> float:
+    """Residual of x p = p x."""
+    return ctx.wres(p.product(x, "right") - p.product(x, "left"))
 
 
 def _corner_unitary_res(ctx: _Ctx, x: Element, p: Projection) -> float:
@@ -282,9 +299,9 @@ def wold(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
     p_u, p_s = _wold_parts(ctx, x)
     certificates = {
         "sum_to_one": ctx.wres(p_u.element + p_s.element - ctx.one),
-        "orth": ctx.wres(p_u.element @ p_s.element),
-        "commute_u": ctx.wres(x @ p_u.element - p_u.element @ x),
-        "commute_s": ctx.wres(x @ p_s.element - p_s.element @ x),
+        "orth": ctx.wres(p_u.product(p_s.element, "left")),
+        "commute_u": _commute_res(ctx, x, p_u),
+        "commute_s": _commute_res(ctx, x, p_s),
         "unitary_corner": _corner_unitary_res(ctx, x, p_u),
         "shift_corner": _corner_shift_res(ctx, x, p_s),
     }
@@ -387,17 +404,16 @@ def corollary_check(x1: Element, x2: Element, cfg: EngineConfig | None = None) -
 def _mixed_wandering(ctx: _Ctx, a: Element, b: Element) -> Projection:
     """inf over n of (1 - [a^{*n} b]), i.e. the chain K_n = ∩_{k<n} ker(b* a^k).
 
-    K_(n+1) = K_1 ∩ a^{-1} K_n, so one repeated rank means the chain is fixed.
+    K_(n+1) = K_1 ∩ a^{-1} K_n, one `subspaces.preimage` kernel inside K_1
+    per step, so one repeated rank means the chain is fixed.
     """
-    a_star = a.star()
-    y = b
-    acc = _complement_of_range(ctx, b)
+    k1 = subspaces.nullspace(ctx.domain, b.star().mat)
+    acc = from_basis(ctx.domain, k1)
     for _ in range(ctx.cap):
-        y = a_star @ y
-        nxt = proj_inf([acc, _complement_of_range(ctx, y)])
-        if nxt.rank == acc.rank:
-            return nxt
-        acc = nxt
+        nxt = subspaces.preimage(ctx.domain, a.mat, (ctx.one - acc.element).mat, k1)
+        if nxt.shape[1] == acc.rank:
+            return acc
+        acc = from_basis(ctx.domain, nxt)
     raise IndeterminateError("mixed wandering subspace did not stabilise within the cap")
 
 
@@ -475,7 +491,7 @@ def halmos_wallen(x: Element, cfg: EngineConfig | None = None) -> DecompositionR
     basis = ProjectionBasis(tuple(zip("usbt", _chain_pair_split(ctx, x))))
     certificates = {f"basis_{k}": v for k, v in basis.residuals().items()}
     for lbl, p in basis.members:
-        certificates[f"commute[{lbl}]"] = ctx.wres(x @ p.element - p.element @ x)
+        certificates[f"commute[{lbl}]"] = _commute_res(ctx, x, p)
     # the backward-shift corner is the shift corner of x*
     corner = {
         "u": (_corner_unitary_res, x),
@@ -544,7 +560,7 @@ def _lemma_certificates(ctx: _Ctx, x1: Element, x2: Element) -> dict:
             out[f"lemmaA1[{label},n={n}]"] = ctx.wres(lp_star @ moved - moved)
     # [y^n] for n = 0..top, y = x1 x2; shared by both labels
     y = x1 @ x2
-    lp_y = [left_projection(ctx.one).element]
+    lp_y = [ctx.one]
     yn = y
     for n in range(top):
         if n:
@@ -677,7 +693,7 @@ def nfl(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
     p_u = _nfl_unitary_part(ctx, x)
     p_c = p_u.complement()
     certificates = {
-        "commute_u": ctx.wres(x @ p_u.element - p_u.element @ x),
+        "commute_u": _commute_res(ctx, x, p_u),
         "unitary_corner": _corner_unitary_res(ctx, x, p_u) if p_u.rank else 0.0,
         "cnu_corner": _corner_cnu_res(ctx, x, p_c) if p_c.rank else 0.0,
     }

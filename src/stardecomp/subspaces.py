@@ -2,7 +2,8 @@
 
 Only the algorithm depends on the domain here: exact domains keep pivot-
 column bases and build projections through the Gram matrix; the complex
-domain keeps orthonormal SVD bases with a relative rank cutoff.
+domain keeps orthonormal bases, from SVDs with a relative rank cutoff, and
+skips the SVD wherever its outcome is already known.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import numpy as np
 
 from . import linalg
 from .domains import ScalarDomain
+
+_EPS = np.finfo(float).eps
 
 
 def _rank_cut(s: np.ndarray, eps_rank: float) -> int:
@@ -34,6 +37,32 @@ def orth(domain: ScalarDomain, mat: np.ndarray) -> np.ndarray:
         return np.zeros((mat.shape[0], 0), dtype=np.result_type(mat.dtype, np.float32))
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     return u[:, : _rank_cut(s, domain.tol.eps_rank)]
+
+
+def _orthonormal(mat: np.ndarray) -> bool:
+    """True when mat* mat is within dim·ε of the identity in Frobenius norm,
+    dim the number of rows: roundoff of an orthonormal block."""
+    gram = mat.conj().T @ mat
+    gram.flat[:: gram.shape[0] + 1] -= 1
+    return np.sqrt(np.vdot(gram, gram).real) <= mat.shape[0] * _EPS
+
+
+def own_basis(domain: ScalarDomain, mat: np.ndarray, independent: bool = False) -> np.ndarray:
+    """A basis of the column space of mat that is mat itself where mat
+    already is one, and orth(mat) otherwise.
+
+    A float mat whose Gram matrix is within dim·ε of the identity has every
+    singular value within dim·ε of 1, so orth would keep every column and
+    its U would span what mat spans; mat is then taken as it is, with no
+    SVD.  Exact domains take mat itself only when its columns are known to
+    be independent: every column is then a pivot, and the rref would
+    return the columns unchanged.
+    """
+    if domain.exact:
+        return domain.normalize(mat.copy()) if independent else orth(domain, mat)
+    if mat.shape[1] and _orthonormal(mat):
+        return mat
+    return orth(domain, mat)
 
 
 def rank(domain: ScalarDomain, mat: np.ndarray) -> int:
@@ -72,22 +101,39 @@ def range_and_cokernel(domain: ScalarDomain, mat: np.ndarray) -> tuple:
 
 
 def nullspace(domain: ScalarDomain, mat: np.ndarray) -> np.ndarray:
+    """Basis of ker mat: rref free columns for exact domains, for floats the
+    right singular vectors past the rank (orthonormal).  A float matrix
+    with at least as many rows as columns takes the thin SVD, whose V is
+    already complete; only a wide one needs the full V."""
     if domain.exact:
         return linalg.nullspace(domain, mat)
-    u, s, vh = np.linalg.svd(mat)
-    r = _rank_cut(s, domain.tol.eps_rank)
-    return vh[r:].conj().T
+    _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
+    return vh[_rank_cut(s, domain.tol.eps_rank):].conj().T
 
 
 def intersect(domain: ScalarDomain, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    """Basis of span(b1) ∩ span(b2)."""
+    """Basis of span(b1) ∩ span(b2).
+
+    Exact domains take the kernel of the stacked matrix [b1, -b2].  Float
+    bases are orthonormal, and the meet is b1 ker((1 - b2 b2*) b1): the
+    singular values of (1 - b2 b2*) b1 are the sines of the principal
+    angles θ between the spans (Björck & Golub 1973), so one thin SVD gives
+    the meet, already orthonormal.  A direction is kept when
+    sin θ <= eps_rank; the stacked kernel cut at √2·sin(θ/2) instead.  When
+    (1 - b2 b2*) b1 is below eps_rank in Frobenius norm, span(b1) lies in
+    span(b2) and b1 is returned with no SVD.
+    """
     if b1.shape[1] == 0 or b2.shape[1] == 0:
         return domain.zeros(b1.shape[0], 0)
-    stacked = np.concatenate([b1, -b2], axis=1)
-    ker = nullspace(domain, stacked)
-    if ker.shape[1] == 0:
-        return domain.zeros(b1.shape[0], 0)
-    return orth(domain, b1 @ ker[: b1.shape[1]])
+    if domain.exact:
+        ker = nullspace(domain, np.concatenate([b1, -b2], axis=1))
+        if ker.shape[1] == 0:
+            return domain.zeros(b1.shape[0], 0)
+        return orth(domain, b1 @ ker[: b1.shape[1]])
+    off = b1 - b2 @ (b2.conj().T @ b1)
+    if np.linalg.norm(off) < domain.tol.eps_rank:
+        return b1
+    return b1 @ nullspace(domain, off)
 
 
 def preimage(domain: ScalarDomain, op: np.ndarray, comp: np.ndarray,

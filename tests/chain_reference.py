@@ -5,15 +5,25 @@ where the engine stops at a detected fixpoint.  The lemma residuals and the
 product-PPI constraint take every power from Element.power, and the cnu
 corner keeps its own kernel loop instead of reusing the NFL one.  The
 reducing fixpoint meets each operator's full preimage with the subspace.
-`reference_engine` swaps them into `stardecomp.engine`, so a whole
-decomposition can be run both ways and compared.
+
+The float subspace steps have references of their own: the wandering
+series takes one orth per step, the meet is the kernel of the stacked
+matrix [b1, -b2] followed by an orth, every float kernel comes from the
+full SVD, the mixed wandering subspace carries the power a*ⁿb and meets
+its kernel at every step, and projection products are dense.
+`subspace_step_references` swaps in these alone; `reference_engine` swaps
+in every reference, so a whole decomposition can be run both ways and
+compared.
 """
 
 from __future__ import annotations
 
-from stardecomp import engine, subspaces
+import numpy as np
+
+from stardecomp import engine, linalg, subspaces
 from stardecomp.errors import IndeterminateError
 from stardecomp.projections import (
+    Projection,
     from_basis,
     identity_projection,
     left_projection,
@@ -33,6 +43,59 @@ def stepped_range_chain_inf(ctx, x, start=None, first=None, power=None):
             return from_basis(ctx.domain, nxt)
         basis = nxt
     raise IndeterminateError("range chain did not stabilise within the cap")
+
+
+def stepped_wandering_series(ctx, x, term):
+    """The wandering series with one orth per step and one for the join."""
+    pieces = []
+    for _ in range(ctx.cap + 1):
+        if term.shape[1] == 0:
+            joined = np.concatenate(pieces, axis=1) if pieces else ctx.domain.zeros(ctx.dim, 0)
+            return from_basis(ctx.domain, subspaces.orth(ctx.domain, joined))
+        pieces.append(term)
+        term = subspaces.orth(ctx.domain, x.mat @ term)
+    raise IndeterminateError("wandering series did not terminate within the cap")
+
+
+def full_svd_nullspace(domain, mat):
+    """The kernel, from the full SVD for floats whatever the shape."""
+    if domain.exact:
+        return linalg.nullspace(domain, mat)
+    _, s, vh = np.linalg.svd(mat)
+    return vh[subspaces._rank_cut(s, domain.tol.eps_rank):].conj().T
+
+
+def stacked_intersect(domain, b1, b2):
+    """span(b1) ∩ span(b2) as b1 times the top of ker [b1, -b2], then orth."""
+    if b1.shape[1] == 0 or b2.shape[1] == 0:
+        return domain.zeros(b1.shape[0], 0)
+    ker = full_svd_nullspace(domain, np.concatenate([b1, -b2], axis=1))
+    if ker.shape[1] == 0:
+        return domain.zeros(b1.shape[0], 0)
+    return subspaces.orth(domain, b1 @ ker[: b1.shape[1]])
+
+
+def mixed_wandering_by_meets(ctx, a, b):
+    """K_(n+1) = K_n ∩ ker (a*ⁿ b)*, the power a*ⁿ b carried from step to
+    step and each meet a stacked kernel."""
+    y = b
+    acc = engine._complement_of_range(ctx, b)
+    for _ in range(ctx.cap):
+        y = a.star() @ y
+        comp = engine._complement_of_range(ctx, y)
+        nxt = from_basis(ctx.domain, stacked_intersect(ctx.domain, acc.range_basis,
+                                                       comp.range_basis))
+        if nxt.rank == acc.rank:
+            return nxt
+        acc = nxt
+    raise IndeterminateError("mixed wandering subspace did not stabilise within the cap")
+
+
+def dense_product(p, a, side="both"):
+    """p a, a p or p a p as dense products."""
+    if side == "left":
+        return p.element @ a
+    return a @ p.element if side == "right" else p.element @ a @ p.element
 
 
 def mixed_wandering_to_cap(ctx, a, b):
@@ -134,6 +197,22 @@ def reducing_fixpoint_by_meets(ops, e, cfg=None):
         basis = nxt
 
 
+STEP_REFERENCES = (
+    (engine, "_wandering_series", stepped_wandering_series),
+    (engine, "_mixed_wandering", mixed_wandering_by_meets),
+    (subspaces, "intersect", stacked_intersect),
+    (subspaces, "nullspace", full_svd_nullspace),
+    (Projection, "product", dense_product),
+)
+
+
+def subspace_step_references(monkeypatch):
+    """Route the float subspace steps (series, meets, kernels, mixed
+    wandering subspace, projection products) to their references."""
+    for owner, name, fn in STEP_REFERENCES:
+        monkeypatch.setattr(owner, name, fn)
+
+
 REFERENCES = {
     "_range_chain_inf": stepped_range_chain_inf,
     "_mixed_wandering": mixed_wandering_to_cap,
@@ -146,6 +225,8 @@ REFERENCES = {
 
 
 def reference_engine(monkeypatch):
-    """Route every stabilised chain of stardecomp.engine to its reference."""
+    """Route every stabilised chain of stardecomp.engine and every subspace
+    step to its reference; the mixed wandering subspace runs to the cap."""
+    subspace_step_references(monkeypatch)
     for name, fn in REFERENCES.items():
         monkeypatch.setattr(engine, name, fn)

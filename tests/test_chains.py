@@ -3,7 +3,10 @@ run-to-cap references (tests/chain_reference.py), plus the stabilisation
 contract: at most three factorisations per range chain, and
 IndeterminateError past the cap.  The factorisation budgets of Wold's
 shared first step and of one reducing-fixpoint sweep are pinned too, with
-the SVD, matmul and power budgets of one `wold` and one `halmos_wallen`.
+the SVD, matmul and power budgets of one `wold` and one `halmos_wallen`,
+the SVD budgets of `slocinski` and `weak_bishift` on the grid pair, the
+rref budget of a full-rank first step and the `left_projection` budget of
+the lemma residuals.
 The chain layer's rank and zero-matrix exit are checked against the SVD
 path."""
 
@@ -38,7 +41,7 @@ from stardecomp import (
     weak_bishift,
     wold,
 )
-from stardecomp import engine, serialize, subspaces
+from stardecomp import engine, linalg, serialize, subspaces
 from stardecomp.cli import main
 from stardecomp.fixtures import (
     commuting_orthogonal_pair,
@@ -46,6 +49,7 @@ from stardecomp.fixtures import (
     random_complex_unitary,
     random_contraction,
     random_ppi,
+    rational_orthogonal,
 )
 from stardecomp.projections import identity_projection
 
@@ -114,6 +118,7 @@ def test_exact_pairs_match_stepped_chains():
         x1, x2 = commuting_orthogonal_pair(int(rng.integers(2, 7)), rng)
         _assert_identical(*_both(weak_bishift, x1, x2))
         _assert_identical(*_both(slocinski, x1, x2))
+        _assert_identical(*_both(wold, x1))
 
 
 def test_exact_largest_product_ppi_matches_run_to_cap():
@@ -308,9 +313,72 @@ def test_wold_takes_three_basis_factorisations(monkeypatch):
 
 
 def test_wold_matmul_budget(monkeypatch):
-    # x*x and xx* are formed once, and each Fitting jump squares only
+    # x*x and xx* are formed once, each Fitting jump squares only, and the
+    # rank-3 unitary part enters its certificates through its basis
     _, matmuls = _wold_128(monkeypatch)
-    assert len(matmuls) <= 30
+    assert len(matmuls) <= 23
+
+
+def test_wold_svd_budget(monkeypatch):
+    # the shared SVD of x and the unitary part's chain; the series blocks
+    # are orthonormal already and take none
+    tr = truncate(_unitary_plus_shift(), 128, n_max=16)
+    calls = _count_svds(monkeypatch)
+    wold(tr.element, EngineConfig(n_max=16, window=tr.window))
+    assert len(calls) <= 4
+
+
+def _grid_svds(monkeypatch, method):
+    """(shape, full_matrices) of every SVD in one call on the grid pair, n = 10."""
+    trs = [truncate(e, 10, n_max=4) for e in pair_instances("grid")]
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, full_matrices=True, **kwargs):
+        calls.append((a.shape, full_matrices))
+        return svd(a, full_matrices=full_matrices, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    method(*(t.element for t in trs), EngineConfig(n_max=4, window=trs[0].window))
+    return calls
+
+
+def test_slocinski_svd_budget(monkeypatch):
+    # no meet stacks its bases into a wide matrix, and no series step or
+    # meet of nested spans takes an SVD
+    calls = _grid_svds(monkeypatch, slocinski)
+    assert not [shape for shape, full in calls if full and shape[1] > shape[0]]
+    assert len(calls) <= 9
+
+
+def test_weak_bishift_svd_budget(monkeypatch):
+    # each mixed wandering step is one thin kernel inside K_1
+    assert len(_grid_svds(monkeypatch, weak_bishift)) <= 10
+
+
+def test_full_rank_first_step_is_its_own_basis(monkeypatch):
+    # a rational orthogonal x keeps full rank at the first step of both
+    # chains, so each chain's step is rref'd once, for its rank
+    x = rational_orthogonal(6, np.random.default_rng(5))
+    rrefs = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda *a: rrefs.append(1) or rref(*a))
+    got, want = _both(halmos_wallen, x)
+    _assert_identical(got, want)
+    rrefs.clear()
+    halmos_wallen(x)
+    assert len(rrefs) == 10
+
+
+def test_lemma_identity_is_not_factorised(monkeypatch):
+    (x1, x2), _ = _spec_operators("ppipair4.json")
+    got, want = _both(hw_pair_product, x1, x2)
+    _assert_identical(got, want)
+    calls = []
+    left = engine.left_projection
+    monkeypatch.setattr(engine, "left_projection", lambda a: calls.append(1) or left(a))
+    hw_pair_product(x1, x2)
+    assert len(calls) == 22
 
 
 def test_halmos_wallen_shares_one_power_per_chain_pair(monkeypatch):

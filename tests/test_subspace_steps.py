@@ -1,0 +1,179 @@
+"""The float subspace steps against their references
+(`subspace_step_references` in tests/chain_reference.py): the wandering
+series without per-step SVDs, the meet as one thin kernel, the mixed
+wandering subspace as one preimage per step, and the low-rank projection
+products.  Complex inputs must give equal ranks and projections within
+1e-12.  Exact inputs must come out bit-identical; `reference_engine`
+swaps these references in too, so the exact comparisons in
+tests/test_chains.py cover them."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from stardecomp import (
+    COMPLEX,
+    Adjoint,
+    EngineConfig,
+    Shift,
+    Trunc,
+    direct_sum,
+    halmos_wallen,
+    pair_instances,
+    slocinski,
+    truncate,
+    unitary,
+    weak_bishift,
+    wold,
+)
+from stardecomp import engine, subspaces
+from stardecomp.elements import Element
+from stardecomp.fixtures import random_complex_unitary
+from stardecomp.projections import from_basis, from_element
+
+from chain_reference import (
+    dense_product,
+    mixed_wandering_by_meets,
+    stacked_intersect,
+    stepped_wandering_series,
+    subspace_step_references,
+)
+
+TOL = 1e-12
+
+
+def _both(fn, *args):
+    """(report, report with the reference subspace steps) for one call."""
+    got = fn(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        subspace_step_references(mp)
+        want = fn(*args)
+    return got, want
+
+
+def _projections(rep):
+    out = list(rep.basis.members)
+    out += [(k, p) for k, p in rep.extras.items() if hasattr(p, "range_basis")]
+    return out
+
+
+def _assert_close(got, want):
+    for (lbl, p), (lbl2, q) in zip(_projections(got), _projections(want), strict=True):
+        assert lbl == lbl2
+        assert p.rank == q.rank, lbl
+        assert np.linalg.norm(p.element.mat - q.element.mat) <= TOL, lbl
+    assert got.certificates.keys() == want.certificates.keys()
+    assert got.condition_vector == want.condition_vector
+
+
+# ----------------------------------------------------------------- meets
+
+
+def _orthonormal_pair(rng, dim, common, k1, k2, angles):
+    """Orthonormal bases of two subspaces that share a `common`-dimensional
+    part; the other principal angles are `angles` (then π/2), and each
+    basis is mixed by a random unitary so that no column is aligned."""
+    q = random_complex_unitary(dim, rng).mat
+    extra1 = q[:, common:common + k1]
+    extra2 = q[:, common + k1:common + k1 + k2].copy()
+    for i, theta in enumerate(angles):
+        extra2[:, i] = np.cos(theta) * extra1[:, i] + np.sin(theta) * extra2[:, i]
+    b1 = np.concatenate([q[:, :common], extra1], axis=1)
+    b2 = np.concatenate([q[:, :common], extra2], axis=1)
+    return (b1 @ random_complex_unitary(b1.shape[1], rng).mat if b1.shape[1] else b1,
+            b2 @ random_complex_unitary(b2.shape[1], rng).mat if b2.shape[1] else b2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 12))
+def test_meet_matches_stacked_kernel(data, seed, dim):
+    common = data.draw(st.integers(0, dim))
+    k1 = data.draw(st.integers(0, dim - common))
+    k2 = data.draw(st.integers(0, dim - common - k1))
+    angles = data.draw(st.lists(st.floats(1e-6, np.pi / 2), min_size=min(k1, k2),
+                                max_size=min(k1, k2)))
+    b1, b2 = _orthonormal_pair(np.random.default_rng(seed), dim, common, k1, k2, angles)
+    got = subspaces.intersect(COMPLEX, b1, b2)
+    want = stacked_intersect(COMPLEX, b1, b2)
+    assert got.shape[1] == want.shape[1] == (common if b1.shape[1] and b2.shape[1] else 0)
+    assert np.linalg.norm(got.conj().T @ got - np.eye(got.shape[1])) <= TOL
+    assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T) <= TOL
+
+
+def test_meet_of_a_subspace_takes_no_svd(monkeypatch):
+    rng = np.random.default_rng(4)
+    b1, b2 = _orthonormal_pair(rng, 8, 3, 0, 4, [])
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    assert subspaces.intersect(COMPLEX, b1, b2) is b1
+    assert not calls
+
+
+# ------------------------------------------------- truncated complex inputs
+
+
+def _truncated(exprs, n, n_max):
+    trs = [truncate(e, n, n_max=n_max) for e in exprs]
+    return [t.element for t in trs], EngineConfig(n_max=n_max, window=trs[0].window)
+
+
+PAIRS = [("grid", 8, 4), ("equal-shift", 20, 6), ("powers", 20, 6), ("unitary-pair", 20, 6),
+         ("mixed", 20, 6)]
+
+
+@pytest.mark.parametrize("name,n,n_max", PAIRS, ids=[p[0] for p in PAIRS])
+def test_pair_instances_within_tolerance(name, n, n_max):
+    xs, cfg = _truncated(list(pair_instances(name)), n, n_max)
+    _assert_close(*_both(slocinski, *xs, cfg))
+    _assert_close(*_both(weak_bishift, *xs, cfg))
+
+
+@pytest.mark.parametrize("name,n,n_max", PAIRS, ids=[p[0] for p in PAIRS])
+def test_steps_match_their_references(name, n, n_max):
+    (x1, x2), cfg = _truncated(list(pair_instances(name)), n, n_max)
+    ctx = engine._Ctx(x1, cfg)
+    for a, b in ((x1, x2), (x2, x1)):
+        got = engine._mixed_wandering(ctx, a, b)
+        want = mixed_wandering_by_meets(ctx, a, b)
+        assert got.rank == want.rank
+        assert np.linalg.norm(got.element.mat - want.element.mat) <= TOL
+        coker = subspaces.nullspace(ctx.domain, a.star().mat)
+        got = engine._wandering_series(ctx, a, coker)
+        want = stepped_wandering_series(ctx, a, coker)
+        assert got.rank == want.rank
+        assert np.linalg.norm(got.element.mat - want.element.mat) <= TOL
+
+
+def _unitary(dim, seed):
+    return unitary(random_complex_unitary(dim, np.random.default_rng(seed)).mat)
+
+
+@pytest.mark.parametrize("fn,expr,n", [
+    (wold, Shift(1), 64),
+    (wold, direct_sum(_unitary(3, 2), Shift(1)), 128),
+    (wold, direct_sum(_unitary(2, 3), Shift(2)), 64),
+    (halmos_wallen, direct_sum(_unitary(2, 2), Adjoint(Shift(1)), Trunc(4)), 48),
+    (halmos_wallen, direct_sum(_unitary(3, 5), Trunc(3)), 32),
+], ids=["wold shift", "wold u3+shift", "wold u2+shift2", "hw 48", "hw u3+trunc"])
+def test_truncated_single_within_tolerance(fn, expr, n):
+    (x,), cfg = _truncated([expr], n, 16)
+    _assert_close(*_both(fn, x, cfg))
+
+
+# ------------------------------------------------ low-rank products
+
+
+@pytest.mark.parametrize("dim", [7, 8])
+def test_product_matches_dense_on_both_sides_of_the_threshold(dim):
+    rng = np.random.default_rng(dim)
+    q = random_complex_unitary(dim, rng).mat
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    a = Element(COMPLEX, a / np.linalg.norm(a))
+    for rank in range(dim + 1):
+        p = from_basis(COMPLEX, q[:, :rank])
+        for proj in (p, from_element(p.element), p.complement()):
+            for side in ("left", "right", "both"):
+                got = proj.product(a, side)
+                want = dense_product(proj, a, side)
+                assert np.linalg.norm(got.mat - want.mat) <= 1e-14, (rank, side)
