@@ -128,7 +128,8 @@ def cmd_classify(args) -> int:
 
 
 def _run_method(spec: serialize.OperatorSpec, args):
-    """Realise the spec's operands and run ``args.method`` on them.
+    """Realise the spec's operands and run ``args.method`` on them, with the
+    first operand's probe window.
 
     Returns the method's result (a report, or a projection for the
     projection methods) and the first operand.

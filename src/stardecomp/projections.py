@@ -2,7 +2,11 @@
 
 A projection carries its element together with a cached range basis; every
 lattice operation goes through the subspace primitives so that exact and
-floating domains share one code path.
+floating domains share one code path.  A coordinate projection, a sum of
+diagonal matrix units, is fixed by its mask: its range basis is the
+identity's columns in the mask (`coordinate_projection`), so the identity,
+zero, the shift model's probe windows and its ground truths are built with
+no product and no factorisation.
 """
 
 from __future__ import annotations
@@ -83,12 +87,23 @@ def from_element(e: Element) -> Projection:
     return Projection(e, basis)
 
 
+def coordinate_projection(domain: ScalarDomain, keep) -> Projection:
+    """diag(keep) in the domain's scalars: the sum of the matrix units e_ii
+    with keep[i] true.  Its range basis is the identity's columns where keep
+    holds, read off the mask with no arithmetic."""
+    keep = np.asarray(keep, dtype=bool)
+    eye = domain.eye(keep.size)
+    mat = eye.copy()
+    mat[~keep, ~keep] = domain.zero()
+    return Projection(Element(domain, mat), eye[:, keep])
+
+
 def zero_projection(domain: ScalarDomain, dim: int) -> Projection:
-    return from_basis(domain, domain.zeros(dim, 0))
+    return coordinate_projection(domain, np.zeros(dim, dtype=bool))
 
 
 def identity_projection(domain: ScalarDomain, dim: int) -> Projection:
-    return from_element(identity(domain, dim))
+    return coordinate_projection(domain, np.ones(dim, dtype=bool))
 
 
 def left_projection(a: Element) -> Projection:

@@ -21,7 +21,7 @@ from .domains import (
     rational_domain,
 )
 from .elements import Element, from_rows
-from .errors import SpecFileError
+from .errors import PreconditionError, SpecFileError
 
 if TYPE_CHECKING:
     from . import shiftmodel
@@ -139,13 +139,17 @@ class OperatorSpec:
     operators: list  # Element or OperatorExpr entries
     pair: tuple | None
 
-    def realised(self, truncation: int | None, n_max: int):
-        """Concrete Elements (truncating exprs), plus the shared window."""
-        out = []
-        window = None
+    def realised(self, truncation: int | None, n_max: int, operands: tuple = (0,)):
+        """Concrete Elements (truncating exprs), plus the probe window of
+        the first of `operands`, the indices of the operators a method runs
+        on (None when that operator is a matrix).  One window serves every
+        operand, so two expr operands whose windows differ raise
+        PreconditionError."""
+        out, windows = [], []
         for op in self.operators:
             if isinstance(op, Element):
                 out.append(op)
+                windows.append(None)
             else:
                 if truncation is None:
                     raise SpecFileError("expr operators need --truncation")
@@ -153,13 +157,20 @@ class OperatorSpec:
 
                 tr = shiftmodel.truncate(op, truncation, n_max=n_max, domain=self.domain)
                 out.append(tr.element)
-                window = tr.window
-        return out, window
+                windows.append(tr.window)
+        first = operands[0]
+        for k in operands[1:]:
+            a, b = windows[first], windows[k]
+            if a is not None and b is not None and (a.dim != b.dim or not a.equals(b)):
+                raise PreconditionError(
+                    f"operators {first} and {k} have different probe windows, "
+                    "so no one window serves both operands")
+        return out, windows[first]
 
     def pair_operators(self, truncation: int | None, n_max: int):
         if self.pair is None:
             raise SpecFileError("this method needs a 'pair' declaration in the spec file")
-        ops, window = self.realised(truncation, n_max)
+        ops, window = self.realised(truncation, n_max, self.pair)
         i, j = self.pair
         return ops[i], ops[j], window
 

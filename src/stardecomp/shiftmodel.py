@@ -12,7 +12,9 @@ another.  Each coordinate of a segment has a row, a column and a depth
 segment of dimension d is one row of d columns, all of depth 0; a tail of
 multiplicity m is m rows of n columns, of depth col; the grid is n rows of n
 columns, of depth max(row, col).  The probe window of width w holds the
-coordinates of depth < w.
+coordinates of depth < w.  The window and the segment ground truths are
+coordinate projections, sums of diagonal matrix units, so each is read off
+its mask with no factorisation.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .domains import ScalarDomain, complex_domain
 from .elements import Element
 from .errors import PreconditionError, TruncationTooSmallError
-from .projections import Projection, from_element
+from .projections import Projection, coordinate_projection
 
 
 @dataclass(frozen=True)
@@ -185,6 +187,8 @@ def truncate(e: OperatorExpr, n: int, n_max: int = 16, window: int | None = None
     Each shift tail keeps its first n coordinates and kills the last basis
     vector; the window holds the coordinates of depth < w, with w at most
     n - n_max (the region truncation cannot corrupt within n_max powers).
+    The window is a coordinate projection, built from its depth mask with
+    no product and no factorisation (`coordinate_projection`).
     """
     segs = space(e)
     finite_dims = [s[1] for s in segs if s[0] == "finite"]
@@ -199,8 +203,7 @@ def truncate(e: OperatorExpr, n: int, n_max: int = 16, window: int | None = None
     domain = domain or complex_domain()
     elem = Element(domain, _matrix(e, n))
     depth = np.concatenate([_coords(s, n)[2] for s in segs])
-    wind = from_element(Element(domain, np.diag(depth < w).astype(complex)))
-    return Truncation(element=elem, window=wind, w=w, n=n)
+    return Truncation(element=elem, window=coordinate_projection(domain, depth < w), w=w, n=n)
 
 
 @dataclass(frozen=True)
@@ -236,8 +239,7 @@ def _hw_labels(e: OperatorExpr) -> tuple:
 def _indicator_truth(e: OperatorExpr, labels: tuple, label_set: tuple, n: int) -> GroundTruth:
     per_coord = np.repeat(labels, _sizes(e, n))
     dom = complex_domain()
-    projections = {lbl: from_element(Element(dom, np.diag(per_coord == lbl).astype(complex)))
-                   for lbl in label_set}
+    projections = {lbl: coordinate_projection(dom, per_coord == lbl) for lbl in label_set}
     return GroundTruth(labels=labels, projections=projections)
 
 

@@ -103,10 +103,15 @@ def range_and_cokernel(domain: ScalarDomain, mat: np.ndarray) -> tuple:
 def nullspace(domain: ScalarDomain, mat: np.ndarray) -> np.ndarray:
     """Basis of ker mat: rref free columns for exact domains, for floats the
     right singular vectors past the rank (orthonormal).  A float matrix
-    with at least as many rows as columns takes the thin SVD, whose V is
-    already complete; only a wide one needs the full V."""
+    whose Frobenius norm is below eps_rank takes no SVD: its kernel is
+    everything, with the identity as basis.  A float matrix with at least
+    as many rows as columns takes the thin SVD, whose V is already
+    complete; only a wide one needs the full V."""
     if domain.exact:
         return linalg.nullspace(domain, mat)
+    if np.linalg.norm(mat) < domain.tol.eps_rank:
+        # σ₁ <= ‖mat‖_F, so the SVD would cut every singular value
+        return np.eye(mat.shape[1], dtype=np.result_type(mat.dtype, np.float32))
     _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     return vh[_rank_cut(s, domain.tol.eps_rank):].conj().T
 

@@ -396,3 +396,29 @@ def test_cli_tolerance_reaches_expr_only_spec(tmp_path, ring, tol):
     ops, window = load_spec(spec, tol).realised(32, 16)
     assert ops[0].domain.tol.eps_eq == 1e-6
     assert window.domain.tol.eps_eq == 1e-6
+
+
+def _swapped_pair_spec(tmp_path):
+    """unitary(2) ⊕ Shift(1) and Shift(1) ⊕ unitary(2): equal dimensions,
+    different probe windows."""
+    shift = {"op": "shift", "mult": 1}
+    return _write(tmp_path, "swapped.json", {
+        "ring": {"kind": "complex-float"},
+        "operators": [{"expr": {"op": "direct-sum", "terms": [_UNITARY_EXPR, shift]}},
+                      {"expr": {"op": "direct-sum", "terms": [shift, _UNITARY_EXPR]}}],
+        "pair": [0, 1],
+    })
+
+
+def test_cli_single_method_runs_with_its_operands_window(tmp_path, capsys):
+    spec = _swapped_pair_spec(tmp_path)
+    assert main(["decompose", spec, "--method", "wold", "--truncation", "24", "--nmax", "4",
+                 "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ranks"] == {"u": 2, "s": 24}
+
+
+def test_cli_pair_with_different_windows_is_exit_3(tmp_path, capsys):
+    spec = _swapped_pair_spec(tmp_path)
+    assert main(["decompose", spec, "--method", "slocinski", "--truncation", "24",
+                 "--nmax", "4"]) == 3
+    assert "operators 0 and 1 have different probe windows" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stardecomp import (
+    COMPLEX,
     EmptyFamilyError,
     PreconditionError,
     ProjectionBasis,
@@ -19,8 +20,17 @@ from stardecomp import (
     proj_sup,
     right_annihilator_projection,
 )
+from stardecomp import linalg
+from stardecomp.elements import Element
+from stardecomp.exactrings import construct_gf_ring
 from stardecomp.fixtures import rational_orthogonal, random_ppi
-from stardecomp.projections import key_identity_check, zero_projection
+from stardecomp.projections import (
+    coordinate_projection,
+    from_basis,
+    identity_projection,
+    key_identity_check,
+    zero_projection,
+)
 
 DIM = 4
 
@@ -159,3 +169,34 @@ def test_ppi_left_projections_commute_along_powers():
         r = left_projection(x.power(n)).rank
         assert r <= r_prev
         r_prev = r
+
+
+def _entries(mat):
+    """Bytes of a float matrix; type and value of every exact entry."""
+    return mat.tobytes() if mat.dtype != object else [(type(v), v) for v in mat.flat]
+
+
+@pytest.mark.parametrize("domain", [COMPLEX, RATIONAL, construct_gf_ring(3, 2)],
+                         ids=["complex", "rational", "gf3"])
+@pytest.mark.parametrize("mask", ["empty", "partial", "full"])
+def test_coordinate_projection_matches_from_element(domain, mask):
+    dim = domain.dim or 5
+    keep = {"empty": np.zeros(dim, bool), "partial": np.arange(dim) % 2 == 0,
+            "full": np.ones(dim, bool)}[mask]
+    diag = domain.zeros(dim, dim)
+    for i in np.flatnonzero(keep):
+        diag[i, i] = domain.one()
+    want = from_element(Element(domain, diag))
+    got = coordinate_projection(domain, keep)
+    assert _entries(got.element.mat) == _entries(want.element.mat)
+    assert got.rank == want.rank == keep.sum()
+    assert from_basis(domain, got.range_basis).equals(want)
+
+
+def test_identity_projection_takes_no_rref(monkeypatch):
+    rrefs = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda *a: rrefs.append(1) or rref(*a))
+    p = identity_projection(RATIONAL, 6)
+    assert not rrefs
+    assert p.rank == 6 and p.element.equals(identity(RATIONAL, 6))

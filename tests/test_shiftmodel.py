@@ -23,7 +23,7 @@ from stardecomp import (
     truncate,
     unitary,
 )
-from stardecomp.elements import classify
+from stardecomp.elements import Element, classify
 from stardecomp.shiftmodel import embedding_indices, space, total_dim
 
 U2 = unitary([[0.6 + 0.8j, 0], [0, -1]])
@@ -92,6 +92,20 @@ def test_window_size():
     assert tr.window.rank == 16  # 8 per tail, two tails
     narrow = truncate(Shift(2), 12, n_max=4, window=5)
     assert narrow.window.rank == 10
+
+
+def test_truncate_takes_no_product_and_no_factorisation(monkeypatch):
+    # the window is read off its depth mask
+    svds, products = [], []
+    svd, matmul = np.linalg.svd, Element.__matmul__
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    monkeypatch.setattr(Element, "__matmul__",
+                        lambda a, b: products.append(1) or matmul(a, b))
+    tr = truncate(direct_sum(unitary(np.eye(3)), Shift(1)), 128)
+    assert not svds and not products
+    assert tr.window.rank == 3 + 112
+    assert np.array_equal(tr.window.range_basis,
+                          np.eye(131)[:, np.diagonal(tr.window.element.mat) == 1])
 
 
 def test_ground_truth_wold_indicators():

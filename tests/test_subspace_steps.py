@@ -9,7 +9,7 @@ tests/test_chains.py cover them."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stardecomp import (
     COMPLEX,
@@ -71,8 +71,9 @@ def _assert_close(got, want):
 
 def _orthonormal_pair(rng, dim, common, k1, k2, angles):
     """Orthonormal bases of two subspaces that share a `common`-dimensional
-    part; the other principal angles are `angles` (then π/2), and each
-    basis is mixed by a random unitary so that no column is aligned."""
+    part, and an orthonormal basis of that part; the other principal angles
+    are `angles` (then π/2), and each basis is mixed by a random unitary so
+    that no column is aligned."""
     q = random_complex_unitary(dim, rng).mat
     extra1 = q[:, common:common + k1]
     extra2 = q[:, common + k1:common + k1 + k2].copy()
@@ -81,28 +82,47 @@ def _orthonormal_pair(rng, dim, common, k1, k2, angles):
     b1 = np.concatenate([q[:, :common], extra1], axis=1)
     b2 = np.concatenate([q[:, :common], extra2], axis=1)
     return (b1 @ random_complex_unitary(b1.shape[1], rng).mat if b1.shape[1] else b1,
-            b2 @ random_complex_unitary(b2.shape[1], rng).mat if b2.shape[1] else b2)
+            b2 @ random_complex_unitary(b2.shape[1], rng).mat if b2.shape[1] else b2,
+            q[:, :common])
+
+
+# A meet moves by about ε / sin θ_min under roundoff in its bases, θ_min the
+# smallest principal angle off the common part (Björck & Golub 1973), so
+# each meet is checked against the planted part, not against the other
+# meet.  Over 3000 draws neither needed more than 1e-12 + 3.1 ε / sin θ_min.
+MEET_ROUNDOFF = 10 * np.finfo(float).eps
+
+
+@st.composite
+def _meet_cases(draw):
+    """(seed, dim, common, k1, k2, angles) for `_orthonormal_pair`."""
+    dim = draw(st.integers(1, 12))
+    common = draw(st.integers(0, dim))
+    k1 = draw(st.integers(0, dim - common))
+    k2 = draw(st.integers(0, dim - common - k1))
+    angles = draw(st.lists(st.floats(1e-6, np.pi / 2), min_size=min(k1, k2),
+                           max_size=min(k1, k2)))
+    return draw(st.integers(0, 2**32 - 1)), dim, common, k1, k2, angles
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 12))
-def test_meet_matches_stacked_kernel(data, seed, dim):
-    common = data.draw(st.integers(0, dim))
-    k1 = data.draw(st.integers(0, dim - common))
-    k2 = data.draw(st.integers(0, dim - common - k1))
-    angles = data.draw(st.lists(st.floats(1e-6, np.pi / 2), min_size=min(k1, k2),
-                                max_size=min(k1, k2)))
-    b1, b2 = _orthonormal_pair(np.random.default_rng(seed), dim, common, k1, k2, angles)
-    got = subspaces.intersect(COMPLEX, b1, b2)
-    want = stacked_intersect(COMPLEX, b1, b2)
-    assert got.shape[1] == want.shape[1] == (common if b1.shape[1] and b2.shape[1] else 0)
-    assert np.linalg.norm(got.conj().T @ got - np.eye(got.shape[1])) <= TOL
-    assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T) <= TOL
+@given(case=_meet_cases())
+@example(case=(0, 3, 1, 1, 1, [1e-6]))  # the two meets differ by 3.5e-10 here
+def test_meet_matches_stacked_kernel(case):
+    seed, dim, common, k1, k2, angles = case
+    b1, b2, planted = _orthonormal_pair(np.random.default_rng(seed), dim, common, k1, k2,
+                                        angles)
+    tol = TOL + MEET_ROUNDOFF / min(np.sin(angles), default=1.0)
+    for meet in (subspaces.intersect, stacked_intersect):
+        got = meet(COMPLEX, b1, b2)
+        assert got.shape[1] == planted.shape[1]
+        assert np.linalg.norm(got.conj().T @ got - np.eye(got.shape[1])) <= TOL
+        assert np.linalg.norm(got @ got.conj().T - planted @ planted.conj().T) <= tol
 
 
 def test_meet_of_a_subspace_takes_no_svd(monkeypatch):
     rng = np.random.default_rng(4)
-    b1, b2 = _orthonormal_pair(rng, 8, 3, 0, 4, [])
+    b1, b2, _ = _orthonormal_pair(rng, 8, 3, 0, 4, [])
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
@@ -177,3 +197,18 @@ def test_product_matches_dense_on_both_sides_of_the_threshold(dim):
                 got = proj.product(a, side)
                 want = dense_product(proj, a, side)
                 assert np.linalg.norm(got.mat - want.mat) <= 1e-14, (rank, side)
+
+
+@pytest.mark.parametrize("rank", [3, 20], ids=["below dim/2", "above dim/2"])
+def test_commute_certificate_sees_a_non_commuting_projection(rank):
+    # a random subspace does not reduce x, so x p - p x is far from 0 on the
+    # window; the certificate must report it, on both product paths
+    tr = truncate(direct_sum(_unitary(3, 7), Shift(1)), 24, n_max=8)
+    ctx = engine._Ctx(tr.element, EngineConfig(n_max=8, window=tr.window))
+    q = random_complex_unitary(tr.element.dim, np.random.default_rng(rank)).mat
+    p = from_basis(COMPLEX, q[:, :rank])
+    x, pm, w = tr.element.mat, p.element.mat, tr.window.element.mat
+    want = np.linalg.norm(w @ (x @ pm - pm @ x) @ w)
+    got = engine._commute_res(ctx, tr.element, p)
+    assert want > 0.1
+    assert abs(got - want) <= 1e-12
