@@ -16,17 +16,21 @@ chains of y and of y* share one power, (y*)^m = (y^m)*.  A float matrix
 whose Frobenius norm is below the rank cutoff takes no SVD, since
 σ₁ <= ‖·‖_F, and x*x and xx* are formed once per operator.
 
-The weak bi-shift wandering subspaces, the NFL kernels and the product-PPI
-range pairs form nested chains, so one repeated rank marks their fixpoint;
-each wandering subspace step is one preimage kernel inside K_1.  The
-wandering series ends when its term vanishes; a float step or final join
-whose Gram matrix is within dim·ε of the identity is its own orthonormal
-basis and takes no SVD.  Float certificates multiply by a projection of
-rank below dim/2 through its range basis (`Projection.product`).  The
-iteration cap is max(n_max, dim + 1), and a chain still moving at the cap
-raises IndeterminateError instead of silently truncating.  Certificate
-residuals are measured after compression to the probe window when the
-input came from a truncated symbolic operator.  The window is a 0/1 diagonal, so the
+The reducing fixpoints, the weak bi-shift wandering subspaces and the NFL
+unitary part are one lattice operation, the largest projection below some
+e whose range the given matrices map into itself (`_invariant_core`): the
+operators and their adjoints below e, a below ker b*, and x, x* below
+ker(1 - x*x) ∧ ker(1 - xx*).  Each sweep is one preimage kernel per matrix
+inside what is left, and one repeated rank marks the fixpoint, as it does
+for the nested product-PPI range pairs.  The wandering series ends when
+its term vanishes; a float step or final join whose Gram matrix is within
+dim·ε of the identity is its own orthonormal basis and takes no SVD.
+Float certificates multiply by a projection of rank below dim/2 through
+its range basis (`Projection.product`).  The iteration cap is
+max(n_max, dim + 1), and a chain still moving at the cap raises
+IndeterminateError instead of silently truncating.  Certificate residuals
+are measured after compression to the probe window when the input came
+from a truncated symbolic operator.  The window is a 0/1 diagonal, so the
 compression w e w is the entrywise product of e with the mask w wᵀ, which
 is exact.
 
@@ -211,27 +215,33 @@ def _complement_of_range(ctx: _Ctx, a: Element) -> Projection:
     return from_basis(ctx.domain, subspaces.nullspace(ctx.domain, a.star().mat))
 
 
-def reducing_fixpoint(ops: list, e: Projection, cfg: EngineConfig | None = None) -> Projection:
-    """Largest projection <= e commuting with every listed operator.
+def _invariant_core(ctx: _Ctx, mats: list, p: Projection, what: str) -> Projection:
+    """Largest projection <= p whose range every listed matrix maps into itself.
 
-    Subspace iteration M <- M ∩ (∩_a a^{-1} M) over ops and their adjoints;
-    rank strictly decreases until the fixpoint, so termination is immediate.
-    Each sweep forms 1 - [M] once and meets one operator's preimage at a
-    time, as one kernel inside the part of M kept so far.
+    Subspace iteration M <- M ∩ (∩_a a^{-1} M); the rank falls by at least
+    one per sweep until the fixpoint, so a repeated rank (or rank 0) marks
+    it.  Each sweep forms 1 - [M] once and meets one matrix's preimage at a
+    time, as one kernel inside the part of M kept so far.  A core still
+    moving after ctx.cap sweeps raises IndeterminateError.
     """
-    ctx = _Ctx(e.element, cfg)
-    allops = [a.mat for a in ops] + [a.star().mat for a in ops]
-    p = e
-    while True:
+    for _ in range(ctx.cap):
         if p.rank == 0:
             return zero_projection(ctx.domain, ctx.dim)
         comp = (ctx.one - p.element).mat
         nxt = p.range_basis
-        for m in allops:
+        for m in mats:
             nxt = subspaces.preimage(ctx.domain, m, comp, nxt)
         if nxt.shape[1] == p.rank:
             return p
         p = from_basis(ctx.domain, nxt)
+    raise IndeterminateError(f"{what} did not stabilise within the cap")
+
+
+def reducing_fixpoint(ops: list, e: Projection, cfg: EngineConfig | None = None) -> Projection:
+    """Largest projection <= e commuting with every listed operator: the
+    invariant core of e under the operators and their adjoints."""
+    mats = [a.mat for a in ops] + [a.star().mat for a in ops]
+    return _invariant_core(_Ctx(e.element, cfg), mats, e, "reducing fixpoint")
 
 
 def _require(cond: bool, message: str):
@@ -404,17 +414,11 @@ def corollary_check(x1: Element, x2: Element, cfg: EngineConfig | None = None) -
 def _mixed_wandering(ctx: _Ctx, a: Element, b: Element) -> Projection:
     """inf over n of (1 - [a^{*n} b]), i.e. the chain K_n = ∩_{k<n} ker(b* a^k).
 
-    K_(n+1) = K_1 ∩ a^{-1} K_n, one `subspaces.preimage` kernel inside K_1
-    per step, so one repeated rank means the chain is fixed.
+    K_(n+1) = K_1 ∩ a^{-1} K_n equals the sweep M <- M ∩ a^{-1} M from
+    M = K_1 term by term, so the infimum is the a-invariant core of K_1.
     """
-    k1 = subspaces.nullspace(ctx.domain, b.star().mat)
-    acc = from_basis(ctx.domain, k1)
-    for _ in range(ctx.cap):
-        nxt = subspaces.preimage(ctx.domain, a.mat, (ctx.one - acc.element).mat, k1)
-        if nxt.shape[1] == acc.rank:
-            return acc
-        acc = from_basis(ctx.domain, nxt)
-    raise IndeterminateError("mixed wandering subspace did not stabilise within the cap")
+    return _invariant_core(ctx, [a.mat], _complement_of_range(ctx, b),
+                           "mixed wandering subspace")
 
 
 def weak_bishift(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
@@ -658,29 +662,17 @@ def _axiom_gate(domain: ScalarDomain):
 
 
 def _nfl_unitary_part(ctx: _Ctx, x: Element) -> Projection:
-    """∩_n K+_n ∩ K-_n with K+_n = ker(1 - x*^n x^n), K-_n = ker(1 - x^n x*^n).
+    """∩_n ker(1 - x*^n x^n) ∩ ker(1 - x^n x*^n), the largest projection
+    reducing x on which x is unitary.
 
-    For a contraction both chains are nested and K+_(n+1) = K+_1 ∩ x^{-1} K+_n
-    (likewise K-), so once both ranks repeat neither chain moves again.
+    A reducing subspace makes x unitary exactly when it lies in
+    ker(1 - x*x) ∧ ker(1 - xx*), one kernel of the two stacked, so the part
+    is the core of that meet under x and x*.
     """
-    part = ctx.one.mat
-    x_star = x.star()
-    fwd, bwd = x, x_star
-    ranks = None
-    for n in range(ctx.cap):
-        if n:
-            fwd = fwd @ x
-            bwd = bwd @ x_star
-        k_pos = subspaces.nullspace(ctx.domain, (ctx.one - fwd.star() @ fwd).mat)
-        k_neg = subspaces.nullspace(ctx.domain, (ctx.one - bwd.star() @ bwd).mat)
-        now = (k_pos.shape[1], k_neg.shape[1])
-        if now == ranks:
-            return from_basis(ctx.domain, part)
-        ranks = now
-        part = subspaces.intersect(ctx.domain, subspaces.intersect(ctx.domain, part, k_pos), k_neg)
-        if part.shape[1] == 0:
-            return from_basis(ctx.domain, part)
-    raise IndeterminateError("nfl kernel chains did not stabilise within the cap")
+    defects = np.concatenate([(ctx.one - ctx.gram(x)).mat,
+                              (ctx.one - ctx.gram(x, star=True)).mat])
+    meet = from_basis(ctx.domain, subspaces.nullspace(ctx.domain, defects))
+    return _invariant_core(ctx, [x.mat, x.star().mat], meet, "nfl unitary part")
 
 
 def nfl(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
@@ -709,8 +701,8 @@ def nfl(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
 def _corner_cnu_res(ctx: _Ctx, x: Element, p_c: Projection) -> float:
     """Residual norm of the unitary part of the compression to p_c.
 
-    y = p_c x p_c vanishes off p_c, so 1 - y*^n y^n is the identity there and
-    the NFL kernels of y already lie in p_c.
+    y = p_c x p_c vanishes off p_c, so 1 - y*y is the identity there and
+    the meet the invariant core starts from already lies in p_c.
     """
     return ctx.wres(_nfl_unitary_part(ctx, p_c.element @ x @ p_c.element).element)
 

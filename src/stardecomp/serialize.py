@@ -63,7 +63,7 @@ def parse_ring(obj, tol: float | None = None) -> ScalarDomain:
 
         if "p" not in obj or "dim" not in obj:
             raise SpecFileError("gf ring needs fields 'p' and 'dim'")
-        return construct_gf_ring(_ring_field(obj, "p", int), _ring_field(obj, "dim", int))
+        return construct_gf_ring(_ring_field(obj, "p", _count), _ring_field(obj, "dim", _count))
     raise SpecFileError(f"unknown ring kind {kind!r}")
 
 
@@ -90,8 +90,8 @@ def matrix_to_json(e: Element):
 
 
 def _count(value, choices=None) -> int:
-    """A positive integer expr field, one of ``choices`` when given.  A
-    fractional JSON number or a boolean is refused, not truncated."""
+    """A positive integer expr or ring field, one of ``choices`` when given.
+    A fractional JSON number or a boolean is refused, not truncated."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not an integer")
     n = int(value)
@@ -200,7 +200,8 @@ def parse_spec(data, tol: float | None = None) -> OperatorSpec:
     if "pair" in data:
         pr = data["pair"]
         if (not isinstance(pr, list) or len(pr) != 2
-                or any(not isinstance(i, int) or not 0 <= i < len(operators) for i in pr)):
+                or any(isinstance(i, bool) or not isinstance(i, int)
+                       or not 0 <= i < len(operators) for i in pr)):
             raise SpecFileError("'pair' must be two valid operator indices")
         pair = tuple(pr)
     return OperatorSpec(domain=domain, operators=operators, pair=pair)

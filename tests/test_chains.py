@@ -51,11 +51,12 @@ from stardecomp.fixtures import (
     random_ppi,
     rational_orthogonal,
 )
-from stardecomp.projections import identity_projection
+from stardecomp.projections import from_basis, identity_projection
 
 from chain_reference import (
     corner_cnu_res_to_cap,
     mixed_wandering_to_cap,
+    nfl_unitary_part_to_cap,
     power_lemma_certificates,
     reducing_fixpoint_by_meets,
     reference_engine,
@@ -220,6 +221,45 @@ def test_truncated_complex_matches_stepped_chain(case):
     xs, cfg = _truncated(exprs, n, n_max)
     got, want = _both(fn, *xs, cfg)
     _assert_close(got, want, cfg)
+
+
+def _complex_contraction(rng):
+    """q (u ⊕ j ⊕ d) q* with u unitary, j a nilpotent Jordan block and d of
+    norm 1/2, each of size 0 to 3, and q a random unitary; the unitary part
+    has the rank of u.  j is isometric on all but its last basis vector, so
+    ker(1 - x*x) ∧ ker(1 - xx*) is larger than the unitary part."""
+    k, m, r = (int(v) for v in rng.integers(0, 4, size=3))
+    dim = max(k + m + r, 1)
+    mat = np.zeros((dim, dim), dtype=complex)
+    if k:
+        mat[:k, :k] = random_complex_unitary(k, rng).mat
+    mat[k:k + m, k:k + m] = np.eye(m, k=-1)
+    if r:
+        z = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+        mat[k + m:, k + m:] = z / (2 * np.linalg.norm(z, 2))
+    q = random_complex_unitary(dim, rng)
+    return q @ Element(q.domain, mat) @ q.star(), k
+
+
+def _assert_nfl_matches_run_to_cap(x, cfg):
+    got = nfl(x, cfg).basis["u"]
+    want = nfl_unitary_part_to_cap(engine._Ctx(x, cfg), x)
+    assert got.rank == want.rank
+    assert np.abs(got.element.mat - want.element.mat).max() <= 1e-12
+    return got.rank
+
+
+def test_complex_nfl_matches_run_to_cap():
+    rng = np.random.default_rng(90)
+    for _ in range(40):
+        x, k = _complex_contraction(rng)
+        assert _assert_nfl_matches_run_to_cap(x, EngineConfig()) == k
+
+
+def test_truncated_nfl_matches_run_to_cap():
+    # i ⊕ S* ⊕ J3 at N = 32: the unitary part is the i block
+    (x,), window = _spec_operators("hw64.json", 32)
+    assert _assert_nfl_matches_run_to_cap(x, EngineConfig(n_max=16, window=window)) == 1
 
 
 # -------------------------------------------------- stabilisation contract
@@ -628,6 +668,35 @@ def test_largest_product_ppi_raises_past_the_cap(monkeypatch):
     _small_cap(monkeypatch, 3)
     with pytest.raises(IndeterminateError):
         largest_product_ppi(J3, J3)
+
+
+@pytest.mark.parametrize("cap,raises", [(3, True), (4, False)])
+def test_reducing_fixpoint_raises_past_the_cap(monkeypatch, cap, raises):
+    # below span(e1, e2, e3) the 4x4 Jordan block's invariant core loses one
+    # direction per sweep: ranks 3, 2, 1, 0
+    j4 = from_rows(RATIONAL, [[int(i == j + 1) for j in range(4)] for i in range(4)])
+    e = from_basis(RATIONAL, RATIONAL.eye(4)[:, :3])
+    _small_cap(monkeypatch, cap)
+    if raises:
+        with pytest.raises(IndeterminateError):
+            engine.reducing_fixpoint([j4], e)
+    else:
+        assert engine.reducing_fixpoint([j4], e).rank == 0
+
+
+def test_cli_pd_indeterminate_is_exit_4(tmp_path, monkeypatch, capsys):
+    # J3 J3* - J3* J3 = diag(-1, 0, 1): the fixpoint starts at span(e2) and
+    # its first sweep empties it
+    j3 = '{"matrix": [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"]]}'
+    spec = tmp_path / "j3j3.json"
+    spec.write_text(f'{{"ring": {{"kind": "rational"}}, "operators": [{j3}, {j3}], '
+                    '"pair": [0, 1]}')
+    _small_cap(monkeypatch, 2)
+    assert main(["decompose", str(spec), "--method", "pd"]) == 0
+    capsys.readouterr()
+    _small_cap(monkeypatch, 1)
+    assert main(["decompose", str(spec), "--method", "pd"]) == 4
+    assert "indeterminate" in capsys.readouterr().err
 
 
 def test_cnu_corner_raises_past_the_cap():

@@ -70,6 +70,8 @@ def test_parse_spec_pair_validation():
     assert parse_spec(base).pair is None
     with pytest.raises(SpecFileError):
         parse_spec({**base, "pair": [0, 5]})
+    with pytest.raises(SpecFileError):  # JSON booleans, not the index 0
+        parse_spec({**base, "pair": [False, False]})
     with pytest.raises(SpecFileError):
         parse_spec({**base, "operators": []})
 
@@ -304,6 +306,10 @@ def test_cli_builtin_dim_0_is_exit_3(capsys, builtin, ring, dim):
     ({"kind": "complex-float", "tolerance": [1e-6]}, "tolerance"),
     ({"kind": "gf", "p": "x", "dim": 2}, "p"),
     ({"kind": "gf", "p": 3, "dim": "two"}, "dim"),
+    ({"kind": "gf", "p": 3.7, "dim": 2.9}, "p"),
+    ({"kind": "gf", "p": True, "dim": 2}, "p"),
+    ({"kind": "gf", "p": 3, "dim": 2.9}, "dim"),
+    ({"kind": "gf", "p": 3, "dim": False}, "dim"),
 ])
 def test_cli_bad_ring_field_is_exit_2(tmp_path, capsys, ring, field):
     """--tol replaces a complex ring's eps_eq, but the ring's own field must still parse."""
