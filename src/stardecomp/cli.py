@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--builtin", choices=("remark1", "cone", "axioms"), default=None)
     p_ver.add_argument("--method", choices=sorted(_SINGLE_METHODS | _PAIR_METHODS), default=None)
     p_ver.add_argument("--ring", default=None, help="builtin target ring, e.g. gf3 or rational")
-    p_ver.add_argument("--dim", type=int, default=None)
+    p_ver.add_argument("--dim", type=_positive(int), default=None)
     p_ver.add_argument("--nmax", type=_positive(int), default=16)
     p_ver.add_argument("--truncation", type=_positive(int), default=None)
     p_ver.add_argument("--format", choices=("text", "json"), default="text")

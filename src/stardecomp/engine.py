@@ -34,6 +34,11 @@ from a truncated symbolic operator.  The window is a 0/1 diagonal, so the
 compression w e w is the entrywise product of e with the mask w wᵀ, which
 is exact.
 
+Every intersection of kernels is one right annihilator R(S), one kernel of
+the elements of S stacked (`right_annihilator_projection`): the starts
+ker b* = R({b*}) and R({1 - x*x, 1 - xx*}), the doubly-commuting seed, the
+product-PPI constraint and each complement 1 - p = R({p}).
+
 Two constructions are shared.  Halmos–Wallen and the product-PPI split are
 one chain-pair split (`_chain_pair_split`): the infima f, b of the range
 chains of y and of y*, their meet u, the differences b - u and f - u and
@@ -63,11 +68,11 @@ from .projections import (
     ProjectionBasis,
     from_basis,
     from_element,
-    identity_projection,
     left_projection,
     proj_inf,
     proj_leq,
     proj_sup,
+    right_annihilator_projection,
     zero_projection,
 )
 
@@ -208,11 +213,6 @@ def _wandering_series(ctx: _Ctx, x: Element, term: np.ndarray) -> Projection:
         pieces.append(term)
         term = subspaces.own_basis(ctx.domain, x.mat @ term)
     raise IndeterminateError("wandering series did not terminate within the cap")
-
-
-def _complement_of_range(ctx: _Ctx, a: Element) -> Projection:
-    """1 - [a], realised as the projection onto ker(a*)."""
-    return from_basis(ctx.domain, subspaces.nullspace(ctx.domain, a.star().mat))
 
 
 def _invariant_core(ctx: _Ctx, mats: list, p: Projection, what: str) -> Projection:
@@ -417,7 +417,7 @@ def _mixed_wandering(ctx: _Ctx, a: Element, b: Element) -> Projection:
     K_(n+1) = K_1 ∩ a^{-1} K_n equals the sweep M <- M ∩ a^{-1} M from
     M = K_1 term by term, so the infimum is the a-invariant core of K_1.
     """
-    return _invariant_core(ctx, [a.mat], _complement_of_range(ctx, b),
+    return _invariant_core(ctx, [a.mat], right_annihilator_projection([b.star()]),
                            "mixed wandering subspace")
 
 
@@ -617,9 +617,11 @@ def _product_ppi_constraint(ctx: _Ctx, x1: Element, x2: Element) -> Projection:
     """∩_n (1 - [[x1^n][x2*^n] - [x2*^n][x1^n]]) over the commutator defects.
 
     [x1^n] and [x2*^n] are decreasing chains, so once both ranks repeat
-    the defects repeat too and the constraint is fixed.
+    the defects repeat too and the constraint is fixed.  Each defect d is
+    skew-adjoint, so 1 - [d] is ker d* = ker d, and the constraint is the
+    one right annihilator R of all the defects, a single stacked kernel.
     """
-    constraint = identity_projection(ctx.domain, ctx.dim)
+    defects = []
     x2_star = x2.star()
     fwd, bwd = x1, x2_star
     ranks = None
@@ -630,10 +632,9 @@ def _product_ppi_constraint(ctx: _Ctx, x1: Element, x2: Element) -> Projection:
         pn = left_projection(fwd)
         qn = left_projection(bwd)
         if (pn.rank, qn.rank) == ranks:
-            return constraint
+            return right_annihilator_projection(defects)
         ranks = (pn.rank, qn.rank)
-        defect = pn.element @ qn.element - qn.element @ pn.element
-        constraint = proj_inf([constraint, _complement_of_range(ctx, defect)])
+        defects.append(pn.element @ qn.element - qn.element @ pn.element)
     raise IndeterminateError("product-PPI constraint chains did not stabilise within the cap")
 
 
@@ -666,12 +667,10 @@ def _nfl_unitary_part(ctx: _Ctx, x: Element) -> Projection:
     reducing x on which x is unitary.
 
     A reducing subspace makes x unitary exactly when it lies in
-    ker(1 - x*x) ∧ ker(1 - xx*), one kernel of the two stacked, so the part
-    is the core of that meet under x and x*.
+    R({1 - x*x, 1 - xx*}), one kernel of the two stacked, so the part is
+    the core of that meet under x and x*.
     """
-    defects = np.concatenate([(ctx.one - ctx.gram(x)).mat,
-                              (ctx.one - ctx.gram(x, star=True)).mat])
-    meet = from_basis(ctx.domain, subspaces.nullspace(ctx.domain, defects))
+    meet = right_annihilator_projection([ctx.one - ctx.gram(x), ctx.one - ctx.gram(x, star=True)])
     return _invariant_core(ctx, [x.mat, x.star().mat], meet, "nfl unitary part")
 
 
@@ -719,11 +718,11 @@ def largest_doubly_commuting(x1: Element, x2: Element, cfg: EngineConfig | None 
     """Largest commuting projection whose corner makes the pair doubly commute."""
     ctx = _Ctx(x1, cfg)
     _require(ctx.commute_ok(x1, x2), "largest_doubly_commuting requires a commuting pair")
-    defect = x2 @ x1.star() - x1.star() @ x2
-    e = _complement_of_range(ctx, defect)
-    p = reducing_fixpoint([x1, x2], e, ctx.cfg)
+    # 1 - [x2 x1* - x1* x2] is R of its adjoint, the defect checked below
+    defect = x1 @ x2.star() - x2.star() @ x1
+    p = reducing_fixpoint([x1, x2], right_annihilator_projection([defect]), ctx.cfg)
     pe = p.element
-    if not (ctx.ok(pe @ (x1 @ x2.star() - x2.star() @ x1) @ pe)
+    if not (ctx.ok(pe @ defect @ pe)
             and ctx.ok(pe @ (x1 @ x2 - x2 @ x1) @ pe)):
         raise InternalInconsistencyError("compression failed its doubly-commuting certificate")
     return p
@@ -733,34 +732,26 @@ def largest_doubly_commuting(x1: Element, x2: Element, cfg: EngineConfig | None 
 
 
 def maximality_probe(p: Projection, ops: list, predicate, rng, tries: int = 20) -> bool:
-    """Try rank-one enlargements of p along random complement directions.
+    """Try rank-one enlargements p ∨ [v] along random complement directions.
 
-    Returns True when no enlargement both commutes with every op and passes
-    the predicate (i.e. p survives falsification).
+    v is the complement R({p}) applied to integers drawn from [-9, 9], the
+    same draws in every domain, and each candidate is one orth of p's range
+    basis next to v; a v that adds no rank is skipped.  Returns True when no
+    enlargement both commutes with every op and passes the predicate (i.e.
+    p survives falsification).
     """
     domain = p.domain
     comp = p.complement()
     if comp.rank == 0:
         return True
     for _ in range(tries):
-        if domain.exact:
-            raw = np.array([domain.coerce(int(c)) for c in rng.integers(-9, 10, size=p.dim)],
-                           dtype=object)
-            v = comp.element.mat @ raw
-            nrm = domain.coerce(sum(c * c for c in v))
-            if nrm == 0:
-                continue
-            cand_mat = p.element.mat + np.outer(v, v) * domain.inv(nrm)
-        else:
-            v = comp.element.mat @ (rng.standard_normal(p.dim) + 1j * rng.standard_normal(p.dim))
-            nrm = np.vdot(v, v).real
-            if nrm < 1e-12:
-                continue
-            cand_mat = p.element.mat + np.outer(v, v.conj()) / nrm
-        try:
-            cand = from_element(Element(domain, cand_mat))
-        except PreconditionError:
+        raw = np.array([domain.coerce(int(c)) for c in rng.integers(-9, 10, size=p.dim)],
+                       dtype=domain.dtype)
+        v = comp.element.mat @ raw
+        basis = subspaces.orth(domain, np.column_stack([p.range_basis, v]))
+        if basis.shape[1] == p.rank:
             continue
+        cand = from_basis(domain, basis)
         if all((a @ cand.element).equals(cand.element @ a) for a in ops) and predicate(cand):
             return False
     return True

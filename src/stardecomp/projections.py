@@ -6,7 +6,10 @@ floating domains share one code path.  A coordinate projection, a sum of
 diagonal matrix units, is fixed by its mask: its range basis is the
 identity's columns in the mask (`coordinate_projection`), so the identity,
 zero, the shift model's probe windows and its ground truths are built with
-no product and no factorisation.
+no product and no factorisation.  Every intersection of kernels is one
+right annihilator R(S) = pA, the Baer axiom, built as one kernel of the
+elements of S stacked (`right_annihilator_projection`); the complement
+1 - p is R({p}), since ker p is the range of 1 - p.
 """
 
 from __future__ import annotations
@@ -66,8 +69,8 @@ class Projection:
         return Element(self.domain, mat)
 
     def complement(self) -> "Projection":
-        one = identity(self.domain, self.dim)
-        return from_element(one - self.element)
+        """1 - p, as R({p}): the range of 1 - p is ker p."""
+        return right_annihilator_projection([self.element])
 
     def equals(self, other: "Projection") -> bool:
         return self.element.equals(other.element)
@@ -146,16 +149,16 @@ def proj_sup(family: Sequence[Projection]) -> Projection:
 
 
 def right_annihilator_projection(elements: Sequence[Element]) -> Projection:
-    """The projection p with R(S) = p A, i.e. range(p) = ∩ ker(s)."""
+    """The projection p with R(S) = p A, i.e. range(p) = ∩ ker(s): one
+    kernel of the elements of S stacked."""
     elements = list(elements)
     if not elements:
         raise EmptyFamilyError("annihilator of an empty set")
-    domain = elements[0].domain
-    basis = subspaces.nullspace(domain, elements[0].mat)
     for s in elements[1:]:
         elements[0]._check(s)
-        basis = subspaces.intersect(domain, basis, subspaces.nullspace(domain, s.mat))
-    return from_basis(domain, basis)
+    domain = elements[0].domain
+    stacked = np.concatenate([s.mat for s in elements])
+    return from_basis(domain, subspaces.nullspace(domain, stacked))
 
 
 def key_identity_check(x: Element, q: Projection) -> bool:

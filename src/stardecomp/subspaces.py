@@ -82,6 +82,8 @@ def proj_matrix(domain: ScalarDomain, basis: np.ndarray) -> np.ndarray:
         return domain.zeros(n, n)
     if not domain.exact:
         return basis @ basis.conj().T
+    if basis.shape[1] == n:  # a basis of the whole space
+        return domain.eye(n)
     gram = domain.normalize(basis.T @ basis)
     ginv_bt = linalg.solve(domain, gram, domain.normalize(basis.T.copy()))
     return domain.normalize(basis @ ginv_bt)

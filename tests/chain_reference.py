@@ -28,6 +28,7 @@ from stardecomp.projections import (
     identity_projection,
     left_projection,
     proj_inf,
+    right_annihilator_projection,
     zero_projection,
 )
 
@@ -79,10 +80,10 @@ def mixed_wandering_by_meets(ctx, a, b):
     """K_(n+1) = K_n ∩ ker (a*ⁿ b)*, the power a*ⁿ b carried from step to
     step and each meet a stacked kernel."""
     y = b
-    acc = engine._complement_of_range(ctx, b)
+    acc = right_annihilator_projection([b.star()])
     for _ in range(ctx.cap):
         y = a.star() @ y
-        comp = engine._complement_of_range(ctx, y)
+        comp = right_annihilator_projection([y.star()])
         nxt = from_basis(ctx.domain, stacked_intersect(ctx.domain, acc.range_basis,
                                                        comp.range_basis))
         if nxt.rank == acc.rank:
@@ -103,7 +104,7 @@ def mixed_wandering_to_cap(ctx, a, b):
     acc = None
     y = b
     for _ in range(ctx.cap + 1):
-        comp = engine._complement_of_range(ctx, y)
+        comp = right_annihilator_projection([y.star()])
         acc = comp if acc is None else proj_inf([acc, comp])
         y = a.star() @ y
     return acc
@@ -137,7 +138,7 @@ def product_ppi_constraint_to_cap(ctx, x1, x2):
         pn = left_projection(x1.power(n)).element
         qn = left_projection(x2.star().power(n)).element
         defect = pn @ qn - qn @ pn
-        constraint = proj_inf([constraint, engine._complement_of_range(ctx, defect)])
+        constraint = proj_inf([constraint, right_annihilator_projection([defect.star()])])
     return constraint
 
 

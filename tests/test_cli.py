@@ -287,19 +287,6 @@ def test_cli_builtin_malformed_ring_is_exit_2(capsys):
     assert "unknown ring 'gfx'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("builtin,ring,dim", [
-    pytest.param("cone", "gf3", "0", id="cone"),
-    pytest.param("axioms", "gf3", "0", id="axioms"),
-    pytest.param("axioms", "rational", "0", id="axioms-rational-0"),
-    pytest.param("axioms", "rational", "-1", id="axioms-rational-neg"),
-    pytest.param("axioms", "complex", "0", id="axioms-complex-0"),
-    pytest.param("axioms", "complex", "-1", id="axioms-complex-neg"),
-])
-def test_cli_builtin_dim_0_is_exit_3(capsys, builtin, ring, dim):
-    assert main(["verify", "--builtin", builtin, "--ring", ring, "--dim", dim]) == 3
-    assert "dim must be positive" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("ring,field", [
     ({"kind": "complex-float", "tolerance": "abc"}, "tolerance"),
     ({"kind": "complex-float", "tolerance": -1}, "tolerance"),
@@ -332,6 +319,12 @@ def test_cli_bad_ring_field_is_exit_2(tmp_path, capsys, ring, field):
     ["decompose", "SPEC", "--method", "wold", "--truncation", "-5"],
     ["verify", "SPEC", "--method", "wold", "--truncation", "0"],
     ["verify", "SPEC", "--method", "wold", "--truncation", "-5"],
+    ["verify", "--builtin", "cone", "--ring", "gf3", "--dim", "0"],
+    ["verify", "--builtin", "axioms", "--ring", "gf3", "--dim", "0"],
+    ["verify", "--builtin", "axioms", "--ring", "rational", "--dim", "0"],
+    ["verify", "--builtin", "axioms", "--ring", "rational", "--dim", "-1"],
+    ["verify", "--builtin", "axioms", "--ring", "complex", "--dim", "0"],
+    ["verify", "--builtin", "axioms", "--ring", "complex", "--dim", "-1"],
 ])
 def test_cli_non_positive_flag_is_exit_2(tmp_path, capsys, argv):
     spec = _write(tmp_path, "id.json", {"ring": {"kind": "rational"},

@@ -250,6 +250,28 @@ def test_maximality_probe_detects_enlargeable():
     assert maximality_probe(p0, [one], lambda q: True, rng, tries=20) is False
 
 
+def test_maximality_probe_complex():
+    """The complex path draws the same integers as the exact one: 0 is
+    enlargeable under the identity, and the zero largest doubly commuting
+    corner of a 4×4 Jordan block with itself survives every probe."""
+    from stardecomp import identity
+    from stardecomp.elements import Element
+    from stardecomp.projections import zero_projection
+
+    rng = np.random.default_rng(13)
+    one = identity(COMPLEX, 5)
+    assert maximality_probe(zero_projection(COMPLEX, 5), [one], lambda q: True, rng) is False
+    j4 = Element(COMPLEX, np.eye(4, k=-1, dtype=complex))
+    p = largest_doubly_commuting(j4, j4)
+    assert p.rank == 0
+
+    def pred(q):
+        pe = q.element
+        return (pe @ (j4 @ j4.star() - j4.star() @ j4) @ pe).is_zero()
+
+    assert maximality_probe(p, [j4, j4], pred, rng, tries=20) is True
+
+
 # ------------------------------------------ every entry point, edge inputs
 # The 1x1 identity and the 2x2 zero reach rank r = dim and r = 0 in the
 # shared Wold factorisation, and comp = 0 in every fixpoint sweep.  Pair

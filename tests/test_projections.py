@@ -20,7 +20,7 @@ from stardecomp import (
     proj_sup,
     right_annihilator_projection,
 )
-from stardecomp import linalg
+from stardecomp import linalg, subspaces
 from stardecomp.elements import Element
 from stardecomp.exactrings import construct_gf_ring
 from stardecomp.fixtures import rational_orthogonal, random_ppi
@@ -200,3 +200,93 @@ def test_identity_projection_takes_no_rref(monkeypatch):
     p = identity_projection(RATIONAL, 6)
     assert not rrefs
     assert p.rank == 6 and p.element.equals(identity(RATIONAL, 6))
+
+
+# ---------------------------------------------- R(S) as one stacked kernel
+
+GF32 = construct_gf_ring(3, 2)
+_R_DOMAINS = pytest.mark.parametrize("domain", [RATIONAL, GF32, COMPLEX],
+                                     ids=["rational", "gf3", "complex"])
+
+
+def _kernel_meets(elements):
+    """R(S) the long way: one kernel per element, then one meet at a time."""
+    domain = elements[0].domain
+    basis = subspaces.nullspace(domain, elements[0].mat)
+    for s in elements[1:]:
+        basis = subspaces.intersect(domain, basis, subspaces.nullspace(domain, s.mat))
+    return from_basis(domain, basis)
+
+
+def _low_rank(domain, rng, rank):
+    """A random element g h of the domain with g dim × rank and h rank × dim."""
+    dim = domain.dim or 5
+    if domain.exact:
+        g = domain.array(rng.integers(-3, 4, size=(dim, rank)).tolist())
+        h = domain.array(rng.integers(-3, 4, size=(rank, dim)).tolist())
+        return Element(domain, domain.normalize(g @ h))
+    g, h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for shape in ((dim, rank), (rank, dim)))
+    return Element(domain, g @ h)
+
+
+def _assert_same_projection(got, want):
+    assert got.rank == want.rank
+    if got.domain.exact:
+        assert _entries(got.element.mat) == _entries(want.element.mat)
+    else:
+        assert np.linalg.norm(got.element.mat - want.element.mat) <= 1e-12
+
+
+@_R_DOMAINS
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_right_annihilator_is_the_meet_of_kernels(domain, size):
+    rng = np.random.default_rng(20 + size)
+    dim = domain.dim or 5
+    # ranks summing below dim keep a common kernel, except on gf's dim 2
+    top = max(2, (dim - 1) // size + 1)
+    for _ in range(10):
+        family = [_low_rank(domain, rng, int(rng.integers(1, top))) for _ in range(size)]
+        _assert_same_projection(right_annihilator_projection(family), _kernel_meets(family))
+
+
+@_R_DOMAINS
+def test_right_annihilator_of_complementary_kernels_is_zero(domain):
+    dim = domain.dim or 5
+    keep = np.arange(dim) < (dim + 1) // 2
+    a = coordinate_projection(domain, keep).element
+    b = coordinate_projection(domain, ~keep).element
+    p = right_annihilator_projection([a, b, a])
+    assert p.rank == 0
+    _assert_same_projection(p, _kernel_meets([a, b, a]))
+
+
+def _projection_of_rank(domain, rng, rank):
+    """A projection of the given rank that is not a coordinate one when
+    0 < rank < dim: the range of the first rank columns of a random
+    invertible matrix."""
+    dim = domain.dim or 5
+    while True:
+        mat = _low_rank(domain, rng, dim).mat
+        basis = subspaces.orth(domain, mat[:, :rank])
+        if subspaces.rank(domain, mat) == dim and basis.shape[1] == rank:
+            return from_basis(domain, basis)
+
+
+@_R_DOMAINS
+@pytest.mark.parametrize("which", ["zero", "partial", "full"])
+def test_complement_is_one_minus_p_without_from_element(monkeypatch, domain, which):
+    import stardecomp.projections as projections
+
+    dim = domain.dim or 5
+    rank = {"zero": 0, "partial": dim // 2, "full": dim}[which]
+    p = _projection_of_rank(domain, np.random.default_rng(30), rank)
+    monkeypatch.setattr(projections, "from_element",
+                        lambda e: pytest.fail("complement called from_element"))
+    c = p.complement()
+    assert c.rank == dim - rank
+    one_minus_p = identity(domain, dim) - p.element
+    if domain.exact:
+        assert _entries(c.element.mat) == _entries(one_minus_p.mat)
+    else:
+        assert np.linalg.norm(c.element.mat - one_minus_p.mat) <= 1e-12
