@@ -2,7 +2,9 @@
 
 Exit codes are a stable contract: 0 success, 1 a ``verify`` check failed
 (the output marks it FAIL), 2 spec-file parse error, 3 precondition failure
-(the message names the violated predicate), 4 indeterminate stabilisation.
+(the message names the violated predicate), 4 indeterminate stabilisation,
+141 stdout closed before the output was written (as a shell reports a
+writer stopped by SIGPIPE, e.g. under ``| head``).
 
 Each subcommand imports the modules it uses when it runs, so a process pays
 only for its own command: ``verify --builtin cone|axioms`` on a gf ring is
@@ -33,6 +35,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_INDETERMINATE = 4
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE
 
 # method name -> engine function name, looked up on engine when the method runs
 _SINGLE_METHODS = {
@@ -272,12 +275,22 @@ def main(argv=None) -> int:
             os.environ.setdefault(var, "1")
     parser = _build_parser()
     args = parser.parse_args(argv)
+    command = {"classify": cmd_classify, "decompose": cmd_decompose, "verify": cmd_verify}
     try:
-        if args.command == "classify":
-            return cmd_classify(args)
-        if args.command == "decompose":
-            return cmd_decompose(args)
-        return cmd_verify(args)
+        code = command[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # nothing more can reach the reader; point stdout at devnull so
+        # that the interpreter's final flush does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except (OSError, ValueError):  # an in-process stdout with no descriptor
+            pass
+        finally:
+            os.close(devnull)
+        return EXIT_CLOSED_STDOUT
     except SpecFileError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_PARSE

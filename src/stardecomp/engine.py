@@ -25,8 +25,11 @@ inside what is left, and one repeated rank marks the fixpoint, as it does
 for the nested product-PPI range pairs.  The wandering series ends when
 its term vanishes; a float step or final join whose Gram matrix is within
 dim·ε of the identity is its own orthonormal basis and takes no SVD.
-Float certificates multiply by a projection of rank below dim/2 through
-its range basis (`Projection.product`).  The iteration cap is
+Each checked identity is one defect built on `Projection.product`:
+x p - p x, (1 - p) x p, p x*x p - p, pq (`pair_product`) and pq being a
+projection (`projection_defects`); conditions test it with ctx.ok and
+certificates measure it with ctx.wres.  A float projection of rank below
+dim/2 multiplies through its range basis.  The iteration cap is
 max(n_max, dim + 1), and a chain still moving at the cap raises
 IndeterminateError instead of silently truncating.  Certificate residuals
 are measured after compression to the probe window when the input came
@@ -68,10 +71,13 @@ from .projections import (
     ProjectionBasis,
     from_basis,
     from_element,
+    identity_projection,
     left_projection,
+    pair_product,
     proj_inf,
     proj_leq,
     proj_sup,
+    projection_defects,
     right_annihilator_projection,
     zero_projection,
 )
@@ -149,10 +155,6 @@ class _Ctx:
 
     def commute_ok(self, a: Element, b: Element) -> bool:
         return self.ok(a @ b - b @ a)
-
-    def invariant_ok(self, p: Projection, x: Element) -> bool:
-        xp = x @ p.element
-        return self.ok(xp - p.element @ xp)
 
 
 def _range_chain_inf(ctx: _Ctx, x: Element, start: np.ndarray | None = None,
@@ -250,7 +252,7 @@ def _require(cond: bool, message: str):
 
 
 def _isometry_on_window(ctx: _Ctx, x: Element) -> bool:
-    return ctx.ok(ctx.gram(x) - ctx.one)
+    return ctx.ok(_isometry_defect(ctx, x))
 
 
 def _ppi_on_window(ctx: _Ctx, x: Element) -> bool:
@@ -263,15 +265,35 @@ def _ppi_on_window(ctx: _Ctx, x: Element) -> bool:
     return True
 
 
+def _isometry_defect(ctx: _Ctx, x: Element, p: Projection | None = None,
+                     star: bool = False) -> Element:
+    """p x* x p - p: x is an isometry on the corner p (x* is, p x x* p - p,
+    with star); x* x - 1 with no corner.
+
+    The compression form p x* p x p - p differs from it by
+    p x* (1 - p) x p = D* D, with D the invariance defect (1 - p) x p, so
+    beside an invariance certificate the two are equally strict."""
+    gram = ctx.gram(x, star)
+    return gram - ctx.one if p is None else p.product(gram) - p.element
+
+
+def _invariance_defect(x: Element, p: Projection) -> Element:
+    """(1 - p) x p: the range of p is x-invariant."""
+    xp = p.product(x, "right")
+    return xp - p.product(xp, "left")
+
+
+def _commute_defect(x: Element, p: Projection) -> Element:
+    """x p - p x."""
+    return p.product(x, "right") - p.product(x, "left")
+
+
 def _isometry_res(ctx: _Ctx, x: Element, p: Projection, star: bool = False) -> float:
-    """Residual of p x* x p = p: x is an isometry on the corner p (x* is,
-    p x x* p = p, with star)."""
-    return ctx.wres(p.product(ctx.gram(x, star)) - p.element)
+    return ctx.wres(_isometry_defect(ctx, x, p, star))
 
 
 def _commute_res(ctx: _Ctx, x: Element, p: Projection) -> float:
-    """Residual of x p = p x."""
-    return ctx.wres(p.product(x, "right") - p.product(x, "left"))
+    return ctx.wres(_commute_defect(x, p))
 
 
 def _corner_unitary_res(ctx: _Ctx, x: Element, p: Projection) -> float:
@@ -280,13 +302,12 @@ def _corner_unitary_res(ctx: _Ctx, x: Element, p: Projection) -> float:
 
 def _corner_shift_res(ctx: _Ctx, x: Element, p: Projection) -> float:
     """Residual of the pure-shift certificate inf [ (xp)^n ] = 0 in the corner."""
-    y = p.element @ x @ p.element
-    inf_proj = _range_chain_inf(ctx, y, start=p.range_basis)
+    inf_proj = _range_chain_inf(ctx, p.product(x), start=p.range_basis)
     return max(_isometry_res(ctx, x, p), ctx.wres(inf_proj.element))
 
 
 def _corner_truncated_res(ctx: _Ctx, x: Element, p: Projection) -> float:
-    fwd, bwd = _range_chain_pair(ctx, p.element @ x @ p.element, p.range_basis)
+    fwd, bwd = _range_chain_pair(ctx, p.product(x), p.range_basis)
     return max(ctx.wres(fwd.element), ctx.wres(bwd.element))
 
 
@@ -309,7 +330,7 @@ def wold(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
     p_u, p_s = _wold_parts(ctx, x)
     certificates = {
         "sum_to_one": ctx.wres(p_u.element + p_s.element - ctx.one),
-        "orth": ctx.wres(p_u.product(p_s.element, "left")),
+        "orth": ctx.wres(pair_product(p_u, p_s)),
         "commute_u": _commute_res(ctx, x, p_u),
         "commute_s": _commute_res(ctx, x, p_s),
         "unitary_corner": _corner_unitary_res(ctx, x, p_u),
@@ -329,9 +350,10 @@ def wold(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
 def slocinski(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
     """Evaluate the six equivalent fourfold-decomposition conditions.
 
-    All six are computed independently; disagreement is a hard internal
-    error.  When they hold, the emitted basis is {p_uu, p_us, p_su, p_ss}
-    with per-coordinate block certificates.
+    All six are computed independently (c3 and c5 share the value of
+    their common first clause); disagreement is a hard internal error.
+    When they hold, the emitted basis is {p_uu, p_us, p_su, p_ss} with
+    per-coordinate block certificates.
     """
     ctx = _Ctx(x1, cfg)
     _require(_isometry_on_window(ctx, x1) and _isometry_on_window(ctx, x2),
@@ -351,20 +373,20 @@ def slocinski(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> Deco
     c2 = True
     for a in "us":
         for b in "us":
-            prod = parts1[a].element @ parts2[b].element
-            c2 = c2 and ctx.ok(prod @ prod - prod) and ctx.ok(prod.star() - prod)
-            c2 = c2 and ctx.ok(prod - fixpoints[a + b].element)
+            prod = pair_product(parts1[a], parts2[b])
+            defects = (*projection_defects(prod), prod - fixpoints[a + b].element)
+            c2 = c2 and all(ctx.ok(d) for d in defects)
 
-    c3 = all(ctx.commute_ok(x1, parts2[a].element) for a in "us") and all(
-        ctx.commute_ok(x2, parts1[a].element) for a in "us"
-    )
-    c4 = ctx.invariant_ok(ps1, x2) and ctx.invariant_ok(ps2, x1)
-    c5 = all(ctx.commute_ok(x1, parts2[a].element) for a in "us") and (
+    # x1 commutes with x2's parts: the first clause of both c3 and c5
+    x1_commutes = all(ctx.ok(_commute_defect(x1, parts2[a])) for a in "us")
+    c3 = x1_commutes and all(ctx.ok(_commute_defect(x2, parts1[a])) for a in "us")
+    c4 = ctx.ok(_invariance_defect(x2, ps1)) and ctx.ok(_invariance_defect(x1, ps2))
+    c5 = x1_commutes and (
         ctx.commute_ok(x2, pu1.element @ ps2.element)
         or ctx.commute_ok(x2, ps1.element @ ps2.element)
     )
     x12 = x1 @ x2
-    c6 = ctx.invariant_ok(ps1, x12) and ctx.invariant_ok(ps2, x12)
+    c6 = ctx.ok(_invariance_defect(x12, ps1)) and ctx.ok(_invariance_defect(x12, ps2))
 
     vector = (c1, c2, c3, c4, c5, c6)
     if len(set(vector)) != 1:
@@ -441,17 +463,14 @@ def weak_bishift(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> D
 
     m_us = _range_chain_inf(ctx, x1, start=w_us.range_basis)
     m_su = _range_chain_inf(ctx, x2, start=w_su.range_basis)
-    we, pe = w_us.element, p_ws.element
     certificates = {
-        "w_us_invariant": ctx.wres(x1 @ we - we @ x1 @ we),
-        "w_su_invariant": ctx.wres(x2 @ w_su.element - w_su.element @ x2 @ w_su.element),
-        "w_us_isometry_corner": ctx.wres(we @ x1.star() @ we @ x1 @ we - we),
-        "w_su_isometry_corner": ctx.wres(
-            w_su.element @ x2.star() @ w_su.element @ x2 @ w_su.element - w_su.element
-        ),
-        "shift_product": ctx.wres(pe @ p_uu.element),
-        "shift_x1_w_us": ctx.wres(pe @ m_us.element),
-        "shift_x2_w_su": ctx.wres(pe @ m_su.element),
+        "w_us_invariant": ctx.wres(_invariance_defect(x1, w_us)),
+        "w_su_invariant": ctx.wres(_invariance_defect(x2, w_su)),
+        "w_us_isometry_corner": _isometry_res(ctx, x1, w_us),
+        "w_su_isometry_corner": _isometry_res(ctx, x2, w_su),
+        "shift_product": ctx.wres(pair_product(p_ws, p_uu)),
+        "shift_x1_w_us": ctx.wres(pair_product(p_ws, m_us)),
+        "shift_x2_w_su": ctx.wres(pair_product(p_ws, m_su)),
     }
     basis = ProjectionBasis((("uu", p_uu), ("us", p_us), ("su", p_su), ("ws", p_ws)))
     certificates.update({f"basis_{k}": v for k, v in basis.residuals().items()})
@@ -525,9 +544,8 @@ def _product_basis(ctx: _Ctx, method: str, rep1: DecompositionReport,
     for l1, p in rep1.basis.members:
         for l2, q in rep2.basis.members:
             label = f"{l1}{sep}{l2}"
-            prod = p.element @ q.element
             certificates[f"projection[{label}]"] = max(
-                ctx.wres(prod @ prod - prod), ctx.wres(prod.star() - prod)
+                ctx.wres(d) for d in projection_defects(pair_product(p, q))
             )
             members.append((label, proj_inf([p, q])))
             block_classes[label] = {"x1": rep1.block_classes[l1], "x2": rep2.block_classes[l2]}
@@ -552,29 +570,29 @@ def _lemma_certificates(ctx: _Ctx, x1: Element, x2: Element) -> dict:
     top = min(ctx.cfg.n_max, ctx.dim)
     for label, x in (("x1", x1), ("x2", x2)):
         x_star = x.star()
-        lp_star = left_projection(x_star).element
+        lp_star = left_projection(x_star)
         xn1 = None  # x^(n-1); None for x^0 = 1, which multiplies nothing
         xsn = x_star  # (x*)^n
         for n in range(1, top + 1):
             if n > 1:
                 xn1 = x if xn1 is None else xn1 @ x
                 xsn = xsn @ x_star
-            lp_n = left_projection(xsn).element
-            moved = lp_n if xn1 is None else xn1 @ lp_n
-            out[f"lemmaA1[{label},n={n}]"] = ctx.wres(lp_star @ moved - moved)
+            lp_n = left_projection(xsn)
+            moved = lp_n.element if xn1 is None else lp_n.product(xn1, "right")
+            out[f"lemmaA1[{label},n={n}]"] = ctx.wres(lp_star.product(moved, "left") - moved)
     # [y^n] for n = 0..top, y = x1 x2; shared by both labels
     y = x1 @ x2
-    lp_y = [ctx.one]
+    lp_y = [identity_projection(ctx.domain, ctx.dim)]
     yn = y
     for n in range(top):
         if n:
             yn = yn @ y
-        lp_y.append(left_projection(yn).element)
+        lp_y.append(left_projection(yn))
     for label, x in (("x1", x1), ("x2", x2)):
         x_star = x.star()
         for n in range(1, top + 1):
-            lhs = left_projection(x_star @ lp_y[n]).element
-            out[f"lemmaA2[{label},n={n}]"] = ctx.wres(lhs @ lp_y[n - 1] - lhs)
+            lhs = left_projection(lp_y[n].product(x_star, "right"))
+            out[f"lemmaA2[{label},n={n}]"] = ctx.wres(pair_product(lhs, lp_y[n - 1]) - lhs.element)
     return out
 
 
@@ -645,7 +663,7 @@ def largest_product_ppi(x1: Element, x2: Element, cfg: EngineConfig | None = Non
     _require(_ppi_on_window(ctx, x1) and _ppi_on_window(ctx, x2),
              "largest_product_ppi requires power partial isometries")
     p = reducing_fixpoint([x1, x2], _product_ppi_constraint(ctx, x1, x2), ctx.cfg)
-    if not _ppi_on_window(ctx, p.element @ x1 @ x2 @ p.element):
+    if not _ppi_on_window(ctx, p.product(x1 @ x2)):
         raise InternalInconsistencyError("compressed product failed its PPI certificate")
     return p
 
@@ -703,7 +721,7 @@ def _corner_cnu_res(ctx: _Ctx, x: Element, p_c: Projection) -> float:
     y = p_c x p_c vanishes off p_c, so 1 - y*y is the identity there and
     the meet the invariant core starts from already lies in p_c.
     """
-    return ctx.wres(_nfl_unitary_part(ctx, p_c.element @ x @ p_c.element).element)
+    return ctx.wres(_nfl_unitary_part(ctx, p_c.product(x)).element)
 
 
 def nfl_pair_doubly(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
@@ -721,9 +739,7 @@ def largest_doubly_commuting(x1: Element, x2: Element, cfg: EngineConfig | None 
     # 1 - [x2 x1* - x1* x2] is R of its adjoint, the defect checked below
     defect = x1 @ x2.star() - x2.star() @ x1
     p = reducing_fixpoint([x1, x2], right_annihilator_projection([defect]), ctx.cfg)
-    pe = p.element
-    if not (ctx.ok(pe @ defect @ pe)
-            and ctx.ok(pe @ (x1 @ x2 - x2 @ x1) @ pe)):
+    if not (ctx.ok(p.product(defect)) and ctx.ok(p.product(x1 @ x2 - x2 @ x1))):
         raise InternalInconsistencyError("compression failed its doubly-commuting certificate")
     return p
 
@@ -752,6 +768,6 @@ def maximality_probe(p: Projection, ops: list, predicate, rng, tries: int = 20) 
         if basis.shape[1] == p.rank:
             continue
         cand = from_basis(domain, basis)
-        if all((a @ cand.element).equals(cand.element @ a) for a in ops) and predicate(cand):
+        if all(_commute_defect(a, cand).is_zero() for a in ops) and predicate(cand):
             return False
     return True

@@ -1,9 +1,9 @@
 """Independent brute-force checks used to cross-validate the engine.
 
-Everything here is built directly on kernel/column-space computations
-(exact elimination or raw SVD), deliberately avoiding the projection
-lattice and chain machinery of the engine, so that agreement between the
-two is meaningful evidence.
+Everything here is built directly on exact kernel/column-space
+elimination, deliberately avoiding the projection lattice and chain
+machinery of the engine, so that agreement between the two is meaningful
+evidence.  Inputs must be exact.
 """
 
 from __future__ import annotations
@@ -21,36 +21,17 @@ UNITARY_DIM_GUARD = 8
 CHAIN_DIM_GUARD = 6
 
 
-def _cut(s: np.ndarray, eps_rank: float) -> int:
-    # relative cutoff with an absolute floor (operators here have norm O(1))
-    return int(np.sum(s > eps_rank * max(float(s[0]), 1.0))) if s.size else 0
-
-
-def _null(domain: ScalarDomain, mat: np.ndarray) -> np.ndarray:
-    if domain.exact:
-        return linalg.nullspace(domain, mat)
-    u, s, vh = np.linalg.svd(mat)
-    return vh[_cut(s, domain.tol.eps_rank):].conj().T
-
-
-def _colspace(domain: ScalarDomain, mat: np.ndarray) -> np.ndarray:
-    if domain.exact:
-        return linalg.column_space(domain, mat)
-    u, s, _ = np.linalg.svd(mat)
-    return u[:, : _cut(s, domain.tol.eps_rank)]
-
-
 def _rank(domain: ScalarDomain, mat: np.ndarray) -> int:
-    return _colspace(domain, mat).shape[1]
+    return linalg.column_space(domain, mat).shape[1]
 
 
 def _membership_rows(domain: ScalarDomain, basis: np.ndarray) -> np.ndarray:
     """Rows A with  v in col(basis)  iff  A v = 0."""
-    return _null(domain, basis.T).T
+    return linalg.nullspace(domain, basis.T).T
 
 
 def _stack_null(domain: ScalarDomain, mats) -> np.ndarray:
-    return _null(domain, np.concatenate(list(mats), axis=0))
+    return linalg.nullspace(domain, np.concatenate(list(mats), axis=0))
 
 
 def brute_unitary_part(x: Element) -> np.ndarray:
@@ -62,6 +43,8 @@ def brute_unitary_part(x: Element) -> np.ndarray:
     """
     if x.dim > UNITARY_DIM_GUARD:
         raise PreconditionError(f"brute_unitary_part is guarded to dim <= {UNITARY_DIM_GUARD}")
+    if not x.domain.exact:
+        raise PreconditionError("brute_unitary_part requires an exact domain")
     domain = x.domain
     one = domain.eye(x.dim)
     conditions = []
@@ -117,7 +100,7 @@ def brute_hw_classify(x: Element) -> ChainReport:
     for length in range(x.dim, 0, -1):
         xl = x.power(length)
         back = xs.power(length - 1)
-        start_range = _colspace(domain, back.mat)
+        start_range = linalg.column_space(domain, back.mat)
         conds = [xs.mat, xl.mat]
         rows = _membership_rows(domain, start_range)
         if rows.shape[0]:

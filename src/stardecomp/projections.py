@@ -9,7 +9,9 @@ zero, the shift model's probe windows and its ground truths are built with
 no product and no factorisation.  Every intersection of kernels is one
 right annihilator R(S) = pA, the Baer axiom, built as one kernel of the
 elements of S stacked (`right_annihilator_projection`); the complement
-1 - p is R({p}), since ker p is the range of 1 - p.
+1 - p is R({p}), since ker p is the range of 1 - p.  A product with a
+projection goes through `Projection.product`, pq through the lower-rank
+factor (`pair_product`).
 """
 
 from __future__ import annotations
@@ -83,11 +85,21 @@ def from_basis(domain: ScalarDomain, basis: np.ndarray) -> Projection:
 
 def from_element(e: Element) -> Projection:
     """Wrap an element that is already (close to) a projection."""
-    p2 = e @ e
-    if not (p2.equals(e) and e.star().equals(e)):
+    if not all(d.is_zero() for d in projection_defects(e)):
         raise PreconditionError("element is not a projection")
     basis = subspaces.orth(e.domain, e.mat)
     return Projection(e, basis)
+
+
+def projection_defects(e: Element) -> tuple:
+    """e² - e and e* - e: e is a projection when both vanish."""
+    return e @ e - e, e.star() - e
+
+
+def pair_product(p: Projection, q: Projection) -> Element:
+    """p q through the basis of the lower-rank factor (`Projection.product`);
+    pq = 0 is the orthogonality of p and q."""
+    return p.product(q.element, "left") if p.rank <= q.rank else q.product(p.element, "right")
 
 
 def coordinate_projection(domain: ScalarDomain, keep) -> Projection:
@@ -120,7 +132,7 @@ def left_projection(a: Element) -> Projection:
 
 def proj_leq(p: Projection, q: Projection) -> bool:
     """p <= q in the sense p q = p."""
-    return (p.element @ q.element).equals(p.element)
+    return pair_product(p, q).equals(p.element)
 
 
 def proj_inf(family: Sequence[Projection]) -> Projection:
@@ -165,9 +177,8 @@ def key_identity_check(x: Element, q: Projection) -> bool:
     """[x q] = x q x* for an isometry x."""
     if not classify(x, 1).isometry:
         raise PreconditionError("key identity requires an isometry")
-    lhs = left_projection(x @ q.element).element
-    rhs = x @ q.element @ x.star()
-    return lhs.equals(rhs)
+    xq = q.product(x, "right")
+    return left_projection(xq).element.equals(xq @ x.star())
 
 
 @dataclass(frozen=True)
@@ -193,10 +204,7 @@ class ProjectionBasis:
         for i, (li, pi) in enumerate(items):
             total = pi.element if total is None else total + pi.element
             for lj, pj in items[i + 1 :]:
-                # pi pj, through the basis of the lower-rank factor
-                prod = (pi.product(pj.element, "left") if pi.rank <= pj.rank
-                        else pj.product(pi.element, "right"))
-                out[f"orth[{li},{lj}]"] = prod.norm()
+                out[f"orth[{li},{lj}]"] = pair_product(pi, pj).norm()
         one = identity(items[0][1].domain, items[0][1].dim)
         out["sum_to_one"] = (total - one).norm()
         return out

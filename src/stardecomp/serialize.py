@@ -181,6 +181,8 @@ def parse_spec(data, tol: float | None = None) -> OperatorSpec:
     if "ring" not in data or "operators" not in data:
         raise SpecFileError("spec file needs 'ring' and 'operators' sections")
     domain = parse_ring(data["ring"], tol)
+    if not isinstance(data["operators"], list):
+        raise SpecFileError("'operators' must be a list")
     operators = []
     for k, op in enumerate(data["operators"]):
         if not isinstance(op, dict) or len(op.keys() & {"matrix", "expr"}) != 1:

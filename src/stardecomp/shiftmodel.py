@@ -188,7 +188,8 @@ def truncate(e: OperatorExpr, n: int, n_max: int = 16, window: int | None = None
     vector; the window holds the coordinates of depth < w, with w at most
     n - n_max (the region truncation cannot corrupt within n_max powers).
     The window is a coordinate projection, built from its depth mask with
-    no product and no factorisation (`coordinate_projection`).
+    no product and no factorisation (`coordinate_projection`).  The
+    realisation is complex: an exact domain raises PreconditionError.
     """
     segs = space(e)
     finite_dims = [s[1] for s in segs if s[0] == "finite"]
@@ -201,6 +202,8 @@ def truncate(e: OperatorExpr, n: int, n_max: int = 16, window: int | None = None
     if w < 1 or w > n - n_max:
         raise TruncationTooSmallError(f"window {w} outside the trusted range 1..{n - n_max}")
     domain = domain or complex_domain()
+    if domain.exact:
+        raise PreconditionError(f"truncate realises expressions over the complex field, not {domain}")
     elem = Element(domain, _matrix(e, n))
     depth = np.concatenate([_coords(s, n)[2] for s in segs])
     return Truncation(element=elem, window=coordinate_projection(domain, depth < w), w=w, n=n)

@@ -76,6 +76,16 @@ def test_parse_spec_pair_validation():
         parse_spec({**base, "operators": []})
 
 
+def test_parse_spec_refuses_non_list_operators(tmp_path, capsys):
+    ring = {"kind": "complex-float"}
+    for bad in (5, None, True, 1e308, {"matrix": [[1]]}):
+        with pytest.raises(SpecFileError, match="'operators' must be a list"):
+            parse_spec({"ring": ring, "operators": bad})
+    spec = _write(tmp_path, "ops5.json", {"ring": ring, "operators": 5})
+    assert main(["classify", spec]) == 2
+    assert "'operators' must be a list" in capsys.readouterr().err
+
+
 def test_parse_expr_roundtrip():
     obj = {"op": "direct-sum", "terms": [
         {"op": "unitary", "rows": [["0.6+0.8 i", "0"], ["0", "-1"]]},

@@ -114,3 +114,22 @@ def test_cold_cli_matches_golden(command, golden, tmp_path):
     proc = subprocess.run([sys.executable, "-m", "stardecomp.cli", *argv], cwd=tmp_path,
                           env=_env(), capture_output=True, text=True, timeout=120)
     assert _observe(argv, proc.returncode, proc.stdout, proc.stderr) == golden[command]
+
+
+@pytest.mark.parametrize("command", [
+    "decompose {s}/wold64.json --method wold --truncation 32 --format json",
+    "verify --builtin remark1",
+])
+def test_closed_stdout_exits_141_without_traceback(command):
+    # the pipe's reading end is closed before the child writes, so every
+    # write fails with EPIPE, whatever the output's size
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "stardecomp.cli", *_argv(command)],
+                              cwd=ROOT, env=_env(), stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""

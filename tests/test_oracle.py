@@ -13,6 +13,7 @@ from stardecomp import (
     from_rows,
     halmos_wallen,
     nfl,
+    truncate,
     truncation_convergence_probe,
     unitary,
     wold,
@@ -37,6 +38,12 @@ def test_brute_unitary_part_guard():
     rng = np.random.default_rng(1)
     with pytest.raises(PreconditionError):
         brute_unitary_part(rational_orthogonal(9, rng))
+
+
+def test_brute_unitary_part_refuses_a_float_domain():
+    x = truncate(Shift(1), 8, n_max=4).element
+    with pytest.raises(PreconditionError, match="exact"):
+        brute_unitary_part(x)
 
 
 def test_brute_hw_classify_chain_lengths():

@@ -11,6 +11,7 @@ from stardecomp import (
     BackShift,
     GridShift,
     PreconditionError,
+    RATIONAL,
     Shift,
     Trunc,
     TruncationTooSmallError,
@@ -27,6 +28,12 @@ from stardecomp.elements import Element, classify
 from stardecomp.shiftmodel import embedding_indices, space, total_dim
 
 U2 = unitary([[0.6 + 0.8j, 0], [0, -1]])
+
+
+def test_truncate_refuses_an_exact_domain():
+    # the realisation is complex; an exact label on complex entries would lie
+    with pytest.raises(PreconditionError, match="complex"):
+        truncate(Shift(1), 8, n_max=4, domain=RATIONAL)
 
 
 def test_unitary_constructor_validates():
