@@ -16,6 +16,15 @@ chains of y and of y* share one power, (y*)^m = (y^m)*.  A float matrix
 whose Frobenius norm is below the rank cutoff takes no SVD, since
 σ₁ <= ‖·‖_F, and x*x and xx* are formed once per operator.
 
+Wold's parts take no range chain.  For an isometry the unitary part
+∧[xⁿ] equals 1 - s, s the wandering series Σ xⁿ[ker x*] (Wold's identity),
+so `_wold_parts` takes u as the complement of the series' basis.  The
+series also grades the shift corner: p x p maps each block Bₖ into Bₖ₊₁
+and the last block to 0, so it is nilpotent and ∧[(pxp)ⁿ] = 0; the
+certificate measures what lies off that grading with thin products only
+(`_graded_shift_res`).  Corners with no grading, Słociński's blocks and
+Halmos–Wallen's s and b, keep the range chain of p x p.
+
 The reducing fixpoints, the weak bi-shift wandering subspaces and the NFL
 unitary part are one lattice operation, the largest projection below some
 e whose range the given matrices map into itself (`_invariant_core`): the
@@ -33,14 +42,16 @@ dim/2 multiplies through its range basis.  The iteration cap is
 max(n_max, dim + 1), and a chain still moving at the cap raises
 IndeterminateError instead of silently truncating.  Certificate residuals
 are measured after compression to the probe window when the input came
-from a truncated symbolic operator.  The window is a 0/1 diagonal, so the
+from a truncated symbolic operator; the grading residual of the shift
+corner is read on the whole space, which can only be stricter.  The window is a 0/1 diagonal, so the
 compression w e w is the entrywise product of e with the mask w wᵀ, which
 is exact.
 
 Every intersection of kernels is one right annihilator R(S), one kernel of
 the elements of S stacked (`right_annihilator_projection`): the starts
-ker b* = R({b*}) and R({1 - x*x, 1 - xx*}), the doubly-commuting seed, the
-product-PPI constraint and each complement 1 - p = R({p}).
+ker b* = R({b*}) and R({1 - x*x, 1 - xx*}), the doubly-commuting seed and
+the product-PPI constraint.  A complement 1 - p is ker B* for B the range
+basis of p (`Projection.complement`), with no kernel of the dense p.
 
 Two constructions are shared.  Halmos–Wallen and the product-PPI split are
 one chain-pair split (`_chain_pair_split`): the infima f, b of the range
@@ -158,7 +169,7 @@ class _Ctx:
 
 
 def _range_chain_inf(ctx: _Ctx, x: Element, start: np.ndarray | None = None,
-                     first: np.ndarray | None = None, power=None) -> Projection:
+                     power=None) -> Projection:
     """Stabilised infimum of the decreasing chain of ranges of x^n (start).
 
     Ranks fall by at least one per index until the chain is fixed, so with
@@ -169,21 +180,15 @@ def _range_chain_inf(ctx: _Ctx, x: Element, start: np.ndarray | None = None,
     Otherwise one jump from the raw step x (start) by x^m, m the least
     power of two >= d1 (cap - 1 once d1 reaches the cap, so that the chain
     raises exactly when it still moves at index cap), and one step
-    confirming the rank.  A caller that already holds a basis of the first
-    step passes it as first; one that shares x^m with another chain passes
-    power, a function m -> x^m.
+    confirming the rank.  A caller that shares x^m with another chain
+    passes power, a function m -> x^m.
     """
-    if first is None:
-        step = x.mat if start is None else x.mat @ start
-        d1 = subspaces.rank(ctx.domain, step)
-    else:
-        step, d1 = first, first.shape[1]
+    step = x.mat if start is None else x.mat @ start
+    d1 = subspaces.rank(ctx.domain, step)
     if d1 == 0:
         return zero_projection(ctx.domain, ctx.dim)
     if d1 == (ctx.dim if start is None else start.shape[1]):
-        if first is None:
-            first = subspaces.own_basis(ctx.domain, step, independent=True)
-        return from_basis(ctx.domain, first)
+        return from_basis(ctx.domain, subspaces.own_basis(ctx.domain, step, independent=True))
     m = ctx.cap - 1 if d1 >= ctx.cap else 1 << (d1 - 1).bit_length()
     fixed = subspaces.orth(ctx.domain, (power or x.power)(m).mat @ step)
     rank = fixed.shape[1]
@@ -199,9 +204,10 @@ def _range_chain_pair(ctx: _Ctx, y: Element, start: np.ndarray | None = None) ->
             _range_chain_inf(ctx, y.star(), start, power=lambda m: power(m).star()))
 
 
-def _wandering_series(ctx: _Ctx, x: Element, term: np.ndarray) -> Projection:
+def _wandering_series(ctx: _Ctx, x: Element, term: np.ndarray) -> tuple:
     """Stabilised orthogonal series sum of [x^n (1 - [x])], from a basis
-    term of the range of 1 - [x].
+    term of the range of 1 - [x], with its blocks B₀, B₁, …: Bₖ₊₁ is a
+    basis of x Bₖ, and the last block's image has rank 0.
 
     An isometry maps an orthonormal block to an orthonormal block, and the
     blocks are mutually orthogonal, so each float step x term and the final
@@ -211,7 +217,7 @@ def _wandering_series(ctx: _Ctx, x: Element, term: np.ndarray) -> Projection:
     for _ in range(ctx.cap + 1):
         if term.shape[1] == 0:
             joined = np.concatenate(pieces, axis=1) if pieces else ctx.domain.zeros(ctx.dim, 0)
-            return from_basis(ctx.domain, subspaces.own_basis(ctx.domain, joined))
+            return from_basis(ctx.domain, subspaces.own_basis(ctx.domain, joined)), pieces
         pieces.append(term)
         term = subspaces.own_basis(ctx.domain, x.mat @ term)
     raise IndeterminateError("wandering series did not terminate within the cap")
@@ -301,9 +307,33 @@ def _corner_unitary_res(ctx: _Ctx, x: Element, p: Projection) -> float:
 
 
 def _corner_shift_res(ctx: _Ctx, x: Element, p: Projection) -> float:
-    """Residual of the pure-shift certificate inf [ (xp)^n ] = 0 in the corner."""
+    """Residual of the pure-shift certificate inf [ (xp)^n ] = 0 in the
+    corner, by the range chain of p x p: for corners with no grading."""
     inf_proj = _range_chain_inf(ctx, p.product(x), start=p.range_basis)
     return max(_isometry_res(ctx, x, p), ctx.wres(inf_proj.element))
+
+
+def _graded_shift_res(ctx: _Ctx, x: Element, p: Projection, blocks: list) -> float:
+    """Residual of the pure-shift certificate of a corner graded by its
+    series blocks B₀, …, B_L, which side by side span the range of p.
+
+    If p x p maps each Bₖ into Bₖ₊₁ and B_L to 0, then (p x p)^(L+1) = 0,
+    so ∧[(pxp)ⁿ] = 0 with no power formed.  In the coordinates G of
+    p x p on the blocks (G = B*(x B) for an orthonormal float B) the
+    grading is G's block subdiagonal; the residual is what lies off it,
+    the images p x Bₖ outside Bₖ₊₁ and p x B_L.  Only the thin products
+    x B and B*(x B) are formed.  The grading comes from x's own action
+    wherever the series ran, so the residual is read on the whole space.
+    """
+    if not blocks:
+        return _isometry_res(ctx, x, p)
+    joined = np.concatenate(blocks, axis=1)
+    g = subspaces.coordinates(ctx.domain, joined, x.mat @ joined,
+                              orthonormal=np.array_equal(joined, p.range_basis))
+    edges = np.cumsum([0] + [b.shape[1] for b in blocks])
+    for k in range(len(blocks) - 1):
+        g[edges[k + 1]:edges[k + 2], edges[k]:edges[k + 1]] = ctx.domain.zero()
+    return max(_isometry_res(ctx, x, p), ctx.domain.norm(g))
 
 
 def _corner_truncated_res(ctx: _Ctx, x: Element, p: Projection) -> float:
@@ -315,26 +345,33 @@ def _corner_truncated_res(ctx: _Ctx, x: Element, p: Projection) -> float:
 
 
 def _wold_parts(ctx: _Ctx, x: Element):
-    """The unitary part ∧[xⁿ] and the shift part, the wandering series.
+    """The unitary part, the shift part and the shift part's series blocks.
 
-    One factorisation of x gives both the chain's first step [x] and the
-    series' first term 1 - [x] = [ker x*]."""
-    rng, coker = subspaces.range_and_cokernel(ctx.domain, x.mat)
-    return _range_chain_inf(ctx, x, first=rng), _wandering_series(ctx, x, coker)
+    The shift part is the wandering series Σ xⁿ[ker x*] from one cokernel
+    of x (`subspaces.cokernel`).  By Wold's identity u = ∧[xⁿ] = 1 - s, the
+    unitary part is its complement, taken from the series' own basis
+    (`Projection.complement`) with no range chain."""
+    p_s, blocks = _wandering_series(ctx, x, subspaces.cokernel(ctx.domain, x.mat))
+    return p_s.complement(), p_s, blocks
 
 
 def wold(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
-    """Split an isometry into its unitary and unilateral-shift parts."""
+    """Split an isometry into its unitary and unilateral-shift parts.
+
+    u = 1 - s holds by construction, so `sum_to_one` and `orth` read
+    roundoff only; the evidence is `unitary_corner`, the commutation
+    certificates and `shift_corner`, which the series' grading proves
+    (`_graded_shift_res`)."""
     ctx = _Ctx(x, cfg)
     _require(_isometry_on_window(ctx, x), "wold requires an isometry (on the probe window)")
-    p_u, p_s = _wold_parts(ctx, x)
+    p_u, p_s, blocks = _wold_parts(ctx, x)
     certificates = {
         "sum_to_one": ctx.wres(p_u.element + p_s.element - ctx.one),
         "orth": ctx.wres(pair_product(p_u, p_s)),
         "commute_u": _commute_res(ctx, x, p_u),
         "commute_s": _commute_res(ctx, x, p_s),
         "unitary_corner": _corner_unitary_res(ctx, x, p_u),
-        "shift_corner": _corner_shift_res(ctx, x, p_s),
+        "shift_corner": _graded_shift_res(ctx, x, p_s, blocks),
     }
     return DecompositionReport(
         method="wold",
@@ -359,8 +396,8 @@ def slocinski(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> Deco
     _require(_isometry_on_window(ctx, x1) and _isometry_on_window(ctx, x2),
              "slocinski requires two isometries")
     _require(ctx.commute_ok(x1, x2), "slocinski requires a commuting pair")
-    pu1, ps1 = _wold_parts(ctx, x1)
-    pu2, ps2 = _wold_parts(ctx, x2)
+    pu1, ps1, _ = _wold_parts(ctx, x1)
+    pu2, ps2, _ = _wold_parts(ctx, x2)
     parts1 = {"u": pu1, "s": ps1}
     parts2 = {"u": pu2, "s": ps2}
 
@@ -453,8 +490,8 @@ def weak_bishift(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> D
     w_us = _mixed_wandering(ctx, x1, x2)
     w_su = _mixed_wandering(ctx, x2, x1)
 
-    pu1, ps1 = _wold_parts(ctx, x1)
-    pu2, ps2 = _wold_parts(ctx, x2)
+    pu1, ps1, _ = _wold_parts(ctx, x1)
+    pu2, ps2, _ = _wold_parts(ctx, x2)
     x12 = x1 @ x2
     p_uu = _range_chain_inf(ctx, x12)
     p_us = reducing_fixpoint([x1, x2], proj_inf([pu1, ps2]), ctx.cfg)
@@ -750,7 +787,7 @@ def largest_doubly_commuting(x1: Element, x2: Element, cfg: EngineConfig | None 
 def maximality_probe(p: Projection, ops: list, predicate, rng, tries: int = 20) -> bool:
     """Try rank-one enlargements p ∨ [v] along random complement directions.
 
-    v is the complement R({p}) applied to integers drawn from [-9, 9], the
+    v is the complement 1 - p applied to integers drawn from [-9, 9], the
     same draws in every domain, and each candidate is one orth of p's range
     basis next to v; a v that adds no rank is skipped.  Returns True when no
     enlargement both commutes with every op and passes the predicate (i.e.

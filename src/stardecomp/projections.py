@@ -8,8 +8,10 @@ identity's columns in the mask (`coordinate_projection`), so the identity,
 zero, the shift model's probe windows and its ground truths are built with
 no product and no factorisation.  Every intersection of kernels is one
 right annihilator R(S) = pA, the Baer axiom, built as one kernel of the
-elements of S stacked (`right_annihilator_projection`); the complement
-1 - p is R({p}), since ker p is the range of 1 - p.  A product with a
+elements of S stacked (`right_annihilator_projection`).  The complement
+1 - p comes from p's range basis B: its range is ker p = ker B*, the
+trailing columns of a complete QR of B for floats and the kernel of the
+thin B* when exact, so the dense p is never factorised.  A product with a
 projection goes through `Projection.product`, pq through the lower-rank
 factor (`pair_product`).
 """
@@ -71,8 +73,9 @@ class Projection:
         return Element(self.domain, mat)
 
     def complement(self) -> "Projection":
-        """1 - p, as R({p}): the range of 1 - p is ker p."""
-        return right_annihilator_projection([self.element])
+        """1 - p, from the range basis B alone: the range of 1 - p is
+        ker p = ker B* (`subspaces.complement`)."""
+        return from_basis(self.domain, subspaces.complement(self.domain, self.range_basis))
 
     def equals(self, other: "Projection") -> bool:
         return self.element.equals(other.element)

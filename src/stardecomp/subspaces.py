@@ -89,17 +89,52 @@ def proj_matrix(domain: ScalarDomain, basis: np.ndarray) -> np.ndarray:
     return domain.normalize(basis @ ginv_bt)
 
 
-def range_and_cokernel(domain: ScalarDomain, mat: np.ndarray) -> tuple:
-    """Bases of the range of mat and of ker mat*, from one factorisation.
+def cokernel(domain: ScalarDomain, mat: np.ndarray) -> np.ndarray:
+    """Basis of ker mat*, the range of 1 - [mat].
 
-    For floats both come from one full SVD mat = U S V*: the first r
-    columns of U span the range and the rest span its complement ker mat*.
+    Exact domains take the rref kernel of mat*.  Floats take the left
+    singular vectors of mat past the rank, from one SVD of mat, and not the
+    right singular vectors of mat*: on a truncated shift those carry a
+    roundoff tail that decays geometrically into subnormal range, which
+    the wandering series then multiplies through every block."""
+    if domain.exact:
+        return linalg.nullspace(domain, domain.adjoint(mat))
+    u, s, _ = np.linalg.svd(mat)
+    return u[:, _rank_cut(s, domain.tol.eps_rank):]
+
+
+def complement(domain: ScalarDomain, basis: np.ndarray) -> np.ndarray:
+    """Basis of the orthogonal complement of span(basis), the range of
+    1 - p for p the projection onto span(basis).
+
+    That range is ker p = ker basis*, so exact domains take the kernel of
+    the thin basis* and never form p.  A float basis is orthonormal, and
+    the trailing columns of the complete QR of it are an orthonormal basis
+    of the rest of the space, with no SVD; a float basis with no columns
+    or with as many as rows needs no QR.
     """
     if domain.exact:
-        return linalg.column_space(domain, mat), linalg.nullspace(domain, domain.adjoint(mat))
-    u, s, _ = np.linalg.svd(mat)
-    r = _rank_cut(s, domain.tol.eps_rank)
-    return u[:, :r], u[:, r:]
+        return linalg.nullspace(domain, domain.adjoint(basis))
+    n, r = basis.shape
+    if r == 0:
+        return np.eye(n, dtype=np.result_type(basis.dtype, np.float32))
+    if r == n:  # a basis of the whole space
+        return basis[:, :0]
+    return np.linalg.qr(basis, mode="complete")[0][:, r:]
+
+
+def coordinates(domain: ScalarDomain, basis: np.ndarray, mat: np.ndarray,
+                orthonormal: bool = False) -> np.ndarray:
+    """Coordinates in basis of the projection of mat's columns onto
+    span(basis): the solution c of the normal equations
+    (basis* basis) c = basis* mat, or basis* mat alone when the caller
+    knows a float basis to be orthonormal."""
+    bh = domain.adjoint(basis)
+    rhs = domain.normalize(bh @ mat)
+    if orthonormal and not domain.exact:
+        return rhs
+    gram = domain.normalize(bh @ basis)
+    return linalg.solve(domain, gram, rhs) if domain.exact else np.linalg.solve(gram, rhs)
 
 
 def nullspace(domain: ScalarDomain, mat: np.ndarray) -> np.ndarray:

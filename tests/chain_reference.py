@@ -1,7 +1,10 @@
 """Stepped reference versions of the engine's stabilised chains.
 
 Each function walks its chain one index at a time, and runs on to the cap
-where the engine stops at a detected fixpoint.  The lemma residuals and the
+where the engine stops at a detected fixpoint.  The Wold unitary part is
+the range chain ∧[xⁿ], where the engine takes the complement of the shift
+part, and the Wold shift corner is certified by the range chain of p x p,
+where the engine reads the series' grading.  The lemma residuals and the
 product-PPI constraint take every power from Element.power, and the cnu
 corner keeps its own kernel loop instead of reusing the NFL one.  The
 reducing fixpoint meets each operator's full preimage with the subspace.
@@ -33,10 +36,10 @@ from stardecomp.projections import (
 )
 
 
-def stepped_range_chain_inf(ctx, x, start=None, first=None, power=None):
+def stepped_range_chain_inf(ctx, x, start=None, power=None):
     """One factorisation per chain index: basis <- orth(x @ basis).  A
-    first step or a power handed in by the caller is ignored, so the walk
-    stays independent of them."""
+    power handed in by the caller is ignored, so the walk stays independent
+    of it."""
     basis = start if start is not None else subspaces.orth(ctx.domain, ctx.one.mat)
     for _ in range(ctx.cap + 1):
         nxt = subspaces.orth(ctx.domain, x.mat @ basis)
@@ -47,15 +50,32 @@ def stepped_range_chain_inf(ctx, x, start=None, first=None, power=None):
 
 
 def stepped_wandering_series(ctx, x, term):
-    """The wandering series with one orth per step and one for the join."""
+    """The wandering series with one orth per step and one for the join,
+    returned with its blocks as the engine's series is."""
     pieces = []
     for _ in range(ctx.cap + 1):
         if term.shape[1] == 0:
             joined = np.concatenate(pieces, axis=1) if pieces else ctx.domain.zeros(ctx.dim, 0)
-            return from_basis(ctx.domain, subspaces.orth(ctx.domain, joined))
+            return from_basis(ctx.domain, subspaces.orth(ctx.domain, joined)), pieces
         pieces.append(term)
         term = subspaces.orth(ctx.domain, x.mat @ term)
     raise IndeterminateError("wandering series did not terminate within the cap")
+
+
+def chain_wold_parts(ctx, x):
+    """The Wold parts with the unitary part built as the range chain
+    ∧[xⁿ], walked one index at a time, and the shift part as the stepped
+    series from ker x*; the engine takes u as the complement of s."""
+    p_s, blocks = stepped_wandering_series(ctx, x, subspaces.nullspace(ctx.domain,
+                                                                        x.star().mat))
+    return stepped_range_chain_inf(ctx, x), p_s, blocks
+
+
+def chain_shift_corner_res(ctx, x, p, blocks):
+    """The pure-shift certificate of a corner by the stepped range chain of
+    p x p, whatever grading its blocks give."""
+    inf_proj = stepped_range_chain_inf(ctx, p.product(x), start=p.range_basis)
+    return max(engine._isometry_res(ctx, x, p), ctx.wres(inf_proj.element))
 
 
 def full_svd_nullspace(domain, mat):
@@ -216,6 +236,8 @@ def subspace_step_references(monkeypatch):
 
 REFERENCES = {
     "_range_chain_inf": stepped_range_chain_inf,
+    "_wold_parts": chain_wold_parts,
+    "_graded_shift_res": chain_shift_corner_res,
     "_mixed_wandering": mixed_wandering_to_cap,
     "_nfl_unitary_part": nfl_unitary_part_to_cap,
     "_lemma_certificates": power_lemma_certificates,

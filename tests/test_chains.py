@@ -2,8 +2,9 @@
 run-to-cap references (tests/chain_reference.py), plus the stabilisation
 contract: at most three factorisations per range chain, and
 IndeterminateError past the cap.  The factorisation budgets of Wold's
-shared first step and of one reducing-fixpoint sweep are pinned too, with
-the SVD, matmul and power budgets of one `wold` and one `halmos_wallen`,
+parts (one SVD, one QR) and of one reducing-fixpoint sweep are pinned too,
+with the SVD, QR, matmul and power budgets of one `wold` and the power
+budget of one `halmos_wallen`,
 the SVD budgets of `slocinski` and `weak_bishift` on the grid pair, the
 rref budget of a full-rank first step and the `left_projection` budget of
 the lemma residuals.
@@ -51,9 +52,11 @@ from stardecomp.fixtures import (
     random_ppi,
     rational_orthogonal,
 )
-from stardecomp.projections import from_basis, identity_projection
+from stardecomp.projections import coordinate_projection, from_basis, identity_projection
 
 from chain_reference import (
+    chain_shift_corner_res,
+    chain_wold_parts,
     corner_cnu_res_to_cap,
     mixed_wandering_to_cap,
     nfl_unitary_part_to_cap,
@@ -165,6 +168,104 @@ def test_gf_matches_stepped_chain(p, dim):
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 7))
 def test_random_rational_ppi_matches_stepped_chain(seed, dim):
     _assert_identical(*_both(halmos_wallen, random_ppi(dim, np.random.default_rng(seed))))
+
+
+# ------------------------- Wold parts: complement of the series, by chain
+
+
+def _rational_jordan_plus_orthogonal(n, rng):
+    """J_n ⊕ a rational orthogonal 3×3 block over Q, J_n the n×n Jordan
+    block, with every coordinate but J_n's last as the window: an isometry
+    on its window with a shift part of rank n and a unitary part of rank 3."""
+    mat = RATIONAL.zeros(n + 3, n + 3)
+    for i in range(n - 1):
+        mat[i + 1, i] = RATIONAL.one()
+    mat[n:, n:] = rational_orthogonal(3, rng).mat
+    keep = np.ones(n + 3, dtype=bool)
+    keep[n - 1] = False
+    return Element(RATIONAL, mat), coordinate_projection(RATIONAL, keep)
+
+
+def _exact_wold_inputs():
+    rng = np.random.default_rng(30)
+    gf = construct_gf_ring(7, 2)
+    return [
+        (rational_orthogonal(6, rng), None),
+        *((x, None) for x in commuting_orthogonal_pair(5, rng)),
+        (gf_signed_permutation(gf, rng), None),
+        _rational_jordan_plus_orthogonal(6, rng),
+        _rational_jordan_plus_orthogonal(12, rng),
+    ]
+
+
+def _float_wold_inputs():
+    rng = np.random.default_rng(3)
+    out = []
+    for n in (16, 64, 128):
+        for d, m in ((3, 1), (2, 2)):
+            expr = direct_sum(unitary(random_complex_unitary(d, rng).mat), Shift(m))
+            out.append((f"u{d}+shift{m} N={n}", expr, n, min(n // 2, 16)))
+    for name, n in (("grid", 8), ("grid", 10), ("equal-shift", 32), ("powers", 32),
+                    ("unitary-pair", 32), ("mixed", 32)):
+        for i, expr in enumerate(pair_instances(name)):
+            out.append((f"{name} n={n} x{i + 1}", expr, n, 4 if name == "grid" else 6))
+    return out
+
+
+def _wold_both_ways(x, window, n_max=16):
+    """(engine parts, chain-built parts, graded certificate, chain
+    certificate) of one isometry."""
+    ctx = engine._Ctx(x, EngineConfig(n_max=n_max, window=window))
+    got = engine._wold_parts(ctx, x)
+    want = chain_wold_parts(ctx, x)
+    p_s, blocks = got[1], got[2]
+    return (got, want, engine._graded_shift_res(ctx, x, p_s, blocks),
+            chain_shift_corner_res(ctx, x, p_s, blocks))
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_exact_unitary_part_by_complement_matches_the_chain(case):
+    x, window = _exact_wold_inputs()[case]
+    (p_u, p_s, _), (q_u, q_s, _), graded, chain = _wold_both_ways(x, window)
+    assert np.array_equal(p_u.element.mat, q_u.element.mat)
+    assert np.array_equal(p_s.element.mat, q_s.element.mat)
+    assert graded == chain == 0.0
+
+
+@pytest.mark.parametrize("case", _float_wold_inputs(), ids=lambda c: c[0])
+def test_float_unitary_part_by_complement_matches_the_chain(case):
+    _, expr, n, n_max = case
+    tr = truncate(expr, n, n_max=n_max)
+    (p_u, _, _), (q_u, _, _), graded, chain = _wold_both_ways(tr.element, tr.window, n_max)
+    assert p_u.rank == q_u.rank
+    assert np.linalg.norm(p_u.element.mat - q_u.element.mat) <= 1e-12
+    tol = COMPLEX.tol.eps_eq * tr.element.dim
+    assert graded <= tol and chain <= tol
+
+
+@pytest.mark.parametrize("domain", [RATIONAL, COMPLEX], ids=str)
+def test_graded_shift_certificate_reads_the_last_block_image(domain):
+    # a cyclic permutation maps each coordinate block to the next, as a
+    # shift does, and the last one back to the first: only p x B_L breaks
+    # the grading, and the range chain finds the whole cycle unitary.  The
+    # Jordan block, the cycle without that last image, is graded.  The
+    # window leaves out the last coordinate, where the Jordan block is not
+    # isometric.
+    n = 6
+    cycle = np.roll(domain.eye(n), 1, axis=0)
+    jordan = cycle.copy()
+    jordan[0, n - 1] = domain.zero()
+    keep = np.arange(n) < n - 1
+    one = identity_projection(domain, n)
+    blocks = [domain.eye(n)[:, [k]] for k in range(n)]
+    res = {}
+    for name, mat in (("cycle", cycle), ("jordan", jordan)):
+        x = Element(domain, mat)
+        ctx = engine._Ctx(x, EngineConfig(window=coordinate_projection(domain, keep)))
+        res[name] = (engine._graded_shift_res(ctx, x, one, blocks),
+                     chain_shift_corner_res(ctx, x, one, blocks))
+    assert res["cycle"] == pytest.approx((1.0, np.sqrt(n - 1)))
+    assert res["jordan"] == (0.0, 0.0)
 
 
 # ------------------------------------ truncated complex: window distance
@@ -309,15 +410,26 @@ def _unitary_plus_shift():
     return direct_sum(u3, Shift(1))
 
 
-def test_wold_parts_share_the_first_factorisation(monkeypatch):
-    # one SVD of x gives the chain's first step [x] and the series' first
-    # term ker x*; the thin confirming step and wandering terms are not counted
+def test_wold_parts_take_one_svd_and_one_qr(monkeypatch):
+    # one SVD of x gives the series' first term ker x*, the series blocks
+    # are orthonormal already, and the unitary part is the complement of
+    # the series from one complete QR of its basis: no range chain
     tr = truncate(_unitary_plus_shift(), 128, n_max=16)
     ctx = engine._Ctx(tr.element, EngineConfig(n_max=16, window=tr.window))
     calls = _count_svds(monkeypatch)
-    p_u, p_s = engine._wold_parts(ctx, tr.element)
-    assert (p_u.rank, p_s.rank) == (3, 128)
-    assert len([shape for shape in calls if min(shape) > 4]) <= 3
+    qrs = _count_qrs(monkeypatch)
+    p_u, p_s, blocks = engine._wold_parts(ctx, tr.element)
+    assert (p_u.rank, p_s.rank, len(blocks)) == (3, 128, 128)
+    assert (len(calls), qrs) == (1, [(131, 128)])
+
+
+def _count_qrs(monkeypatch):
+    """Shapes of the QR factorisations taken."""
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kwargs:
+                        calls.append(a.shape) or qr(a, *args, **kwargs))
+    return calls
 
 
 def _count_calls(monkeypatch, name):
@@ -334,38 +446,44 @@ def _count_calls(monkeypatch, name):
 
 
 def _wold_128(monkeypatch):
-    """(SVD shapes with singular vectors, matmul callers) of one wold call."""
+    """(SVD shapes with singular vectors, QR shapes, matmul callers, power
+    callers) of one wold call."""
     tr = truncate(_unitary_plus_shift(), 128, n_max=16)
     cfg = EngineConfig(n_max=16, window=tr.window)
     svds = _count_svds(monkeypatch, vectors_only=True)
+    qrs = _count_qrs(monkeypatch)
     matmuls = _count_calls(monkeypatch, "__matmul__")
+    powers = _count_calls(monkeypatch, "power")
     wold(tr.element, cfg)
-    return svds, matmuls
+    return svds, qrs, matmuls, powers
 
 
-def test_wold_takes_three_basis_factorisations(monkeypatch):
-    # the shared SVD of x, the unitary part's jump and the wandering
-    # series' final basis; the shift corner's jump lands on a zero matrix,
-    # every other rank comes from singular values alone, and thin bases
-    # (a side <= 4) are not counted
-    svds, _ = _wold_128(monkeypatch)
-    assert len([shape for shape in svds if min(shape) > 4]) <= 3
+def test_wold_takes_two_basis_factorisations(monkeypatch):
+    # the SVD of x for ker x* and the complete QR of the series basis for
+    # the unitary part; the series blocks and their join are their own
+    # bases, and the shift corner is read off the series' grading, so no
+    # power is formed
+    svds, qrs, _, powers = _wold_128(monkeypatch)
+    assert (svds, qrs) == ([(131, 131)], [(131, 128)])
+    assert not powers
 
 
 def test_wold_matmul_budget(monkeypatch):
-    # x*x and xx* are formed once, each Fitting jump squares only, and the
-    # rank-3 unitary part enters its certificates through its basis
-    _, matmuls = _wold_128(monkeypatch)
-    assert len(matmuls) <= 23
+    # x*x and xx* are formed once, no chain takes a power, the shift
+    # corner's grading takes thin products only, and the rank-3 unitary
+    # part enters its certificates through its basis
+    _, _, matmuls, _ = _wold_128(monkeypatch)
+    assert len(matmuls) <= 6
 
 
 def test_wold_svd_budget(monkeypatch):
-    # the shared SVD of x and the unitary part's chain; the series blocks
-    # are orthonormal already and take none
+    # the SVD of x for ker x*; the series blocks are orthonormal already
+    # and take none, and neither the complement nor the graded shift
+    # corner takes one
     tr = truncate(_unitary_plus_shift(), 128, n_max=16)
     calls = _count_svds(monkeypatch)
     wold(tr.element, EngineConfig(n_max=16, window=tr.window))
-    assert len(calls) <= 4
+    assert len(calls) <= 1
 
 
 def _grid_svds(monkeypatch, method):

@@ -320,9 +320,12 @@ def test_edge_inputs_keep_their_block_ranks(domain, name, method):
 def test_subspace_primitives_at_the_rank_extremes(domain):
     for rows, rank in (([[0, 0], [0, 0]], 0), ([[1, 0], [0, 1]], 2), ([[0, 0], [1, 0]], 1)):
         x = from_rows(domain, rows)
-        rng, coker = subspaces.range_and_cokernel(domain, x.mat)
-        assert (rng.shape, coker.shape) == ((2, rank), (2, 2 - rank))
+        rng, coker = subspaces.orth(domain, x.mat), subspaces.cokernel(domain, x.mat)
+        comp = subspaces.complement(domain, rng)
+        assert (rng.shape, coker.shape, comp.shape) == ((2, rank), (2, 2 - rank), (2, 2 - rank))
         assert x.star().mat @ coker == pytest.approx(0)
+        assert domain.adjoint(rng) @ comp == pytest.approx(0)
+        assert subspaces.nullspace(domain, x.star().mat).shape == coker.shape
     comp = domain.eye(2)
     assert subspaces.preimage(domain, domain.eye(2), comp, domain.zeros(2, 0)).shape == (2, 0)
     assert subspaces.preimage(domain, domain.zeros(2, 2), comp, domain.eye(2)).shape == (2, 2)
