@@ -10,11 +10,10 @@ builds a basis, or the first step when the chain stops there.  m is the
 least power of two >= d₁, which takes squarings only, or cap - 1 once d₁
 reaches the cap; past index 1 + d₁ the chain no longer moves.  Jumping
 from the raw step is safe because every chain runs on an operator of norm
-<= 1 on its window (isometries, power partial isometries, their corners,
-x1 x2), so a direction below the rank cutoff cannot grow past it.  The
-chains of y and of y* share one power, (y*)^m = (y^m)*.  A float matrix
-whose Frobenius norm is below the rank cutoff takes no SVD, since
-σ₁ <= ‖·‖_F, and x*x and xx* are formed once per operator.
+<= 1 on its window (isometries, their corners, x1 x2), so a direction
+below the rank cutoff cannot grow past it.  A float matrix whose Frobenius
+norm is below the rank cutoff takes no SVD, since σ₁ <= ‖·‖_F, and x*x
+and xx* are formed once per operator.
 
 Wold's parts take no range chain.  For an isometry the unitary part
 ∧[xⁿ] equals 1 - s, s the wandering series Σ xⁿ[ker x*] (Wold's identity),
@@ -22,8 +21,8 @@ so `_wold_parts` takes u as the complement of the series' basis.  The
 series also grades the shift corner: p x p maps each block Bₖ into Bₖ₊₁
 and the last block to 0, so it is nilpotent and ∧[(pxp)ⁿ] = 0; the
 certificate measures what lies off that grading with thin products only
-(`_graded_shift_res`).  Corners with no grading, Słociński's blocks and
-Halmos–Wallen's s and b, keep the range chain of p x p.
+(`_grading_res`), beside x being isometric on s.  Słociński's blocks,
+which have no grading, keep the range chain of p x p.
 
 The reducing fixpoints, the weak bi-shift wandering subspaces and the NFL
 unitary part are one lattice operation, the largest projection below some
@@ -42,10 +41,10 @@ dim/2 multiplies through its range basis.  The iteration cap is
 max(n_max, dim + 1), and a chain still moving at the cap raises
 IndeterminateError instead of silently truncating.  Certificate residuals
 are measured after compression to the probe window when the input came
-from a truncated symbolic operator; the grading residual of the shift
-corner is read on the whole space, which can only be stricter.  The window is a 0/1 diagonal, so the
-compression w e w is the entrywise product of e with the mask w wᵀ, which
-is exact.
+from a truncated symbolic operator; a grading residual is read on the
+whole space, which can only be stricter.  The window is a 0/1 diagonal,
+so the compression w e w is the entrywise product of e with the mask
+w wᵀ, which is exact.
 
 Every intersection of kernels is one right annihilator R(S), one kernel of
 the elements of S stacked (`right_annihilator_projection`): the starts
@@ -54,16 +53,24 @@ the product-PPI constraint.  A complement 1 - p is ker B* for B the range
 basis of p (`Projection.complement`), with no kernel of the dense p.
 
 Two constructions are shared.  Halmos–Wallen and the product-PPI split are
-one chain-pair split (`_chain_pair_split`): the infima f, b of the range
-chains of y and of y*, their meet u, the differences b - u and f - u and
-the remainder, applied to y = x and to y = x1 x2.  The doubly-commuting
-pair methods for PPIs and for contractions share one product basis
-(`_product_basis`) of meets of the two single-operator splits.
+one series split (`_series_split`), applied to y = x and to y = x1 x2: the
+wandering series f = Σ yⁿ(ker y* ∩ W) and g = Σ y*ⁿ(ker y ∩ W) seeded in
+the probe window W (the whole space when there is none) give t = f ∧ g,
+s = f ∧ (1 - t), b = g ∧ (1 - t) and u = 1 - (f ∨ g), the wandering-
+subspace form of the Halmos–Wallen parts.  The seeds stay in the window
+because a truncated shift and its adjoint are both nilpotent: each kills
+the boundary vector at the end of its tail, and a series seeded there
+would run back over the whole tail and put it in t, as the range chains
+of y and y* did.  The corners s and b are certified by x (or x*) being
+isometric on them and by the gradings of f and g, t by f's grading, with
+no range chain, power or dense projection difference.
+The doubly-commuting pair methods for PPIs and for contractions share one
+product basis (`_product_basis`) of meets of the two single-operator
+splits.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,8 +131,9 @@ class DecompositionReport:
 
 
 class _Ctx:
-    """Shared state: domain, window mask, chain cap, the EngineConfig (the
-    default one when a method is given none) and the Gram products."""
+    """Shared state: domain, window mask and the window's coordinates
+    (keep), chain cap, the EngineConfig (the default one when a method is
+    given none) and the Gram products."""
 
     def __init__(self, x: Element, cfg: EngineConfig | None = None):
         self.domain = x.domain
@@ -134,6 +142,7 @@ class _Ctx:
         self.cap = max(self.cfg.n_max, self.dim + 1)
         self.one = identity(self.domain, self.dim)
         self.mask = None
+        self.keep = None
         self._grams = {}
         if self.cfg.window is not None:
             window = self.cfg.window.element
@@ -143,6 +152,7 @@ class _Ctx:
                     and all(v == 0 or v == 1 for v in diag)):
                 raise PreconditionError("the probe window must be a 0/1 diagonal projection")
             self.mask = np.outer(diag, diag)
+            self.keep = np.array([v == 1 for v in diag], dtype=bool)
 
     def compress(self, e: Element) -> Element:
         """w e w for the window w, as the entrywise product with the mask."""
@@ -168,8 +178,7 @@ class _Ctx:
         return self.ok(a @ b - b @ a)
 
 
-def _range_chain_inf(ctx: _Ctx, x: Element, start: np.ndarray | None = None,
-                     power=None) -> Projection:
+def _range_chain_inf(ctx: _Ctx, x: Element, start: np.ndarray | None = None) -> Projection:
     """Stabilised infimum of the decreasing chain of ranges of x^n (start).
 
     Ranks fall by at least one per index until the chain is fixed, so with
@@ -180,8 +189,7 @@ def _range_chain_inf(ctx: _Ctx, x: Element, start: np.ndarray | None = None,
     Otherwise one jump from the raw step x (start) by x^m, m the least
     power of two >= d1 (cap - 1 once d1 reaches the cap, so that the chain
     raises exactly when it still moves at index cap), and one step
-    confirming the rank.  A caller that shares x^m with another chain
-    passes power, a function m -> x^m.
+    confirming the rank.
     """
     step = x.mat if start is None else x.mat @ start
     d1 = subspaces.rank(ctx.domain, step)
@@ -190,18 +198,11 @@ def _range_chain_inf(ctx: _Ctx, x: Element, start: np.ndarray | None = None,
     if d1 == (ctx.dim if start is None else start.shape[1]):
         return from_basis(ctx.domain, subspaces.own_basis(ctx.domain, step, independent=True))
     m = ctx.cap - 1 if d1 >= ctx.cap else 1 << (d1 - 1).bit_length()
-    fixed = subspaces.orth(ctx.domain, (power or x.power)(m).mat @ step)
+    fixed = subspaces.orth(ctx.domain, x.power(m).mat @ step)
     rank = fixed.shape[1]
     if rank and subspaces.rank(ctx.domain, x.mat @ fixed) != rank:
         raise IndeterminateError("range chain did not stabilise within the cap")
     return from_basis(ctx.domain, fixed)
-
-
-def _range_chain_pair(ctx: _Ctx, y: Element, start: np.ndarray | None = None) -> tuple:
-    """The range-chain infima of y and of y*, sharing one power: (y*)^m = (y^m)*."""
-    power = functools.cache(y.power)
-    return (_range_chain_inf(ctx, y, start, power=power),
-            _range_chain_inf(ctx, y.star(), start, power=lambda m: power(m).star()))
 
 
 def _wandering_series(ctx: _Ctx, x: Element, term: np.ndarray) -> tuple:
@@ -313,9 +314,9 @@ def _corner_shift_res(ctx: _Ctx, x: Element, p: Projection) -> float:
     return max(_isometry_res(ctx, x, p), ctx.wres(inf_proj.element))
 
 
-def _graded_shift_res(ctx: _Ctx, x: Element, p: Projection, blocks: list) -> float:
-    """Residual of the pure-shift certificate of a corner graded by its
-    series blocks B₀, …, B_L, which side by side span the range of p.
+def _grading_res(ctx: _Ctx, x: Element, p: Projection, blocks: list) -> float:
+    """Residual of the grading of the corner p x p by its series blocks
+    B₀, …, B_L, which side by side span the range of p.
 
     If p x p maps each Bₖ into Bₖ₊₁ and B_L to 0, then (p x p)^(L+1) = 0,
     so ∧[(pxp)ⁿ] = 0 with no power formed.  In the coordinates G of
@@ -326,19 +327,14 @@ def _graded_shift_res(ctx: _Ctx, x: Element, p: Projection, blocks: list) -> flo
     wherever the series ran, so the residual is read on the whole space.
     """
     if not blocks:
-        return _isometry_res(ctx, x, p)
+        return 0.0
     joined = np.concatenate(blocks, axis=1)
     g = subspaces.coordinates(ctx.domain, joined, x.mat @ joined,
                               orthonormal=np.array_equal(joined, p.range_basis))
     edges = np.cumsum([0] + [b.shape[1] for b in blocks])
     for k in range(len(blocks) - 1):
         g[edges[k + 1]:edges[k + 2], edges[k]:edges[k + 1]] = ctx.domain.zero()
-    return max(_isometry_res(ctx, x, p), ctx.domain.norm(g))
-
-
-def _corner_truncated_res(ctx: _Ctx, x: Element, p: Projection) -> float:
-    fwd, bwd = _range_chain_pair(ctx, p.product(x), p.range_basis)
-    return max(ctx.wres(fwd.element), ctx.wres(bwd.element))
+    return ctx.domain.norm(g)
 
 
 # ---------------------------------------------------------------- Wold
@@ -360,8 +356,8 @@ def wold(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
 
     u = 1 - s holds by construction, so `sum_to_one` and `orth` read
     roundoff only; the evidence is `unitary_corner`, the commutation
-    certificates and `shift_corner`, which the series' grading proves
-    (`_graded_shift_res`)."""
+    certificates and `shift_corner`: x is isometric on s, and the series'
+    grading proves the corner nilpotent (`_grading_res`)."""
     ctx = _Ctx(x, cfg)
     _require(_isometry_on_window(ctx, x), "wold requires an isometry (on the probe window)")
     p_u, p_s, blocks = _wold_parts(ctx, x)
@@ -371,7 +367,7 @@ def wold(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
         "commute_u": _commute_res(ctx, x, p_u),
         "commute_s": _commute_res(ctx, x, p_s),
         "unitary_corner": _corner_unitary_res(ctx, x, p_u),
-        "shift_corner": _graded_shift_res(ctx, x, p_s, blocks),
+        "shift_corner": max(_isometry_res(ctx, x, p_s), _grading_res(ctx, x, p_s, blocks)),
     }
     return DecompositionReport(
         method="wold",
@@ -527,42 +523,78 @@ def weak_bishift(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> D
 # ------------------------------------------------------ Halmos-Wallen
 
 
-def _chain_pair_split(ctx: _Ctx, y: Element) -> tuple:
-    """The fourfold split by the range chains of y and of y*.
+def _window_cokernel(ctx: _Ctx, y: Element) -> np.ndarray:
+    """Basis of ker y* ∩ W, W the probe window (the whole space when there
+    is none): the cokernel of y's window rows, put back in the full space
+    with zeros off the window.  As in `_wold_parts` the float basis is the
+    left singular vectors of y (`subspaces.cokernel`), not a kernel of y*,
+    whose roundoff tail the series would carry into subnormal blocks."""
+    if ctx.keep is None:
+        return subspaces.cokernel(ctx.domain, y.mat)
+    rows = subspaces.cokernel(ctx.domain, y.mat[ctx.keep])
+    seed = ctx.domain.zeros(ctx.dim, rows.shape[1])
+    seed[ctx.keep] = rows
+    return seed
 
-    With f = ∧[yⁿ] and b = ∧[y*ⁿ] it returns u = f ∧ b, b - u, f - u and
-    1 - (f + b - u): Halmos–Wallen's u, s, b, t for a power partial
-    isometry y, and the product-PPI u, is, cis, t for y = x1 x2.
+
+def _without(ctx: _Ctx, p: Projection, t: Projection) -> Projection:
+    """p ∧ (1 - t) for t <= p: the vectors B c of p's range with T* B c = 0,
+    one kernel of the small matrix T* B; p itself when t = 0."""
+    if t.rank == 0:
+        return p
+    dom = ctx.domain
+    ker = subspaces.nullspace(dom, dom.normalize(dom.adjoint(t.range_basis) @ p.range_basis))
+    return from_basis(dom, dom.normalize(p.range_basis @ ker))
+
+
+def _series_split(ctx: _Ctx, y: Element) -> tuple:
+    """The fourfold split by the wandering series of y and of y*, seeded in
+    the probe window W (Halmos & Wallen 1970).
+
+    f = Σ yⁿ(ker y* ∩ W) and g = Σ y*ⁿ(ker y ∩ W) give t = f ∧ g,
+    s = f ∧ (1 - t), b = g ∧ (1 - t) and u = 1 - (f ∨ g), the complement
+    of f's and b's bases side by side, since g = b + t and t <= f.  These
+    are Halmos–Wallen's u, s, b, t for a power partial isometry y, and the
+    product-PPI u, is, cis, t for y = x1 x2.  Returns the four parts and
+    the series (f, its blocks) and (g, its blocks), whose gradings certify
+    the non-unitary corners.  Seeded in the window, neither series starts
+    at the truncation boundary, where a truncated shift and its adjoint
+    both end.
     """
-    fwd, bwd = _range_chain_pair(ctx, y)
-    p_u = proj_inf([fwd, bwd])
-    return (
-        p_u,
-        from_element(bwd.element - p_u.element),
-        from_element(fwd.element - p_u.element),
-        from_element(ctx.one - (fwd.element + bwd.element - p_u.element)),
-    )
+    y_star = y.star()
+    p_f, f_blocks = _wandering_series(ctx, y, _window_cokernel(ctx, y))
+    p_g, g_blocks = _wandering_series(ctx, y_star, _window_cokernel(ctx, y_star))
+    p_t = proj_inf([p_f, p_g])
+    p_s, p_b = _without(ctx, p_f, p_t), _without(ctx, p_g, p_t)
+    rest = subspaces.complement(ctx.domain, np.concatenate([p_f.range_basis, p_b.range_basis],
+                                                          axis=1))
+    return (from_basis(ctx.domain, rest), p_s, p_b, p_t), (p_f, f_blocks), (p_g, g_blocks)
 
 
 def halmos_wallen(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
-    """Fourfold split of a power partial isometry: {u, s, b, t}."""
+    """Fourfold split of a power partial isometry: {u, s, b, t}.
+
+    s, b and t are corners of the series f = s + t and g = b + t: x is
+    isometric on s and x* on b, and the gradings of f under x and of g
+    under x* make those corners nilpotent.  t lies in f and commutes with
+    x, so (t x t)ⁿ = t (f x f)ⁿ t and f's grading certifies t as well."""
     ctx = _Ctx(x, cfg)
     _require(_ppi_on_window(ctx, x), "halmos_wallen requires a power partial isometry")
-    basis = ProjectionBasis(tuple(zip("usbt", _chain_pair_split(ctx, x))))
+    (p_u, p_s, p_b, p_t), f, g = _series_split(ctx, x)
+    basis = ProjectionBasis((("u", p_u), ("s", p_s), ("b", p_b), ("t", p_t)))
     certificates = {f"basis_{k}": v for k, v in basis.residuals().items()}
     for lbl, p in basis.members:
         certificates[f"commute[{lbl}]"] = _commute_res(ctx, x, p)
-    # the backward-shift corner is the shift corner of x*
-    corner = {
-        "u": (_corner_unitary_res, x),
-        "s": (_corner_shift_res, x),
-        "b": (_corner_shift_res, x.star()),
-        "t": (_corner_truncated_res, x),
-    }
-    for lbl, p in basis.members:
-        if p.rank:
-            res, op = corner[lbl]
-            certificates[f"block[{lbl}]"] = res(ctx, op, p)
+    f_res = _grading_res(ctx, x, *f)
+    if p_u.rank:
+        certificates["block[u]"] = _corner_unitary_res(ctx, x, p_u)
+    if p_s.rank:
+        certificates["block[s]"] = max(_isometry_res(ctx, x, p_s), f_res)
+    if p_b.rank:
+        certificates["block[b]"] = max(_isometry_res(ctx, x, p_b, star=True),
+                                       _grading_res(ctx, x.star(), *g))
+    if p_t.rank:
+        certificates["block[t]"] = f_res
     block_classes = {"u": "unitary", "s": "unilateral-shift",
                      "b": "backward-shift", "t": "truncated-shifts"}
     return DecompositionReport(
@@ -645,7 +677,7 @@ def hw_pair_product(x1: Element, x2: Element, cfg: EngineConfig | None = None) -
             "x1 x2 is not a power partial isometry; use largest_product_ppi to find "
             "the corner where the decomposition applies"
         )
-    p_u, p_is, p_cis, p_t = _chain_pair_split(ctx, y)
+    (p_u, p_is, p_cis, p_t), f, _ = _series_split(ctx, y)
     basis = ProjectionBasis((("u", p_u), ("is", p_is), ("cis", p_cis), ("t", p_t)))
     certificates = {f"basis_{k}": v for k, v in basis.residuals().items()}
     certificates.update(_lemma_certificates(ctx, x1, x2))
@@ -657,7 +689,9 @@ def hw_pair_product(x1: Element, x2: Element, cfg: EngineConfig | None = None) -
     if p_cis.rank:
         certificates["block[cis]"] = max(_isometry_res(ctx, x, p_cis, star=True) for x in (x1, x2))
     if p_t.rank:
-        certificates["block[t]"] = _corner_truncated_res(ctx, y, p_t)
+        # t lies in the series f and, with no commute certificate here,
+        # its commutation with y is checked beside f's grading
+        certificates["block[t]"] = max(_grading_res(ctx, y, *f), _commute_res(ctx, y, p_t))
     literal_agrees = proj_leq(p_u, proj_sup([p_is, p_cis])) if p_u.rank else True
     block_classes = {"u": "unitary pair", "is": "isometry pair",
                      "cis": "co-isometry pair", "t": "product truncated-shifts"}

@@ -3,11 +3,16 @@
 Each function walks its chain one index at a time, and runs on to the cap
 where the engine stops at a detected fixpoint.  The Wold unitary part is
 the range chain ∧[xⁿ], where the engine takes the complement of the shift
-part, and the Wold shift corner is certified by the range chain of p x p,
-where the engine reads the series' grading.  The lemma residuals and the
-product-PPI constraint take every power from Element.power, and the cnu
-corner keeps its own kernel loop instead of reusing the NFL one.  The
-reducing fixpoint meets each operator's full preimage with the subspace.
+part, and a series corner is certified by the range chain of p x p, where
+the engine reads the series' grading.  The Halmos–Wallen and product-PPI
+split is built from the range chains of y and of y*, where the engine takes
+two wandering series seeded in the probe window; the chain split is the
+reference on exact inputs only, since on a truncation a shift and its
+adjoint are both nilpotent and every tail lands in t.  The lemma residuals
+and the product-PPI constraint take every power from Element.power, and
+the cnu corner keeps its own kernel loop instead of reusing the NFL one.
+The reducing fixpoint meets each operator's full preimage with the
+subspace.
 
 The float subspace steps have references of their own: the wandering
 series takes one orth per step, the meet is the kernel of the stacked
@@ -28,6 +33,7 @@ from stardecomp.errors import IndeterminateError
 from stardecomp.projections import (
     Projection,
     from_basis,
+    from_element,
     identity_projection,
     left_projection,
     proj_inf,
@@ -36,10 +42,8 @@ from stardecomp.projections import (
 )
 
 
-def stepped_range_chain_inf(ctx, x, start=None, power=None):
-    """One factorisation per chain index: basis <- orth(x @ basis).  A
-    power handed in by the caller is ignored, so the walk stays independent
-    of it."""
+def stepped_range_chain_inf(ctx, x, start=None):
+    """One factorisation per chain index: basis <- orth(x @ basis)."""
     basis = start if start is not None else subspaces.orth(ctx.domain, ctx.one.mat)
     for _ in range(ctx.cap + 1):
         nxt = subspaces.orth(ctx.domain, x.mat @ basis)
@@ -72,10 +76,28 @@ def chain_wold_parts(ctx, x):
 
 
 def chain_shift_corner_res(ctx, x, p, blocks):
-    """The pure-shift certificate of a corner by the stepped range chain of
+    """The residual ∧[(pxp)ⁿ] of a corner by the stepped range chain of
     p x p, whatever grading its blocks give."""
     inf_proj = stepped_range_chain_inf(ctx, p.product(x), start=p.range_basis)
-    return max(engine._isometry_res(ctx, x, p), ctx.wres(inf_proj.element))
+    return ctx.wres(inf_proj.element)
+
+
+def chain_pair_split(ctx, y):
+    """The fourfold split by the stepped range chains of y and of y*: with
+    fwd = ∧[yⁿ] and bwd = ∧[y*ⁿ], u = fwd ∧ bwd, then bwd - u, fwd - u and
+    the remainder.  The series f = s + t and g = b + t that the engine
+    returns beside the parts are 1 - fwd and 1 - bwd here, with no blocks;
+    `chain_shift_corner_res` walks its own chain in place of a grading."""
+    fwd = stepped_range_chain_inf(ctx, y)
+    bwd = stepped_range_chain_inf(ctx, y.star())
+    p_u = proj_inf([fwd, bwd])
+    parts = (
+        p_u,
+        from_element(bwd.element - p_u.element),
+        from_element(fwd.element - p_u.element),
+        from_element(ctx.one - (fwd.element + bwd.element - p_u.element)),
+    )
+    return parts, (fwd.complement(), []), (bwd.complement(), [])
 
 
 def full_svd_nullspace(domain, mat):
@@ -237,7 +259,8 @@ def subspace_step_references(monkeypatch):
 REFERENCES = {
     "_range_chain_inf": stepped_range_chain_inf,
     "_wold_parts": chain_wold_parts,
-    "_graded_shift_res": chain_shift_corner_res,
+    "_grading_res": chain_shift_corner_res,
+    "_series_split": chain_pair_split,
     "_mixed_wandering": mixed_wandering_to_cap,
     "_nfl_unitary_part": nfl_unitary_part_to_cap,
     "_lemma_certificates": power_lemma_certificates,

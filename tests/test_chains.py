@@ -1,13 +1,13 @@
 """The range chain and the fixpoint exits against their stepped and
-run-to-cap references (tests/chain_reference.py), plus the stabilisation
-contract: at most three factorisations per range chain, and
+run-to-cap references (tests/chain_reference.py), the truncated
+Halmos–Wallen and product-PPI splits against their ground truth, plus the
+stabilisation contract: at most three factorisations per range chain, and
 IndeterminateError past the cap.  The factorisation budgets of Wold's
 parts (one SVD, one QR) and of one reducing-fixpoint sweep are pinned too,
-with the SVD, QR, matmul and power budgets of one `wold` and the power
-budget of one `halmos_wallen`,
-the SVD budgets of `slocinski` and `weak_bishift` on the grid pair, the
-rref budget of a full-rank first step and the `left_projection` budget of
-the lemma residuals.
+with the SVD, QR, matmul and power budgets of one `wold` and of one
+`halmos_wallen`, the SVD budgets of `slocinski` and `weak_bishift` on the
+grid pair, the rref budget of a full-rank first step and the
+`left_projection` budget of the lemma residuals.
 The chain layer's rank and zero-matrix exit are checked against the SVD
 path."""
 
@@ -30,6 +30,7 @@ from stardecomp import (
     construct_gf_ring,
     direct_sum,
     from_rows,
+    ground_truth_hw,
     ground_truth_wold,
     halmos_wallen,
     hw_pair_product,
@@ -219,7 +220,7 @@ def _wold_both_ways(x, window, n_max=16):
     got = engine._wold_parts(ctx, x)
     want = chain_wold_parts(ctx, x)
     p_s, blocks = got[1], got[2]
-    return (got, want, engine._graded_shift_res(ctx, x, p_s, blocks),
+    return (got, want, engine._grading_res(ctx, x, p_s, blocks),
             chain_shift_corner_res(ctx, x, p_s, blocks))
 
 
@@ -262,7 +263,7 @@ def test_graded_shift_certificate_reads_the_last_block_image(domain):
     for name, mat in (("cycle", cycle), ("jordan", jordan)):
         x = Element(domain, mat)
         ctx = engine._Ctx(x, EngineConfig(window=coordinate_projection(domain, keep)))
-        res[name] = (engine._graded_shift_res(ctx, x, one, blocks),
+        res[name] = (engine._grading_res(ctx, x, one, blocks),
                      chain_shift_corner_res(ctx, x, one, blocks))
     assert res["cycle"] == pytest.approx((1.0, np.sqrt(n - 1)))
     assert res["jordan"] == (0.0, 0.0)
@@ -295,7 +296,11 @@ def _complex_cases():
         ("wold", wold, [Shift(1)], 64, 16),
         ("wold", wold, [direct_sum(u3, Shift(2))], 64, 16),
         ("hw", halmos_wallen, [direct_sum(u2, Adjoint(Shift(1)), Trunc(4))], 48, 16),
+        ("hw all labels", halmos_wallen,
+         [direct_sum(unitary([[1j]]), Shift(1), Adjoint(Shift(1)), Trunc(4))], 48, 16),
         ("hw-pair", hw_pair_product, [direct_sum(u2, Trunc(4))] * 2, 24, 8),
+        ("hw-pair is", hw_pair_product, [Shift(1)] * 2, 32, 6),
+        ("hw-pair cis", hw_pair_product, [Adjoint(Shift(1))] * 2, 32, 6),
         ("slocinski grid", slocinski, list(pair_instances("grid")), 8, 4),
         ("weak grid", weak_bishift, list(pair_instances("grid")), 8, 4),
         ("slocinski mixed", slocinski, list(pair_instances("mixed")), 20, 6),
@@ -316,10 +321,31 @@ def test_lemma_certificates_complex_agree_to_roundoff():
     assert max(abs(got[k] - want[k]) for k in got) <= 1e-12
 
 
+# hw-pair labels by the Halmos–Wallen label of the product's segment
+_PAIR_TRUTH = {"u": "u", "is": "s", "cis": "b", "t": "t"}
+
+
+def _assert_matches_hw_truth(rep, expr, n, cfg):
+    """Each block within 1e-12 of expr's Halmos–Wallen truth on the window."""
+    truth = ground_truth_hw(expr, n).projections
+    w = cfg.window.element.mat
+    for lbl, p in rep.basis.members:
+        want = truth[_PAIR_TRUTH.get(lbl, lbl)]
+        assert np.linalg.norm(w @ (p.element.mat - want.element.mat) @ w) <= 1e-12, lbl
+    x = cfg.window.element
+    assert rep.max_residual() <= x.domain.tol.eps_eq * x.dim
+
+
 @pytest.mark.parametrize("case", _complex_cases(), ids=lambda c: c[0])
 def test_truncated_complex_matches_stepped_chain(case):
-    _, fn, exprs, n, n_max = case
+    name, fn, exprs, n, n_max = case
     xs, cfg = _truncated(exprs, n, n_max)
+    if name.startswith("hw"):
+        # on a truncation the chain split puts every shift tail in t, where
+        # the truth has s, b, is or cis, so the split is checked against the
+        # truth instead; each pair's product x1² has the labels of x1
+        _assert_matches_hw_truth(fn(*xs, cfg), exprs[0], n, cfg)
+        return
     got, want = _both(fn, *xs, cfg)
     _assert_close(got, want, cfg)
 
@@ -515,18 +541,25 @@ def test_weak_bishift_svd_budget(monkeypatch):
 
 
 def test_full_rank_first_step_is_its_own_basis(monkeypatch):
-    # a rational orthogonal x keeps full rank at the first step of both
-    # chains, so each chain's step is rref'd once, for its rank, and a
-    # full-rank exact projection is the identity with no solve
+    # a rational orthogonal x keeps full rank at the chain's first step, so
+    # the step is rref'd once, for its rank, and a full-rank exact
+    # projection is the identity with no solve.  halmos_wallen runs no
+    # chain: x has no cokernel, so each series seed is one rref kernel and
+    # each empty series join one rref of no columns, and the unitary part
+    # is the kernel of no rows
     x = rational_orthogonal(6, np.random.default_rng(5))
+    ctx = engine._Ctx(x)
+    want = stepped_range_chain_inf(ctx, x)
     rrefs = []
     rref = linalg.rref
     monkeypatch.setattr(linalg, "rref", lambda *a: rrefs.append(1) or rref(*a))
+    assert np.array_equal(engine._range_chain_inf(ctx, x).element.mat, want.element.mat)
+    assert len(rrefs) == 1
     got, want = _both(halmos_wallen, x)
     _assert_identical(got, want)
     rrefs.clear()
     halmos_wallen(x)
-    assert len(rrefs) == 7
+    assert len(rrefs) == 5
 
 
 def test_lemma_identity_is_not_factorised(monkeypatch):
@@ -540,14 +573,24 @@ def test_lemma_identity_is_not_factorised(monkeypatch):
     assert len(calls) == 22
 
 
-def test_halmos_wallen_shares_one_power_per_chain_pair(monkeypatch):
-    # the split's chains of x and x*, then the t corner's chains of p x p
-    # and its adjoint: one power each pair
+def test_halmos_wallen_budget(monkeypatch):
+    # i ⊕ S* ⊕ J3 at N = 64 (dim 68): one SVD of the window rows of x and
+    # of x* for the two series seeds, one where x*'s series loses J3's
+    # block, two small kernels T* B for s and b, and one complete QR for u;
+    # no range chain, so no power, and no part wrapped by from_element
     (x,), window = _spec_operators("hw64.json", 64)
+    svds = _count_svds(monkeypatch)
+    qrs = _count_qrs(monkeypatch)
+    matmuls = _count_calls(monkeypatch, "__matmul__")
     powers = _count_calls(monkeypatch, "power")
+    wrapped = []
+    monkeypatch.setattr(engine, "from_element", lambda e: wrapped.append(e))
     rep = halmos_wallen(x, EngineConfig(n_max=16, window=window))
-    assert rep.basis["t"].rank
-    assert powers == ["_range_chain_inf", "_range_chain_inf"]
+    assert {lbl: p.rank for lbl, p in rep.basis.members} == {"u": 1, "s": 0, "b": 64, "t": 3}
+    assert len(svds) <= 5
+    assert qrs == [(68, 67)]
+    assert len(matmuls) <= 53
+    assert not powers and not wrapped
 
 
 def test_carried_powers_start_at_x(monkeypatch):

@@ -121,11 +121,9 @@ def test_hw_exact_mixture():
 
 
 def test_hw_float_unitary_plus_chain():
-    # finite segments only: on a truncation every tail is nilpotent, so the
-    # fourfold split of a truncated expression is decided by u/t blocks
     from stardecomp import Trunc
 
-    expr = direct_sum(U2, Trunc(4))
+    expr = direct_sum(U2, Shift(1), Trunc(4))
     tr = truncate(expr, 8, n_max=4)
     rep = halmos_wallen(tr.element, EngineConfig(n_max=4, window=tr.window))
     gt = ground_truth_hw(expr, 8)

@@ -1,6 +1,6 @@
 """Metamorphic properties of the decompositions, from their uniqueness.
 
-No oracle is needed: the product-PPI split of (x1, x2) is the chain-pair
+No oracle is needed: the product-PPI split of (x1, x2) is the Halmos–Wallen
 split of x1 x2, the adjoint swaps the shift and backward-shift parts, every
 split of a direct sum is the direct sum of the splits, the splits of P x P*
 for a signed permutation P are the P-conjugates of the splits of x, and a
