@@ -1,28 +1,27 @@
 """All decomposition algorithms, each emitting a report with certificates.
 
-Infinite infima and series are replaced by stabilisation detection.  Along
-a range chain ∧ₙ[xⁿ] the rank falls by at least one per index until it is
-constant (Fitting's lemma), so with d₁ = rank of the first step the chain is
-fixed by index 1 + d₁.  It costs at most three factorisations: the first
-step's rank from singular values alone (rref pivots when exact), one jump
-from that raw step by x^m, and the confirming step's rank.  Only the jump
-builds a basis, or the first step when the chain stops there.  m is the
-least power of two >= d₁, which takes squarings only, or cap - 1 once d₁
-reaches the cap; past index 1 + d₁ the chain no longer moves.  Jumping
-from the raw step is safe because every chain runs on an operator of norm
-<= 1 on its window (isometries, their corners, x1 x2), so a direction
-below the rank cutoff cannot grow past it.  A float matrix whose Frobenius
-norm is below the rank cutoff takes no SVD, since σ₁ <= ‖·‖_F, and x*x
-and xx* are formed once per operator.
+Infinite infima and series are replaced by stabilisation detection, and no
+range chain ∧ₙ[xⁿ] is walked: every such infimum is Wold's identity or a
+meet.  For an isometry the unitary part ∧[xⁿ] equals 1 - s, s the
+wandering series Σ xⁿ[ker x*] (Wold's identity), so `_wold_parts` takes u
+as the complement of the series' basis.  The series also grades the shift
+corner: p x p maps each block Bₖ into Bₖ₊₁ and the last block to 0, so it
+is nilpotent and ∧[(pxp)ⁿ] = 0; the certificate measures what lies off
+that grading with thin products only (`_grading_res`), beside x being
+isometric on s.  A float matrix whose Frobenius norm is below the rank
+cutoff takes no SVD, since σ₁ <= ‖·‖_F, and x*x and xx* are formed once
+per operator.
 
-Wold's parts take no range chain.  For an isometry the unitary part
-∧[xⁿ] equals 1 - s, s the wandering series Σ xⁿ[ker x*] (Wold's identity),
-so `_wold_parts` takes u as the complement of the series' basis.  The
-series also grades the shift corner: p x p maps each block Bₖ into Bₖ₊₁
-and the last block to 0, so it is nilpotent and ∧[(pxp)ⁿ] = 0; the
-certificate measures what lies off that grading with thin products only
-(`_grading_res`), beside x being isometric on s.  Słociński's blocks,
-which have no grading, keep the range chain of p x p.
+The pair methods read their infima off the Wold parts of x1 and x2
+(Słociński 1980; Popovici 2004).  A Słociński block p <= s_x that
+commutes with x has (pxp)ⁿ = p (s_x x s_x)ⁿ p, so it is certified by x
+being isometric on p and commuting with it, beside x commuting with s_x
+and s_x's grading, both measured once per operator.  Weak bi-shift's
+p_uu = ∧[(x1 x2)ⁿ] is the reducing fixpoint of u1 ∧ u2, as p_us and p_su
+are of u1 ∧ s2 and s1 ∧ u2: the unitary part of x1 x2 reduces both
+isometries and makes both unitary, and conversely.  Its m_us =
+∧ₙ x1ⁿ W_us is the meet W_us ∧ u1, since x1* maps W_us ∩ u1 into itself
+(x2* x1* = x1* x2*), and likewise m_su = W_su ∧ u2.
 
 The reducing fixpoints, the weak bi-shift wandering subspaces and the NFL
 unitary part are one lattice operation, the largest projection below some
@@ -38,13 +37,13 @@ x p - p x, (1 - p) x p, p x*x p - p, pq (`pair_product`) and pq being a
 projection (`projection_defects`); conditions test it with ctx.ok and
 certificates measure it with ctx.wres.  A float projection of rank below
 dim/2 multiplies through its range basis.  The iteration cap is
-max(n_max, dim + 1), and a chain still moving at the cap raises
-IndeterminateError instead of silently truncating.  Certificate residuals
-are measured after compression to the probe window when the input came
-from a truncated symbolic operator; a grading residual is read on the
-whole space, which can only be stricter.  The window is a 0/1 diagonal,
-so the compression w e w is the entrywise product of e with the mask
-w wᵀ, which is exact.
+max(n_max, dim + 1), and a series, core or chain still moving at the cap
+raises IndeterminateError instead of silently truncating.  Certificate
+residuals are measured after compression to the probe window when the
+input came from a truncated symbolic operator; a grading residual is read
+on the whole space, which can only be stricter.  The window is a 0/1
+diagonal, so the compression w e w is the entrywise product of e with the
+mask w wᵀ, which is exact.
 
 Every intersection of kernels is one right annihilator R(S), one kernel of
 the elements of S stacked (`right_annihilator_projection`): the starts
@@ -103,7 +102,8 @@ from .projections import (
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """n_max: the power horizon of the chains and certificates.
+    """n_max: the power horizon of the certificates and the least
+    iteration cap (see `_Ctx`).
     window: the probe window, a 0/1 diagonal projection on the operator's
     space (as `shiftmodel.truncate` builds it); a method given any other
     window raises PreconditionError."""
@@ -176,33 +176,6 @@ class _Ctx:
 
     def commute_ok(self, a: Element, b: Element) -> bool:
         return self.ok(a @ b - b @ a)
-
-
-def _range_chain_inf(ctx: _Ctx, x: Element, start: np.ndarray | None = None) -> Projection:
-    """Stabilised infimum of the decreasing chain of ranges of x^n (start).
-
-    Ranks fall by at least one per index until the chain is fixed, so with
-    d1 = rank x (start) it is fixed by index 1 + d1.  d1 is read without a
-    basis, which is built only when the chain stops at the first step; at
-    full rank the step is its own basis when exact, since every column is
-    a pivot.
-    Otherwise one jump from the raw step x (start) by x^m, m the least
-    power of two >= d1 (cap - 1 once d1 reaches the cap, so that the chain
-    raises exactly when it still moves at index cap), and one step
-    confirming the rank.
-    """
-    step = x.mat if start is None else x.mat @ start
-    d1 = subspaces.rank(ctx.domain, step)
-    if d1 == 0:
-        return zero_projection(ctx.domain, ctx.dim)
-    if d1 == (ctx.dim if start is None else start.shape[1]):
-        return from_basis(ctx.domain, subspaces.own_basis(ctx.domain, step, independent=True))
-    m = ctx.cap - 1 if d1 >= ctx.cap else 1 << (d1 - 1).bit_length()
-    fixed = subspaces.orth(ctx.domain, x.power(m).mat @ step)
-    rank = fixed.shape[1]
-    if rank and subspaces.rank(ctx.domain, x.mat @ fixed) != rank:
-        raise IndeterminateError("range chain did not stabilise within the cap")
-    return from_basis(ctx.domain, fixed)
 
 
 def _wandering_series(ctx: _Ctx, x: Element, term: np.ndarray) -> tuple:
@@ -307,13 +280,6 @@ def _corner_unitary_res(ctx: _Ctx, x: Element, p: Projection) -> float:
     return max(_isometry_res(ctx, x, p), _isometry_res(ctx, x, p, star=True))
 
 
-def _corner_shift_res(ctx: _Ctx, x: Element, p: Projection) -> float:
-    """Residual of the pure-shift certificate inf [ (xp)^n ] = 0 in the
-    corner, by the range chain of p x p: for corners with no grading."""
-    inf_proj = _range_chain_inf(ctx, p.product(x), start=p.range_basis)
-    return max(_isometry_res(ctx, x, p), ctx.wres(inf_proj.element))
-
-
 def _grading_res(ctx: _Ctx, x: Element, p: Projection, blocks: list) -> float:
     """Residual of the grading of the corner p x p by its series blocks
     B₀, …, B_L, which side by side span the range of p.
@@ -392,8 +358,8 @@ def slocinski(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> Deco
     _require(_isometry_on_window(ctx, x1) and _isometry_on_window(ctx, x2),
              "slocinski requires two isometries")
     _require(ctx.commute_ok(x1, x2), "slocinski requires a commuting pair")
-    pu1, ps1, _ = _wold_parts(ctx, x1)
-    pu2, ps2, _ = _wold_parts(ctx, x2)
+    pu1, ps1, blocks1 = _wold_parts(ctx, x1)
+    pu2, ps2, blocks2 = _wold_parts(ctx, x2)
     parts1 = {"u": pu1, "s": ps1}
     parts2 = {"u": pu2, "s": ps2}
 
@@ -432,6 +398,12 @@ def slocinski(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> Deco
             condition_vector=vector, holds=False,
         )
 
+    # a shift block p <= s_x that commutes with x has (pxp)ⁿ = p (s_x x s_x)ⁿ p,
+    # so x commuting with s_x and s_x's grading, once per operator, make it
+    # nilpotent beside x being isometric on p and commuting with it
+    graded1, graded2 = (max(_commute_res(ctx, x, ps), _grading_res(ctx, x, ps, blocks))
+                        if ps.rank else 0.0
+                        for x, ps, blocks in ((x1, ps1, blocks1), (x2, ps2, blocks2)))
     members = []
     block_classes = {}
     certificates = {}
@@ -443,9 +415,11 @@ def slocinski(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> Deco
             block_classes[label] = {"x1": "unitary" if a == "u" else "unilateral-shift",
                                     "x2": "unitary" if b == "u" else "unilateral-shift"}
             if p.rank:
-                res1 = _corner_unitary_res(ctx, x1, p) if a == "u" else _corner_shift_res(ctx, x1, p)
-                res2 = _corner_unitary_res(ctx, x2, p) if b == "u" else _corner_shift_res(ctx, x2, p)
-                certificates[f"block[{label}]"] = max(res1, res2)
+                certificates[f"block[{label}]"] = max(
+                    _corner_unitary_res(ctx, x, p) if kind == "u"
+                    else max(_isometry_res(ctx, x, p), _commute_res(ctx, x, p), graded)
+                    for x, kind, graded in ((x1, a, graded1), (x2, b, graded2))
+                )
     basis = ProjectionBasis(tuple(members))
     certificates.update({f"basis_{k}": v for k, v in basis.residuals().items()})
     return DecompositionReport(
@@ -488,14 +462,15 @@ def weak_bishift(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> D
 
     pu1, ps1, _ = _wold_parts(ctx, x1)
     pu2, ps2, _ = _wold_parts(ctx, x2)
-    x12 = x1 @ x2
-    p_uu = _range_chain_inf(ctx, x12)
+    # p_uu = ∧[(x1 x2)ⁿ] is the reducing fixpoint of u1 ∧ u2, as in Słociński
+    p_uu = reducing_fixpoint([x1, x2], proj_inf([pu1, pu2]), ctx.cfg)
     p_us = reducing_fixpoint([x1, x2], proj_inf([pu1, ps2]), ctx.cfg)
     p_su = reducing_fixpoint([x1, x2], proj_inf([ps1, pu2]), ctx.cfg)
     p_ws = from_element(ctx.one - (p_uu.element + p_us.element + p_su.element))
 
-    m_us = _range_chain_inf(ctx, x1, start=w_us.range_basis)
-    m_su = _range_chain_inf(ctx, x2, start=w_su.range_basis)
+    # ∧ₙ x1ⁿ W_us = W_us ∧ u1, and ∧ₙ x2ⁿ W_su = W_su ∧ u2
+    m_us = proj_inf([w_us, pu1])
+    m_su = proj_inf([w_su, pu2])
     certificates = {
         "w_us_invariant": ctx.wres(_invariance_defect(x1, w_us)),
         "w_su_invariant": ctx.wres(_invariance_defect(x2, w_su)),
@@ -634,7 +609,10 @@ def hw_pair_doubly(x1: Element, x2: Element, cfg: EngineConfig | None = None) ->
 
 
 def _lemma_certificates(ctx: _Ctx, x1: Element, x2: Element) -> dict:
-    """Residuals of the two power-walking identities used by the pair split."""
+    """Residuals of the two power-walking identities behind the product-PPI
+    theorem, [x*] xⁿ⁻¹ [x*ⁿ] = xⁿ⁻¹ [x*ⁿ] (lemmaA1) and
+    [x* [yⁿ]] [yⁿ⁻¹] = [x* [yⁿ]] for y = x1 x2 (lemmaA2), reported as
+    evidence on the pair; the series split does not use them."""
     out = {}
     top = min(ctx.cfg.n_max, ctx.dim)
     for label, x in (("x1", x1), ("x2", x2)):

@@ -47,32 +47,18 @@ def _orthonormal(mat: np.ndarray) -> bool:
     return np.sqrt(np.vdot(gram, gram).real) <= mat.shape[0] * _EPS
 
 
-def own_basis(domain: ScalarDomain, mat: np.ndarray, independent: bool = False) -> np.ndarray:
+def own_basis(domain: ScalarDomain, mat: np.ndarray) -> np.ndarray:
     """A basis of the column space of mat that is mat itself where mat
     already is one, and orth(mat) otherwise.
 
     A float mat whose Gram matrix is within dim·ε of the identity has every
     singular value within dim·ε of 1, so orth would keep every column and
     its U would span what mat spans; mat is then taken as it is, with no
-    SVD.  Exact domains take mat itself only when its columns are known to
-    be independent: every column is then a pivot, and the rref would
-    return the columns unchanged.
+    SVD.  Exact domains always take orth(mat).
     """
-    if domain.exact:
-        return domain.normalize(mat.copy()) if independent else orth(domain, mat)
-    if mat.shape[1] and _orthonormal(mat):
+    if not domain.exact and mat.shape[1] and _orthonormal(mat):
         return mat
     return orth(domain, mat)
-
-
-def rank(domain: ScalarDomain, mat: np.ndarray) -> int:
-    """Rank of mat, without a basis: rref pivots for exact domains,
-    singular values only for floats."""
-    if domain.exact:
-        return len(linalg.rref(domain, mat)[1])
-    if mat.shape[1] == 0 or np.linalg.norm(mat) < domain.tol.eps_rank:
-        return 0
-    return _rank_cut(np.linalg.svd(mat, compute_uv=False), domain.tol.eps_rank)
 
 
 def proj_matrix(domain: ScalarDomain, basis: np.ndarray) -> np.ndarray:

@@ -1,10 +1,16 @@
 """Stepped reference versions of the engine's stabilised chains.
 
 Each function walks its chain one index at a time, and runs on to the cap
-where the engine stops at a detected fixpoint.  The Wold unitary part is
-the range chain ∧[xⁿ], where the engine takes the complement of the shift
-part, and a series corner is certified by the range chain of p x p, where
-the engine reads the series' grading.  The Halmos–Wallen and product-PPI
+where the engine stops at a detected fixpoint.  The stepped range chain
+∧[xⁿ] (`stepped_range_chain_inf`) is the reference for every infimum the
+engine reads off Wold's parts instead: the Wold unitary part, where the
+engine takes the complement of the shift part; a series corner, certified
+by the range chain of p x p where the engine reads the series' grading
+(and, for a Słociński block p <= s_x, the grading of s_x); weak
+bi-shift's p_uu, the chain of x1 x2, where the engine takes the reducing
+fixpoint of u1 ∧ u2; and its m_us and m_su, the chains of x1 from W_us
+and of x2 from W_su, where the engine takes the meets W_us ∧ u1 and
+W_su ∧ u2.  The Halmos–Wallen and product-PPI
 split is built from the range chains of y and of y*, where the engine takes
 two wandering series seeded in the probe window; the chain split is the
 reference on exact inputs only, since on a truncation a shift and its
@@ -21,7 +27,8 @@ full SVD, the mixed wandering subspace carries the power a*ⁿb and meets
 its kernel at every step, and projection products are dense.
 `subspace_step_references` swaps in these alone; `reference_engine` swaps
 in every reference, so a whole decomposition can be run both ways and
-compared.
+compared.  Every reference replaces a helper that some method calls, so
+each is reached by one of the two routes.
 """
 
 from __future__ import annotations
@@ -257,7 +264,6 @@ def subspace_step_references(monkeypatch):
 
 
 REFERENCES = {
-    "_range_chain_inf": stepped_range_chain_inf,
     "_wold_parts": chain_wold_parts,
     "_grading_res": chain_shift_corner_res,
     "_series_split": chain_pair_split,

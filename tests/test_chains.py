@@ -1,14 +1,18 @@
-"""The range chain and the fixpoint exits against their stepped and
+"""The engine's series, meets and fixpoint exits against their stepped and
 run-to-cap references (tests/chain_reference.py), the truncated
 Halmos–Wallen and product-PPI splits against their ground truth, plus the
-stabilisation contract: at most three factorisations per range chain, and
-IndeterminateError past the cap.  The factorisation budgets of Wold's
-parts (one SVD, one QR) and of one reducing-fixpoint sweep are pinned too,
-with the SVD, QR, matmul and power budgets of one `wold` and of one
-`halmos_wallen`, the SVD budgets of `slocinski` and `weak_bishift` on the
-grid pair, the rref budget of a full-rank first step and the
+stabilisation contract: the engine's ∧[xⁿ], the complement of Wold's
+series, stops where the stepped range chain does and raises
+IndeterminateError past the same cap.  Słociński's shift-block
+certificates and weak bi-shift's p_uu, m_us and m_su, which the engine
+reads off the Wold parts, are checked against the stepped range chain, and
+every reference is checked to be reached.  The factorisation budgets of
+Wold's parts (one SVD, one QR) and of one reducing-fixpoint sweep are
+pinned too, with the SVD, QR, matmul and power budgets of one `wold`, of
+one `halmos_wallen` and of `slocinski` and `weak_bishift` on the grid pair,
+the rref budget of `halmos_wallen` on a full-rank x and the
 `left_projection` budget of the lemma residuals.
-The chain layer's rank and zero-matrix exit are checked against the SVD
+The zero-matrix exits of orth and nullspace are checked against the SVD
 path."""
 
 import sys
@@ -53,9 +57,17 @@ from stardecomp.fixtures import (
     random_ppi,
     rational_orthogonal,
 )
-from stardecomp.projections import coordinate_projection, from_basis, identity_projection
+from stardecomp.projections import (
+    coordinate_projection,
+    from_basis,
+    identity_projection,
+    pair_product,
+    proj_inf,
+)
 
 from chain_reference import (
+    REFERENCES,
+    STEP_REFERENCES,
     chain_shift_corner_res,
     chain_wold_parts,
     corner_cnu_res_to_cap,
@@ -65,6 +77,7 @@ from chain_reference import (
     reducing_fixpoint_by_meets,
     reference_engine,
     stepped_range_chain_inf,
+    subspace_step_references,
 )
 
 J3 = from_rows(RATIONAL, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
@@ -350,6 +363,118 @@ def test_truncated_complex_matches_stepped_chain(case):
     _assert_close(got, want, cfg)
 
 
+# ------------- pair infima read off the Wold parts, against the range chain
+
+
+def _unitary_part(ctx, x):
+    """The engine's ∧[xⁿ]: the complement of Wold's series (`_wold_parts`)."""
+    return engine._wold_parts(ctx, x)[0]
+
+
+def _pair_infima_both_ways(x1, x2, cfg):
+    """[(engine, chain)] for weak bi-shift's p_uu, m_us and m_su, the
+    certificates that read them, and (engine, chain certificate) for every
+    Słociński block with a shift coordinate.
+
+    The chain forms are the stepped range chains ∧[(x1 x2)ⁿ], ∧ₙ x1ⁿ W_us
+    and ∧ₙ x2ⁿ W_su, and, for a shift coordinate of x on a block p, x
+    isometric on p beside the chain residual ∧[(pxp)ⁿ]."""
+    ctx = engine._Ctx(x1, cfg)
+    weak = weak_bishift(x1, x2, cfg)
+    p_ws = weak.basis["ws"]
+    projections = [(weak.basis["uu"], stepped_range_chain_inf(ctx, x1 @ x2))]
+    certificates = [(weak.certificates["shift_product"],
+                     ctx.wres(pair_product(p_ws, projections[0][1])))]
+    for x, key, w in ((x1, "shift_x1_w_us", weak.extras["w_us"]),
+                      (x2, "shift_x2_w_su", weak.extras["w_su"])):
+        chain = stepped_range_chain_inf(ctx, x, start=w.range_basis)
+        projections.append((proj_inf([w, _unitary_part(ctx, x)]), chain))
+        certificates.append((weak.certificates[key], ctx.wres(pair_product(p_ws, chain))))
+    rep = slocinski(x1, x2, cfg)
+    assert rep.holds
+    for label, p in rep.basis.members:
+        if not p.rank or label == "uu":
+            continue
+        want = max(
+            engine._corner_unitary_res(ctx, x, p) if kind == "u"
+            else max(engine._isometry_res(ctx, x, p), chain_shift_corner_res(ctx, x, p, []))
+            for x, kind in zip((x1, x2), label)
+        )
+        certificates.append((rep.certificates[f"block[{label}]"], want))
+    return projections, certificates
+
+
+def _pair_instance_cases():
+    return [(name, n, 4 if name == "grid" else 6)
+            for name, sizes in (("grid", (8, 10)), ("equal-shift", (20, 32)),
+                                ("powers", (20, 32)), ("unitary-pair", (16, 32)),
+                                ("mixed", (20, 32)))
+            for n in sizes]
+
+
+@pytest.mark.parametrize("name,n,n_max", _pair_instance_cases())
+def test_pair_infima_match_the_range_chain(name, n, n_max):
+    xs, cfg = _truncated(list(pair_instances(name)), n, n_max)
+    projections, certificates = _pair_infima_both_ways(*xs, cfg)
+    for got, want in projections:
+        assert got.rank == want.rank
+        assert np.linalg.norm(got.element.mat - want.element.mat) <= 1e-12
+    tol = COMPLEX.tol.eps_eq * xs[0].dim
+    for got, want in certificates:
+        assert got <= tol and want <= tol
+
+
+def test_exact_pair_infima_match_the_range_chain():
+    # the pairs of acceptance criteria 3 and 4, and a Jordan block with a
+    # rational orthogonal block paired with itself, whose ss block is the
+    # Jordan block and so takes the shift certificate
+    rng = np.random.default_rng(30)
+    pairs = [(commuting_orthogonal_pair(int(rng.integers(2, 7)), rng), None)
+             for _ in range(12)]
+    x, window = _rational_jordan_plus_orthogonal(5, rng)
+    pairs.append(((x, x), window))
+    shift_blocks = 0
+    for (x1, x2), window in pairs:
+        projections, certificates = _pair_infima_both_ways(x1, x2, EngineConfig(window=window))
+        for got, want in projections:
+            assert np.array_equal(got.element.mat, want.element.mat)
+        assert all(got == want for got, want in certificates)
+        shift_blocks += len(certificates) - 3
+    assert shift_blocks == 1
+
+
+def test_every_reference_is_reached():
+    # a reference kept for a helper that no method calls would compare
+    # nothing; each is reached by reference_engine or, for the step
+    # references it overrides, by subspace_step_references
+    reached = set()
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            reached.add(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    rng = np.random.default_rng(30)
+    x1, x2 = commuting_orthogonal_pair(3, rng)
+    jordan, window = _rational_jordan_plus_orthogonal(3, rng)
+    targets = [*STEP_REFERENCES, *((engine, name, fn) for name, fn in REFERENCES.items())]
+    for route in (reference_engine, subspace_step_references):
+        with pytest.MonkeyPatch.context() as mp:
+            route(mp)
+            for owner, name, fn in targets:
+                if getattr(owner, name) is fn:
+                    mp.setattr(owner, name, recording(fn))
+            wold(jordan, EngineConfig(window=window))
+            halmos_wallen(J3)
+            nfl(J3)
+            slocinski(x1, x2)
+            weak_bishift(x1, x2)
+            hw_pair_product(J3, J3 @ J3)
+            largest_product_ppi(J3, J3)
+    assert reached == {fn.__name__ for _, _, fn in targets}
+
+
 def _complex_contraction(rng):
     """q (u ⊕ j ⊕ d) q* with u unitary, j a nilpotent Jordan block and d of
     norm 1/2, each of size 0 to 3, and q a random unitary; the unitary part
@@ -412,23 +537,14 @@ def test_range_chain_costs_at_most_three_factorisations(monkeypatch, n):
     tr = truncate(Shift(1), n, n_max=16)
     ctx = engine._Ctx(tr.element, EngineConfig(n_max=16, window=tr.window))
     calls = _count_svds(monkeypatch)
-    assert engine._range_chain_inf(ctx, tr.element).rank == 0
-    # the first step's rank; the jump lands on a zero matrix, which takes no SVD
+    assert _unitary_part(ctx, tr.element).rank == 0
+    # the SVD of x for ker x*; the series ends on a zero matrix, which
+    # takes no SVD
     assert len(calls) == 1
     calls.clear()
     assert stepped_range_chain_inf(ctx, tr.element).rank == 0
     # one per index; the last step is the zero matrix
     assert len(calls) >= n
-
-
-def test_range_chain_confirming_step_on_a_unitary_part(monkeypatch):
-    # the chain keeps rank 3, so the confirming step runs
-    u3 = unitary(random_complex_unitary(3, np.random.default_rng(2)).mat)
-    tr = truncate(direct_sum(u3, Shift(1)), 128, n_max=16)
-    ctx = engine._Ctx(tr.element, EngineConfig(n_max=16, window=tr.window))
-    calls = _count_svds(monkeypatch)
-    assert engine._range_chain_inf(ctx, tr.element).rank == 3
-    assert len(calls) == 3
 
 
 def _unitary_plus_shift():
@@ -512,8 +628,9 @@ def test_wold_svd_budget(monkeypatch):
     assert len(calls) <= 1
 
 
-def _grid_svds(monkeypatch, method):
-    """(shape, full_matrices) of every SVD in one call on the grid pair, n = 10."""
+def _grid_counts(monkeypatch, method):
+    """(shape, full_matrices) of every SVD, matmul callers and power
+    callers of one call on the grid pair, n = 10."""
     trs = [truncate(e, 10, n_max=4) for e in pair_instances("grid")]
     calls = []
     svd = np.linalg.svd
@@ -523,41 +640,44 @@ def _grid_svds(monkeypatch, method):
         return svd(a, full_matrices=full_matrices, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    matmuls = _count_calls(monkeypatch, "__matmul__")
+    powers = _count_calls(monkeypatch, "power")
     method(*(t.element for t in trs), EngineConfig(n_max=4, window=trs[0].window))
-    return calls
+    return calls, matmuls, powers
 
 
 def test_slocinski_svd_budget(monkeypatch):
-    # no meet stacks its bases into a wide matrix, and no series step or
-    # meet of nested spans takes an SVD
-    calls = _grid_svds(monkeypatch, slocinski)
+    # one SVD of each operator for its Wold series; no meet stacks its
+    # bases into a wide matrix, no series step or meet of nested spans
+    # takes an SVD, and the shift blocks are certified by the Wold series'
+    # gradings with no chain or power
+    calls, matmuls, powers = _grid_counts(monkeypatch, slocinski)
     assert not [shape for shape, full in calls if full and shape[1] > shape[0]]
-    assert len(calls) <= 4
+    assert len(calls) <= 2
+    assert len(matmuls) <= 37
+    assert not powers
 
 
 def test_weak_bishift_svd_budget(monkeypatch):
-    # each mixed wandering step is one thin kernel inside K_1
-    assert len(_grid_svds(monkeypatch, weak_bishift)) <= 8
+    # each mixed wandering step is one thin kernel inside K_1, and p_uu,
+    # m_us and m_su are a fixpoint and two meets of the Wold parts, with
+    # no chain or power
+    calls, matmuls, powers = _grid_counts(monkeypatch, weak_bishift)
+    assert len(calls) <= 5
+    assert len(matmuls) <= 5
+    assert not powers
 
 
 def test_full_rank_first_step_is_its_own_basis(monkeypatch):
-    # a rational orthogonal x keeps full rank at the chain's first step, so
-    # the step is rref'd once, for its rank, and a full-rank exact
-    # projection is the identity with no solve.  halmos_wallen runs no
-    # chain: x has no cokernel, so each series seed is one rref kernel and
-    # each empty series join one rref of no columns, and the unitary part
-    # is the kernel of no rows
+    # halmos_wallen on a rational orthogonal x, which has no cokernel: each
+    # series seed is one rref kernel and each empty series join one rref of
+    # no columns, and the unitary part is the kernel of no rows
     x = rational_orthogonal(6, np.random.default_rng(5))
-    ctx = engine._Ctx(x)
-    want = stepped_range_chain_inf(ctx, x)
+    got, want = _both(halmos_wallen, x)
+    _assert_identical(got, want)
     rrefs = []
     rref = linalg.rref
     monkeypatch.setattr(linalg, "rref", lambda *a: rrefs.append(1) or rref(*a))
-    assert np.array_equal(engine._range_chain_inf(ctx, x).element.mat, want.element.mat)
-    assert len(rrefs) == 1
-    got, want = _both(halmos_wallen, x)
-    _assert_identical(got, want)
-    rrefs.clear()
     halmos_wallen(x)
     assert len(rrefs) == 5
 
@@ -631,7 +751,6 @@ def test_reducing_fixpoint_sweep_is_one_kernel_per_operator(monkeypatch):
 # ------------------------------------------------------ subspace primitives
 
 EPS_RANK = COMPLEX.tol.eps_rank
-rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
 
 
 @pytest.mark.parametrize("dtype", [complex, float])
@@ -643,7 +762,6 @@ def test_orth_zero_exit_matches_the_svd_path(monkeypatch, dtype, scale):
     got = subspaces.orth(COMPLEX, mat)
     assert got.shape == want.shape == (5, 0)
     assert got.dtype == want.dtype
-    assert subspaces.rank(COMPLEX, mat) == 0
     assert not calls
 
 
@@ -686,34 +804,6 @@ def test_nullspace_factorises_just_above_the_threshold(monkeypatch):
     assert len(calls) == 2
 
 
-@settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 7), cols=st.integers(1, 7),
-       rank=st.integers(0, 7), norm=st.sampled_from([None, 0.25, 0.9, 1.1, 3.0, 1e3]))
-def test_rank_matches_orth_on_complex_matrices(seed, rows, cols, rank, norm):
-    # rank-deficient products, rescaled to a Frobenius norm of norm * eps_rank
-    rng = np.random.default_rng(seed)
-    rank = min(rank, rows, cols)
-    left = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
-    right = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
-    mat = left @ right
-    if norm is not None and rank:
-        mat *= norm * EPS_RANK / np.linalg.norm(mat)
-    assert subspaces.rank(COMPLEX, mat) == subspaces.orth(COMPLEX, mat).shape[1]
-
-
-@settings(max_examples=40, deadline=None)
-@given(a=st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=5, max_size=5),
-       b=st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=4, max_size=4),
-       inner=st.integers(0, 4))
-def test_rank_matches_orth_on_rational_matrices(a, b, inner):
-    # a 5x3 product through an inner dimension of at most 4
-    if inner:
-        mat = RATIONAL.array([row[:inner] for row in a]) @ RATIONAL.array(b[:inner])
-    else:
-        mat = RATIONAL.zeros(5, 3)
-    assert subspaces.rank(RATIONAL, mat) == subspaces.orth(RATIONAL, mat).shape[1]
-
-
 def _ctx_with_cap(x, cap):
     ctx = engine._Ctx(x, EngineConfig())
     ctx.cap = cap
@@ -728,8 +818,12 @@ def _chain_or_raise(chain, ctx, x):
 
 
 def _sweep_caps(x, caps, same):
+    """The engine's ∧[xⁿ] and the stepped chain at every cap: both raise,
+    or both return the same projection.  Wold's identity also holds for a
+    power partial isometry on a finite space, a unitary plus nilpotent
+    partial shifts, whose series runs exactly as long as its chain."""
     for cap in caps:
-        got = _chain_or_raise(engine._range_chain_inf, _ctx_with_cap(x, cap), x)
+        got = _chain_or_raise(_unitary_part, _ctx_with_cap(x, cap), x)
         want = _chain_or_raise(stepped_range_chain_inf, _ctx_with_cap(x, cap), x)
         assert (got is None) == (want is None), cap
         if got is not None:
@@ -743,9 +837,10 @@ def _close(a, b):
 
 @pytest.mark.parametrize("cap,raises", [(31, True), (32, False)])
 def test_range_chain_cap_matches_stepped_chain(cap, raises):
-    # the chain of a truncated Shift(1) at N = 32 stops moving at index 32
+    # the chain of a truncated Shift(1) at N = 32 stops moving at index 32,
+    # and Wold's series, whose complement the engine takes, ends with it
     x = truncate(Shift(1), 32, n_max=16).element
-    for chain in (engine._range_chain_inf, stepped_range_chain_inf):
+    for chain in (_unitary_part, stepped_range_chain_inf):
         ctx = _ctx_with_cap(x, cap)
         if raises:
             with pytest.raises(IndeterminateError):

@@ -269,7 +269,7 @@ def _projection_of_rank(domain, rng, rank):
     while True:
         mat = _low_rank(domain, rng, dim).mat
         basis = subspaces.orth(domain, mat[:, :rank])
-        if subspaces.rank(domain, mat) == dim and basis.shape[1] == rank:
+        if subspaces.orth(domain, mat).shape[1] == dim and basis.shape[1] == rank:
             return from_basis(domain, basis)
 
 
