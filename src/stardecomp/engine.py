@@ -9,8 +9,10 @@ corner: p x p maps each block Bₖ into Bₖ₊₁ and the last block to 0, so i
 is nilpotent and ∧[(pxp)ⁿ] = 0; the certificate measures what lies off
 that grading with thin products only (`_grading_res`), beside x being
 isometric on s.  A float matrix whose Frobenius norm is below the rank
-cutoff takes no SVD, since σ₁ <= ‖·‖_F, and x*x and xx* are formed once
-per operator.
+cutoff takes no SVD, since σ₁ <= ‖·‖_F, and x*x and xx* are formed at
+most once per operator.  The series' seed ker x* is one cokernel whose
+lone entries are peeled off (`subspaces.cokernel`): a truncated shift
+model's SVD is of its unitary blocks and the shifts' boundary lines only.
 
 The pair methods read their infima off the Wold parts of x1 and x2
 (Słociński 1980; Popovici 2004).  A Słociński block p <= s_x that
@@ -35,13 +37,18 @@ dim·ε of the identity is its own orthonormal basis and takes no SVD.
 Each checked identity is one defect built on `Projection.product`:
 x p - p x, (1 - p) x p, p x*x p - p, pq (`pair_product`) and pq being a
 projection (`projection_defects`); conditions test it with ctx.ok and
-certificates measure it with ctx.wres.  A float projection of rank below
-dim/2 multiplies through its range basis.  The iteration cap is
-max(n_max, dim + 1), and a series, core or chain still moving at the cap
-raises IndeterminateError instead of silently truncating.  Certificate
-residuals are measured after compression to the probe window when the
-input came from a truncated symbolic operator; a grading residual is read
-on the whole space, which can only be stricter.  The window is a 0/1
+certificates measure it with ctx.wres.  A float projection multiplies
+through the thinner of its range basis B and the complement basis C that
+its construction kept (Wold's u and s, a complement, the series split's
+u): B (B* a) for rank below dim/2, a - C (C* a) for a thinner C.  A thin
+corner's isometry defect is B ((x B)* (x B) - 1) B*, so `wold` forms only
+the dense x*x of its precondition.  The windowed PPI precondition reads
+xⁿ (xⁿ)* xⁿ - xⁿ on the window's rows and columns alone.  The iteration
+cap is max(n_max, dim + 1), and a series, core or chain still moving at
+the cap raises IndeterminateError instead of silently truncating.
+Certificate residuals are measured after compression to the probe window
+when the input came from a truncated symbolic operator; a grading residual
+is read on the whole space, which can only be stricter.  The window is a 0/1
 diagonal, so the compression w e w is the entrywise product of e with the
 mask w wᵀ, which is exact.
 
@@ -236,11 +243,25 @@ def _isometry_on_window(ctx: _Ctx, x: Element) -> bool:
 
 
 def _ppi_on_window(ctx: _Ctx, x: Element) -> bool:
+    """xⁿ (xⁿ)* xⁿ = xⁿ on the window for n <= min(n_max, dim).
+
+    With a float window of coordinates k, w (P P* P - P) w for P = xⁿ is
+    (P[k] P*) P[:, k] - P[k, k], formed from the window rows and columns
+    of P alone and tested against the same tolerance eps_eq·dim.  Exact
+    inputs and inputs with no window take the dense defect."""
+    windowed = ctx.keep is not None and not ctx.domain.exact
+    tol = ctx.domain.residual_tol(ctx.dim)
+    k = ctx.keep
     pw = x
     for n in range(1, min(ctx.cfg.n_max, ctx.dim) + 1):
         if n > 1:
             pw = pw @ x
-        if not ctx.ok(pw @ pw.star() @ pw - pw):
+        if windowed:
+            p = pw.mat
+            ok = ctx.domain.norm((p[k] @ p.conj().T) @ p[:, k] - p[np.ix_(k, k)]) <= tol
+        else:
+            ok = ctx.ok(pw @ pw.star() @ pw - pw)
+        if not ok:
             return False
     return True
 
@@ -252,7 +273,15 @@ def _isometry_defect(ctx: _Ctx, x: Element, p: Projection | None = None,
 
     The compression form p x* p x p - p differs from it by
     p x* (1 - p) x p = D* D, with D the invariance defect (1 - p) x p, so
-    beside an invariance certificate the two are equally strict."""
+    beside an invariance certificate the two are equally strict.  A thin
+    corner with range basis B is formed as B ((x B)* (x B) - 1) B*, the
+    same quantity with no dense x* x or x x*."""
+    if p is not None and p.thin:
+        b = p.range_basis
+        xb = (x.star() if star else x).mat @ b
+        g = xb.conj().T @ xb
+        g.flat[:: g.shape[0] + 1] -= 1
+        return Element(ctx.domain, b @ g @ b.conj().T)
     gram = ctx.gram(x, star)
     return gram - ctx.one if p is None else p.product(gram) - p.element
 
@@ -312,9 +341,12 @@ def _wold_parts(ctx: _Ctx, x: Element):
     The shift part is the wandering series Σ xⁿ[ker x*] from one cokernel
     of x (`subspaces.cokernel`).  By Wold's identity u = ∧[xⁿ] = 1 - s, the
     unitary part is its complement, taken from the series' own basis
-    (`Projection.complement`) with no range chain."""
+    (`Projection.complement`) with no range chain.  s is then rebuilt as
+    the complement of u, so that each keeps the other's basis and a
+    co-thin s multiplies through u's."""
     p_s, blocks = _wandering_series(ctx, x, subspaces.cokernel(ctx.domain, x.mat))
-    return p_s.complement(), p_s, blocks
+    p_u = p_s.complement()
+    return p_u, p_u.complement(), blocks
 
 
 def wold(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
@@ -381,8 +413,8 @@ def slocinski(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> Deco
     c3 = x1_commutes and all(ctx.ok(_commute_defect(x2, parts1[a])) for a in "us")
     c4 = ctx.ok(_invariance_defect(x2, ps1)) and ctx.ok(_invariance_defect(x1, ps2))
     c5 = x1_commutes and (
-        ctx.commute_ok(x2, pu1.element @ ps2.element)
-        or ctx.commute_ok(x2, ps1.element @ ps2.element)
+        ctx.commute_ok(x2, pair_product(pu1, ps2))
+        or ctx.commute_ok(x2, pair_product(ps1, ps2))
     )
     x12 = x1 @ x2
     c6 = ctx.ok(_invariance_defect(x12, ps1)) and ctx.ok(_invariance_defect(x12, ps2))
@@ -476,7 +508,6 @@ def weak_bishift(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> D
         "w_su_invariant": ctx.wres(_invariance_defect(x2, w_su)),
         "w_us_isometry_corner": _isometry_res(ctx, x1, w_us),
         "w_su_isometry_corner": _isometry_res(ctx, x2, w_su),
-        "shift_product": ctx.wres(pair_product(p_ws, p_uu)),
         "shift_x1_w_us": ctx.wres(pair_product(p_ws, m_us)),
         "shift_x2_w_su": ctx.wres(pair_product(p_ws, m_su)),
     }
@@ -528,7 +559,8 @@ def _series_split(ctx: _Ctx, y: Element) -> tuple:
 
     f = Σ yⁿ(ker y* ∩ W) and g = Σ y*ⁿ(ker y ∩ W) give t = f ∧ g,
     s = f ∧ (1 - t), b = g ∧ (1 - t) and u = 1 - (f ∨ g), the complement
-    of f's and b's bases side by side, since g = b + t and t <= f.  These
+    of f's and b's bases side by side, since g = b + t and t <= f; u keeps
+    the orthonormal basis of f ∨ g that the same QR gives.  These
     are Halmos–Wallen's u, s, b, t for a power partial isometry y, and the
     product-PPI u, is, cis, t for y = x1 x2.  Returns the four parts and
     the series (f, its blocks) and (g, its blocks), whose gradings certify
@@ -541,9 +573,9 @@ def _series_split(ctx: _Ctx, y: Element) -> tuple:
     p_g, g_blocks = _wandering_series(ctx, y_star, _window_cokernel(ctx, y_star))
     p_t = proj_inf([p_f, p_g])
     p_s, p_b = _without(ctx, p_f, p_t), _without(ctx, p_g, p_t)
-    rest = subspaces.complement(ctx.domain, np.concatenate([p_f.range_basis, p_b.range_basis],
-                                                          axis=1))
-    return (from_basis(ctx.domain, rest), p_s, p_b, p_t), (p_f, f_blocks), (p_g, g_blocks)
+    span, rest = subspaces.split(ctx.domain, np.concatenate([p_f.range_basis, p_b.range_basis],
+                                                            axis=1))
+    return (from_basis(ctx.domain, rest, span), p_s, p_b, p_t), (p_f, f_blocks), (p_g, g_blocks)
 
 
 def halmos_wallen(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:

@@ -11,9 +11,12 @@ right annihilator R(S) = pA, the Baer axiom, built as one kernel of the
 elements of S stacked (`right_annihilator_projection`).  The complement
 1 - p comes from p's range basis B: its range is ker p = ker B*, the
 trailing columns of a complete QR of B for floats and the kernel of the
-thin B* when exact, so the dense p is never factorised.  A product with a
-projection goes through `Projection.product`, pq through the lower-rank
-factor (`pair_product`).
+thin B* when exact, so the dense p is never factorised.  A float
+projection keeps the basis C of its complement wherever its construction
+had one (`from_basis`): 1 - p keeps B, and p keeps the QR's trailing
+columns when built beside its complement.  A product with a projection
+goes through `Projection.product`, through the thinner of B and C, and pq
+through the lower-rank factor (`pair_product`).
 """
 
 from __future__ import annotations
@@ -31,10 +34,13 @@ from .errors import EmptyFamilyError, PreconditionError
 
 @dataclass(frozen=True)
 class Projection:
-    """A self-adjoint idempotent with a cached basis of its range."""
+    """A self-adjoint idempotent with a cached basis of its range and, for
+    floats where the construction had one, an orthonormal basis of the
+    range of 1 - p."""
 
     element: Element
     range_basis: np.ndarray = field(repr=False)
+    complement_basis: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def domain(self) -> ScalarDomain:
@@ -48,42 +54,77 @@ class Projection:
     def rank(self) -> int:
         return self.range_basis.shape[1]
 
+    @property
+    def thin(self) -> bool:
+        """A float projection of rank below dim/2: products go through its
+        range basis."""
+        return not self.domain.exact and 2 * self.rank < self.dim
+
     def product(self, a: Element, side: str = "both") -> Element:
         """p a (side "left"), a p ("right") or p a p ("both").
 
-        A float projection of rank below dim/2 goes through its range basis
-        B: B (B* a), (a B) B* and B (B* a B) B*, thin products that cost
-        O(dim² rank) where the dense ones cost O(dim³).  Exact domains and
-        larger ranks take the dense products.
+        A thin projection goes through its range basis B: B (B* a),
+        (a B) B* and B (B* a B) B*, thin products that cost O(dim² rank)
+        where the dense ones cost O(dim³).  A float projection whose
+        complement basis C is thinner than B goes through C: p a = a - C (C* a),
+        a p = a - (a C) C*, and p a p as the one after the other.  Exact
+        domains and the rest take the dense products.
         """
         p = self.element
         p._check(a)
-        if self.domain.exact or 2 * self.rank >= self.dim:
+        comp = self.complement_basis
+        if self.thin:
+            b = self.range_basis
+            bh = b.conj().T
             if side == "left":
-                return p @ a
-            return a @ p if side == "right" else p @ a @ p
-        b = self.range_basis
-        bh = b.conj().T
-        if side == "left":
-            mat = b @ (bh @ a.mat)
-        elif side == "right":
-            mat = (a.mat @ b) @ bh
+                mat = b @ (bh @ a.mat)
+            elif side == "right":
+                mat = (a.mat @ b) @ bh
+            else:
+                mat = b @ ((bh @ (a.mat @ b)) @ bh)
+        elif comp is not None and comp.shape[1] < self.rank:
+            ch = comp.conj().T
+            mat = a.mat
+            if side != "right":
+                mat = mat - comp @ (ch @ mat)
+            if side != "left":
+                mat = mat - (mat @ comp) @ ch
+        elif side == "left":
+            return p @ a
         else:
-            mat = b @ ((bh @ (a.mat @ b)) @ bh)
+            return a @ p if side == "right" else p @ a @ p
         return Element(self.domain, mat)
 
     def complement(self) -> "Projection":
-        """1 - p, from the range basis B alone: the range of 1 - p is
-        ker p = ker B* (`subspaces.complement`)."""
-        return from_basis(self.domain, subspaces.complement(self.domain, self.range_basis))
+        """1 - p, from the bases alone: the kept complement basis, or else
+        ker p = ker B* for B the range basis (`subspaces.complement`).  B is
+        kept as the complement basis of 1 - p."""
+        comp = self.complement_basis
+        if comp is None:
+            comp = subspaces.complement(self.domain, self.range_basis)
+        return from_basis(self.domain, comp, self.range_basis)
 
     def equals(self, other: "Projection") -> bool:
         return self.element.equals(other.element)
 
 
-def from_basis(domain: ScalarDomain, basis: np.ndarray) -> Projection:
-    mat = subspaces.proj_matrix(domain, basis)
-    return Projection(Element(domain, mat), basis)
+def from_basis(domain: ScalarDomain, basis: np.ndarray,
+               complement: np.ndarray | None = None) -> Projection:
+    """The projection onto span(basis).  A float caller that holds an
+    orthonormal basis C of the orthogonal complement passes it as
+    complement: the projection keeps it for its products and is built as
+    1 - C C* when C is the thinner; a float basis of the whole space has
+    the empty complement, so its projection is the identity.  Exact
+    domains keep no complement."""
+    if domain.exact:
+        complement = None
+    elif complement is None and basis.shape[1] == basis.shape[0]:
+        complement = basis[:, :0]
+    if complement is not None and complement.shape[1] < basis.shape[1]:
+        mat = domain.eye(basis.shape[0]) - subspaces.proj_matrix(domain, complement)
+    else:
+        mat = subspaces.proj_matrix(domain, basis)
+    return Projection(Element(domain, mat), basis, complement)
 
 
 def from_element(e: Element) -> Projection:

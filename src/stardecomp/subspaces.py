@@ -3,7 +3,12 @@
 Only the algorithm depends on the domain here: exact domains keep pivot-
 column bases and build projections through the Gram matrix; the complex
 domain keeps orthonormal bases, from SVDs with a relative rank cutoff, and
-skips the SVD wherever its outcome is already known.
+skips the SVD wherever its outcome is already known.  The cokernel peels
+off the lone entries of its matrix, whose singular values and vectors are
+read off with no arithmetic, so only the rest takes an SVD; on a truncated
+shift model that is the unitary blocks and the shifts' boundary lines.
+A float complement is the trailing columns of one complete QR, whose
+leading columns are an orthonormal basis of the span itself (`split`).
 """
 
 from __future__ import annotations
@@ -16,13 +21,17 @@ from .domains import ScalarDomain
 _EPS = np.finfo(float).eps
 
 
-def _rank_cut(s: np.ndarray, eps_rank: float) -> int:
-    if s.size == 0:
-        return 0
+def _cut(top: float, eps_rank: float) -> float:
     # relative cutoff with an absolute floor: every operator handled here has
     # norm O(1), so singular values below eps_rank are noise even when the
     # whole matrix is numerically zero
-    return int(np.sum(s > eps_rank * max(float(s[0]), 1.0)))
+    return eps_rank * max(top, 1.0)
+
+
+def _rank_cut(s: np.ndarray, eps_rank: float) -> int:
+    if s.size == 0:
+        return 0
+    return int(np.sum(s > _cut(float(s[0]), eps_rank)))
 
 
 def orth(domain: ScalarDomain, mat: np.ndarray) -> np.ndarray:
@@ -41,7 +50,11 @@ def orth(domain: ScalarDomain, mat: np.ndarray) -> np.ndarray:
 
 def _orthonormal(mat: np.ndarray) -> bool:
     """True when mat* mat is within dim·ε of the identity in Frobenius norm,
-    dim the number of rows: roundoff of an orthonormal block."""
+    dim the number of rows: roundoff of an orthonormal block.  For one
+    column the Gram matrix is the scalar v*v, tested as |v*v - 1| with no
+    matrix formed."""
+    if mat.shape[1] == 1:
+        return abs(np.vdot(mat, mat) - 1) <= mat.shape[0] * _EPS
     gram = mat.conj().T @ mat
     gram.flat[:: gram.shape[0] + 1] -= 1
     return np.sqrt(np.vdot(gram, gram).real) <= mat.shape[0] * _EPS
@@ -75,38 +88,75 @@ def proj_matrix(domain: ScalarDomain, basis: np.ndarray) -> np.ndarray:
     return domain.normalize(basis @ ginv_bt)
 
 
+def _lone_entries(mat: np.ndarray) -> tuple:
+    """Row and column indices of the lone entries of mat: the nonzero
+    entries that are the only nonzero in both their row and their column."""
+    nz = mat != 0
+    lone = nz & (nz.sum(axis=1) == 1)[:, None] & (nz.sum(axis=0) == 1)[None, :]
+    return np.nonzero(lone)
+
+
 def cokernel(domain: ScalarDomain, mat: np.ndarray) -> np.ndarray:
     """Basis of ker mat*, the range of 1 - [mat].
 
     Exact domains take the rref kernel of mat*.  Floats take the left
-    singular vectors of mat past the rank, from one SVD of mat, and not the
-    right singular vectors of mat*: on a truncated shift those carry a
-    roundoff tail that decays geometrically into subnormal range, which
-    the wandering series then multiplies through every block."""
+    singular vectors of mat past the rank, and not the right singular
+    vectors of mat*: on a truncated shift those carry a roundoff tail that
+    decays geometrically into subnormal range, which the wandering series
+    then multiplies through every block.
+
+    Only the non-lone rest of a float mat takes an SVD.  Up to row and
+    column permutations mat is diag(x_ij) ⊕ rest, x_ij its lone entries
+    (`_lone_entries`), so its singular values are the |x_ij| beside those
+    of rest, and row i of a lone entry is a left singular vector.  The
+    rank cut is `_rank_cut`'s, eps_rank·max(σ₁, 1) with σ₁ the largest
+    over both parts; a lone entry at or below it gives e_i.  Zero rows and
+    columns stay in rest, so a matrix with no lone entry is one rest: a
+    truncated shift is all lone entries but its two boundary lines.
+    """
     if domain.exact:
         return linalg.nullspace(domain, domain.adjoint(mat))
-    u, s, _ = np.linalg.svd(mat)
-    return u[:, _rank_cut(s, domain.tol.eps_rank):]
+    rows, cols = _lone_entries(mat)
+    rest_rows = np.ones(mat.shape[0], dtype=bool)
+    rest_rows[rows] = False
+    rest_cols = np.ones(mat.shape[1], dtype=bool)
+    rest_cols[cols] = False
+    u, s, _ = np.linalg.svd(mat[np.ix_(rest_rows, rest_cols)])
+    lone = np.abs(mat[rows, cols])
+    cut = _cut(float(max(s.max(initial=0.0), lone.max(initial=0.0))), domain.tol.eps_rank)
+    small = rows[lone <= cut]
+    rank = int(np.sum(s > cut))
+    out = np.zeros((mat.shape[0], small.size + u.shape[1] - rank), dtype=u.dtype)
+    out[small, np.arange(small.size)] = 1
+    out[rest_rows, small.size:] = u[:, rank:]
+    return out
+
+
+def split(domain: ScalarDomain, basis: np.ndarray) -> tuple:
+    """Bases of span(basis) and of its orthogonal complement, the ranges
+    of p and 1 - p for p the projection onto span(basis).
+
+    The complement is ker p = ker basis*, so exact domains take the kernel
+    of the thin basis*, keep basis for the span and never form p.  For a
+    float basis of full column rank the complete QR gives both at once,
+    orthonormal: its leading columns span basis and its trailing ones the
+    rest of the space, with no SVD.  A float basis with no columns or with
+    as many as rows needs no QR.
+    """
+    if domain.exact:
+        return basis, linalg.nullspace(domain, domain.adjoint(basis))
+    n, r = basis.shape
+    if r == 0:
+        return basis, np.eye(n, dtype=np.result_type(basis.dtype, np.float32))
+    if r == n:  # a basis of the whole space
+        return np.eye(n, dtype=np.result_type(basis.dtype, np.float32)), basis[:, :0]
+    q = np.linalg.qr(basis, mode="complete")[0]
+    return q[:, :r], q[:, r:]
 
 
 def complement(domain: ScalarDomain, basis: np.ndarray) -> np.ndarray:
-    """Basis of the orthogonal complement of span(basis), the range of
-    1 - p for p the projection onto span(basis).
-
-    That range is ker p = ker basis*, so exact domains take the kernel of
-    the thin basis* and never form p.  A float basis is orthonormal, and
-    the trailing columns of the complete QR of it are an orthonormal basis
-    of the rest of the space, with no SVD; a float basis with no columns
-    or with as many as rows needs no QR.
-    """
-    if domain.exact:
-        return linalg.nullspace(domain, domain.adjoint(basis))
-    n, r = basis.shape
-    if r == 0:
-        return np.eye(n, dtype=np.result_type(basis.dtype, np.float32))
-    if r == n:  # a basis of the whole space
-        return basis[:, :0]
-    return np.linalg.qr(basis, mode="complete")[0][:, r:]
+    """Basis of the orthogonal complement of span(basis) (`split`)."""
+    return split(domain, basis)[1]
 
 
 def coordinates(domain: ScalarDomain, basis: np.ndarray, mat: np.ndarray,

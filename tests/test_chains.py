@@ -383,7 +383,7 @@ def _pair_infima_both_ways(x1, x2, cfg):
     weak = weak_bishift(x1, x2, cfg)
     p_ws = weak.basis["ws"]
     projections = [(weak.basis["uu"], stepped_range_chain_inf(ctx, x1 @ x2))]
-    certificates = [(weak.certificates["shift_product"],
+    certificates = [(weak.certificates["basis_orth[uu,ws]"],
                      ctx.wres(pair_product(p_ws, projections[0][1])))]
     for x, key, w in ((x1, "shift_x1_w_us", weak.extras["w_us"]),
                       (x2, "shift_x2_w_su", weak.extras["w_su"])):
@@ -553,16 +553,18 @@ def _unitary_plus_shift():
 
 
 def test_wold_parts_take_one_svd_and_one_qr(monkeypatch):
-    # one SVD of x gives the series' first term ker x*, the series blocks
-    # are orthonormal already, and the unitary part is the complement of
-    # the series from one complete QR of its basis: no range chain
+    # one SVD of x's non-lone rest (the unitary block beside the shift's
+    # zero row and column) gives the series' first term ker x*, the series
+    # blocks are orthonormal already, and the unitary part is the
+    # complement of the series from one complete QR of its basis: no range
+    # chain
     tr = truncate(_unitary_plus_shift(), 128, n_max=16)
     ctx = engine._Ctx(tr.element, EngineConfig(n_max=16, window=tr.window))
     calls = _count_svds(monkeypatch)
     qrs = _count_qrs(monkeypatch)
     p_u, p_s, blocks = engine._wold_parts(ctx, tr.element)
     assert (p_u.rank, p_s.rank, len(blocks)) == (3, 128, 128)
-    assert (len(calls), qrs) == (1, [(131, 128)])
+    assert (calls, qrs) == ([(4, 4)], [(131, 128)])
 
 
 def _count_qrs(monkeypatch):
@@ -601,21 +603,22 @@ def _wold_128(monkeypatch):
 
 
 def test_wold_takes_two_basis_factorisations(monkeypatch):
-    # the SVD of x for ker x* and the complete QR of the series basis for
-    # the unitary part; the series blocks and their join are their own
-    # bases, and the shift corner is read off the series' grading, so no
-    # power is formed
+    # the SVD of x's 4×4 non-lone rest for ker x* and the complete QR of
+    # the series basis for the unitary part; the series blocks and their
+    # join are their own bases, and the shift corner is read off the
+    # series' grading, so no power is formed
     svds, qrs, _, powers = _wold_128(monkeypatch)
-    assert (svds, qrs) == ([(131, 131)], [(131, 128)])
+    assert (svds, qrs) == ([(4, 4)], [(131, 128)])
     assert not powers
 
 
 def test_wold_matmul_budget(monkeypatch):
-    # x*x and xx* are formed once, no chain takes a power, the shift
-    # corner's grading takes thin products only, and the rank-3 unitary
-    # part enters its certificates through its basis
+    # only x*x, for the isometry precondition: no chain takes a power, the
+    # shift corner's grading takes thin products only, the rank-3 unitary
+    # part enters its certificates through its basis (its co-isometry
+    # corner with no xx*), and the rank-128 shift part through u's basis
     _, _, matmuls, _ = _wold_128(monkeypatch)
-    assert len(matmuls) <= 6
+    assert matmuls == ["gram"]
 
 
 def test_wold_svd_budget(monkeypatch):
@@ -650,11 +653,12 @@ def test_slocinski_svd_budget(monkeypatch):
     # one SVD of each operator for its Wold series; no meet stacks its
     # bases into a wide matrix, no series step or meet of nested spans
     # takes an SVD, and the shift blocks are certified by the Wold series'
-    # gradings with no chain or power
+    # gradings with no chain or power; the shift parts and the full-rank
+    # ss block multiply through their complement bases
     calls, matmuls, powers = _grid_counts(monkeypatch, slocinski)
     assert not [shape for shape, full in calls if full and shape[1] > shape[0]]
     assert len(calls) <= 2
-    assert len(matmuls) <= 37
+    assert len(matmuls) <= 11
     assert not powers
 
 
@@ -697,7 +701,9 @@ def test_halmos_wallen_budget(monkeypatch):
     # i ⊕ S* ⊕ J3 at N = 64 (dim 68): one SVD of the window rows of x and
     # of x* for the two series seeds, one where x*'s series loses J3's
     # block, two small kernels T* B for s and b, and one complete QR for u;
-    # no range chain, so no power, and no part wrapped by from_element
+    # no range chain, so no power, and no part wrapped by from_element; the
+    # PPI precondition forms one power of x per n and reads the window's
+    # rows and columns of it with thin products
     (x,), window = _spec_operators("hw64.json", 64)
     svds = _count_svds(monkeypatch)
     qrs = _count_qrs(monkeypatch)
@@ -709,7 +715,7 @@ def test_halmos_wallen_budget(monkeypatch):
     assert {lbl: p.rank for lbl, p in rep.basis.members} == {"u": 1, "s": 0, "b": 64, "t": 3}
     assert len(svds) <= 5
     assert qrs == [(68, 67)]
-    assert len(matmuls) <= 53
+    assert len(matmuls) <= 20
     assert not powers and not wrapped
 
 

@@ -111,7 +111,7 @@ def test_weak_bishift_grid_is_pure_ws():
     w = t1.window.element.mat
     dev = np.abs(w @ (rep.basis["ws"].element.mat - np.eye(t1.element.dim)) @ w).max()
     assert dev < 1e-8
-    for key in ("shift_product", "shift_x1_w_us", "shift_x2_w_su"):
+    for key in ("basis_orth[uu,ws]", "shift_x1_w_us", "shift_x2_w_su"):
         assert rep.certificates[key] < 1e-8
 
 

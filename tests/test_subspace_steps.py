@@ -2,14 +2,15 @@
 (`subspace_step_references` in tests/chain_reference.py): the wandering
 series without per-step SVDs, the meet as one thin kernel, the mixed
 wandering subspace as one preimage per step, and the low-rank projection
-products.  Complex inputs must give equal ranks and projections within
-1e-12.  Exact inputs must come out bit-identical; `reference_engine`
-swaps these references in too, so the exact comparisons in
-tests/test_chains.py cover them."""
+products, beside the peeled cokernel against the dense SVD's and the
+products through a complement basis against the dense ones.  Complex
+inputs must give equal ranks and projections within 1e-12.  Exact inputs
+must come out bit-identical; `reference_engine` swaps these references in
+too, so the exact comparisons in tests/test_chains.py cover them."""
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from stardecomp import (
     COMPLEX,
@@ -130,6 +131,65 @@ def test_meet_of_a_subspace_takes_no_svd(monkeypatch):
     assert not calls
 
 
+# ------------------------------------------------------ peeled cokernel
+
+EPS_RANK = COMPLEX.tol.eps_rank
+
+
+@st.composite
+def _peel_cases(draw):
+    """(seed, lone entries above the cut, at or below it, zero rows, zero
+    columns, dense block rows, columns and rank)."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    sizes = [draw(st.integers(0, 6)), draw(st.integers(0, 3)), draw(st.integers(0, 2)),
+             draw(st.integers(0, 2)), m, n, draw(st.integers(0, min(m, n)))]
+    return draw(st.integers(0, 2**32 - 1)), *sizes
+
+
+def _peel_matrix(seed, big, small, zero_rows, zero_cols, m, n, r):
+    """diag(lone entries) ⊕ zero rows ⊕ zero columns ⊕ a dense block of
+    rank r, its rows and columns permuted.  The lone entries above the cut
+    have modulus in [0.1, 3], those below it in (0, 0.9·eps_rank]."""
+    rng = np.random.default_rng(seed)
+    phases = np.exp(2j * np.pi * rng.random(big + small))
+    lone = np.concatenate([rng.uniform(0.1, 3.0, big),
+                           EPS_RANK * rng.uniform(1e-6, 0.9, small)]) * phases
+    k = big + small
+    mat = np.zeros((k + zero_rows + m, k + zero_cols + n), dtype=complex)
+    mat[np.arange(k), np.arange(k)] = lone
+    gauss = (lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    mat[k + zero_rows:, k + zero_cols:] = gauss(m, r) @ gauss(r, n)
+    return mat[rng.permutation(mat.shape[0])][:, rng.permutation(mat.shape[1])]
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_peel_cases())
+@example(case=(0, 128, 0, 1, 1, 3, 3, 3))  # the shape of a truncated unitary(3) ⊕ Shift(1)
+def test_peeled_cokernel_matches_the_dense_svd(case):
+    mat = _peel_matrix(*case)
+    assume(mat.shape[0] > 0)
+    u, s, _ = np.linalg.svd(mat)
+    want = u[:, subspaces._rank_cut(s, EPS_RANK):]
+    got = subspaces.cokernel(COMPLEX, mat)
+    assert got.shape == want.shape
+    assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T) <= TOL
+
+
+@pytest.mark.parametrize("scale,rank", [(1.0, 1), (1.01, 2)], ids=["at the cut", "above it"])
+def test_lone_entry_at_the_cut_is_in_the_cokernel(monkeypatch, scale, rank):
+    # diag(2, 2 eps_rank) is all lone entries: no SVD of a non-empty
+    # matrix, and the cut is eps_rank·σ₁ = 2 eps_rank
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *r, **k: calls.append(a.size) or svd(a, *r, **k))
+    mat = np.diag([2.0, 2 * scale * EPS_RANK]).astype(complex)
+    got = subspaces.cokernel(COMPLEX, mat)
+    assert got.shape == (2, 2 - rank)
+    if rank == 1:
+        assert np.array_equal(got, np.array([[0], [1]], dtype=complex))
+    assert not any(calls)
+
+
 # ------------------------------------------------- truncated complex inputs
 
 
@@ -202,6 +262,26 @@ def test_product_matches_dense_on_both_sides_of_the_threshold(dim):
                 got = proj.product(a, side)
                 want = dense_product(proj, a, side)
                 assert np.linalg.norm(got.mat - want.mat) <= 1e-14, (rank, side)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 12), co_rank=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_product_through_the_complement_basis_matches_dense(dim, co_rank, seed):
+    # rank >= dim/2, with the complement basis kept by from_basis or by
+    # complement(); the element is built as 1 - C C*
+    co_rank = min(co_rank, dim // 2)
+    rng = np.random.default_rng(seed)
+    q = random_complex_unitary(dim, rng).mat
+    b, c = q[:, :dim - co_rank], q[:, dim - co_rank:]
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    a = Element(COMPLEX, a / np.linalg.norm(a))
+    for proj in (from_basis(COMPLEX, b, c), from_basis(COMPLEX, c).complement()):
+        assert proj.complement_basis is not None
+        assert np.linalg.norm(proj.element.mat - b @ b.conj().T) <= TOL
+        for side in ("left", "right", "both"):
+            got = proj.product(a, side)
+            want = dense_product(proj, a, side)
+            assert np.linalg.norm(got.mat - want.mat) <= TOL, side
 
 
 @pytest.mark.parametrize("rank", [3, 20], ids=["below dim/2", "above dim/2"])
