@@ -39,8 +39,8 @@ x p - p x, (1 - p) x p, p x*x p - p, pq (`pair_product`) and pq being a
 projection (`projection_defects`); conditions test it with ctx.ok and
 certificates measure it with ctx.wres.  A float projection multiplies
 through the thinner of its range basis B and the complement basis C that
-its construction kept (Wold's u and s, a complement, the series split's
-u): B (B* a) for rank below dim/2, a - C (C* a) for a thinner C.  A thin
+its construction kept (Wold's u and s, a complement, nfl's c):
+B (B* a) for rank below dim/2, a - C (C* a) for a thinner C.  A thin
 corner's isometry defect is B ((x B)* (x B) - 1) B*, so `wold` forms only
 the dense x*x of its precondition.  The windowed PPI precondition reads
 xⁿ (xⁿ)* xⁿ - xⁿ on the window's rows and columns alone.  The iteration
@@ -186,9 +186,9 @@ class _Ctx:
 
 
 def _wandering_series(ctx: _Ctx, x: Element, term: np.ndarray) -> tuple:
-    """Stabilised orthogonal series sum of [x^n (1 - [x])], from a basis
-    term of the range of 1 - [x], with its blocks B₀, B₁, …: Bₖ₊₁ is a
-    basis of x Bₖ, and the last block's image has rank 0.
+    """A basis of the stabilised orthogonal series sum of [x^n (1 - [x])],
+    from a basis term of the range of 1 - [x], with its blocks B₀, B₁, …:
+    Bₖ₊₁ is a basis of x Bₖ, and the last block's image has rank 0.
 
     An isometry maps an orthonormal block to an orthonormal block, and the
     blocks are mutually orthogonal, so each float step x term and the final
@@ -198,7 +198,7 @@ def _wandering_series(ctx: _Ctx, x: Element, term: np.ndarray) -> tuple:
     for _ in range(ctx.cap + 1):
         if term.shape[1] == 0:
             joined = np.concatenate(pieces, axis=1) if pieces else ctx.domain.zeros(ctx.dim, 0)
-            return from_basis(ctx.domain, subspaces.own_basis(ctx.domain, joined)), pieces
+            return subspaces.own_basis(ctx.domain, joined), pieces
         pieces.append(term)
         term = subspaces.own_basis(ctx.domain, x.mat @ term)
     raise IndeterminateError("wandering series did not terminate within the cap")
@@ -341,12 +341,13 @@ def _wold_parts(ctx: _Ctx, x: Element):
     The shift part is the wandering series Σ xⁿ[ker x*] from one cokernel
     of x (`subspaces.cokernel`).  By Wold's identity u = ∧[xⁿ] = 1 - s, the
     unitary part is its complement, taken from the series' own basis
-    (`Projection.complement`) with no range chain.  s is then rebuilt as
-    the complement of u, so that each keeps the other's basis and a
-    co-thin s multiplies through u's."""
-    p_s, blocks = _wandering_series(ctx, x, subspaces.cokernel(ctx.domain, x.mat))
-    p_u = p_s.complement()
-    return p_u, p_u.complement(), blocks
+    (`subspaces.complement`) with no range chain.  Each part keeps the
+    other's basis as its complement basis, so a co-thin s is built as, and
+    multiplies through, 1 - U U*."""
+    dom = ctx.domain
+    s_basis, blocks = _wandering_series(ctx, x, subspaces.cokernel(dom, x.mat))
+    u_basis = subspaces.complement(dom, s_basis)
+    return from_basis(dom, u_basis, s_basis), from_basis(dom, s_basis, u_basis), blocks
 
 
 def wold(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
@@ -559,8 +560,7 @@ def _series_split(ctx: _Ctx, y: Element) -> tuple:
 
     f = Σ yⁿ(ker y* ∩ W) and g = Σ y*ⁿ(ker y ∩ W) give t = f ∧ g,
     s = f ∧ (1 - t), b = g ∧ (1 - t) and u = 1 - (f ∨ g), the complement
-    of f's and b's bases side by side, since g = b + t and t <= f; u keeps
-    the orthonormal basis of f ∨ g that the same QR gives.  These
+    of f's and b's bases side by side, since g = b + t and t <= f.  These
     are Halmos–Wallen's u, s, b, t for a power partial isometry y, and the
     product-PPI u, is, cis, t for y = x1 x2.  Returns the four parts and
     the series (f, its blocks) and (g, its blocks), whose gradings certify
@@ -569,13 +569,14 @@ def _series_split(ctx: _Ctx, y: Element) -> tuple:
     both end.
     """
     y_star = y.star()
-    p_f, f_blocks = _wandering_series(ctx, y, _window_cokernel(ctx, y))
-    p_g, g_blocks = _wandering_series(ctx, y_star, _window_cokernel(ctx, y_star))
+    f_basis, f_blocks = _wandering_series(ctx, y, _window_cokernel(ctx, y))
+    g_basis, g_blocks = _wandering_series(ctx, y_star, _window_cokernel(ctx, y_star))
+    p_f, p_g = from_basis(ctx.domain, f_basis), from_basis(ctx.domain, g_basis)
     p_t = proj_inf([p_f, p_g])
     p_s, p_b = _without(ctx, p_f, p_t), _without(ctx, p_g, p_t)
-    span, rest = subspaces.split(ctx.domain, np.concatenate([p_f.range_basis, p_b.range_basis],
-                                                            axis=1))
-    return (from_basis(ctx.domain, rest, span), p_s, p_b, p_t), (p_f, f_blocks), (p_g, g_blocks)
+    rest = subspaces.complement(ctx.domain, np.concatenate([p_f.range_basis, p_b.range_basis],
+                                                          axis=1))
+    return (from_basis(ctx.domain, rest), p_s, p_b, p_t), (p_f, f_blocks), (p_g, g_blocks)
 
 
 def halmos_wallen(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:

@@ -96,12 +96,10 @@ class Projection:
         return Element(self.domain, mat)
 
     def complement(self) -> "Projection":
-        """1 - p, from the bases alone: the kept complement basis, or else
-        ker p = ker B* for B the range basis (`subspaces.complement`).  B is
-        kept as the complement basis of 1 - p."""
-        comp = self.complement_basis
-        if comp is None:
-            comp = subspaces.complement(self.domain, self.range_basis)
+        """1 - p, from the range basis B alone: the range of 1 - p is
+        ker p = ker B* (`subspaces.complement`), and B is kept as the
+        complement basis of 1 - p."""
+        comp = subspaces.complement(self.domain, self.range_basis)
         return from_basis(self.domain, comp, self.range_basis)
 
     def equals(self, other: "Projection") -> bool:

@@ -7,8 +7,6 @@ skips the SVD wherever its outcome is already known.  The cokernel peels
 off the lone entries of its matrix, whose singular values and vectors are
 read off with no arithmetic, so only the rest takes an SVD; on a truncated
 shift model that is the unitary blocks and the shifts' boundary lines.
-A float complement is the trailing columns of one complete QR, whose
-leading columns are an orthonormal basis of the span itself (`split`).
 """
 
 from __future__ import annotations
@@ -132,31 +130,24 @@ def cokernel(domain: ScalarDomain, mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def split(domain: ScalarDomain, basis: np.ndarray) -> tuple:
-    """Bases of span(basis) and of its orthogonal complement, the ranges
-    of p and 1 - p for p the projection onto span(basis).
+def complement(domain: ScalarDomain, basis: np.ndarray) -> np.ndarray:
+    """Basis of the orthogonal complement of span(basis), the range of
+    1 - p for p the projection onto span(basis).
 
-    The complement is ker p = ker basis*, so exact domains take the kernel
-    of the thin basis*, keep basis for the span and never form p.  For a
-    float basis of full column rank the complete QR gives both at once,
-    orthonormal: its leading columns span basis and its trailing ones the
-    rest of the space, with no SVD.  A float basis with no columns or with
-    as many as rows needs no QR.
+    That range is ker p = ker basis*, so exact domains take the kernel of
+    the thin basis* and never form p.  A float basis is orthonormal, and
+    the trailing columns of the complete QR of it are an orthonormal basis
+    of the rest of the space, with no SVD; a float basis with no columns
+    or with as many as rows needs no QR.
     """
     if domain.exact:
-        return basis, linalg.nullspace(domain, domain.adjoint(basis))
+        return linalg.nullspace(domain, domain.adjoint(basis))
     n, r = basis.shape
     if r == 0:
-        return basis, np.eye(n, dtype=np.result_type(basis.dtype, np.float32))
+        return np.eye(n, dtype=np.result_type(basis.dtype, np.float32))
     if r == n:  # a basis of the whole space
-        return np.eye(n, dtype=np.result_type(basis.dtype, np.float32)), basis[:, :0]
-    q = np.linalg.qr(basis, mode="complete")[0]
-    return q[:, :r], q[:, r:]
-
-
-def complement(domain: ScalarDomain, basis: np.ndarray) -> np.ndarray:
-    """Basis of the orthogonal complement of span(basis) (`split`)."""
-    return split(domain, basis)[1]
+        return basis[:, :0]
+    return np.linalg.qr(basis, mode="complete")[0][:, r:]
 
 
 def coordinates(domain: ScalarDomain, basis: np.ndarray, mat: np.ndarray,

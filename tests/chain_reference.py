@@ -61,13 +61,13 @@ def stepped_range_chain_inf(ctx, x, start=None):
 
 
 def stepped_wandering_series(ctx, x, term):
-    """The wandering series with one orth per step and one for the join,
-    returned with its blocks as the engine's series is."""
+    """A basis of the wandering series with one orth per step and one for
+    the join, returned with its blocks as the engine's series is."""
     pieces = []
     for _ in range(ctx.cap + 1):
         if term.shape[1] == 0:
             joined = np.concatenate(pieces, axis=1) if pieces else ctx.domain.zeros(ctx.dim, 0)
-            return from_basis(ctx.domain, subspaces.orth(ctx.domain, joined)), pieces
+            return subspaces.orth(ctx.domain, joined), pieces
         pieces.append(term)
         term = subspaces.orth(ctx.domain, x.mat @ term)
     raise IndeterminateError("wandering series did not terminate within the cap")
@@ -77,9 +77,9 @@ def chain_wold_parts(ctx, x):
     """The Wold parts with the unitary part built as the range chain
     ∧[xⁿ], walked one index at a time, and the shift part as the stepped
     series from ker x*; the engine takes u as the complement of s."""
-    p_s, blocks = stepped_wandering_series(ctx, x, subspaces.nullspace(ctx.domain,
-                                                                        x.star().mat))
-    return stepped_range_chain_inf(ctx, x), p_s, blocks
+    s_basis, blocks = stepped_wandering_series(ctx, x, subspaces.nullspace(ctx.domain,
+                                                                            x.star().mat))
+    return stepped_range_chain_inf(ctx, x), from_basis(ctx.domain, s_basis), blocks
 
 
 def chain_shift_corner_res(ctx, x, p, blocks):
