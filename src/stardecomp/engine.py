@@ -13,6 +13,13 @@ cutoff takes no SVD, since σ₁ <= ‖·‖_F, and x*x and xx* are formed at
 most once per operator.  The series' seed ker x* is one cokernel whose
 lone entries are peeled off (`subspaces.cokernel`): a truncated shift
 model's SVD is of its unitary blocks and the shifts' boundary lines only.
+On the shift model nearly every series step maps a coordinate vector to
+another along a one-nonzero column of x, so a float series of coordinate
+columns is walked along those columns with index work only (`_walk`),
+and the dense steps take over from the first block the walk cannot step
+on.  A walked series is all lone unit columns, so its complement is the
+other unit columns (`subspaces.complement` peels them as the cokernel
+does) and its grading is gathered from x's entries with no product.
 
 The pair methods read their infima off the Wold parts of x1 and x2
 (Słociński 1980; Popovici 2004).  A Słociński block p <= s_x that
@@ -33,7 +40,9 @@ ker(1 - x*x) ∧ ker(1 - xx*).  Each sweep is one preimage kernel per matrix
 inside what is left, and one repeated rank marks the fixpoint, as it does
 for the nested product-PPI range pairs.  The wandering series ends when
 its term vanishes; a float step or final join whose Gram matrix is within
-dim·ε of the identity is its own orthonormal basis and takes no SVD.
+dim·ε of the identity is its own orthonormal basis and takes no SVD, and
+a walked step or join, whose Gram matrix is diagonal, is tested as
+‖|c|² - 1‖ <= dim·ε on its entries c alone.
 Each checked identity is one defect built on `Projection.product`:
 x p - p x, (1 - p) x p, p x*x p - p, pq (`pair_product`) and pq being a
 projection (`projection_defects`); conditions test it with ctx.ok and
@@ -67,9 +76,11 @@ subspace form of the Halmos–Wallen parts.  The seeds stay in the window
 because a truncated shift and its adjoint are both nilpotent: each kills
 the boundary vector at the end of its tail, and a series seeded there
 would run back over the whole tail and put it in t, as the range chains
-of y and y* did.  The corners s and b are certified by x (or x*) being
-isometric on them and by the gradings of f and g, t by f's grading, with
-no range chain, power or dense projection difference.
+of y and y* did.  f and g are met as bases, and neither projection is
+formed unless it is returned as s or b.  The corners s and b are
+certified by x (or x*) being isometric on them and by the gradings of f
+and g, t by f's grading, with no range chain, power or dense projection
+difference.
 The doubly-commuting pair methods for PPIs and for contractions share one
 product basis (`_product_basis`) of meets of the two single-operator
 splits.
@@ -193,15 +204,75 @@ def _wandering_series(ctx: _Ctx, x: Element, term: np.ndarray) -> tuple:
     An isometry maps an orthonormal block to an orthonormal block, and the
     blocks are mutually orthogonal, so each float step x term and the final
     join are their own bases (`subspaces.own_basis`) unless roundoff or the
-    truncation boundary has moved them off; only those take an SVD."""
-    pieces = []
-    for _ in range(ctx.cap + 1):
+    truncation boundary has moved them off; only those take an SVD.
+
+    A float series whose seed is coordinate columns c·e_j is first walked
+    along x's one-nonzero columns (`_walk`), with no product; the blocks
+    from the first one the walk cannot step on take the dense steps above.
+    A series walked to its end whose rows are all distinct and whose
+    entries pass the `_orthonormal` predicate (`subspaces.unit_moduli`) is
+    its own basis: it is built once, and its blocks are column slices of
+    it.  Exact domains take the dense steps throughout."""
+    dom = ctx.domain
+    walked = []
+    if not dom.exact and term.shape[1]:
+        counts, rows, vals = subspaces.column_entries(term)
+        if (counts == 1).all():
+            walked, term = _walk(ctx, x, rows.tolist(), vals.tolist())
+    if term is None:
+        rows = [j for r, _ in walked for j in r]
+        vals = [c for _, v in walked for c in v]
+        if len(set(rows)) == len(rows) and subspaces.unit_moduli(vals, ctx.dim):
+            joined = _coordinate_block(ctx, rows, vals)
+            edges = np.cumsum([0] + [len(r) for r, _ in walked])
+            return joined, [joined[:, a:b] for a, b in zip(edges[:-1], edges[1:])]
+        term = dom.zeros(ctx.dim, 0)  # a repeated row or a non-unit entry: own_basis joins
+    pieces = [_coordinate_block(ctx, r, v) for r, v in walked]
+    for _ in range(ctx.cap + 1 - len(pieces)):
         if term.shape[1] == 0:
-            joined = np.concatenate(pieces, axis=1) if pieces else ctx.domain.zeros(ctx.dim, 0)
-            return subspaces.own_basis(ctx.domain, joined), pieces
+            joined = np.concatenate(pieces, axis=1) if pieces else dom.zeros(ctx.dim, 0)
+            return subspaces.own_basis(dom, joined), pieces
         pieces.append(term)
-        term = subspaces.own_basis(ctx.domain, x.mat @ term)
+        term = subspaces.own_basis(dom, x.mat @ term)
     raise IndeterminateError("wandering series did not terminate within the cap")
+
+
+def _coordinate_block(ctx: _Ctx, rows: list, vals: list) -> np.ndarray:
+    """The columns vals_k e_(rows_k)."""
+    block = ctx.domain.zeros(ctx.dim, len(rows))
+    block[rows, np.arange(len(rows))] = vals
+    return block
+
+
+def _walk(ctx: _Ctx, x: Element, rows: list, vals: list) -> tuple:
+    """The walked blocks of a float series from the seed vals_k e_(rows_k),
+    as (rows, vals) list pairs, and the dense step that continues them, or
+    None when the walk reached the series' end.
+
+    Where column j of x has one nonzero x_ij, x maps c·e_j to c·x_ij·e_i,
+    and where it has none, to 0, which is dropped; x's columns are read
+    once.  The walk hands over, with the dense step `own_basis(x B)` of
+    its last block B, where a column of x has more than one nonzero, where
+    two images share a row, or where the images fail `_orthonormal`'s
+    predicate, so every walked block is one that the dense step keeps as
+    it is.  Walked blocks count toward the cap as dense ones do."""
+    counts, to_row, factor = (a.tolist() for a in subspaces.column_entries(x.mat))
+    blocks = []
+    while rows:
+        if len(blocks) == ctx.cap:
+            raise IndeterminateError("wandering series did not terminate within the cap")
+        blocks.append((rows, vals))
+        nxt, nxt_vals = [], []
+        for j, c in zip(rows, vals):
+            if counts[j]:
+                nxt.append(to_row[j])
+                nxt_vals.append(c * factor[j])
+        if (max(counts[j] for j in rows) > 1 or len(set(nxt)) < len(nxt)
+                or not subspaces.unit_moduli(nxt_vals, ctx.dim)):
+            return blocks, subspaces.own_basis(ctx.domain,
+                                               x.mat @ _coordinate_block(ctx, rows, vals))
+        rows, vals = nxt, nxt_vals
+    return blocks, None
 
 
 def _invariant_core(ctx: _Ctx, mats: list, p: Projection, what: str) -> Projection:
@@ -309,26 +380,38 @@ def _corner_unitary_res(ctx: _Ctx, x: Element, p: Projection) -> float:
     return max(_isometry_res(ctx, x, p), _isometry_res(ctx, x, p, star=True))
 
 
-def _grading_res(ctx: _Ctx, x: Element, p: Projection, blocks: list) -> float:
+def _grading_res(ctx: _Ctx, x: Element, basis: np.ndarray, blocks: list) -> float:
     """Residual of the grading of the corner p x p by its series blocks
-    B₀, …, B_L, which side by side span the range of p.
+    B₀, …, B_L, which side by side span the range of p, basis its range
+    basis.
 
     If p x p maps each Bₖ into Bₖ₊₁ and B_L to 0, then (p x p)^(L+1) = 0,
     so ∧[(pxp)ⁿ] = 0 with no power formed.  In the coordinates G of
     p x p on the blocks (G = B*(x B) for an orthonormal float B) the
     grading is G's block subdiagonal; the residual is what lies off it,
     the images p x Bₖ outside Bₖ₊₁ and p x B_L.  Only the thin products
-    x B and B*(x B) are formed.  The grading comes from x's own action
-    wherever the series ran, so the residual is read on the whole space.
+    x B and B*(x B) are formed.  A float B that is the range basis and
+    has its one nonzero per column, c_k at row r_k, at distinct rows is
+    gathered instead: x B = x[:, r] c and G = conj(c) (x B)[r, :], the
+    same full matrix with no product, since every term a GEMM would add
+    is a product with an exact zero.  The grading comes from x's own
+    action wherever the series ran, so the residual is read on the whole
+    space.
     """
     if not blocks:
         return 0.0
     joined = np.concatenate(blocks, axis=1)
-    g = subspaces.coordinates(ctx.domain, joined, x.mat @ joined,
-                              orthonormal=np.array_equal(joined, p.range_basis))
-    edges = np.cumsum([0] + [b.shape[1] for b in blocks])
-    for k in range(len(blocks) - 1):
-        g[edges[k + 1]:edges[k + 2], edges[k]:edges[k + 1]] = ctx.domain.zero()
+    orthonormal = np.array_equal(joined, basis)
+    gathered = orthonormal and not ctx.domain.exact
+    if gathered:
+        counts, rows, vals = subspaces.column_entries(joined)
+        gathered = (counts == 1).all() and len(set(rows.tolist())) == rows.size
+    if gathered:
+        g = vals.conj()[:, None] * (x.mat[np.ix_(rows, rows)] * vals)
+    else:
+        g = subspaces.coordinates(ctx.domain, joined, x.mat @ joined, orthonormal=orthonormal)
+    level = np.repeat(np.arange(len(blocks)), [b.shape[1] for b in blocks])
+    g[level[:, None] == level[None, :] + 1] = ctx.domain.zero()
     return ctx.domain.norm(g)
 
 
@@ -366,7 +449,8 @@ def wold(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
         "commute_u": _commute_res(ctx, x, p_u),
         "commute_s": _commute_res(ctx, x, p_s),
         "unitary_corner": _corner_unitary_res(ctx, x, p_u),
-        "shift_corner": max(_isometry_res(ctx, x, p_s), _grading_res(ctx, x, p_s, blocks)),
+        "shift_corner": max(_isometry_res(ctx, x, p_s),
+                             _grading_res(ctx, x, p_s.range_basis, blocks)),
     }
     return DecompositionReport(
         method="wold",
@@ -434,7 +518,8 @@ def slocinski(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> Deco
     # a shift block p <= s_x that commutes with x has (pxp)ⁿ = p (s_x x s_x)ⁿ p,
     # so x commuting with s_x and s_x's grading, once per operator, make it
     # nilpotent beside x being isometric on p and commuting with it
-    graded1, graded2 = (max(_commute_res(ctx, x, ps), _grading_res(ctx, x, ps, blocks))
+    graded1, graded2 = (max(_commute_res(ctx, x, ps),
+                            _grading_res(ctx, x, ps.range_basis, blocks))
                         if ps.rank else 0.0
                         for x, ps, blocks in ((x1, ps1, blocks1), (x2, ps2, blocks2)))
     members = []
@@ -544,14 +629,15 @@ def _window_cokernel(ctx: _Ctx, y: Element) -> np.ndarray:
     return seed
 
 
-def _without(ctx: _Ctx, p: Projection, t: Projection) -> Projection:
-    """p ∧ (1 - t) for t <= p: the vectors B c of p's range with T* B c = 0,
-    one kernel of the small matrix T* B; p itself when t = 0."""
-    if t.rank == 0:
-        return p
+def _without(ctx: _Ctx, basis: np.ndarray, t_basis: np.ndarray) -> np.ndarray:
+    """A basis of span(basis) ∧ (1 - t) for t <= span(basis), t_basis t's
+    range basis: the vectors B c with T* B c = 0, one kernel of the small
+    matrix T* B; basis itself when t = 0."""
+    if t_basis.shape[1] == 0:
+        return basis
     dom = ctx.domain
-    ker = subspaces.nullspace(dom, dom.normalize(dom.adjoint(t.range_basis) @ p.range_basis))
-    return from_basis(dom, dom.normalize(p.range_basis @ ker))
+    ker = subspaces.nullspace(dom, dom.normalize(dom.adjoint(t_basis) @ basis))
+    return dom.normalize(basis @ ker)
 
 
 def _series_split(ctx: _Ctx, y: Element) -> tuple:
@@ -563,20 +649,23 @@ def _series_split(ctx: _Ctx, y: Element) -> tuple:
     of f's and b's bases side by side, since g = b + t and t <= f.  These
     are Halmos–Wallen's u, s, b, t for a power partial isometry y, and the
     product-PPI u, is, cis, t for y = x1 x2.  Returns the four parts and
-    the series (f, its blocks) and (g, its blocks), whose gradings certify
-    the non-unitary corners.  Seeded in the window, neither series starts
-    at the truncation boundary, where a truncated shift and its adjoint
-    both end.
+    the series (f's basis, its blocks) and (g's basis, its blocks), whose
+    gradings certify the non-unitary corners.  f and g are met as bases
+    (`subspaces.intersect`); neither projection is formed unless it is s
+    or b, which happens when t = 0.  Seeded in the window, neither series
+    starts at the truncation boundary, where a truncated shift and its
+    adjoint both end.
     """
+    dom = ctx.domain
     y_star = y.star()
     f_basis, f_blocks = _wandering_series(ctx, y, _window_cokernel(ctx, y))
     g_basis, g_blocks = _wandering_series(ctx, y_star, _window_cokernel(ctx, y_star))
-    p_f, p_g = from_basis(ctx.domain, f_basis), from_basis(ctx.domain, g_basis)
-    p_t = proj_inf([p_f, p_g])
-    p_s, p_b = _without(ctx, p_f, p_t), _without(ctx, p_g, p_t)
-    rest = subspaces.complement(ctx.domain, np.concatenate([p_f.range_basis, p_b.range_basis],
-                                                          axis=1))
-    return (from_basis(ctx.domain, rest), p_s, p_b, p_t), (p_f, f_blocks), (p_g, g_blocks)
+    t_basis = subspaces.intersect(dom, f_basis, g_basis)
+    s_basis, b_basis = _without(ctx, f_basis, t_basis), _without(ctx, g_basis, t_basis)
+    rest = subspaces.complement(dom, np.concatenate([f_basis, b_basis], axis=1))
+    parts = (from_basis(dom, rest), from_basis(dom, s_basis), from_basis(dom, b_basis),
+             from_basis(dom, t_basis))
+    return parts, (f_basis, f_blocks), (g_basis, g_blocks)
 
 
 def halmos_wallen(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:

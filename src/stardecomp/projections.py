@@ -9,12 +9,13 @@ zero, the shift model's probe windows and its ground truths are built with
 no product and no factorisation.  Every intersection of kernels is one
 right annihilator R(S) = pA, the Baer axiom, built as one kernel of the
 elements of S stacked (`right_annihilator_projection`).  The complement
-1 - p comes from p's range basis B: its range is ker p = ker B*, the
-trailing columns of a complete QR of B for floats and the kernel of the
-thin B* when exact, so the dense p is never factorised.  A float
+1 - p comes from p's range basis B: its range is ker p = ker B*, for
+floats the unit columns off B's lone entries beside the trailing columns
+of a complete QR of the rest (`subspaces.complement`), and the kernel of
+the thin B* when exact, so the dense p is never factorised.  A float
 projection keeps the basis C of its complement wherever its construction
-had one (`from_basis`): 1 - p keeps B, and p keeps the QR's trailing
-columns when built beside its complement.  A product with a projection
+had one (`from_basis`): 1 - p keeps B, and p keeps that complement basis
+when built beside its complement.  A product with a projection
 goes through `Projection.product`, through the thinner of B and C, and pq
 through the lower-rank factor (`pair_product`).
 """

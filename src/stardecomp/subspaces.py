@@ -7,6 +7,11 @@ skips the SVD wherever its outcome is already known.  The cokernel peels
 off the lone entries of its matrix, whose singular values and vectors are
 read off with no arithmetic, so only the rest takes an SVD; on a truncated
 shift model that is the unitary blocks and the shifts' boundary lines.
+The complement peels the lone entries of its basis the same way, so only
+the rest takes a QR; on the shift model Wold's series basis is all lone
+unit columns and takes none.  `column_entries` reads, once per matrix,
+which columns have one nonzero and where, for the engine's walked series
+and gathered grading.
 """
 
 from __future__ import annotations
@@ -58,6 +63,14 @@ def _orthonormal(mat: np.ndarray) -> bool:
     return np.sqrt(np.vdot(gram, gram).real) <= mat.shape[0] * _EPS
 
 
+def unit_moduli(vals, dim: int) -> bool:
+    """`_orthonormal` for the columns vals_k e_(r_k) of dim rows at
+    distinct rows r_k, vals a list of Python complex numbers: their Gram
+    matrix is diag(|vals|²), tested as ‖|vals|² - 1‖ <= dim·ε with no
+    matrix formed."""
+    return sum(((c.conjugate() * c).real - 1) ** 2 for c in vals) ** 0.5 <= dim * _EPS
+
+
 def own_basis(domain: ScalarDomain, mat: np.ndarray) -> np.ndarray:
     """A basis of the column space of mat that is mat itself where mat
     already is one, and orth(mat) otherwise.
@@ -87,11 +100,26 @@ def proj_matrix(domain: ScalarDomain, basis: np.ndarray) -> np.ndarray:
 
 
 def _lone_entries(mat: np.ndarray) -> tuple:
-    """Row and column indices of the lone entries of mat: the nonzero
-    entries that are the only nonzero in both their row and their column."""
+    """Row and column indices of the lone entries of mat, the nonzero
+    entries that are the only nonzero in both their row and their column,
+    and the masks of the other rows and columns, the rest."""
     nz = mat != 0
     lone = nz & (nz.sum(axis=1) == 1)[:, None] & (nz.sum(axis=0) == 1)[None, :]
-    return np.nonzero(lone)
+    rows, cols = np.nonzero(lone)
+    rest_rows = np.ones(mat.shape[0], dtype=bool)
+    rest_rows[rows] = False
+    rest_cols = np.ones(mat.shape[1], dtype=bool)
+    rest_cols[cols] = False
+    return rows, cols, rest_rows, rest_cols
+
+
+def column_entries(mat: np.ndarray) -> tuple:
+    """(counts, rows, vals): the number of nonzeros in each column of mat,
+    and the row and value of the column's first nonzero (row 0 and its
+    entry for a zero column).  Where counts is 1 the column is vals·e_rows."""
+    nz = mat != 0
+    rows = nz.argmax(axis=0)
+    return nz.sum(axis=0), rows, mat[rows, np.arange(mat.shape[1])]
 
 
 def cokernel(domain: ScalarDomain, mat: np.ndarray) -> np.ndarray:
@@ -114,11 +142,7 @@ def cokernel(domain: ScalarDomain, mat: np.ndarray) -> np.ndarray:
     """
     if domain.exact:
         return linalg.nullspace(domain, domain.adjoint(mat))
-    rows, cols = _lone_entries(mat)
-    rest_rows = np.ones(mat.shape[0], dtype=bool)
-    rest_rows[rows] = False
-    rest_cols = np.ones(mat.shape[1], dtype=bool)
-    rest_cols[cols] = False
+    rows, cols, rest_rows, rest_cols = _lone_entries(mat)
     u, s, _ = np.linalg.svd(mat[np.ix_(rest_rows, rest_cols)])
     lone = np.abs(mat[rows, cols])
     cut = _cut(float(max(s.max(initial=0.0), lone.max(initial=0.0))), domain.tol.eps_rank)
@@ -137,17 +161,31 @@ def complement(domain: ScalarDomain, basis: np.ndarray) -> np.ndarray:
     That range is ker p = ker basis*, so exact domains take the kernel of
     the thin basis* and never form p.  A float basis is orthonormal, and
     the trailing columns of the complete QR of it are an orthonormal basis
-    of the rest of the space, with no SVD; a float basis with no columns
-    or with as many as rows needs no QR.
+    of the rest of the space, with no SVD; a float basis with as many
+    columns as rows needs no QR.
+
+    Only the non-lone rest of a float basis takes the QR.  A lone entry
+    (`_lone_entries`) at row i makes e_i a basis direction, and every
+    other column is zero at row i, so the complement is zero on the lone
+    rows and is ker rest* on the others: the unit columns of those rows
+    when rest has no columns, as for a basis with no columns, else the
+    trailing columns of rest's complete QR.  A basis with no lone entry is
+    one rest and takes the QR of the whole basis; on the shift model
+    Wold's series basis is all lone unit columns and takes no QR.
     """
     if domain.exact:
         return linalg.nullspace(domain, domain.adjoint(basis))
     n, r = basis.shape
-    if r == 0:
-        return np.eye(n, dtype=np.result_type(basis.dtype, np.float32))
     if r == n:  # a basis of the whole space
         return basis[:, :0]
-    return np.linalg.qr(basis, mode="complete")[0][:, r:]
+    _, _, rest_rows, rest_cols = _lone_entries(basis)
+    out = np.zeros((n, n - r), dtype=np.result_type(basis.dtype, np.float32))
+    if rest_cols.any():
+        out[rest_rows] = np.linalg.qr(basis[np.ix_(rest_rows, rest_cols)],
+                                      mode="complete")[0][:, np.count_nonzero(rest_cols):]
+    else:
+        out[rest_rows] = np.eye(n - r)
+    return out
 
 
 def coordinates(domain: ScalarDomain, basis: np.ndarray, mat: np.ndarray,

@@ -82,9 +82,10 @@ def chain_wold_parts(ctx, x):
     return stepped_range_chain_inf(ctx, x), from_basis(ctx.domain, s_basis), blocks
 
 
-def chain_shift_corner_res(ctx, x, p, blocks):
-    """The residual ∧[(pxp)ⁿ] of a corner by the stepped range chain of
-    p x p, whatever grading its blocks give."""
+def chain_shift_corner_res(ctx, x, basis, blocks):
+    """The residual ∧[(pxp)ⁿ] of the corner p onto span(basis) by the
+    stepped range chain of p x p, whatever grading its blocks give."""
+    p = from_basis(ctx.domain, basis)
     inf_proj = stepped_range_chain_inf(ctx, p.product(x), start=p.range_basis)
     return ctx.wres(inf_proj.element)
 
@@ -92,8 +93,9 @@ def chain_shift_corner_res(ctx, x, p, blocks):
 def chain_pair_split(ctx, y):
     """The fourfold split by the stepped range chains of y and of y*: with
     fwd = ∧[yⁿ] and bwd = ∧[y*ⁿ], u = fwd ∧ bwd, then bwd - u, fwd - u and
-    the remainder.  The series f = s + t and g = b + t that the engine
-    returns beside the parts are 1 - fwd and 1 - bwd here, with no blocks;
+    the remainder.  The series f = s + t and g = b + t whose bases the
+    engine returns beside the parts are 1 - fwd and 1 - bwd here, with no
+    blocks;
     `chain_shift_corner_res` walks its own chain in place of a grading."""
     fwd = stepped_range_chain_inf(ctx, y)
     bwd = stepped_range_chain_inf(ctx, y.star())
@@ -104,7 +106,7 @@ def chain_pair_split(ctx, y):
         from_element(fwd.element - p_u.element),
         from_element(ctx.one - (fwd.element + bwd.element - p_u.element)),
     )
-    return parts, (fwd.complement(), []), (bwd.complement(), [])
+    return parts, (fwd.complement().range_basis, []), (bwd.complement().range_basis, [])
 
 
 def full_svd_nullspace(domain, mat):

@@ -233,8 +233,8 @@ def _wold_both_ways(x, window, n_max=16):
     got = engine._wold_parts(ctx, x)
     want = chain_wold_parts(ctx, x)
     p_s, blocks = got[1], got[2]
-    return (got, want, engine._grading_res(ctx, x, p_s, blocks),
-            chain_shift_corner_res(ctx, x, p_s, blocks))
+    return (got, want, engine._grading_res(ctx, x, p_s.range_basis, blocks),
+            chain_shift_corner_res(ctx, x, p_s.range_basis, blocks))
 
 
 @pytest.mark.parametrize("case", range(6))
@@ -276,8 +276,8 @@ def test_graded_shift_certificate_reads_the_last_block_image(domain):
     for name, mat in (("cycle", cycle), ("jordan", jordan)):
         x = Element(domain, mat)
         ctx = engine._Ctx(x, EngineConfig(window=coordinate_projection(domain, keep)))
-        res[name] = (engine._grading_res(ctx, x, one, blocks),
-                     chain_shift_corner_res(ctx, x, one, blocks))
+        res[name] = (engine._grading_res(ctx, x, one.range_basis, blocks),
+                     chain_shift_corner_res(ctx, x, one.range_basis, blocks))
     assert res["cycle"] == pytest.approx((1.0, np.sqrt(n - 1)))
     assert res["jordan"] == (0.0, 0.0)
 
@@ -397,7 +397,8 @@ def _pair_infima_both_ways(x1, x2, cfg):
             continue
         want = max(
             engine._corner_unitary_res(ctx, x, p) if kind == "u"
-            else max(engine._isometry_res(ctx, x, p), chain_shift_corner_res(ctx, x, p, []))
+            else max(engine._isometry_res(ctx, x, p),
+                     chain_shift_corner_res(ctx, x, p.range_basis, []))
             for x, kind in zip((x1, x2), label)
         )
         certificates.append((rep.certificates[f"block[{label}]"], want))
@@ -552,19 +553,19 @@ def _unitary_plus_shift():
     return direct_sum(u3, Shift(1))
 
 
-def test_wold_parts_take_one_svd_and_one_qr(monkeypatch):
+def test_wold_parts_take_one_svd_and_no_qr(monkeypatch):
     # one SVD of x's non-lone rest (the unitary block beside the shift's
     # zero row and column) gives the series' first term ker x*, the series
-    # blocks are orthonormal already, and the unitary part is the
-    # complement of the series from one complete QR of its basis: no range
-    # chain
+    # is walked along the shift's lone columns, and the unitary part is the
+    # complement of the series' lone unit columns, the other unit columns,
+    # with no QR: no range chain
     tr = truncate(_unitary_plus_shift(), 128, n_max=16)
     ctx = engine._Ctx(tr.element, EngineConfig(n_max=16, window=tr.window))
     calls = _count_svds(monkeypatch)
     qrs = _count_qrs(monkeypatch)
     p_u, p_s, blocks = engine._wold_parts(ctx, tr.element)
     assert (p_u.rank, p_s.rank, len(blocks)) == (3, 128, 128)
-    assert (calls, qrs) == ([(4, 4)], [(131, 128)])
+    assert (calls, qrs) == ([(4, 4)], [])
 
 
 def _count_qrs(monkeypatch):
@@ -602,14 +603,25 @@ def _wold_128(monkeypatch):
     return svds, qrs, matmuls, powers
 
 
-def test_wold_takes_two_basis_factorisations(monkeypatch):
-    # the SVD of x's 4×4 non-lone rest for ker x* and the complete QR of
-    # the series basis for the unitary part; the series blocks and their
-    # join are their own bases, and the shift corner is read off the
-    # series' grading, so no power is formed
+def test_wold_takes_one_svd_and_no_qr(monkeypatch):
+    # the SVD of x's 4×4 non-lone rest for ker x*; the series is walked and
+    # its join built once, the unitary part is read off the series' lone
+    # unit columns, and the shift corner off the series' grading, so no
+    # QR and no power is formed
     svds, qrs, _, powers = _wold_128(monkeypatch)
-    assert (svds, qrs) == ([(4, 4)], [(131, 128)])
+    assert (svds, qrs) == ([(4, 4)], [])
     assert not powers
+
+
+def test_wold_walks_its_series_with_no_own_basis(monkeypatch):
+    # every series step maps a unit column along a lone entry of x, and the
+    # walked join is its own basis: no step or join is checked densely
+    tr = truncate(_unitary_plus_shift(), 128, n_max=16)
+    calls = []
+    own_basis = subspaces.own_basis
+    monkeypatch.setattr(subspaces, "own_basis", lambda *a: calls.append(1) or own_basis(*a))
+    wold(tr.element, EngineConfig(n_max=16, window=tr.window))
+    assert not calls
 
 
 def test_wold_matmul_budget(monkeypatch):
@@ -699,11 +711,12 @@ def test_lemma_identity_is_not_factorised(monkeypatch):
 
 def test_halmos_wallen_budget(monkeypatch):
     # i ⊕ S* ⊕ J3 at N = 64 (dim 68): one SVD of the window rows of x and
-    # of x* for the two series seeds, one where x*'s series loses J3's
-    # block, two small kernels T* B for s and b, and one complete QR for u;
-    # no range chain, so no power, and no part wrapped by from_element; the
-    # PPI precondition forms one power of x per n and reads the window's
-    # rows and columns of it with thin products
+    # of x* for the two series seeds and two small kernels T* B for s and
+    # b; both series are walked, x*'s dropping J3's zero image, and u is
+    # read off the lone unit columns with no QR; no range chain, so no
+    # power, and no part wrapped by from_element; the PPI precondition
+    # forms one power of x per n and reads the window's rows and columns of
+    # it with thin products
     (x,), window = _spec_operators("hw64.json", 64)
     svds = _count_svds(monkeypatch)
     qrs = _count_qrs(monkeypatch)
@@ -713,8 +726,8 @@ def test_halmos_wallen_budget(monkeypatch):
     monkeypatch.setattr(engine, "from_element", lambda e: wrapped.append(e))
     rep = halmos_wallen(x, EngineConfig(n_max=16, window=window))
     assert {lbl: p.rank for lbl, p in rep.basis.members} == {"u": 1, "s": 0, "b": 64, "t": 3}
-    assert len(svds) <= 5
-    assert qrs == [(68, 67)]
+    assert len(svds) <= 4
+    assert qrs == []
     assert len(matmuls) <= 20
     assert not powers and not wrapped
 

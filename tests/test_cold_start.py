@@ -75,6 +75,16 @@ def test_rational_decompose_loads_no_shift_model_or_oracle():
                        "stardecomp.fixtures")
 
 
+@pytest.mark.parametrize("spec,method", [("wold64.json", "wold"), ("hw64.json", "hw")])
+def test_complex_decompose_loads_no_numpy_ma(spec, method):
+    # numpy.ma costs a cold command about 12 ms; some numpy functions
+    # (np.unique among them) import it on their first call
+    result = _probe(["decompose", str(SPECS / spec), "--method", method, "--truncation", "32"])
+    assert result["exit"] == 0
+    assert "stardecomp.engine" in result["modules"]
+    assert not _loaded(result["modules"], "numpy.ma")
+
+
 GF_CONE = ["verify", "--builtin", "cone", "--ring", "gf3"]
 
 

@@ -2,9 +2,11 @@
 (`subspace_step_references` in tests/chain_reference.py): the wandering
 series without per-step SVDs, the meet as one thin kernel, the mixed
 wandering subspace as one preimage per step, and the low-rank projection
-products, beside the peeled cokernel against the dense SVD's and the
-products through a complement basis against the dense ones.  Complex
-inputs must give equal ranks and projections within 1e-12.  Exact inputs
+products, beside the peeled cokernel against the dense SVD's, the
+products through a complement basis against the dense ones, the walked
+series against the stepped one, the peeled complement against the
+complete QR's and the gathered grading against the `coordinates` form.
+Complex inputs must give equal ranks and projections within 1e-12.  Exact inputs
 must come out bit-identical; `reference_engine` swaps these references in
 too, so the exact comparisons in tests/test_chains.py cover them."""
 
@@ -29,6 +31,7 @@ from stardecomp import (
 )
 from stardecomp import engine, subspaces
 from stardecomp.elements import Element
+from stardecomp.errors import IndeterminateError
 from stardecomp.fixtures import random_complex_unitary
 from stardecomp.projections import from_basis, from_element
 
@@ -188,6 +191,226 @@ def test_lone_entry_at_the_cut_is_in_the_cokernel(monkeypatch, scale, rank):
     if rank == 1:
         assert np.array_equal(got, np.array([[0], [1]], dtype=complex))
     assert not any(calls)
+
+
+# ------------------------------------------------------ walked series
+
+
+def _series_or_raise(series, ctx, x, term):
+    try:
+        return series(ctx, x, term)
+    except IndeterminateError:
+        return None
+
+
+def _ctx_with_cap(x, cap=None):
+    ctx = engine._Ctx(x, EngineConfig())
+    if cap is not None:
+        ctx.cap = cap
+    return ctx
+
+
+def _assert_same_series(x, term, cap=None):
+    """The engine's series (walked, then dense) and the stepped one both
+    raise at the cap, or give equal ranks, equal block shapes, and equal
+    projections onto the join and onto every block."""
+    ctx = _ctx_with_cap(x, cap)
+    got = _series_or_raise(engine._wandering_series, ctx, x, term)
+    want = _series_or_raise(stepped_wandering_series, ctx, x, term)
+    assert (got is None) == (want is None)
+    if got is None:
+        return None
+    (basis, blocks), (ref, ref_blocks) = got, want
+    assert basis.shape == ref.shape
+    assert [b.shape for b in blocks] == [b.shape for b in ref_blocks]
+    for b, r in [(basis, ref), *zip(blocks, ref_blocks)]:
+        assert np.linalg.norm(b @ b.conj().T - r @ r.conj().T) <= TOL
+    return len(blocks)
+
+
+def _phase(rng, modulus=1.0):
+    return modulus * np.exp(2j * np.pi * rng.random())
+
+
+@st.composite
+def _walk_cases(draw):
+    """(seed, path lengths, weighted path, path endings, dense block size,
+    dense block unitary) for `_walk_matrix`."""
+    lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    endings = draw(st.lists(st.sampled_from(["zero", "merge", "dense"]),
+                            min_size=len(lengths), max_size=len(lengths)))
+    weighted = draw(st.integers(-1, len(lengths) - 1))
+    return (draw(st.integers(0, 2**32 - 1)), lengths, weighted, endings,
+            draw(st.integers(0, 4)), draw(st.booleans()))
+
+
+def _walk_matrix(seed, lengths, weighted, endings, dense, unitary_block):
+    """x and a seed of coordinate columns, the coordinates permuted.
+
+    Each path e_a0 -> e_a1 -> ... -> e_ak is a chain of one-nonzero
+    columns with unit-modulus entries, one of which has modulus 2 on the
+    path numbered weighted (none for -1); the seed holds every path's
+    start.  A path ends in a zero column, merges into one shared sink row
+    (whose column is zero), or runs into a dense block: a random rotation
+    of a nilpotent shift, whose columns all have several nonzeros, or with
+    unitary_block a random unitary, on which the series never ends."""
+    rng = np.random.default_rng(seed)
+    starts = np.cumsum([0] + lengths)
+    sink, block = starts[-1], starts[-1] + 1
+    dim = block + dense
+    x = np.zeros((dim, dim), dtype=complex)
+    term = np.zeros((dim, len(lengths)), dtype=complex)
+    for i, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
+        term[a, i] = _phase(rng)
+        for j in range(a, b - 1):
+            x[j + 1, j] = _phase(rng, 2.0 if i == weighted and j == a else 1.0)
+        if endings[i] == "merge":
+            x[sink, b - 1] = _phase(rng)
+        elif endings[i] == "dense" and dense:
+            x[block, b - 1] = _phase(rng)
+    if dense:
+        q = random_complex_unitary(dense, rng).mat
+        core = q if unitary_block else q @ np.eye(dense, k=-1) @ q.conj().T
+        x[block:, block:] = core
+    perm = rng.permutation(dim)
+    return Element(COMPLEX, x[np.ix_(perm, perm)]), term[perm]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_walk_cases())
+@example(case=(0, [3, 3], -1, ["zero", "zero"], 0, False))  # walked to its end
+@example(case=(1, [2, 2], -1, ["merge", "merge"], 0, False))  # two images on one row
+@example(case=(2, [2, 3], -1, ["merge", "merge"], 0, False))  # the join repeats a row
+@example(case=(3, [3, 1], 0, ["zero", "zero"], 0, False))  # a weighted step
+@example(case=(4, [2], -1, ["dense"], 4, False))  # into a nilpotent block mid-series
+@example(case=(5, [2], -1, ["dense"], 3, True))  # into a unitary block: the cap
+def test_walked_series_matches_the_stepped_series(case):
+    x, term = _walk_matrix(*case)
+    _assert_same_series(x, term)
+
+
+@pytest.mark.parametrize("walked,dense", [(5, 0), (1, 4), (3, 3)],
+                         ids=["walked", "handed over at once", "handed over mid-series"])
+def test_walked_series_cap_edge(walked, dense):
+    # a series of L blocks ends at cap L and raises at cap L - 1, walked or
+    # handed over to the dense steps, exactly as the stepped series does: a
+    # unit path of `walked` steps into a rotated nilpotent shift on `dense`
+    # coordinates has walked + dense blocks
+    x, term = _walk_matrix(0, [walked], -1, ["dense"], dense, False)
+    size = walked + dense
+    assert _assert_same_series(x, term, cap=size) == size
+    assert _assert_same_series(x, term, cap=size - 1) is None
+    with pytest.raises(IndeterminateError):
+        engine._wandering_series(_ctx_with_cap(x, size - 1), x, term)
+
+
+# ------------------------------------------------------ peeled complement
+
+
+@st.composite
+def _complement_cases(draw):
+    """(seed, lone columns, zero rows, dense block rows and columns)."""
+    rows = draw(st.integers(0, 6))
+    return (draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 6)), draw(st.integers(0, 3)),
+            rows, draw(st.integers(0, rows)))
+
+
+def _complement_basis(seed, lone, zero_rows, rows, cols):
+    """Unit-modulus lone columns ⊕ zero rows ⊕ `cols` orthonormal columns
+    dense on `rows` rows, rows and columns permuted."""
+    rng = np.random.default_rng(seed)
+    basis = np.zeros((lone + zero_rows + rows, lone + cols), dtype=complex)
+    basis[np.arange(lone), np.arange(lone)] = [_phase(rng) for _ in range(lone)]
+    if rows:
+        basis[lone + zero_rows:, lone:] = random_complex_unitary(rows, rng).mat[:, :cols]
+    return basis[rng.permutation(basis.shape[0])][:, rng.permutation(basis.shape[1])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_complement_cases())
+@example(case=(0, 6, 3, 0, 0))  # all lone: no QR
+@example(case=(1, 0, 0, 5, 3))  # no lone entry: one rest
+@example(case=(2, 4, 2, 4, 2))
+def test_peeled_complement_matches_the_complete_qr(case):
+    basis = _complement_basis(*case)
+    n, r = basis.shape
+    assume(n > 0)
+    got = subspaces.complement(COMPLEX, basis)
+    want = np.linalg.qr(basis, mode="complete")[0][:, r:]
+    assert got.shape == want.shape == (n, n - r)
+    assert np.linalg.norm(basis.conj().T @ got) <= TOL
+    assert np.linalg.norm(got.conj().T @ got - np.eye(n - r)) <= TOL
+    assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T) <= TOL
+
+
+def test_complement_with_no_lone_entry_is_the_qr():
+    basis = _complement_basis(3, 0, 1, 6, 3)
+    want = np.linalg.qr(basis, mode="complete")[0][:, 3:]
+    assert np.array_equal(subspaces.complement(COMPLEX, basis), want)
+
+
+# ------------------------------------------------------ gathered grading
+
+
+def _coordinates_grading(x, blocks):
+    """The grading residual in the `coordinates` form: B*(xB) with its
+    block subdiagonal cleared."""
+    joined = np.concatenate(blocks, axis=1)
+    g = subspaces.coordinates(COMPLEX, joined, x @ joined, orthonormal=True)
+    edges = np.cumsum([0] + [b.shape[1] for b in blocks])
+    for k in range(len(blocks) - 1):
+        g[edges[k + 1]:edges[k + 2], edges[k]:edges[k + 1]] = 0
+    return np.linalg.norm(g)
+
+
+@st.composite
+def _grading_cases(draw):
+    """(seed, block sizes, rows outside the blocks, graded)."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    return draw(st.integers(0, 2**32 - 1)), sizes, draw(st.integers(0, 3)), draw(st.booleans())
+
+
+def _graded_blocks(seed, sizes, outside, graded):
+    """x and coordinate blocks c_k e_(r_k) at distinct rows.  With graded,
+    x maps each block's rows into the next block's and the last block's
+    outside all blocks, with dense random entries: a true grading;
+    otherwise x is dense and random."""
+    rng = np.random.default_rng(seed)
+    total = sum(sizes)
+    dim = total + outside
+    gauss = (lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    edges = np.cumsum([0] + sizes)
+    if graded:
+        x = np.zeros((dim, dim), dtype=complex)
+        for a, b, c in zip(edges[:-1], edges[1:], [*edges[2:], dim]):
+            x[b:c, a:b] = gauss(c - b, b - a)
+    else:
+        x = gauss(dim, dim)
+    perm = rng.permutation(dim)
+    x = x[np.ix_(perm, perm)]
+    basis = np.zeros((dim, total), dtype=complex)
+    basis[np.argsort(perm)[:total], np.arange(total)] = [_phase(rng) for _ in range(total)]
+    return Element(COMPLEX, x), basis, [basis[:, a:b] for a, b in zip(edges[:-1], edges[1:])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_grading_cases())
+@example(case=(0, [2, 1, 3], 2, True))
+@example(case=(1, [1, 2, 2], 0, False))
+def test_gathered_grading_matches_the_coordinates_form(case):
+    x, basis, blocks = _graded_blocks(*case)
+    ctx = engine._Ctx(x, EngineConfig())
+    calls = []
+    coordinates = subspaces.coordinates
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subspaces, "coordinates",
+                   lambda *a, **k: calls.append(1) or coordinates(*a, **k))
+        got = engine._grading_res(ctx, x, basis, blocks)
+    assert not calls  # the gather, with no product
+    want = _coordinates_grading(x.mat, blocks)
+    assert abs(got - want) <= TOL
+    if case[-1]:
+        assert got == 0.0
 
 
 # ------------------------------------------------- truncated complex inputs
