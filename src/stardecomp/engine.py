@@ -10,9 +10,16 @@ is nilpotent and ∧[(pxp)ⁿ] = 0; the certificate measures what lies off
 that grading with thin products only (`_grading_res`), beside x being
 isometric on s.  A float matrix whose Frobenius norm is below the rank
 cutoff takes no SVD, since σ₁ <= ‖·‖_F, and x*x and xx* are formed at
-most once per operator.  The series' seed ker x* is one cokernel whose
-lone entries are peeled off (`subspaces.cokernel`): a truncated shift
-model's SVD is of its unitary blocks and the shifts' boundary lines only.
+most once per operator.  A product a x is gathered along x's one-nonzero
+columns (`_Ctx.mul`): such a column c·e_r maps to a[:, r]·c, the dense
+sum's one nonzero term, so only x's other columns take a GEMM; the
+preconditions' x*x and commutators, Słociński's x1 x2 and the PPI
+precondition's powers are formed so.  Each method call builds one
+context (`_Ctx`) and runs every fixpoint in it, and reads each
+operator's column entries once there, for the gathers and the walk.
+The series' seed ker x* is one cokernel whose lone entries are peeled off
+(`subspaces.cokernel`): a truncated shift model's SVD is of its unitary
+blocks and the shifts' boundary lines only.
 On the shift model nearly every series step maps a coordinate vector to
 another along a one-nonzero column of x, so a float series of coordinate
 columns is walked along those columns with index work only (`_walk`),
@@ -30,16 +37,24 @@ p_uu = ∧[(x1 x2)ⁿ] is the reducing fixpoint of u1 ∧ u2, as p_us and p_su
 are of u1 ∧ s2 and s1 ∧ u2: the unitary part of x1 x2 reduces both
 isometries and makes both unitary, and conversely.  Its m_us =
 ∧ₙ x1ⁿ W_us is the meet W_us ∧ u1, since x1* maps W_us ∩ u1 into itself
-(x2* x1* = x1* x2*), and likewise m_su = W_su ∧ u2.
+(x2* x1* = x1* x2*), and likewise m_su = W_su ∧ u2.  Its p_ws =
+1 - p_uu - p_us - p_su keeps its dense wrap (`from_element`, one SVD of
+the sum): taken from the complement of the three bases it ran slower on
+the shift model, since that SVD's buffer is the largest temporary of a
+call, and without it the C heap is trimmed after each smaller one and
+faulted back in.
 
 The reducing fixpoints, the weak bi-shift wandering subspaces and the NFL
 unitary part are one lattice operation, the largest projection below some
 e whose range the given matrices map into itself (`_invariant_core`): the
-operators and their adjoints below e, a below ker b*, and x, x* below
-ker(1 - x*x) ∧ ker(1 - xx*).  Each sweep is one preimage kernel per matrix
-inside what is left, and one repeated rank marks the fixpoint, as it does
-for the nested product-PPI range pairs.  The wandering series ends when
-its term vanishes; a float step or final join whose Gram matrix is within
+operators and their adjoints below e, a below ker b* (b's peeled
+cokernel), and x, x* below ker(1 - x*x) ∧ ker(1 - xx*).  Each sweep is one
+preimage kernel per matrix inside what is left, and one repeated rank, or
+rank 0 or dim, marks the fixpoint, as a repeated rank does for the nested
+product-PPI range pairs.  At rank 0 or dim, 1 - p is the identity or 0,
+so p is returned with no sweep, as Słociński's ss seed is on the grid
+pair, where it is the whole space.  The wandering series ends when its
+term vanishes; a float step or final join whose Gram matrix is within
 dim·ε of the identity is its own orthonormal basis and takes no SVD, and
 a walked step or join, whose Gram matrix is diagonal, is tested as
 ‖|c|² - 1‖ <= dim·ε on its entries c alone.
@@ -51,7 +66,7 @@ through the thinner of its range basis B and the complement basis C that
 its construction kept (Wold's u and s, a complement, nfl's c):
 B (B* a) for rank below dim/2, a - C (C* a) for a thinner C.  A thin
 corner's isometry defect is B ((x B)* (x B) - 1) B*, so `wold` forms only
-the dense x*x of its precondition.  The windowed PPI precondition reads
+its precondition's x*x, gathered.  The windowed PPI precondition reads
 xⁿ (xⁿ)* xⁿ - xⁿ on the window's rows and columns alone.  The iteration
 cap is max(n_max, dim + 1), and a series, core or chain still moving at
 the cap raises IndeterminateError instead of silently truncating.
@@ -62,10 +77,10 @@ diagonal, so the compression w e w is the entrywise product of e with the
 mask w wᵀ, which is exact.
 
 Every intersection of kernels is one right annihilator R(S), one kernel of
-the elements of S stacked (`right_annihilator_projection`): the starts
-ker b* = R({b*}) and R({1 - x*x, 1 - xx*}), the doubly-commuting seed and
-the product-PPI constraint.  A complement 1 - p is ker B* for B the range
-basis of p (`Projection.complement`), with no kernel of the dense p.
+the elements of S stacked (`right_annihilator_projection`): the start
+R({1 - x*x, 1 - xx*}), the doubly-commuting seed and the product-PPI
+constraint.  A complement 1 - p is ker B* for B the range basis of p
+(`Projection.complement`), with no kernel of the dense p.
 
 Two constructions are shared.  Halmos–Wallen and the product-PPI split are
 one series split (`_series_split`), applied to y = x and to y = x1 x2: the
@@ -114,7 +129,6 @@ from .projections import (
     proj_sup,
     projection_defects,
     right_annihilator_projection,
-    zero_projection,
 )
 
 
@@ -149,9 +163,12 @@ class DecompositionReport:
 
 
 class _Ctx:
-    """Shared state: domain, window mask and the window's coordinates
-    (keep), chain cap, the EngineConfig (the default one when a method is
-    given none) and the Gram products."""
+    """Shared state of one method call: domain, window mask and the
+    window's coordinates (keep), chain cap, the EngineConfig (the default
+    one when a method is given none), the Gram products and each
+    operator's column entries.  A method builds one and hands it to every
+    fixpoint it runs, so the window is checked once per call, with
+    vectorised comparisons of its diagonal."""
 
     def __init__(self, x: Element, cfg: EngineConfig | None = None):
         self.domain = x.domain
@@ -162,15 +179,16 @@ class _Ctx:
         self.mask = None
         self.keep = None
         self._grams = {}
+        self._columns = {}
         if self.cfg.window is not None:
             window = self.cfg.window.element
             x._check(window)
             diag = np.diagonal(window.mat)
+            self.keep = diag == 1
             if not (np.array_equal(window.mat, np.diag(diag))
-                    and all(v == 0 or v == 1 for v in diag)):
+                    and (self.keep | (diag == 0)).all()):
                 raise PreconditionError("the probe window must be a 0/1 diagonal projection")
             self.mask = np.outer(diag, diag)
-            self.keep = np.array([v == 1 for v in diag], dtype=bool)
 
     def compress(self, e: Element) -> Element:
         """w e w for the window w, as the entrywise product with the mask."""
@@ -183,8 +201,33 @@ class _Ctx:
         holds x itself, so x's id cannot pass to another operator."""
         key = (id(x), star)
         if key not in self._grams:
-            self._grams[key] = (x, x @ x.star() if star else x.star() @ x)
+            self._grams[key] = (x, x @ x.star() if star else self.mul(x.star(), x))
         return self._grams[key][1]
+
+    def columns(self, x: Element) -> tuple:
+        """`subspaces.column_entries` of the operator x, read once per
+        operator and held with x, as in `gram`."""
+        key = id(x)
+        if key not in self._columns:
+            self._columns[key] = (x, subspaces.column_entries(x.mat))
+        return self._columns[key][1]
+
+    def mul(self, a: Element, x: Element) -> Element:
+        """a x, gathered along x's one-nonzero columns.
+
+        Column j of x that is c·e_r maps to a[:, r]·c: the dense product's
+        sum for it has that one nonzero term, so the column is the same, bit
+        for bit where c is real (a complex c can round its one product
+        differently from BLAS).  A zero column of x has c = 0
+        (`subspaces.column_entries`) and gives a zero column; the other
+        columns take a dense product."""
+        a._check(x)
+        counts, rows, vals = self.columns(x)
+        out = a.mat[:, rows] * vals
+        dense = counts > 1
+        if dense.any():
+            out[:, dense] = a.mat @ x.mat[:, dense]
+        return Element(self.domain, self.domain.normalize(out))
 
     def wres(self, e: Element) -> float:
         return self.compress(e).norm()
@@ -193,7 +236,7 @@ class _Ctx:
         return self.compress(e).is_zero()
 
     def commute_ok(self, a: Element, b: Element) -> bool:
-        return self.ok(a @ b - b @ a)
+        return self.ok(self.mul(a, b) - self.mul(b, a))
 
 
 def _wandering_series(ctx: _Ctx, x: Element, term: np.ndarray) -> tuple:
@@ -256,7 +299,7 @@ def _walk(ctx: _Ctx, x: Element, rows: list, vals: list) -> tuple:
     two images share a row, or where the images fail `_orthonormal`'s
     predicate, so every walked block is one that the dense step keeps as
     it is.  Walked blocks count toward the cap as dense ones do."""
-    counts, to_row, factor = (a.tolist() for a in subspaces.column_entries(x.mat))
+    counts, to_row, factor = (a.tolist() for a in ctx.columns(x))
     blocks = []
     while rows:
         if len(blocks) == ctx.cap:
@@ -279,14 +322,16 @@ def _invariant_core(ctx: _Ctx, mats: list, p: Projection, what: str) -> Projecti
     """Largest projection <= p whose range every listed matrix maps into itself.
 
     Subspace iteration M <- M ∩ (∩_a a^{-1} M); the rank falls by at least
-    one per sweep until the fixpoint, so a repeated rank (or rank 0) marks
-    it.  Each sweep forms 1 - [M] once and meets one matrix's preimage at a
-    time, as one kernel inside the part of M kept so far.  A core still
-    moving after ctx.cap sweeps raises IndeterminateError.
+    one per sweep until the fixpoint, so a repeated rank, or rank 0 or dim,
+    marks it: at rank 0 and dim, 1 - [M] is the identity or 0, every
+    matrix maps M into itself, and p is returned as it is with no product
+    or kernel.  Each sweep forms 1 - [M] once and meets one matrix's
+    preimage at a time, as one kernel inside the part of M kept so far.  A
+    core still moving after ctx.cap sweeps raises IndeterminateError.
     """
     for _ in range(ctx.cap):
-        if p.rank == 0:
-            return zero_projection(ctx.domain, ctx.dim)
+        if p.rank in (0, ctx.dim):
+            return p
         comp = (ctx.one - p.element).mat
         nxt = p.range_basis
         for m in mats:
@@ -297,11 +342,17 @@ def _invariant_core(ctx: _Ctx, mats: list, p: Projection, what: str) -> Projecti
     raise IndeterminateError(f"{what} did not stabilise within the cap")
 
 
+def _reducing_fixpoint(ctx: _Ctx, ops: list, e: Projection) -> Projection:
+    mats = [a.mat for a in ops] + [a.star().mat for a in ops]
+    return _invariant_core(ctx, mats, e, "reducing fixpoint")
+
+
 def reducing_fixpoint(ops: list, e: Projection, cfg: EngineConfig | None = None) -> Projection:
     """Largest projection <= e commuting with every listed operator: the
-    invariant core of e under the operators and their adjoints."""
-    mats = [a.mat for a in ops] + [a.star().mat for a in ops]
-    return _invariant_core(_Ctx(e.element, cfg), mats, e, "reducing fixpoint")
+    invariant core of e under the operators and their adjoints.  The pair
+    methods run it in their own context (`_reducing_fixpoint`); an e of
+    rank 0 or dim is returned as it is."""
+    return _reducing_fixpoint(_Ctx(e.element, cfg), ops, e)
 
 
 def _require(cond: bool, message: str):
@@ -326,10 +377,11 @@ def _ppi_on_window(ctx: _Ctx, x: Element) -> bool:
     pw = x
     for n in range(1, min(ctx.cfg.n_max, ctx.dim) + 1):
         if n > 1:
-            pw = pw @ x
+            pw = ctx.mul(pw, x)
         if windowed:
             p = pw.mat
-            ok = ctx.domain.norm((p[k] @ p.conj().T) @ p[:, k] - p[np.ix_(k, k)]) <= tol
+            rows = p[k]
+            ok = ctx.domain.norm((rows @ p.conj().T) @ p[:, k] - rows[:, k]) <= tol
         else:
             ok = ctx.ok(pw @ pw.star() @ pw - pw)
         if not ok:
@@ -481,7 +533,7 @@ def slocinski(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> Deco
     parts2 = {"u": pu2, "s": ps2}
 
     seeds = {a + b: proj_inf([parts1[a], parts2[b]]) for a in "us" for b in "us"}
-    fixpoints = {k: reducing_fixpoint([x1, x2], seed, ctx.cfg) for k, seed in seeds.items()}
+    fixpoints = {k: _reducing_fixpoint(ctx, [x1, x2], seed) for k, seed in seeds.items()}
 
     total = sum((fixpoints[k].element for k in ("us", "su", "ss")), fixpoints["uu"].element)
     c1 = ctx.ok(total - ctx.one)
@@ -501,7 +553,7 @@ def slocinski(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> Deco
         ctx.commute_ok(x2, pair_product(pu1, ps2))
         or ctx.commute_ok(x2, pair_product(ps1, ps2))
     )
-    x12 = x1 @ x2
+    x12 = ctx.mul(x1, x2)
     c6 = ctx.ok(_invariance_defect(x12, ps1)) and ctx.ok(_invariance_defect(x12, ps2))
 
     vector = (c1, c2, c3, c4, c5, c6)
@@ -563,9 +615,11 @@ def _mixed_wandering(ctx: _Ctx, a: Element, b: Element) -> Projection:
 
     K_(n+1) = K_1 ∩ a^{-1} K_n equals the sweep M <- M ∩ a^{-1} M from
     M = K_1 term by term, so the infimum is the a-invariant core of K_1.
+    K_1 = ker b* is b's cokernel (`subspaces.cokernel`), which peels b's
+    lone entries, so only b's non-lone rest takes an SVD.
     """
-    return _invariant_core(ctx, [a.mat], right_annihilator_projection([b.star()]),
-                           "mixed wandering subspace")
+    k1 = from_basis(ctx.domain, subspaces.cokernel(ctx.domain, b.mat))
+    return _invariant_core(ctx, [a.mat], k1, "mixed wandering subspace")
 
 
 def weak_bishift(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
@@ -581,9 +635,10 @@ def weak_bishift(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> D
     pu1, ps1, _ = _wold_parts(ctx, x1)
     pu2, ps2, _ = _wold_parts(ctx, x2)
     # p_uu = ∧[(x1 x2)ⁿ] is the reducing fixpoint of u1 ∧ u2, as in Słociński
-    p_uu = reducing_fixpoint([x1, x2], proj_inf([pu1, pu2]), ctx.cfg)
-    p_us = reducing_fixpoint([x1, x2], proj_inf([pu1, ps2]), ctx.cfg)
-    p_su = reducing_fixpoint([x1, x2], proj_inf([ps1, pu2]), ctx.cfg)
+    p_uu = _reducing_fixpoint(ctx, [x1, x2], proj_inf([pu1, pu2]))
+    p_us = _reducing_fixpoint(ctx, [x1, x2], proj_inf([pu1, ps2]))
+    p_su = _reducing_fixpoint(ctx, [x1, x2], proj_inf([ps1, pu2]))
+    # one SVD of the sum, kept on purpose: see the module docstring
     p_ws = from_element(ctx.one - (p_uu.element + p_us.element + p_su.element))
 
     # ∧ₙ x1ⁿ W_us = W_us ∧ u1, and ∧ₙ x2ⁿ W_su = W_su ∧ u2
@@ -833,7 +888,7 @@ def largest_product_ppi(x1: Element, x2: Element, cfg: EngineConfig | None = Non
     _require(ctx.commute_ok(x1, x2), "largest_product_ppi requires a commuting pair")
     _require(_ppi_on_window(ctx, x1) and _ppi_on_window(ctx, x2),
              "largest_product_ppi requires power partial isometries")
-    p = reducing_fixpoint([x1, x2], _product_ppi_constraint(ctx, x1, x2), ctx.cfg)
+    p = _reducing_fixpoint(ctx, [x1, x2], _product_ppi_constraint(ctx, x1, x2))
     if not _ppi_on_window(ctx, p.product(x1 @ x2)):
         raise InternalInconsistencyError("compressed product failed its PPI certificate")
     return p
@@ -909,7 +964,7 @@ def largest_doubly_commuting(x1: Element, x2: Element, cfg: EngineConfig | None 
     _require(ctx.commute_ok(x1, x2), "largest_doubly_commuting requires a commuting pair")
     # 1 - [x2 x1* - x1* x2] is R of its adjoint, the defect checked below
     defect = x1 @ x2.star() - x2.star() @ x1
-    p = reducing_fixpoint([x1, x2], right_annihilator_projection([defect]), ctx.cfg)
+    p = _reducing_fixpoint(ctx, [x1, x2], right_annihilator_projection([defect]))
     if not (ctx.ok(p.product(defect)) and ctx.ok(p.product(x1 @ x2 - x2 @ x1))):
         raise InternalInconsistencyError("compression failed its doubly-commuting certificate")
     return p

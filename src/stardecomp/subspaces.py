@@ -116,7 +116,8 @@ def _lone_entries(mat: np.ndarray) -> tuple:
 def column_entries(mat: np.ndarray) -> tuple:
     """(counts, rows, vals): the number of nonzeros in each column of mat,
     and the row and value of the column's first nonzero (row 0 and its
-    entry for a zero column).  Where counts is 1 the column is vals·e_rows."""
+    entry, 0, for a zero column).  Where counts is 1 the column is
+    vals·e_rows, and where it is 0 as well."""
     nz = mat != 0
     rows = nz.argmax(axis=0)
     return nz.sum(axis=0), rows, mat[rows, np.arange(mat.shape[1])]

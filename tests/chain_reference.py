@@ -229,10 +229,9 @@ def power_lemma_certificates(ctx, x1, x2):
     return out
 
 
-def reducing_fixpoint_by_meets(ops, e, cfg=None):
+def reducing_fixpoint_by_meets(ctx, ops, e):
     """M <- M ∩ a^{-1} M over ops and adjoints, each preimage a full kernel
-    of (1 - [M]) a met with M."""
-    ctx = engine._Ctx(e.element, cfg)
+    of (1 - [M]) a met with M, with no exit at rank dim."""
     allops = [a.mat for a in ops] + [a.star().mat for a in ops]
     basis = e.range_basis
     while True:
@@ -274,7 +273,7 @@ REFERENCES = {
     "_lemma_certificates": power_lemma_certificates,
     "_product_ppi_constraint": product_ppi_constraint_to_cap,
     "_corner_cnu_res": corner_cnu_res_to_cap,
-    "reducing_fixpoint": reducing_fixpoint_by_meets,
+    "_reducing_fixpoint": reducing_fixpoint_by_meets,
 }
 
 

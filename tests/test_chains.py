@@ -625,12 +625,13 @@ def test_wold_walks_its_series_with_no_own_basis(monkeypatch):
 
 
 def test_wold_matmul_budget(monkeypatch):
-    # only x*x, for the isometry precondition: no chain takes a power, the
-    # shift corner's grading takes thin products only, the rank-3 unitary
-    # part enters its certificates through its basis (its co-isometry
-    # corner with no xx*), and the rank-128 shift part through u's basis
+    # none: the isometry precondition's x*x is gathered along x's
+    # one-nonzero columns (`_Ctx.mul`), no chain takes a power, the shift
+    # corner's grading takes thin products only, the rank-3 unitary part
+    # enters its certificates through its basis (its co-isometry corner
+    # with no xx*), and the rank-128 shift part through u's basis
     _, _, matmuls, _ = _wold_128(monkeypatch)
-    assert matmuls == ["gram"]
+    assert not matmuls
 
 
 def test_wold_svd_budget(monkeypatch):
@@ -666,22 +667,44 @@ def test_slocinski_svd_budget(monkeypatch):
     # bases into a wide matrix, no series step or meet of nested spans
     # takes an SVD, and the shift blocks are certified by the Wold series'
     # gradings with no chain or power; the shift parts and the full-rank
-    # ss block multiply through their complement bases
+    # ss block multiply through their complement bases.  The preconditions'
+    # x*x, the commutators and x1 x2 are gathered along one-nonzero
+    # columns, and the full-rank ss seed is its own fixpoint with no
+    # sweep, so the only Element products are the four pq*pq of c2
     calls, matmuls, powers = _grid_counts(monkeypatch, slocinski)
     assert not [shape for shape, full in calls if full and shape[1] > shape[0]]
     assert len(calls) <= 2
-    assert len(matmuls) <= 11
+    assert len(matmuls) <= 4
     assert not powers
 
 
 def test_weak_bishift_svd_budget(monkeypatch):
-    # each mixed wandering step is one thin kernel inside K_1, and p_uu,
-    # m_us and m_su are a fixpoint and two meets of the Wold parts, with
-    # no chain or power
+    # each mixed wandering step is one thin kernel inside K_1 = ker b*,
+    # b's peeled cokernel, and p_uu, m_us and m_su are a fixpoint and two
+    # meets of the Wold parts, with no chain or power; every SVD but
+    # p_ws's is of a cokernel's 10x10 non-lone rest, and the only Element
+    # product is p_ws's projection check
     calls, matmuls, powers = _grid_counts(monkeypatch, weak_bishift)
     assert len(calls) <= 5
-    assert len(matmuls) <= 5
+    assert len([shape for shape, _ in calls if shape != (10, 10)]) <= 1
+    assert len(matmuls) <= 1
     assert not powers
+
+
+@pytest.mark.parametrize("method", [slocinski, weak_bishift], ids=lambda m: m.__name__)
+def test_pair_call_builds_one_context(monkeypatch, method):
+    # the window is checked once: every fixpoint runs in the method's own
+    # context
+    built = []
+
+    class Counting(engine._Ctx):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(engine, "_Ctx", Counting)
+    _grid_counts(monkeypatch, method)
+    assert len(built) == 1
 
 
 def test_full_rank_first_step_is_its_own_basis(monkeypatch):
@@ -715,8 +738,9 @@ def test_halmos_wallen_budget(monkeypatch):
     # b; both series are walked, x*'s dropping J3's zero image, and u is
     # read off the lone unit columns with no QR; no range chain, so no
     # power, and no part wrapped by from_element; the PPI precondition
-    # forms one power of x per n and reads the window's rows and columns of
-    # it with thin products
+    # gathers one power of x per n along x's one-nonzero columns and reads
+    # the window's rows and columns of it with thin products, so the
+    # Element products are u's xx* and four projection products
     (x,), window = _spec_operators("hw64.json", 64)
     svds = _count_svds(monkeypatch)
     qrs = _count_qrs(monkeypatch)
@@ -728,7 +752,7 @@ def test_halmos_wallen_budget(monkeypatch):
     assert {lbl: p.rank for lbl, p in rep.basis.members} == {"u": 1, "s": 0, "b": 64, "t": 3}
     assert len(svds) <= 4
     assert qrs == []
-    assert len(matmuls) <= 20
+    assert len(matmuls) <= 5
     assert not powers and not wrapped
 
 
@@ -762,7 +786,7 @@ def test_reducing_fixpoint_sweep_is_one_kernel_per_operator(monkeypatch):
     calls = _count_svds(monkeypatch)
     p = engine.reducing_fixpoint([tr.element], e)
     assert len(calls) == 0
-    want = reducing_fixpoint_by_meets([tr.element], e)
+    want = reducing_fixpoint_by_meets(engine._Ctx(e.element), [tr.element], e)
     assert p.rank == want.rank == 3
     assert np.linalg.norm(p.element.mat - want.element.mat) <= 1e-10
 

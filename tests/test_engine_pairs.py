@@ -27,14 +27,19 @@ from stardecomp import (
     wold,
 )
 from stardecomp import subspaces
-from stardecomp.elements import classify
+from stardecomp.elements import Element, classify
 from stardecomp.fixtures import (
     commuting_orthogonal_pair,
     random_contraction,
     random_ppi,
     rational_orthogonal,
 )
-from stardecomp.projections import from_element, identity_projection, proj_leq
+from stardecomp.projections import (
+    from_element,
+    identity_projection,
+    proj_leq,
+    zero_projection,
+)
 
 J3 = from_rows(RATIONAL, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
 
@@ -224,6 +229,9 @@ def test_reducing_fixpoint_shrinks_to_invariant_core():
     e = from_element(from_rows(RATIONAL, [[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
     q = reducing_fixpoint([J3], e)
     assert q.rank == 0  # no reducing subspace inside span(e_0)
+    # one below the whole space: J3 maps e_1 out of span(e_0, e_1)
+    e = from_element(from_rows(RATIONAL, [[1, 0, 0], [0, 1, 0], [0, 0, 0]]))
+    assert reducing_fixpoint([J3], e).rank == 0
 
 
 def test_maximality_probe_confirms_pd():
@@ -243,7 +251,6 @@ def test_maximality_probe_detects_enlargeable():
     # every direction commutes and satisfies the (trivial) predicate
     rng = np.random.default_rng(12)
     from stardecomp import identity
-    from stardecomp.projections import zero_projection
 
     one = identity(RATIONAL, 3)
     p0 = zero_projection(RATIONAL, 3)
@@ -255,8 +262,6 @@ def test_maximality_probe_complex():
     enlargeable under the identity, and the zero largest doubly commuting
     corner of a 4×4 Jordan block with itself survives every probe."""
     from stardecomp import identity
-    from stardecomp.elements import Element
-    from stardecomp.projections import zero_projection
 
     rng = np.random.default_rng(13)
     one = identity(COMPLEX, 5)
@@ -274,8 +279,8 @@ def test_maximality_probe_complex():
 
 # ------------------------------------------ every entry point, edge inputs
 # The 1x1 identity and the 2x2 zero reach rank r = dim and r = 0 in the
-# shared Wold factorisation, and comp = 0 in every fixpoint sweep.  Pair
-# methods take (x, x); a table entry lists the nonzero block ranks.
+# shared Wold factorisation, and every fixpoint starts at rank 0 or dim.
+# Pair methods take (x, x); a table entry lists the nonzero block ranks.
 
 _EDGE_RANKS = {
     "one": {
@@ -306,7 +311,7 @@ def _ranks(method, x):
 @pytest.mark.parametrize("domain", [RATIONAL, COMPLEX], ids=str)
 @pytest.mark.parametrize("name", sorted(_EDGE_ROWS))
 @pytest.mark.parametrize("method", list(_EDGE_RANKS["one"]), ids=lambda m: m.__name__)
-def test_edge_inputs_keep_their_block_ranks(domain, name, method):
+def test_edge_inputs_keep_their_block_ranks(monkeypatch, domain, name, method):
     x = from_rows(domain, _EDGE_ROWS[name])
     want = _EDGE_RANKS[name][method]
     if isinstance(want, type):
@@ -314,6 +319,16 @@ def test_edge_inputs_keep_their_block_ranks(domain, name, method):
             _ranks(method, x)
     else:
         assert _ranks(method, x) == want
+    if method is reducing_fixpoint:
+        # a zero or identity seed e: 1 - e is the identity or 0, so e comes
+        # back as it is, with no sweep, SVD or product
+        calls = []
+        for owner, attr in ((np.linalg, "svd"), (subspaces, "preimage"), (Element, "__matmul__")):
+            fn = getattr(owner, attr)
+            monkeypatch.setattr(owner, attr, lambda *a, fn=fn, **k: calls.append(fn) or fn(*a, **k))
+        for e in (zero_projection(domain, x.dim), identity_projection(domain, x.dim)):
+            assert reducing_fixpoint([x, x.star()], e) is e
+        assert not calls
 
 
 @pytest.mark.parametrize("domain", [RATIONAL, COMPLEX], ids=str)

@@ -5,7 +5,8 @@ wandering subspace as one preimage per step, and the low-rank projection
 products, beside the peeled cokernel against the dense SVD's, the
 products through a complement basis against the dense ones, the walked
 series against the stepped one, the peeled complement against the
-complete QR's and the gathered grading against the `coordinates` form.
+complete QR's, the gathered grading against the `coordinates` form and
+the gathered product `_Ctx.mul` against the dense one.
 Complex inputs must give equal ranks and projections within 1e-12.  Exact inputs
 must come out bit-identical; `reference_engine` swaps these references in
 too, so the exact comparisons in tests/test_chains.py cover them."""
@@ -16,6 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from stardecomp import (
     COMPLEX,
+    RATIONAL,
     Adjoint,
     EngineConfig,
     Shift,
@@ -30,7 +32,7 @@ from stardecomp import (
     wold,
 )
 from stardecomp import engine, subspaces
-from stardecomp.elements import Element
+from stardecomp.elements import Element, from_rows
 from stardecomp.errors import IndeterminateError
 from stardecomp.fixtures import random_complex_unitary
 from stardecomp.projections import from_basis, from_element
@@ -411,6 +413,46 @@ def test_gathered_grading_matches_the_coordinates_form(case):
     assert abs(got - want) <= TOL
     if case[-1]:
         assert got == 0.0
+
+
+@st.composite
+def _gather_cases(draw):
+    """(a, x, kinds): a dense complex a, and a real float x whose columns
+    are zero, one nonzero (at rows drawn from a few, so that rows repeat)
+    or dense, as kinds says."""
+    dim = draw(st.integers(1, 12))
+    kinds = draw(st.lists(st.sampled_from("0 1 d".split()), min_size=dim, max_size=dim))
+    rows = draw(st.lists(st.integers(0, min(dim - 1, 2)), min_size=dim, max_size=dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.zeros((dim, dim), dtype=complex)
+    for j, (kind, r) in enumerate(zip(kinds, rows)):
+        if kind == "1":
+            x[r, j] = rng.standard_normal()
+        elif kind == "d":
+            x[:, j] = rng.standard_normal(dim)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return Element(COMPLEX, a), Element(COMPLEX, x), np.array(kinds)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_gather_cases())
+def test_gathered_product_matches_dense(case):
+    # a one-nonzero column's dense sum has one nonzero term, so its gather
+    # a[:, r]·c is the same to the bit, as is a zero column
+    a, x, kinds = case
+    got = engine._Ctx(x, EngineConfig()).mul(a, x).mat
+    want = (a @ x).mat
+    lone = kinds != "d"
+    assert np.array_equal(got[:, lone], want[:, lone])
+    assert np.abs(got - want).max(initial=0.0) <= TOL
+
+
+def test_gathered_product_matches_dense_exactly_over_q():
+    x = from_rows(RATIONAL, [[0, 1, 0, 2], [3, 0, 0, 1], [0, 0, 0, 0], [0, 1, 0, 5]])
+    a = from_rows(RATIONAL, [["1/2", 1, 0, -3], [2, "2/3", 1, 0], [0, 4, -1, 1], [1, 1, 1, 1]])
+    for left, right in ((a, x), (x, a), (x, x), (x.star(), x)):
+        got = engine._Ctx(right, EngineConfig()).mul(left, right).mat
+        assert np.array_equal(got, (left @ right).mat)
 
 
 # ------------------------------------------------- truncated complex inputs
