@@ -2,21 +2,27 @@
 
 Infinite infima and series are replaced by stabilisation detection, and no
 range chain ∧ₙ[xⁿ] is walked: every such infimum is Wold's identity or a
-meet.  For an isometry the unitary part ∧[xⁿ] equals 1 - s, s the
-wandering series Σ xⁿ[ker x*] (Wold's identity), so `_wold_parts` takes u
-as the complement of the series' basis.  The series also grades the shift
-corner: p x p maps each block Bₖ into Bₖ₊₁ and the last block to 0, so it
-is nilpotent and ∧[(pxp)ⁿ] = 0; the certificate measures what lies off
-that grading with thin products only (`_grading_res`), beside x being
-isometric on s.  A float matrix whose Frobenius norm is below the rank
-cutoff takes no SVD, since σ₁ <= ‖·‖_F, and x*x and xx* are formed at
-most once per operator.  A product a x is gathered along x's one-nonzero
-columns (`_Ctx.mul`): such a column c·e_r maps to a[:, r]·c, the dense
-sum's one nonzero term, so only x's other columns take a GEMM; the
-preconditions' x*x and commutators, Słociński's x1 x2 and the PPI
-precondition's powers are formed so.  Each method call builds one
-context (`_Ctx`) and runs every fixpoint in it, and reads each
-operator's column entries once there, for the gathers and the walk.
+meet.  Nor is any range projection [yⁿ] taken of a power: for a power
+partial isometry ker y*ⁿ is the first n blocks of y's wandering series
+(Halmos & Wallen 1970), so the product-PPI constraint reads [x1ⁿ] and
+[x2*ⁿ] off two series (`_series_prefixes`).  For an isometry the unitary
+part ∧[xⁿ] equals 1 - s, s the wandering series Σ xⁿ[ker x*] (Wold's
+identity), so `_wold_parts` takes u as the complement of the series' basis.
+The series also grades the shift corner: p x p maps each block Bₖ into Bₖ₊₁
+and the last block to 0, so it is nilpotent and ∧[(pxp)ⁿ] = 0; the
+certificate measures what lies off that grading with thin products only
+(`_grading_res`), beside x being isometric on s.  A float matrix whose
+Frobenius norm is below the rank cutoff takes no SVD, since σ₁ <= ‖·‖_F,
+and x*x and xx* are formed at most once per operator.  A product a x is
+gathered along x's one-nonzero columns (`_Ctx.mul`): such a column c·e_r
+maps to a[:, r]·c, the dense sum's one nonzero term, so only x's other
+columns take a GEMM; the preconditions' x*x and commutators, Słociński's
+x1 x2 and the PPI precondition's powers are formed so.  Each method call
+builds one context (`_Ctx`) and runs every fixpoint in it, and reads each
+operator's column entries once there, for the gathers and the walk; a
+method composed of others (`hw_pair_doubly`, `nfl_pair_doubly`,
+`corollary_check`) runs their bodies (`_halmos_wallen`, `_nfl`,
+`_slocinski`) in its own context.
 The series' seed ker x* is one cokernel whose lone entries are peeled off
 (`subspaces.cokernel`): a truncated shift model's SVD is of its unitary
 blocks and the shifts' boundary lines only.
@@ -50,13 +56,12 @@ e whose range the given matrices map into itself (`_invariant_core`): the
 operators and their adjoints below e, a below ker b* (b's peeled
 cokernel), and x, x* below ker(1 - x*x) ∧ ker(1 - xx*).  Each sweep is one
 preimage kernel per matrix inside what is left, and one repeated rank, or
-rank 0 or dim, marks the fixpoint, as a repeated rank does for the nested
-product-PPI range pairs.  At rank 0 or dim, 1 - p is the identity or 0,
-so p is returned with no sweep, as Słociński's ss seed is on the grid
-pair, where it is the whole space.  The wandering series ends when its
-term vanishes; a float step or final join whose Gram matrix is within
-dim·ε of the identity is its own orthonormal basis and takes no SVD, and
-a walked step or join, whose Gram matrix is diagonal, is tested as
+rank 0 or dim, marks the fixpoint.  At rank 0 or dim, 1 - p is the
+identity or 0, so p is returned with no sweep, as Słociński's ss seed is
+on the grid pair, where it is the whole space.  The wandering series
+ends when its term vanishes; a float step or final join whose Gram
+matrix is within dim·ε of the identity is its own orthonormal basis and
+takes no SVD, and a walked step or join, whose Gram matrix is diagonal, is tested as
 ‖|c|² - 1‖ <= dim·ε on its entries c alone.
 Each checked identity is one defect built on `Projection.product`:
 x p - p x, (1 - p) x p, p x*x p - p, pq (`pair_product`) and pq being a
@@ -68,8 +73,8 @@ B (B* a) for rank below dim/2, a - C (C* a) for a thinner C.  A thin
 corner's isometry defect is B ((x B)* (x B) - 1) B*, so `wold` forms only
 its precondition's x*x, gathered.  The windowed PPI precondition reads
 xⁿ (xⁿ)* xⁿ - xⁿ on the window's rows and columns alone.  The iteration
-cap is max(n_max, dim + 1), and a series, core or chain still moving at
-the cap raises IndeterminateError instead of silently truncating.
+cap is max(n_max, dim + 1), and a series or core still moving at the
+cap raises IndeterminateError instead of silently truncating.
 Certificate residuals are measured after compression to the probe window
 when the input came from a truncated symbolic operator; a grading residual
 is read on the whole space, which can only be stricter.  The window is a 0/1
@@ -129,6 +134,7 @@ from .projections import (
     proj_sup,
     projection_defects,
     right_annihilator_projection,
+    zero_projection,
 )
 
 
@@ -523,7 +529,10 @@ def slocinski(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> Deco
     When they hold, the emitted basis is {p_uu, p_us, p_su, p_ss} with
     per-coordinate block certificates.
     """
-    ctx = _Ctx(x1, cfg)
+    return _slocinski(_Ctx(x1, cfg), x1, x2)
+
+
+def _slocinski(ctx: _Ctx, x1: Element, x2: Element) -> DecompositionReport:
     _require(_isometry_on_window(ctx, x1) and _isometry_on_window(ctx, x2),
              "slocinski requires two isometries")
     _require(ctx.commute_ok(x1, x2), "slocinski requires a commuting pair")
@@ -600,9 +609,10 @@ def slocinski(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> Deco
 
 def corollary_check(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> bool:
     """holds(x1,x2) must equal holds(x1, x1 x2) and holds(x2, x1 x2)."""
+    ctx = _Ctx(x1, cfg)
     x12 = x1 @ x2
-    direct = slocinski(x1, x2, cfg).holds
-    via = slocinski(x1, x12, cfg).holds and slocinski(x2, x12, cfg).holds
+    direct = _slocinski(ctx, x1, x2).holds
+    via = _slocinski(ctx, x1, x12).holds and _slocinski(ctx, x2, x12).holds
     if direct != via:
         raise InternalInconsistencyError(
             f"corollary violated: pair={direct} but product-pairs={via}"
@@ -730,7 +740,10 @@ def halmos_wallen(x: Element, cfg: EngineConfig | None = None) -> DecompositionR
     isometric on s and x* on b, and the gradings of f under x and of g
     under x* make those corners nilpotent.  t lies in f and commutes with
     x, so (t x t)ⁿ = t (f x f)ⁿ t and f's grading certifies t as well."""
-    ctx = _Ctx(x, cfg)
+    return _halmos_wallen(_Ctx(x, cfg), x)
+
+
+def _halmos_wallen(ctx: _Ctx, x: Element) -> DecompositionReport:
     _require(_ppi_on_window(ctx, x), "halmos_wallen requires a power partial isometry")
     (p_u, p_s, p_b, p_t), f, g = _series_split(ctx, x)
     basis = ProjectionBasis((("u", p_u), ("s", p_s), ("b", p_b), ("t", p_t)))
@@ -781,7 +794,7 @@ def hw_pair_doubly(x1: Element, x2: Element, cfg: EngineConfig | None = None) ->
     ctx = _Ctx(x1, cfg)
     _require(ctx.commute_ok(x1, x2) and ctx.commute_ok(x1, x2.star()),
              "hw_pair_doubly requires a doubly commuting pair")
-    rep1, rep2 = halmos_wallen(x1, ctx.cfg), halmos_wallen(x2, ctx.cfg)
+    rep1, rep2 = _halmos_wallen(ctx, x1), _halmos_wallen(ctx, x2)
     return _product_basis(ctx, "hw-pair-doubly", rep1, rep2, ".")
 
 
@@ -857,29 +870,40 @@ def hw_pair_product(x1: Element, x2: Element, cfg: EngineConfig | None = None) -
     )
 
 
-def _product_ppi_constraint(ctx: _Ctx, x1: Element, x2: Element) -> Projection:
-    """∩_n (1 - [[x1^n][x2*^n] - [x2*^n][x1^n]]) over the commutator defects.
+def _series_prefixes(ctx: _Ctx, y: Element) -> list:
+    """The projections Pₙ onto the first n blocks B₀ ⊕ … ⊕ Bₙ₋₁ of y's
+    wandering series Σ yᵏ(ker y*), n = 1 … L for its L blocks, or the zero
+    projection alone when the series is empty.
 
-    [x1^n] and [x2*^n] are decreasing chains, so once both ranks repeat
-    the defects repeat too and the constraint is fixed.  Each defect d is
-    skew-adjoint, so 1 - [d] is ker d* = ker d, and the constraint is the
-    one right annihilator R of all the defects, a single stacked kernel.
+    For a power partial isometry y these blocks span ker y*ⁿ (Halmos &
+    Wallen 1970), so [yⁿ] = 1 - Pₙ, with no power of y formed; past the
+    last block ker y*ⁿ is the whole series.  A float prefix is its own
+    basis unless roundoff has moved it off (`subspaces.own_basis`), as the
+    series' join is."""
+    dom = ctx.domain
+    _, blocks = _wandering_series(ctx, y, subspaces.cokernel(dom, y.mat))
+    return [from_basis(dom, subspaces.own_basis(dom, np.concatenate(blocks[:n], axis=1)))
+            for n in range(1, len(blocks) + 1)] or [zero_projection(dom, ctx.dim)]
+
+
+def _product_ppi_constraint(ctx: _Ctx, x1: Element, x2: Element) -> Projection:
+    """∩_n (1 - [[x1^n][x2*^n] - [x2*^n][x1^n]]) over the commutator defects,
+    with no power formed and no range projection taken of one.
+
+    With [x1ⁿ] = 1 - Pₙ and [x2*ⁿ] = 1 - Qₙ, Pₙ and Qₙ the prefixes of the
+    wandering series of x1 and of x2* (`_series_prefixes`, the Halmos–Wallen
+    identity ker y*ⁿ = B₀ ⊕ … ⊕ Bₙ₋₁), the defect at n is PₙQₙ - QₙPₙ.
+    Once n passes the last block of both series both prefixes are whole
+    series and the defects repeat, so n runs to the longer series' length,
+    and to 1 when both are empty.  Each defect d is skew-adjoint, so
+    1 - [d] is ker d* = ker d, and the constraint is the one right
+    annihilator R of all the defects, a single stacked kernel.  A series
+    still moving at the cap raises IndeterminateError.
     """
-    defects = []
-    x2_star = x2.star()
-    fwd, bwd = x1, x2_star
-    ranks = None
-    for n in range(ctx.cap):
-        if n:
-            fwd = fwd @ x1
-            bwd = bwd @ x2_star
-        pn = left_projection(fwd)
-        qn = left_projection(bwd)
-        if (pn.rank, qn.rank) == ranks:
-            return right_annihilator_projection(defects)
-        ranks = (pn.rank, qn.rank)
-        defects.append(pn.element @ qn.element - qn.element @ pn.element)
-    raise IndeterminateError("product-PPI constraint chains did not stabilise within the cap")
+    f, g = _series_prefixes(ctx, x1), _series_prefixes(ctx, x2.star())
+    pairs = ((f[min(n, len(f) - 1)], g[min(n, len(g) - 1)]) for n in range(max(len(f), len(g))))
+    return right_annihilator_projection([pair_product(p, q) - pair_product(q, p)
+                                         for p, q in pairs])
 
 
 def largest_product_ppi(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> Projection:
@@ -920,7 +944,10 @@ def _nfl_unitary_part(ctx: _Ctx, x: Element) -> Projection:
 
 def nfl(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
     """Unitary / completely-non-unitary split of a contraction."""
-    ctx = _Ctx(x, cfg)
+    return _nfl(_Ctx(x, cfg), x)
+
+
+def _nfl(ctx: _Ctx, x: Element) -> DecompositionReport:
     _axiom_gate(ctx.domain)
     positive = ctx.domain.is_positive
     _require(positive(ctx.one - ctx.gram(x)) and positive(ctx.one - ctx.gram(x, star=True)),
@@ -955,7 +982,7 @@ def nfl_pair_doubly(x1: Element, x2: Element, cfg: EngineConfig | None = None) -
     ctx = _Ctx(x1, cfg)
     _require(ctx.commute_ok(x1, x2) and ctx.commute_ok(x1, x2.star()),
              "nfl_pair_doubly requires a doubly commuting pair")
-    return _product_basis(ctx, "nfl-pair", nfl(x1, ctx.cfg), nfl(x2, ctx.cfg), "")
+    return _product_basis(ctx, "nfl-pair", _nfl(ctx, x1), _nfl(ctx, x2), "")
 
 
 def largest_doubly_commuting(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> Projection:

@@ -15,7 +15,9 @@ split is built from the range chains of y and of y*, where the engine takes
 two wandering series seeded in the probe window; the chain split is the
 reference on exact inputs only, since on a truncation a shift and its
 adjoint are both nilpotent and every tail lands in t.  The lemma residuals
-and the product-PPI constraint take every power from Element.power, and
+and the product-PPI constraint take every power from Element.power (the
+engine reads the constraint's range projections off two wandering
+series), and
 the cnu corner keeps its own kernel loop instead of reusing the NFL one.
 The reducing fixpoint meets each operator's full preimage with the
 subspace.

@@ -10,12 +10,17 @@ every reference is checked to be reached.  The factorisation budgets of
 Wold's parts (one SVD, one QR) and of one reducing-fixpoint sweep are
 pinned too, with the SVD, QR, matmul and power budgets of one `wold`, of
 one `halmos_wallen` and of `slocinski` and `weak_bishift` on the grid pair,
-the rref budget of `halmos_wallen` on a full-rank x and the
-`left_projection` budget of the lemma residuals.
+the rref budget of `halmos_wallen` on a full-rank x, the
+`left_projection` budget of the lemma residuals and the no-power,
+no-range-projection budget of the product-PPI constraint.  That
+constraint reads [yⁿ] = 1 - (B₀ ⊕ … ⊕ Bₙ₋₁) off y's wandering series,
+checked against `left_projection(yⁿ)`, and one pair with a proper
+constraint checks it end to end.
 The zero-matrix exits of orth and nullspace are checked against the SVD
 path."""
 
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +37,18 @@ from stardecomp import (
     Shift,
     Trunc,
     construct_gf_ring,
+    corollary_check,
     direct_sum,
     from_rows,
     ground_truth_hw,
     ground_truth_wold,
     halmos_wallen,
+    hw_pair_doubly,
     hw_pair_product,
     largest_product_ppi,
+    maximality_probe,
     nfl,
+    nfl_pair_doubly,
     pair_instances,
     slocinski,
     truncate,
@@ -49,6 +58,7 @@ from stardecomp import (
 )
 from stardecomp import engine, linalg, serialize, subspaces
 from stardecomp.cli import main
+from stardecomp.elements import is_partial_isometry
 from stardecomp.fixtures import (
     commuting_orthogonal_pair,
     gf_signed_permutation,
@@ -61,6 +71,7 @@ from stardecomp.projections import (
     coordinate_projection,
     from_basis,
     identity_projection,
+    left_projection,
     pair_product,
     proj_inf,
 )
@@ -149,6 +160,83 @@ def test_exact_largest_product_ppi_matches_run_to_cap():
         assert np.array_equal(got.element.mat, want.element.mat)
         # the criterion's maximality probe draws nothing around the identity
         assert got.rank == dim
+
+
+def _proper_corner_pair(conjugate):
+    """x1 = J3 ⊕ 0 ⊕ J2 and x2 = X ⊕ J2, commuting PPIs whose product is
+    not one; with conjugate, both conjugated by one rational orthogonal."""
+    f = Fraction
+    x1 = from_rows(RATIONAL, [[0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
+                              [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0]])
+    x2 = from_rows(RATIONAL, [[0, 0, 0, 0, 0, 0], [f(3, 5), 0, 0, 0, 0, 0],
+                              [0, f(3, 5), 0, f(4, 5), 0, 0], [f(4, 5), 0, 0, 0, 0, 0],
+                              [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0]])
+    if conjugate:
+        q = rational_orthogonal(6, np.random.default_rng(3))
+        x1, x2 = q @ x1 @ q.star(), q @ x2 @ q.star()
+    return x1, x2
+
+
+def _product_ppi_predicate(x1, x2):
+    """Acceptance criterion 8's predicate: q x1 x2 q is a PPI."""
+    def pred(q):
+        y = q.element @ x1 @ x2 @ q.element
+        pw = y
+        for _ in range(y.dim):
+            if not is_partial_isometry(pw):
+                return False
+            pw = pw @ y
+        return True
+
+    return pred
+
+
+@pytest.mark.parametrize("conjugate", [False, True], ids=["coordinates", "conjugated"])
+def test_largest_product_ppi_on_a_proper_corner(conjugate):
+    # the one input whose constraint is not the identity: its rank-4
+    # constraint has the J2 block as its reducing core
+    x1, x2 = _proper_corner_pair(conjugate)
+    assert (x1 @ x2).equals(x2 @ x1)
+    constraint = engine._product_ppi_constraint(engine._Ctx(x1), x1, x2)
+    assert constraint.rank == 4
+    got, want = _both(largest_product_ppi, x1, x2)
+    assert np.array_equal(got.element.mat, want.element.mat)
+    assert got.rank == 2
+    rng = np.random.default_rng(80)
+    assert maximality_probe(got, [x1, x2], _product_ppi_predicate(x1, x2), rng)
+
+
+def _assert_prefixes_are_range_complements(y, cfg, exact):
+    # [yⁿ] = 1 - (B₀ ⊕ … ⊕ Bₙ₋₁) at every n below the cap, for y and y*
+    for op in (y, y.star()):
+        ctx = engine._Ctx(op, cfg)
+        prefixes = engine._series_prefixes(ctx, op)
+        power = op
+        for n in range(1, ctx.cap):
+            got = (ctx.one - prefixes[min(n, len(prefixes)) - 1].element).mat
+            want = left_projection(power).element.mat
+            if exact:
+                assert np.array_equal(got, want), n
+            else:
+                assert np.linalg.norm(got - want) <= 1e-12, n
+            power = power @ op
+
+
+def test_exact_series_prefixes_are_range_complements():
+    rng = np.random.default_rng(90)
+    for _ in range(6):
+        _assert_prefixes_are_range_complements(random_ppi(int(rng.integers(2, 7)), rng),
+                                               EngineConfig(), exact=True)
+
+
+@pytest.mark.parametrize("exprs", [
+    [pair_instances("mixed")[0]],
+    [direct_sum(unitary(random_complex_unitary(2, np.random.default_rng(2)).mat),
+                Shift(1), Adjoint(Shift(1)), Trunc(4))],
+], ids=["mixed x1", "u2+S+S*+J4"])
+def test_truncated_series_prefixes_are_range_complements(exprs):
+    (y,), cfg = _truncated(exprs, 32, 6)
+    _assert_prefixes_are_range_complements(y, cfg, exact=False)
 
 
 def test_exact_cnu_corner_matches_its_own_loop():
@@ -691,10 +779,11 @@ def test_weak_bishift_svd_budget(monkeypatch):
     assert not powers
 
 
-@pytest.mark.parametrize("method", [slocinski, weak_bishift], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("method", [slocinski, weak_bishift, hw_pair_doubly, nfl_pair_doubly,
+                                    corollary_check], ids=lambda m: m.__name__)
 def test_pair_call_builds_one_context(monkeypatch, method):
     # the window is checked once: every fixpoint runs in the method's own
-    # context
+    # context, and a method composed of others runs their bodies in it
     built = []
 
     class Counting(engine._Ctx):
@@ -703,8 +792,27 @@ def test_pair_call_builds_one_context(monkeypatch, method):
             super().__init__(*args)
 
     monkeypatch.setattr(engine, "_Ctx", Counting)
-    _grid_counts(monkeypatch, method)
+    if method in (slocinski, weak_bishift):
+        _grid_counts(monkeypatch, method)
+    else:
+        method(*commuting_orthogonal_pair(4, np.random.default_rng(4)))
     assert len(built) == 1
+
+
+def test_product_ppi_constraint_budget(monkeypatch):
+    # the truncated mixed pair at N = 32: the constraint reads every [x1ⁿ]
+    # and [x2*ⁿ] off two wandering series, so no power and no range
+    # projection is formed in the call, and its only SVDs are the 1x1
+    # non-lone rests of the two series' cokernels
+    xs, cfg = _truncated(list(pair_instances("mixed")), 32, 6)
+    svds = _count_svds(monkeypatch)
+    powers = _count_calls(monkeypatch, "power")
+    ranges = []
+    left = engine.left_projection
+    monkeypatch.setattr(engine, "left_projection", lambda a: ranges.append(1) or left(a))
+    largest_product_ppi(*xs, cfg)
+    assert not powers and not ranges
+    assert len(svds) <= 2
 
 
 def test_full_rank_first_step_is_its_own_basis(monkeypatch):
@@ -961,11 +1069,12 @@ def test_cli_indeterminate_is_exit_4(tmp_path, monkeypatch, capsys):
 
 
 def test_largest_product_ppi_raises_past_the_cap(monkeypatch):
-    # [J3^n] and [J3*^n] have ranks 2, 1, 0, 0: they repeat at n = 4
+    # the wandering series of J3 and of J3* have three blocks each, so each
+    # ends on its fourth step, which a cap of 3 allows and a cap of 2 does not
     want = largest_product_ppi(J3, J3)
-    _small_cap(monkeypatch, 4)
-    assert np.array_equal(largest_product_ppi(J3, J3).element.mat, want.element.mat)
     _small_cap(monkeypatch, 3)
+    assert np.array_equal(largest_product_ppi(J3, J3).element.mat, want.element.mat)
+    _small_cap(monkeypatch, 2)
     with pytest.raises(IndeterminateError):
         largest_product_ppi(J3, J3)
 
@@ -1013,6 +1122,6 @@ def test_cli_largest_ppi_indeterminate_is_exit_4(tmp_path, monkeypatch, capsys):
                     '"pair": [0, 1]}')
     assert main(["decompose", str(spec), "--method", "largest-ppi"]) == 0
     capsys.readouterr()
-    _small_cap(monkeypatch, 3)
+    _small_cap(monkeypatch, 2)
     assert main(["decompose", str(spec), "--method", "largest-ppi"]) == 4
     assert "indeterminate" in capsys.readouterr().err
