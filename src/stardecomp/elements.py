@@ -47,7 +47,10 @@ class Element:
                 f"eps_psd={tol.eps_psd:g})/{self.dim}")
 
     def _check(self, other: "Element"):
-        if self.domain != other.domain or self.dim != other.dim:
+        # the identity test first: nearly every pair shares one domain
+        # object, and the dataclass __eq__ compares field by field
+        if (self.domain is not other.domain and self.domain != other.domain
+                or self.dim != other.dim):
             raise DomainMismatchError(f"{self._describe()} vs {other._describe()}")
 
     def __add__(self, other: "Element") -> "Element":

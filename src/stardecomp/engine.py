@@ -30,9 +30,25 @@ On the shift model nearly every series step maps a coordinate vector to
 another along a one-nonzero column of x, so a float series of coordinate
 columns is walked along those columns with index work only (`_walk`),
 and the dense steps take over from the first block the walk cannot step
-on.  A walked series is all lone unit columns, so its complement is the
-other unit columns (`subspaces.complement` peels them as the cokernel
-does) and its grading is gathered from x's entries with no product.
+on.  A walked series is all lone unit columns at distinct rows, so it
+spans the coordinates of those rows: the context keeps its record, the
+rows, entries and block level of its columns (`_Ctx.walked`), its
+projection is masked there and its complement is the other coordinates,
+and its grading is gathered from x's entries with no product or scan.
+
+Commuting projections form a Boolean lattice, p ∧ q = pq, p ∨ q =
+p + q - pq and 1 - p (Berberian 1972), and coordinate projections, sums
+of diagonal units e_ii, all commute.  So a float coordinate projection
+carries its 0/1 mask (`projections.masked`), and its products, meets,
+joins, complement and basis residuals are index operations on it.  Its
+certificates are read off index blocks of x with the same windowed
+Frobenius norms as the dense defects: x p - p x is the entries x_ij with
+m_i ≠ m_j, (1 - p) x p those from the mask to outside it, and
+p x*x p - p is (x*x)[J, J] - 1 for J the mask ∧ the window, read off the
+held Gram product or x's columns in J (`_commute_res`,
+`_invariance_res`, `_isometry_res`); pq of two masked projections is
+their AND, a projection exactly.  Every Wold part, Halmos–Wallen part,
+Słociński seed and their fixpoints on the shift model are masked.
 
 The pair methods read their infima off the Wold parts of x1 and x2
 (Słociński 1980; Popovici 2004).  A Słociński block p <= s_x that
@@ -45,10 +61,11 @@ isometries and makes both unitary, and conversely.  Its m_us =
 ∧ₙ x1ⁿ W_us is the meet W_us ∧ u1, since x1* maps W_us ∩ u1 into itself
 (x2* x1* = x1* x2*), and likewise m_su = W_su ∧ u2.  Its p_ws =
 1 - p_uu - p_us - p_su keeps its dense wrap (`from_element`, one SVD of
-the sum): taken from the complement of the three bases it ran slower on
-the shift model, since that SVD's buffer is the largest temporary of a
-call, and without it the C heap is trimmed after each smaller one and
-faulted back in.
+the sum), although with p_uu, p_us and p_su masked it could be
+NOT(m_uu ∨ m_us ∨ m_su) with no arithmetic: that SVD's buffer is the
+largest temporary of a shift-model round, and without it the C heap is
+trimmed after each smaller temporary and faulted back in, which ate the
+gain.
 
 The reducing fixpoints, the weak bi-shift wandering subspaces and the NFL
 unitary part are one lattice operation, the largest projection below some
@@ -62,11 +79,13 @@ on the grid pair, where it is the whole space.  The wandering series
 ends when its term vanishes; a float step or final join whose Gram
 matrix is within dim·ε of the identity is its own orthonormal basis and
 takes no SVD, and a walked step or join, whose Gram matrix is diagonal, is tested as
-‖|c|² - 1‖ <= dim·ε on its entries c alone.
+‖|c|² - 1‖ <= dim·ε on its entries c alone; a walked step whose factors
+are all exactly 1 has its block's entries and keeps that block's test.
 Each checked identity is one defect built on `Projection.product`:
 x p - p x, (1 - p) x p, p x*x p - p, pq (`pair_product`) and pq being a
 projection (`projection_defects`); conditions test it with ctx.ok and
-certificates measure it with ctx.wres.  A float projection multiplies
+certificates measure it with ctx.wres, or a masked projection's index
+blocks against the same tolerance.  A float projection multiplies
 through the thinner of its range basis B and the complement basis C that
 its construction kept (Wold's u and s, a complement, nfl's c):
 B (B* a) for rank below dim/2, a - C (C* a) for a thinner C.  A thin
@@ -97,7 +116,9 @@ because a truncated shift and its adjoint are both nilpotent: each kills
 the boundary vector at the end of its tail, and a series seeded there
 would run back over the whole tail and put it in t, as the range chains
 of y and y* did.  f and g are met as bases, and neither projection is
-formed unless it is returned as s or b.  The corners s and b are
+formed unless it is returned as s or b; when both series are walked the
+four parts are the coordinate sets F ∩ G, F ∖ G, G ∖ F and the rest of
+their rows F and G, masked.  The corners s and b are
 certified by x (or x*) being isometric on them and by the gradings of f
 and g, t by f's grading, with no range chain, power or dense projection
 difference.
@@ -109,6 +130,7 @@ splits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -128,6 +150,7 @@ from .projections import (
     from_element,
     identity_projection,
     left_projection,
+    masked,
     pair_product,
     proj_inf,
     proj_leq,
@@ -171,30 +194,44 @@ class DecompositionReport:
 class _Ctx:
     """Shared state of one method call: domain, window mask and the
     window's coordinates (keep), chain cap, the EngineConfig (the default
-    one when a method is given none), the Gram products and each
-    operator's column entries.  A method builds one and hands it to every
-    fixpoint it runs, so the window is checked once per call, with
-    vectorised comparisons of its diagonal."""
+    one when a method is given none), the Gram products, each operator's
+    column entries and the records of the series walked to their end
+    (`walked`).  A method builds one and hands it to every fixpoint it
+    runs, so the window is checked once per call, with vectorised
+    comparisons of its diagonal, or none for a masked window, whose
+    element is its mask's diagonal by construction.  Nothing in it
+    outlives the call."""
 
     def __init__(self, x: Element, cfg: EngineConfig | None = None):
         self.domain = x.domain
         self.dim = x.dim
         self.cfg = cfg if cfg is not None else EngineConfig()
         self.cap = max(self.cfg.n_max, self.dim + 1)
-        self.one = identity(self.domain, self.dim)
+        self.tol = self.domain.residual_tol(self.dim)
         self.mask = None
         self.keep = None
         self._grams = {}
         self._columns = {}
+        self._walked = {}
         if self.cfg.window is not None:
             window = self.cfg.window.element
             x._check(window)
-            diag = np.diagonal(window.mat)
-            self.keep = diag == 1
-            if not (np.array_equal(window.mat, np.diag(diag))
-                    and (self.keep | (diag == 0)).all()):
-                raise PreconditionError("the probe window must be a 0/1 diagonal projection")
-            self.mask = np.outer(diag, diag)
+            if self.cfg.window.mask is not None:
+                self.keep = self.cfg.window.mask
+                diag = window.mat.diagonal()
+            else:
+                diag = np.diagonal(window.mat)
+                self.keep = diag == 1
+                if not (np.array_equal(window.mat, np.diag(diag))
+                        and (self.keep | (diag == 0)).all()):
+                    raise PreconditionError("the probe window must be a 0/1 diagonal projection")
+            # a float window masks with booleans: x·1 and x·0 are the
+            # products with the complex diagonal's 1 and 0, bit for bit
+            self.mask = np.outer(diag, diag) if self.domain.exact else np.outer(self.keep, self.keep)
+
+    @cached_property
+    def one(self) -> Element:
+        return identity(self.domain, self.dim)
 
     def compress(self, e: Element) -> Element:
         """w e w for the window w, as the entrywise product with the mask."""
@@ -235,6 +272,31 @@ class _Ctx:
             out[:, dense] = a.mat @ x.mat[:, dense]
         return Element(self.domain, self.domain.normalize(out))
 
+    def walked(self, basis: np.ndarray) -> tuple | None:
+        """The record (rows, vals, level) of a series walked to its end
+        whose basis is `basis` (`_wandering_series`): its columns are
+        vals_k e_(rows_k) at distinct rows, in blocks numbered by level.
+        None for any other basis.  Each entry holds the basis itself, so
+        its id cannot pass to another array."""
+        entry = self._walked.get(id(basis))
+        return None if entry is None else entry[1]
+
+    def split(self, mask: np.ndarray) -> tuple:
+        """The window's coordinates in the mask and outside it."""
+        if self.keep is None:
+            return np.flatnonzero(mask), np.flatnonzero(~mask)
+        return np.flatnonzero(mask & self.keep), np.flatnonzero(self.keep & ~mask)
+
+    def gram_block(self, x: Element, idx: np.ndarray, star: bool = False) -> np.ndarray:
+        """(x* x)[idx, idx], or (x x*)[idx, idx] with star: read off the
+        Gram product where `gram` formed it, else the thin product of x's
+        columns (rows with star) in idx."""
+        held = self._grams.get((id(x), star))
+        if held is not None:
+            return held[1].mat[idx[:, None], idx]
+        part = x.mat[idx].conj().T if star else x.mat[:, idx]
+        return part.conj().T @ part
+
     def wres(self, e: Element) -> float:
         return self.compress(e).norm()
 
@@ -261,19 +323,26 @@ def _wandering_series(ctx: _Ctx, x: Element, term: np.ndarray) -> tuple:
     A series walked to its end whose rows are all distinct and whose
     entries pass the `_orthonormal` predicate (`subspaces.unit_moduli`) is
     its own basis: it is built once, and its blocks are column slices of
-    it.  Exact domains take the dense steps throughout."""
+    it.  Its record, the rows, entries and block level of its columns, is
+    kept on the context (`_Ctx.walked`), so that its projection, its
+    grading and the series split are read off it as coordinates.  Exact
+    domains take the dense steps throughout."""
     dom = ctx.domain
     walked = []
     if not dom.exact and term.shape[1]:
         counts, rows, vals = subspaces.column_entries(term)
         if (counts == 1).all():
-            walked, term = _walk(ctx, x, rows.tolist(), vals.tolist())
+            walked, defect, term = _walk(ctx, x, rows.tolist(), vals.tolist())
     if term is None:
         rows = [j for r, _ in walked for j in r]
         vals = [c for _, v in walked for c in v]
-        if len(set(rows)) == len(rows) and subspaces.unit_moduli(vals, ctx.dim):
+        if len(set(rows)) == len(rows) and subspaces.unit_moduli(defect, ctx.dim):
             joined = _coordinate_block(ctx, rows, vals)
-            edges = np.cumsum([0] + [len(r) for r, _ in walked])
+            sizes = [len(r) for r, _ in walked]
+            record = (np.array(rows), joined[rows, np.arange(len(rows))],
+                      np.repeat(np.arange(len(sizes)), sizes))
+            ctx._walked[id(joined)] = (joined, record)
+            edges = np.cumsum([0] + sizes)
             return joined, [joined[:, a:b] for a, b in zip(edges[:-1], edges[1:])]
         term = dom.zeros(ctx.dim, 0)  # a repeated row or a non-unit entry: own_basis joins
     pieces = [_coordinate_block(ctx, r, v) for r, v in walked]
@@ -295,8 +364,9 @@ def _coordinate_block(ctx: _Ctx, rows: list, vals: list) -> np.ndarray:
 
 def _walk(ctx: _Ctx, x: Element, rows: list, vals: list) -> tuple:
     """The walked blocks of a float series from the seed vals_k e_(rows_k),
-    as (rows, vals) list pairs, and the dense step that continues them, or
-    None when the walk reached the series' end.
+    as (rows, vals) list pairs, the `subspaces.modulus_defect` of all
+    their entries, and the dense step that continues them, or None when
+    the walk reached the series' end.
 
     Where column j of x has one nonzero x_ij, x maps c·e_j to c·x_ij·e_i,
     and where it has none, to 0, which is dropped; x's columns are read
@@ -304,24 +374,43 @@ def _walk(ctx: _Ctx, x: Element, rows: list, vals: list) -> tuple:
     its last block B, where a column of x has more than one nonzero, where
     two images share a row, or where the images fail `_orthonormal`'s
     predicate, so every walked block is one that the dense step keeps as
-    it is.  Walked blocks count toward the cap as dense ones do."""
+    it is.  An image whose every entry is carried by a factor exactly 1 has
+    its block's entries, so its defect is its block's and, once that block
+    has passed the predicate, its test is skipped; the seed has not been
+    tested, so its image always is.  Walked blocks count toward the cap as
+    dense ones do."""
     counts, to_row, factor = (a.tolist() for a in ctx.columns(x))
     blocks = []
+    defect = subspaces.modulus_defect(vals)  # the current block's
+    total = 0.0
+    passed = False  # whether the current block passed the predicate
     while rows:
         if len(blocks) == ctx.cap:
             raise IndeterminateError("wandering series did not terminate within the cap")
         blocks.append((rows, vals))
+        total += defect
         nxt, nxt_vals = [], []
+        carried, dense = True, False
         for j, c in zip(rows, vals):
+            if counts[j] > 1:
+                dense = True
+                break
             if counts[j]:
                 nxt.append(to_row[j])
                 nxt_vals.append(c * factor[j])
-        if (max(counts[j] for j in rows) > 1 or len(set(nxt)) < len(nxt)
-                or not subspaces.unit_moduli(nxt_vals, ctx.dim)):
-            return blocks, subspaces.own_basis(ctx.domain,
-                                               x.mat @ _coordinate_block(ctx, rows, vals))
-        rows, vals = nxt, nxt_vals
-    return blocks, None
+                carried = carried and factor[j] == 1
+            else:
+                carried = False
+        if not dense:
+            if not carried:
+                defect = subspaces.modulus_defect(nxt_vals)
+            dense = (len(set(nxt)) < len(nxt)
+                     or not (carried and passed or subspaces.unit_moduli(defect, ctx.dim)))
+        if dense:
+            return blocks, total, subspaces.own_basis(ctx.domain,
+                                                      x.mat @ _coordinate_block(ctx, rows, vals))
+        rows, vals, passed = nxt, nxt_vals, True
+    return blocks, total, None
 
 
 def _invariant_core(ctx: _Ctx, mats: list, p: Projection, what: str) -> Projection:
@@ -331,14 +420,15 @@ def _invariant_core(ctx: _Ctx, mats: list, p: Projection, what: str) -> Projecti
     one per sweep until the fixpoint, so a repeated rank, or rank 0 or dim,
     marks it: at rank 0 and dim, 1 - [M] is the identity or 0, every
     matrix maps M into itself, and p is returned as it is with no product
-    or kernel.  Each sweep forms 1 - [M] once and meets one matrix's
-    preimage at a time, as one kernel inside the part of M kept so far.  A
-    core still moving after ctx.cap sweeps raises IndeterminateError.
+    or kernel.  Each sweep forms 1 - [M] once, or for a masked M takes the
+    rows outside the mask, and meets one matrix's preimage at a time, as
+    one kernel inside the part of M kept so far.  A core still moving
+    after ctx.cap sweeps raises IndeterminateError.
     """
     for _ in range(ctx.cap):
         if p.rank in (0, ctx.dim):
             return p
-        comp = (ctx.one - p.element).mat
+        comp = ~p.mask if p.mask is not None else (ctx.one - p.element).mat
         nxt = p.range_basis
         for m in mats:
             nxt = subspaces.preimage(ctx.domain, m, comp, nxt)
@@ -367,7 +457,19 @@ def _require(cond: bool, message: str):
 
 
 def _isometry_on_window(ctx: _Ctx, x: Element) -> bool:
-    return ctx.ok(_isometry_defect(ctx, x))
+    """x* x = 1 on the window; for floats ‖(x* x)[K, K] - 1‖ within the
+    tolerance, K the window's coordinates, read off the Gram product."""
+    if ctx.domain.exact:
+        return ctx.ok(_isometry_defect(ctx, x))
+    ctx.gram(x)
+    return _gram_res(ctx, x, ctx.split(np.ones(ctx.dim, dtype=bool))[0]) <= ctx.tol
+
+
+def _gram_res(ctx: _Ctx, x: Element, idx: np.ndarray, star: bool = False) -> float:
+    """‖(x* x)[idx, idx] - 1‖, or ‖(x x*)[idx, idx] - 1‖ with star."""
+    g = ctx.gram_block(x, idx, star)
+    g.flat[:: idx.size + 1] -= 1
+    return float(np.linalg.norm(g))
 
 
 def _ppi_on_window(ctx: _Ctx, x: Element) -> bool:
@@ -427,11 +529,77 @@ def _commute_defect(x: Element, p: Projection) -> Element:
 
 
 def _isometry_res(ctx: _Ctx, x: Element, p: Projection, star: bool = False) -> float:
-    return ctx.wres(_isometry_defect(ctx, x, p, star))
+    """‖w (p x* x p - p) w‖ for the window w.  For a masked p it is
+    ‖(x* x)[J, J] - 1‖ (x x* with star), J the window's coordinates in the
+    mask, from the Gram product's entries or x's columns in J alone
+    (`_Ctx.gram_block`)."""
+    if p.mask is None:
+        return ctx.wres(_isometry_defect(ctx, x, p, star))
+    return _gram_res(ctx, x, ctx.split(p.mask)[0], star)
+
+
+def _off_mask_res(ctx: _Ctx, x: Element, mask: np.ndarray, both: bool) -> float:
+    """‖w (1 - p) x p w‖, or with both ‖w (x p - p x) w‖, for the masked
+    p = diag(mask): the entries x_ij from the window's coordinates j in the
+    mask to those i outside it, and with both back, where x p - p x is
+    x_ij (m_j - m_i)."""
+    inside, outside = ctx.split(mask)
+    res = np.linalg.norm(x.mat[outside[:, None], inside])
+    if both:
+        res = np.hypot(res, np.linalg.norm(x.mat[inside[:, None], outside]))
+    return float(res)
 
 
 def _commute_res(ctx: _Ctx, x: Element, p: Projection) -> float:
+    if p.mask is not None:
+        return _off_mask_res(ctx, x, p.mask, both=True)
     return ctx.wres(_commute_defect(x, p))
+
+
+def _invariance_res(ctx: _Ctx, x: Element, p: Projection) -> float:
+    if p.mask is not None:
+        return _off_mask_res(ctx, x, p.mask, both=False)
+    return ctx.wres(_invariance_defect(x, p))
+
+
+def _sum_res(ctx: _Ctx, parts: list) -> float:
+    """‖w (Σ p - 1) w‖; for masked parts the diagonal of how many masks
+    hold each window coordinate, less one."""
+    masks = [p.mask for p in parts]
+    if any(m is None for m in masks):
+        return ctx.wres(sum((p.element for p in parts[1:]), parts[0].element) - ctx.one)
+    cover = np.sum(masks, axis=0) - 1
+    if ctx.keep is not None:
+        cover = cover[ctx.keep]
+    return float(np.sqrt(np.dot(cover, cover)))
+
+
+def _mask_res(ctx: _Ctx, mask: np.ndarray) -> float:
+    """‖w diag(mask) w‖: the square root of the number of window
+    coordinates in the mask."""
+    return float(np.sqrt(np.count_nonzero(mask if ctx.keep is None else mask & ctx.keep)))
+
+
+def _orth_res(ctx: _Ctx, p: Projection, q: Projection) -> float:
+    """‖w pq w‖; for masked p and q, pq is the AND of their masks."""
+    if p.mask is None or q.mask is None:
+        return ctx.wres(pair_product(p, q))
+    return _mask_res(ctx, p.mask & q.mask)
+
+
+def _commutes(ctx: _Ctx, x: Element, p: Projection) -> bool:
+    """x p = p x on the window: the exact zero test when exact, the
+    residual within the tolerance (what ctx.ok tests) for floats."""
+    if ctx.domain.exact:
+        return ctx.ok(_commute_defect(x, p))
+    return _commute_res(ctx, x, p) <= ctx.tol
+
+
+def _invariant(ctx: _Ctx, x: Element, p: Projection) -> bool:
+    """(1 - p) x p = 0 on the window, tested as `_commutes` is."""
+    if ctx.domain.exact:
+        return ctx.ok(_invariance_defect(x, p))
+    return _invariance_res(ctx, x, p) <= ctx.tol
 
 
 def _corner_unitary_res(ctx: _Ctx, x: Element, p: Projection) -> float:
@@ -452,23 +620,29 @@ def _grading_res(ctx: _Ctx, x: Element, basis: np.ndarray, blocks: list) -> floa
     has its one nonzero per column, c_k at row r_k, at distinct rows is
     gathered instead: x B = x[:, r] c and G = conj(c) (x B)[r, :], the
     same full matrix with no product, since every term a GEMM would add
-    is a product with an exact zero.  The grading comes from x's own
-    action wherever the series ran, so the residual is read on the whole
-    space.
+    is a product with an exact zero.  A series walked to its end gives
+    its rows, entries and levels from its record (`_Ctx.walked`), with no
+    scan of the blocks.  The grading comes from x's own action wherever
+    the series ran, so the residual is read on the whole space.
     """
     if not blocks:
         return 0.0
-    joined = np.concatenate(blocks, axis=1)
-    orthonormal = np.array_equal(joined, basis)
-    gathered = orthonormal and not ctx.domain.exact
-    if gathered:
-        counts, rows, vals = subspaces.column_entries(joined)
-        gathered = (counts == 1).all() and len(set(rows.tolist())) == rows.size
-    if gathered:
-        g = vals.conj()[:, None] * (x.mat[np.ix_(rows, rows)] * vals)
-    else:
+    record = ctx.walked(basis)
+    if record is None:
+        level = np.repeat(np.arange(len(blocks)), [b.shape[1] for b in blocks])
+        joined = np.concatenate(blocks, axis=1)
+        orthonormal = np.array_equal(joined, basis)
+        if orthonormal and not ctx.domain.exact:
+            counts, rows, vals = subspaces.column_entries(joined)
+            if (counts == 1).all() and len(set(rows.tolist())) == rows.size:
+                record = rows, vals, level
+    if record is None:
         g = subspaces.coordinates(ctx.domain, joined, x.mat @ joined, orthonormal=orthonormal)
-    level = np.repeat(np.arange(len(blocks)), [b.shape[1] for b in blocks])
+    else:
+        rows, vals, level = record
+        g = x.mat[rows[:, None], rows]
+        g *= vals
+        g *= vals.conj()[:, None]
     g[level[:, None] == level[None, :] + 1] = ctx.domain.zero()
     return ctx.domain.norm(g)
 
@@ -484,11 +658,23 @@ def _wold_parts(ctx: _Ctx, x: Element):
     unitary part is its complement, taken from the series' own basis
     (`subspaces.complement`) with no range chain.  Each part keeps the
     other's basis as its complement basis, so a co-thin s is built as, and
-    multiplies through, 1 - U U*."""
+    multiplies through, 1 - U U*.  A series walked to its end spans the
+    coordinates of its record's rows, so s is masked there and u is the
+    other coordinates, read off the record with no scan of the basis."""
     dom = ctx.domain
     s_basis, blocks = _wandering_series(ctx, x, subspaces.cokernel(dom, x.mat))
+    record = ctx.walked(s_basis)
+    if record is not None:
+        p_s = masked(dom, _rows_mask(ctx, record[0]), s_basis)
+        return p_s.complement(), p_s, blocks
     u_basis = subspaces.complement(dom, s_basis)
     return from_basis(dom, u_basis, s_basis), from_basis(dom, s_basis, u_basis), blocks
+
+
+def _rows_mask(ctx: _Ctx, rows: np.ndarray) -> np.ndarray:
+    mask = np.zeros(ctx.dim, dtype=bool)
+    mask[rows] = True
+    return mask
 
 
 def wold(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
@@ -502,8 +688,8 @@ def wold(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
     _require(_isometry_on_window(ctx, x), "wold requires an isometry (on the probe window)")
     p_u, p_s, blocks = _wold_parts(ctx, x)
     certificates = {
-        "sum_to_one": ctx.wres(p_u.element + p_s.element - ctx.one),
-        "orth": ctx.wres(pair_product(p_u, p_s)),
+        "sum_to_one": _sum_res(ctx, [p_u, p_s]),
+        "orth": _orth_res(ctx, p_u, p_s),
         "commute_u": _commute_res(ctx, x, p_u),
         "commute_s": _commute_res(ctx, x, p_s),
         "unitary_corner": _corner_unitary_res(ctx, x, p_u),
@@ -544,26 +730,23 @@ def _slocinski(ctx: _Ctx, x1: Element, x2: Element) -> DecompositionReport:
     seeds = {a + b: proj_inf([parts1[a], parts2[b]]) for a in "us" for b in "us"}
     fixpoints = {k: _reducing_fixpoint(ctx, [x1, x2], seed) for k, seed in seeds.items()}
 
-    total = sum((fixpoints[k].element for k in ("us", "su", "ss")), fixpoints["uu"].element)
-    c1 = ctx.ok(total - ctx.one)
+    if ctx.domain.exact:
+        total = sum((fixpoints[k].element for k in ("us", "su", "ss")), fixpoints["uu"].element)
+        c1 = ctx.ok(total - ctx.one)
+    else:
+        c1 = _sum_res(ctx, list(fixpoints.values())) <= ctx.tol
 
-    c2 = True
-    for a in "us":
-        for b in "us":
-            prod = pair_product(parts1[a], parts2[b])
-            defects = (*projection_defects(prod), prod - fixpoints[a + b].element)
-            c2 = c2 and all(ctx.ok(d) for d in defects)
+    c2 = all(_product_is_fixpoint(ctx, parts1[a], parts2[b], fixpoints[a + b])
+             for a in "us" for b in "us")
 
     # x1 commutes with x2's parts: the first clause of both c3 and c5
-    x1_commutes = all(ctx.ok(_commute_defect(x1, parts2[a])) for a in "us")
-    c3 = x1_commutes and all(ctx.ok(_commute_defect(x2, parts1[a])) for a in "us")
-    c4 = ctx.ok(_invariance_defect(x2, ps1)) and ctx.ok(_invariance_defect(x1, ps2))
-    c5 = x1_commutes and (
-        ctx.commute_ok(x2, pair_product(pu1, ps2))
-        or ctx.commute_ok(x2, pair_product(ps1, ps2))
-    )
+    x1_commutes = all(_commutes(ctx, x1, parts2[a]) for a in "us")
+    c3 = x1_commutes and all(_commutes(ctx, x2, parts1[a]) for a in "us")
+    c4 = _invariant(ctx, x2, ps1) and _invariant(ctx, x1, ps2)
+    c5 = x1_commutes and (_commutes_with_product(ctx, x2, pu1, ps2)
+                          or _commutes_with_product(ctx, x2, ps1, ps2))
     x12 = ctx.mul(x1, x2)
-    c6 = ctx.ok(_invariance_defect(x12, ps1)) and ctx.ok(_invariance_defect(x12, ps2))
+    c6 = _invariant(ctx, x12, ps1) and _invariant(ctx, x12, ps2)
 
     vector = (c1, c2, c3, c4, c5, c6)
     if len(set(vector)) != 1:
@@ -607,6 +790,24 @@ def _slocinski(ctx: _Ctx, x1: Element, x2: Element) -> DecompositionReport:
     )
 
 
+def _product_is_fixpoint(ctx: _Ctx, p: Projection, q: Projection, fix: Projection) -> bool:
+    """pq is a projection and equals fix, on the window.  pq of two masked
+    projections is their AND, a projection exactly, and pq - fix for a
+    masked fix is the 0/1 diagonal of the XOR of the AND with fix's mask."""
+    if p.mask is not None and q.mask is not None and fix.mask is not None:
+        return _mask_res(ctx, (p.mask & q.mask) ^ fix.mask) <= ctx.tol
+    prod = pair_product(p, q)
+    return all(ctx.ok(d) for d in (*projection_defects(prod), prod - fix.element))
+
+
+def _commutes_with_product(ctx: _Ctx, x: Element, p: Projection, q: Projection) -> bool:
+    """x commutes with pq on the window; for masked p and q, pq is their
+    masked meet."""
+    if p.mask is not None and q.mask is not None:
+        return _commutes(ctx, x, proj_inf([p, q]))
+    return ctx.commute_ok(x, pair_product(p, q))
+
+
 def corollary_check(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> bool:
     """holds(x1,x2) must equal holds(x1, x1 x2) and holds(x2, x1 x2)."""
     ctx = _Ctx(x1, cfg)
@@ -633,7 +834,12 @@ def _mixed_wandering(ctx: _Ctx, a: Element, b: Element) -> Projection:
 
 
 def weak_bishift(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
-    """The fourfold basis {p_uu, p_us, p_su, p_ws} that always exists."""
+    """The fourfold basis {p_uu, p_us, p_su, p_ws} that always exists.
+
+    On the shift model p_uu, p_us, p_su, W_us, W_su, m_us and m_su are
+    masked coordinate projections, so their certificates are index blocks
+    of x1 and x2; p_ws stays the dense wrap of 1 - p_uu - p_us - p_su, one
+    SVD, for the allocator's sake (see the module docstring)."""
     ctx = _Ctx(x1, cfg)
     _require(_isometry_on_window(ctx, x1) and _isometry_on_window(ctx, x2),
              "weak_bishift requires two isometries")
@@ -655,12 +861,12 @@ def weak_bishift(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> D
     m_us = proj_inf([w_us, pu1])
     m_su = proj_inf([w_su, pu2])
     certificates = {
-        "w_us_invariant": ctx.wres(_invariance_defect(x1, w_us)),
-        "w_su_invariant": ctx.wres(_invariance_defect(x2, w_su)),
+        "w_us_invariant": _invariance_res(ctx, x1, w_us),
+        "w_su_invariant": _invariance_res(ctx, x2, w_su),
         "w_us_isometry_corner": _isometry_res(ctx, x1, w_us),
         "w_su_isometry_corner": _isometry_res(ctx, x2, w_su),
-        "shift_x1_w_us": ctx.wres(pair_product(p_ws, m_us)),
-        "shift_x2_w_su": ctx.wres(pair_product(p_ws, m_su)),
+        "shift_x1_w_us": _orth_res(ctx, p_ws, m_us),
+        "shift_x2_w_su": _orth_res(ctx, p_ws, m_su),
     }
     basis = ProjectionBasis((("uu", p_uu), ("us", p_us), ("su", p_su), ("ws", p_ws)))
     certificates.update({f"basis_{k}": v for k, v in basis.residuals().items()})
@@ -717,14 +923,23 @@ def _series_split(ctx: _Ctx, y: Element) -> tuple:
     the series (f's basis, its blocks) and (g's basis, its blocks), whose
     gradings certify the non-unitary corners.  f and g are met as bases
     (`subspaces.intersect`); neither projection is formed unless it is s
-    or b, which happens when t = 0.  Seeded in the window, neither series
-    starts at the truncation boundary, where a truncated shift and its
-    adjoint both end.
+    or b, which happens when t = 0.  When both series are walked to their
+    end (`_Ctx.walked`), f and g are the coordinates of their records'
+    rows F and G, and the four parts are the masked coordinate sets
+    F ∩ G, F ∖ G, G ∖ F and the rest, with no meet or kernel.  Seeded in
+    the window, neither series starts at the truncation boundary, where a
+    truncated shift and its adjoint both end.
     """
     dom = ctx.domain
     y_star = y.star()
     f_basis, f_blocks = _wandering_series(ctx, y, _window_cokernel(ctx, y))
     g_basis, g_blocks = _wandering_series(ctx, y_star, _window_cokernel(ctx, y_star))
+    f_record, g_record = ctx.walked(f_basis), ctx.walked(g_basis)
+    if f_record is not None and g_record is not None:
+        f, g = _rows_mask(ctx, f_record[0]), _rows_mask(ctx, g_record[0])
+        parts = (masked(dom, ~(f | g)), masked(dom, f & ~g), masked(dom, g & ~f),
+                 masked(dom, f & g))
+        return parts, (f_basis, f_blocks), (g_basis, g_blocks)
     t_basis = subspaces.intersect(dom, f_basis, g_basis)
     s_basis, b_basis = _without(ctx, f_basis, t_basis), _without(ctx, g_basis, t_basis)
     rest = subspaces.complement(dom, np.concatenate([f_basis, b_basis], axis=1))
@@ -778,9 +993,10 @@ def _product_basis(ctx: _Ctx, method: str, rep1: DecompositionReport,
     for l1, p in rep1.basis.members:
         for l2, q in rep2.basis.members:
             label = f"{l1}{sep}{l2}"
-            certificates[f"projection[{label}]"] = max(
-                ctx.wres(d) for d in projection_defects(pair_product(p, q))
-            )
+            # pq of two masked projections is their AND, a projection exactly
+            exact = p.mask is not None and q.mask is not None
+            certificates[f"projection[{label}]"] = 0.0 if exact else max(
+                ctx.wres(d) for d in projection_defects(pair_product(p, q)))
             members.append((label, proj_inf([p, q])))
             block_classes[label] = {"x1": rep1.block_classes[l1], "x2": rep2.block_classes[l2]}
     basis = ProjectionBasis(tuple(members))

@@ -1,8 +1,9 @@
 """The projection lattice: left projections, order, meet/join, annihilators.
 
 A projection carries its element together with a cached range basis; every
-lattice operation goes through the subspace primitives so that exact and
-floating domains share one code path.  A coordinate projection, a sum of
+lattice operation on projections other than float coordinate ones (below)
+goes through the subspace primitives, so that exact and floating domains
+share one code path.  A coordinate projection, a sum of
 diagonal matrix units, is fixed by its mask: its range basis is the
 identity's columns in the mask (`coordinate_projection`), so the identity,
 zero, the shift model's probe windows and its ground truths are built with
@@ -18,6 +19,16 @@ had one (`from_basis`): 1 - p keeps B, and p keeps that complement basis
 when built beside its complement.  A product with a projection
 goes through `Projection.product`, through the thinner of B and C, and pq
 through the lower-rank factor (`pair_product`).
+
+A float coordinate projection is held as its 0/1 mask (`masked`): by
+`coordinate_projection`, and by `from_basis` for a basis with one nonzero
+per column at distinct rows (`coordinate_mask`), which spans exactly the
+coordinates of its rows whatever its phases.  Coordinate projections
+commute, so their lattice is Boolean (Berberian 1972): a product keeps
+rows or columns of the other factor, meets, joins and complements are
+AND, OR and NOT, and the residuals of a basis of them are mask counts.
+Its element and range basis are formed only when read.  Exact domains
+keep no mask.
 """
 
 from __future__ import annotations
@@ -37,11 +48,17 @@ from .errors import EmptyFamilyError, PreconditionError
 class Projection:
     """A self-adjoint idempotent with a cached basis of its range and, for
     floats where the construction had one, an orthonormal basis of the
-    range of 1 - p."""
+    range of 1 - p.
+
+    A float coordinate projection also carries its mask: the 0/1 diagonal
+    of the element, which is then that diagonal exactly.  Its products,
+    meets, joins, complement and basis residuals are index operations on
+    the mask, with no arithmetic."""
 
     element: Element
     range_basis: np.ndarray = field(repr=False)
     complement_basis: np.ndarray | None = field(default=None, repr=False, compare=False)
+    mask: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def domain(self) -> ScalarDomain:
@@ -64,17 +81,25 @@ class Projection:
     def product(self, a: Element, side: str = "both") -> Element:
         """p a (side "left"), a p ("right") or p a p ("both").
 
-        A thin projection goes through its range basis B: B (B* a),
-        (a B) B* and B (B* a B) B*, thin products that cost O(dim² rank)
-        where the dense ones cost O(dim³).  A float projection whose
-        complement basis C is thinner than B goes through C: p a = a - C (C* a),
-        a p = a - (a C) C*, and p a p as the one after the other.  Exact
-        domains and the rest take the dense products.
+        A masked projection keeps a's rows (left), columns (right) or both
+        in its mask and zeroes the others, which is the dense product with
+        the 0/1 diagonal exactly.  A thin projection goes through its range
+        basis B: B (B* a), (a B) B* and B (B* a B) B*, thin products that
+        cost O(dim² rank) where the dense ones cost O(dim³).  A float
+        projection whose complement basis C is thinner than B goes through
+        C: p a = a - C (C* a), a p = a - (a C) C*, and p a p as the one
+        after the other.  Exact domains and the rest take the dense
+        products.
         """
         p = self.element
         p._check(a)
         comp = self.complement_basis
-        if self.thin:
+        if self.mask is not None:
+            m = self.mask
+            keep = (m[:, None] if side == "left" else m[None, :] if side == "right"
+                    else m[:, None] & m[None, :])
+            mat = np.where(keep, a.mat, 0)
+        elif self.thin:
             b = self.range_basis
             bh = b.conj().T
             if side == "left":
@@ -99,7 +124,10 @@ class Projection:
     def complement(self) -> "Projection":
         """1 - p, from the range basis B alone: the range of 1 - p is
         ker p = ker B* (`subspaces.complement`), and B is kept as the
-        complement basis of 1 - p."""
+        complement basis of 1 - p.  A masked p gives the masked 1 - p, the
+        other coordinates."""
+        if self.mask is not None:
+            return masked(self.domain, ~self.mask, complement=self.range_basis)
         comp = subspaces.complement(self.domain, self.range_basis)
         return from_basis(self.domain, comp, self.range_basis)
 
@@ -107,18 +135,92 @@ class Projection:
         return self.element.equals(other.element)
 
 
+class _Masked(Projection):
+    """A float coordinate projection held as its mask: the element, the
+    0/1 diagonal, and the range basis, the identity's columns in the mask
+    unless a basis was given, are formed on first use, so a masked
+    projection that only enters index operations allocates neither."""
+
+    def __init__(self, domain: ScalarDomain, mask: np.ndarray, basis: np.ndarray | None,
+                 complement: np.ndarray | None):
+        mask.setflags(write=False)
+        for name, value in (("mask", mask), ("complement_basis", complement),
+                            ("_domain", domain), ("_basis", basis), ("_element", None),
+                            ("_rank", int(np.count_nonzero(mask)))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def element(self) -> Element:
+        if self._element is None:
+            n = self.mask.size
+            idx = np.flatnonzero(self.mask)
+            mat = np.zeros((n, n), dtype=complex)
+            mat[idx, idx] = 1
+            object.__setattr__(self, "_element", Element(self._domain, mat))
+        return self._element
+
+    @property
+    def range_basis(self) -> np.ndarray:
+        if self._basis is None:
+            idx = np.flatnonzero(self.mask)
+            basis = np.zeros((self.mask.size, idx.size), dtype=complex)
+            basis[idx, np.arange(idx.size)] = 1
+            object.__setattr__(self, "_basis", basis)
+        return self._basis
+
+    @property
+    def domain(self) -> ScalarDomain:
+        return self._domain
+
+    @property
+    def dim(self) -> int:
+        return self.mask.size
+
+    @property
+    def rank(self) -> int:
+        return self._rank
+
+
+def masked(domain: ScalarDomain, mask: np.ndarray, basis: np.ndarray | None = None,
+           complement: np.ndarray | None = None) -> Projection:
+    """The float coordinate projection diag(mask), with basis as its range
+    basis (the identity's columns in the mask when None) and complement as
+    its complement basis, kept as `from_basis` keeps it; its products go
+    through the mask."""
+    return _Masked(domain, mask, basis, complement)
+
+
+def coordinate_mask(basis: np.ndarray) -> np.ndarray | None:
+    """The rows of a float basis with one nonzero per column at distinct
+    rows, as a mask, or None for any other basis.  Such a basis spans the
+    coordinate subspace of those rows whatever its entries."""
+    counts, rows, _ = subspaces.column_entries(basis)
+    if not (counts == 1).all():
+        return None
+    mask = np.zeros(basis.shape[0], dtype=bool)
+    mask[rows] = True
+    return mask if np.count_nonzero(mask) == rows.size else None
+
+
 def from_basis(domain: ScalarDomain, basis: np.ndarray,
                complement: np.ndarray | None = None) -> Projection:
-    """The projection onto span(basis).  A float caller that holds an
+    """The projection onto span(basis).  A float basis with one nonzero per
+    column at distinct rows spans a coordinate subspace, whatever the
+    phases of its entries, so its projection is the masked 0/1 diagonal
+    (`coordinate_mask`), with no product.  A float caller that holds an
     orthonormal basis C of the orthogonal complement passes it as
     complement: the projection keeps it for its products and is built as
     1 - C C* when C is the thinner; a float basis of the whole space has
     the empty complement, so its projection is the identity.  Exact
-    domains keep no complement."""
+    domains keep no complement and no mask."""
     if domain.exact:
         complement = None
-    elif complement is None and basis.shape[1] == basis.shape[0]:
-        complement = basis[:, :0]
+    else:
+        mask = coordinate_mask(basis)
+        if mask is not None:
+            return masked(domain, mask, basis, complement)
+        if complement is None and basis.shape[1] == basis.shape[0]:
+            complement = basis[:, :0]
     if complement is not None and complement.shape[1] < basis.shape[1]:
         mat = domain.eye(basis.shape[0]) - subspaces.proj_matrix(domain, complement)
     else:
@@ -140,16 +242,22 @@ def projection_defects(e: Element) -> tuple:
 
 
 def pair_product(p: Projection, q: Projection) -> Element:
-    """p q through the basis of the lower-rank factor (`Projection.product`);
-    pq = 0 is the orthogonality of p and q."""
-    return p.product(q.element, "left") if p.rank <= q.rank else q.product(p.element, "right")
+    """p q through a masked factor's mask, else through the basis of the
+    lower-rank factor (`Projection.product`); pq = 0 is the orthogonality
+    of p and q."""
+    if p.mask is None and (q.mask is not None or p.rank > q.rank):
+        return q.product(p.element, "right")
+    return p.product(q.element, "left")
 
 
 def coordinate_projection(domain: ScalarDomain, keep) -> Projection:
     """diag(keep) in the domain's scalars: the sum of the matrix units e_ii
     with keep[i] true.  Its range basis is the identity's columns where keep
-    holds, read off the mask with no arithmetic."""
+    holds, read off the mask with no arithmetic; a float one keeps the mask
+    (`masked`)."""
     keep = np.asarray(keep, dtype=bool)
+    if not domain.exact:
+        return masked(domain, keep.copy())
     eye = domain.eye(keep.size)
     mat = eye.copy()
     mat[~keep, ~keep] = domain.zero()
@@ -179,26 +287,33 @@ def proj_leq(p: Projection, q: Projection) -> bool:
 
 
 def proj_inf(family: Sequence[Projection]) -> Projection:
-    """Largest projection below every member (range intersection)."""
+    """Largest projection below every member (range intersection); the
+    AND of the masks when every member is masked."""
     family = list(family)
     if not family:
         raise EmptyFamilyError("proj_inf of an empty family")
     first = family[0]
-    basis = first.range_basis
     for p in family[1:]:
         first.element._check(p.element)
+    if all(p.mask is not None for p in family):
+        return masked(first.domain, np.logical_and.reduce([p.mask for p in family]))
+    basis = first.range_basis
+    for p in family[1:]:
         basis = subspaces.intersect(first.domain, basis, p.range_basis)
     return from_basis(first.domain, basis)
 
 
 def proj_sup(family: Sequence[Projection]) -> Projection:
-    """Smallest projection above every member (span of the union)."""
+    """Smallest projection above every member (span of the union); the OR
+    of the masks when every member is masked."""
     family = list(family)
     if not family:
         raise EmptyFamilyError("proj_sup of an empty family")
     first = family[0]
     for p in family[1:]:
         first.element._check(p.element)
+    if all(p.mask is not None for p in family):
+        return masked(first.domain, np.logical_or.reduce([p.mask for p in family]))
     joined = np.concatenate([p.range_basis for p in family], axis=1)
     return from_basis(first.domain, subspaces.orth(first.domain, joined))
 
@@ -240,9 +355,20 @@ class ProjectionBasis:
         raise KeyError(label)
 
     def residuals(self) -> dict:
-        """Orthogonality and sum-to-one residuals (Frobenius norms)."""
+        """Orthogonality and sum-to-one residuals (Frobenius norms).  For
+        masked members they are read off the masks: ‖pq‖ is the square root
+        of the number of coordinates in both masks, and Σp - 1 is the
+        diagonal of how many masks hold each coordinate, less one."""
         out = {}
         items = list(self.members)
+        masks = [p.mask for _, p in items]
+        if all(m is not None for m in masks):
+            for i, (li, mi) in enumerate(zip(self.labels(), masks)):
+                for lj, mj in zip(self.labels()[i + 1:], masks[i + 1:]):
+                    out[f"orth[{li},{lj}]"] = float(np.sqrt(np.count_nonzero(mi & mj)))
+            cover = np.sum(masks, axis=0) - 1
+            out["sum_to_one"] = float(np.sqrt(np.dot(cover, cover)))
+            return out
         total = None
         for i, (li, pi) in enumerate(items):
             total = pi.element if total is None else total + pi.element

@@ -63,12 +63,17 @@ def _orthonormal(mat: np.ndarray) -> bool:
     return np.sqrt(np.vdot(gram, gram).real) <= mat.shape[0] * _EPS
 
 
-def unit_moduli(vals, dim: int) -> bool:
-    """`_orthonormal` for the columns vals_k e_(r_k) of dim rows at
-    distinct rows r_k, vals a list of Python complex numbers: their Gram
-    matrix is diag(|vals|²), tested as ‖|vals|² - 1‖ <= dim·ε with no
-    matrix formed."""
-    return sum(((c.conjugate() * c).real - 1) ** 2 for c in vals) ** 0.5 <= dim * _EPS
+def modulus_defect(vals) -> float:
+    """‖|vals|² - 1‖², vals a list of Python complex numbers: the squared
+    distance of the Gram matrix diag(|vals|²) of the columns vals_k e_(r_k)
+    at distinct rows r_k from the identity, with no matrix formed."""
+    return sum(((c.conjugate() * c).real - 1) ** 2 for c in vals)
+
+
+def unit_moduli(defect: float, dim: int) -> bool:
+    """`_orthonormal`'s predicate for columns vals_k e_(r_k) at distinct
+    rows of dim rows, from their `modulus_defect`: ‖|vals|² - 1‖ <= dim·ε."""
+    return defect ** 0.5 <= dim * _EPS
 
 
 def own_basis(domain: ScalarDomain, mat: np.ndarray) -> np.ndarray:
@@ -250,9 +255,12 @@ def preimage(domain: ScalarDomain, op: np.ndarray, comp: np.ndarray,
 
     With comp = 1 - [basis] these are the vectors of span(within) that op
     maps into span(basis); one kernel of the thin matrix comp op within.
-    An orthonormal `within` gives an orthonormal result.
+    A boolean comp is the mask of a 0/1 diagonal 1 - [basis], a coordinate
+    one: comp op within is then zero but for op's rows in the mask, and
+    the kernel is that of those rows of op times within.  An orthonormal
+    `within` gives an orthonormal result.
     """
     if within.shape[1] == 0:
         return within
-    ker = nullspace(domain, comp @ (op @ within))
+    ker = nullspace(domain, op[comp] @ within if comp.dtype == bool else comp @ (op @ within))
     return domain.normalize(within @ ker)

@@ -75,10 +75,13 @@ def test_rational_decompose_loads_no_shift_model_or_oracle():
                        "stardecomp.fixtures")
 
 
-@pytest.mark.parametrize("spec,method", [("wold64.json", "wold"), ("hw64.json", "hw")])
+@pytest.mark.parametrize("spec,method", [("wold64.json", "wold"), ("hw64.json", "hw"),
+                                         ("mixedpair.json", "slocinski"),
+                                         ("mixedpair.json", "weak-bishift")])
 def test_complex_decompose_loads_no_numpy_ma(spec, method):
     # numpy.ma costs a cold command about 12 ms; some numpy functions
-    # (np.unique among them) import it on their first call
+    # (np.unique and np.intersect1d among them) import it on their first
+    # call, so the coordinate masks use neither
     result = _probe(["decompose", str(SPECS / spec), "--method", method, "--truncation", "32"])
     assert result["exit"] == 0
     assert "stardecomp.engine" in result["modules"]

@@ -25,10 +25,12 @@ from stardecomp.elements import Element
 from stardecomp.exactrings import construct_gf_ring
 from stardecomp.fixtures import rational_orthogonal, random_ppi
 from stardecomp.projections import (
+    Projection,
     coordinate_projection,
     from_basis,
     identity_projection,
     key_identity_check,
+    pair_product,
     zero_projection,
 )
 
@@ -290,3 +292,104 @@ def test_complement_is_one_minus_p_without_from_element(monkeypatch, domain, whi
         assert _entries(c.element.mat) == _entries(one_minus_p.mat)
     else:
         assert np.linalg.norm(c.element.mat - one_minus_p.mat) <= 1e-12
+
+
+# ------------------------------------------ masked coordinate projections
+
+MASK_TOL = 1e-13  # the masked and dense norms sum in different orders
+
+
+def _phases(rng, size):
+    return np.exp(2j * np.pi * rng.random(size))
+
+
+def _coordinate_basis(rng, mask):
+    """Unit-modulus columns c_k e_(r_k) on the rows of the mask, shuffled."""
+    rows = rng.permutation(np.flatnonzero(mask))
+    basis = np.zeros((mask.size, rows.size), dtype=complex)
+    basis[rows, np.arange(rows.size)] = _phases(rng, rows.size)
+    return basis
+
+
+def _unmasked(p):
+    """The same projection with no mask: its products go through its basis
+    or its dense element."""
+    return Projection(p.element, p.range_basis)
+
+
+def _operand(rng, dim, kinds):
+    """A complex matrix whose columns are zero, one-nonzero or dense."""
+    a = np.zeros((dim, dim), dtype=complex)
+    for j, kind in enumerate(kinds):
+        if kind == "1":
+            a[rng.integers(dim), j] = rng.standard_normal() + 1j * rng.standard_normal()
+        elif kind == "d":
+            a[:, j] = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return Element(COMPLEX, a)
+
+
+@st.composite
+def _mask_cases(draw):
+    """(rng, dim, masks, column kinds of the operand)."""
+    dim = draw(st.integers(1, 10))
+    masks = [np.array(draw(st.lists(st.booleans(), min_size=dim, max_size=dim)))
+             for _ in range(3)]
+    kinds = draw(st.lists(st.sampled_from("01d"), min_size=dim, max_size=dim))
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))), dim, masks, kinds
+
+
+def _close(got, want):
+    return np.abs(got.mat - want.mat).max(initial=0.0) <= MASK_TOL
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_mask_cases())
+def test_masked_lattice_matches_the_dense_one(case):
+    rng, dim, masks, kinds = case
+    ps = [from_basis(COMPLEX, _coordinate_basis(rng, m)) for m in masks]
+    dense = [_unmasked(p) for p in ps]
+    for p, m in zip(ps, masks):
+        assert p.mask is not None and np.array_equal(p.mask, m)
+        assert p.rank == np.count_nonzero(m)
+    a = _operand(rng, dim, kinds)
+    p, q, r = ps
+    pd, qd, rd = dense
+    for side in ("left", "right", "both"):
+        assert _close(p.product(a, side), pd.product(a, side)), side
+    assert _close(pair_product(p, q), pair_product(pd, qd))
+    assert _close(pair_product(p, qd), pair_product(pd, qd))
+    assert _close(pair_product(pd, q), pair_product(pd, qd))
+    for got, want in ((proj_inf(ps), proj_inf(dense)), (proj_sup(ps), proj_sup(dense)),
+                      (p.complement(), pd.complement())):
+        assert got.mask is not None
+        assert got.rank == want.rank
+        assert _close(got.element, want.element)
+    members = (("p", p), ("q", q), ("r", r))
+    got = ProjectionBasis(members).residuals()
+    want = ProjectionBasis(tuple((lbl, _unmasked(m)) for lbl, m in members)).residuals()
+    assert got.keys() == want.keys()
+    assert all(abs(got[k] - want[k]) <= MASK_TOL for k in got)
+
+
+def test_phased_coordinate_basis_gives_the_exact_diagonal():
+    rng = np.random.default_rng(11)
+    mask = np.array([True, False, True, True, False, True])
+    p = from_basis(COMPLEX, _coordinate_basis(rng, mask))
+    assert np.array_equal(p.mask, mask)
+    assert np.array_equal(p.element.mat, np.diag(mask.astype(complex)))
+    assert p.range_basis is not None and p.rank == 4
+
+
+@pytest.mark.parametrize("spoil", ["extra entry", "repeated row"])
+def test_near_coordinate_basis_is_not_masked(spoil):
+    rng = np.random.default_rng(12)
+    mask = np.array([True, True, False, True, False])
+    basis = _coordinate_basis(rng, mask)
+    if spoil == "extra entry":
+        basis[np.flatnonzero(~mask)[0], 0] = 1e-17
+    else:
+        basis[:, 1] = 0
+        basis[np.flatnonzero(basis[:, 0])[0], 1] = 1
+    p = from_basis(COMPLEX, basis)
+    assert p.mask is None
+    assert np.array_equal(p.element.mat, subspaces.proj_matrix(COMPLEX, basis))

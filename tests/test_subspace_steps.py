@@ -35,7 +35,7 @@ from stardecomp import engine, subspaces
 from stardecomp.elements import Element, from_rows
 from stardecomp.errors import IndeterminateError
 from stardecomp.fixtures import random_complex_unitary
-from stardecomp.projections import from_basis, from_element
+from stardecomp.projections import Projection, coordinate_projection, from_basis, from_element
 
 from chain_reference import (
     dense_product,
@@ -306,6 +306,36 @@ def test_walked_series_cap_edge(walked, dense):
         engine._wandering_series(_ctx_with_cap(x, size - 1), x, term)
 
 
+@pytest.mark.parametrize("modulus", [1.0, 2.0, 1 + 1e-13])
+def test_walk_tests_the_seed_of_a_unit_factor_path(modulus):
+    # every factor of a truncated shift is exactly 1, so each image has its
+    # block's entries and skips its test once that block passed; the seed
+    # has not been tested, so a seed of another modulus hands over to the
+    # dense steps at its first image
+    x = Element(COMPLEX, np.eye(6, k=-1, dtype=complex))
+    term = np.zeros((6, 1), dtype=complex)
+    term[0, 0] = modulus * np.exp(0.3j)
+    assert _assert_same_series(x, term) == 6
+    basis, _ = engine._wandering_series(_ctx_with_cap(x), x, term)
+    assert np.linalg.norm(basis.conj().T @ basis - np.eye(6)) <= TOL
+
+
+def test_walked_record_grades_as_the_gathered_blocks():
+    # the grading of any y read off a walked series' record equals the one
+    # gathered from its blocks in a context that holds no record
+    x, term = _walk_matrix(0, [3, 2, 4], -1, ["zero", "zero", "zero"], 0, False)
+    ctx = _ctx_with_cap(x)
+    basis, blocks = engine._wandering_series(ctx, x, term)
+    assert ctx.walked(basis) is not None
+    fresh = _ctx_with_cap(x)
+    assert fresh.walked(basis) is None
+    rng = np.random.default_rng(4)
+    for y in (x, Element(COMPLEX, rng.standard_normal(x.mat.shape) + 0j)):
+        got = engine._grading_res(ctx, y, basis, blocks)
+        assert got == engine._grading_res(fresh, y, basis, blocks)
+    assert got > 1
+
+
 # ------------------------------------------------------ peeled complement
 
 
@@ -563,3 +593,49 @@ def test_commute_certificate_sees_a_non_commuting_projection(rank):
     got = engine._commute_res(ctx, tr.element, p)
     assert want > 0.1
     assert abs(got - want) <= 1e-12
+
+
+# -------------------------------------- certificates of masked projections
+
+
+@st.composite
+def _masked_certificate_cases(draw):
+    """(x, mask, window or None): x complex with zero, one-nonzero and
+    dense columns, the one-nonzero ones at rows drawn from a few."""
+    dim = draw(st.integers(1, 10))
+    kinds = draw(st.lists(st.sampled_from("01d"), min_size=dim, max_size=dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.zeros((dim, dim), dtype=complex)
+    for j, kind in enumerate(kinds):
+        if kind == "1":
+            x[rng.integers(min(dim, 3)), j] = np.exp(2j * np.pi * rng.random())
+        elif kind == "d":
+            x[:, j] = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    mask = np.array(draw(st.lists(st.booleans(), min_size=dim, max_size=dim)))
+    window = draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=dim, max_size=dim)))
+    return Element(COMPLEX, x), mask, window
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_masked_certificate_cases())
+def test_masked_certificates_match_the_dense_defects(case):
+    # the index blocks of a masked p give the windowed norms of the dense
+    # defects: x p - p x, (1 - p) x p, and p x* x p - p and p x x* p - p,
+    # read off the held Gram product or formed from x's columns in the mask
+    x, mask, window = case
+    cfg = EngineConfig(window=None if window is None else coordinate_projection(COMPLEX, window))
+    p = coordinate_projection(COMPLEX, mask)
+    dense = Projection(p.element, p.range_basis)
+    assert p.mask is not None and dense.mask is None
+    for held in (False, True):
+        ctx = engine._Ctx(x, cfg)
+        if held:
+            ctx.gram(x), ctx.gram(x, star=True)
+        pairs = [(engine._commute_res(ctx, x, p), ctx.wres(engine._commute_defect(x, dense))),
+                 (engine._invariance_res(ctx, x, p),
+                  ctx.wres(engine._invariance_defect(x, dense)))]
+        pairs += [(engine._isometry_res(ctx, x, p, star),
+                   ctx.wres(engine._isometry_defect(ctx, x, dense, star)))
+                  for star in (False, True)]
+        for got, want in pairs:
+            assert abs(got - want) <= 1e-13
