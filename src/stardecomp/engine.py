@@ -85,15 +85,12 @@ Each checked identity is one defect built on `Projection.product`:
 x p - p x, (1 - p) x p, p x*x p - p, pq (`pair_product`) and pq being a
 projection (`projection_defects`); conditions test it with ctx.ok and
 certificates measure it with ctx.wres, or a masked projection's index
-blocks against the same tolerance.  A float projection multiplies
-through the thinner of its range basis B and the complement basis C that
-its construction kept (Wold's u and s, a complement, nfl's c):
-B (B* a) for rank below dim/2, a - C (C* a) for a thinner C.  A thin
-corner's isometry defect is B ((x B)* (x B) - 1) B*, so `wold` forms only
-its precondition's x*x, gathered.  The windowed PPI precondition reads
-xⁿ (xⁿ)* xⁿ - xⁿ on the window's rows and columns alone.  The iteration
-cap is max(n_max, dim + 1), and a series or core still moving at the
-cap raises IndeterminateError instead of silently truncating.
+blocks against the same tolerance.  A projection that is not masked,
+exact or float, multiplies as its dense element.  The windowed PPI
+precondition reads xⁿ (xⁿ)* xⁿ - xⁿ on the window's rows and columns
+alone.  The iteration cap is max(n_max, dim + 1), and a series or core
+still moving at the cap raises IndeterminateError instead of silently
+truncating.
 Certificate residuals are measured after compression to the probe window
 when the input came from a truncated symbolic operator; a grading residual
 is read on the whole space, which can only be stricter.  The window is a 0/1
@@ -104,7 +101,8 @@ Every intersection of kernels is one right annihilator R(S), one kernel of
 the elements of S stacked (`right_annihilator_projection`): the start
 R({1 - x*x, 1 - xx*}), the doubly-commuting seed and the product-PPI
 constraint.  A complement 1 - p is ker B* for B the range basis of p
-(`Projection.complement`), with no kernel of the dense p.
+(`Projection.complement`), one kernel of the thin B* in every domain,
+with no kernel of the dense p.
 
 Two constructions are shared.  Halmos–Wallen and the product-PPI split are
 one series split (`_series_split`), applied to y = x and to y = x1 x2: the
@@ -504,15 +502,7 @@ def _isometry_defect(ctx: _Ctx, x: Element, p: Projection | None = None,
 
     The compression form p x* p x p - p differs from it by
     p x* (1 - p) x p = D* D, with D the invariance defect (1 - p) x p, so
-    beside an invariance certificate the two are equally strict.  A thin
-    corner with range basis B is formed as B ((x B)* (x B) - 1) B*, the
-    same quantity with no dense x* x or x x*."""
-    if p is not None and p.thin:
-        b = p.range_basis
-        xb = (x.star() if star else x).mat @ b
-        g = xb.conj().T @ xb
-        g.flat[:: g.shape[0] + 1] -= 1
-        return Element(ctx.domain, b @ g @ b.conj().T)
+    beside an invariance certificate the two are equally strict."""
     gram = ctx.gram(x, star)
     return gram - ctx.one if p is None else p.product(gram) - p.element
 
@@ -656,19 +646,16 @@ def _wold_parts(ctx: _Ctx, x: Element):
     The shift part is the wandering series Σ xⁿ[ker x*] from one cokernel
     of x (`subspaces.cokernel`).  By Wold's identity u = ∧[xⁿ] = 1 - s, the
     unitary part is its complement, taken from the series' own basis
-    (`subspaces.complement`) with no range chain.  Each part keeps the
-    other's basis as its complement basis, so a co-thin s is built as, and
-    multiplies through, 1 - U U*.  A series walked to its end spans the
-    coordinates of its record's rows, so s is masked there and u is the
-    other coordinates, read off the record with no scan of the basis."""
+    (`Projection.complement`) with no range chain.  A series walked to its
+    end spans the coordinates of its record's rows, so s is masked there,
+    read off the record with no scan of the basis, and u is the other
+    coordinates."""
     dom = ctx.domain
     s_basis, blocks = _wandering_series(ctx, x, subspaces.cokernel(dom, x.mat))
     record = ctx.walked(s_basis)
-    if record is not None:
-        p_s = masked(dom, _rows_mask(ctx, record[0]), s_basis)
-        return p_s.complement(), p_s, blocks
-    u_basis = subspaces.complement(dom, s_basis)
-    return from_basis(dom, u_basis, s_basis), from_basis(dom, s_basis, u_basis), blocks
+    p_s = (from_basis(dom, s_basis) if record is None
+           else masked(dom, _rows_mask(ctx, record[0]), s_basis))
+    return p_s.complement(), p_s, blocks
 
 
 def _rows_mask(ctx: _Ctx, rows: np.ndarray) -> np.ndarray:

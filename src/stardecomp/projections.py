@@ -10,15 +10,9 @@ zero, the shift model's probe windows and its ground truths are built with
 no product and no factorisation.  Every intersection of kernels is one
 right annihilator R(S) = pA, the Baer axiom, built as one kernel of the
 elements of S stacked (`right_annihilator_projection`).  The complement
-1 - p comes from p's range basis B: its range is ker p = ker B*, for
-floats the unit columns off B's lone entries beside the trailing columns
-of a complete QR of the rest (`subspaces.complement`), and the kernel of
-the thin B* when exact, so the dense p is never factorised.  A float
-projection keeps the basis C of its complement wherever its construction
-had one (`from_basis`): 1 - p keeps B, and p keeps that complement basis
-when built beside its complement.  A product with a projection
-goes through `Projection.product`, through the thinner of B and C, and pq
-through the lower-rank factor (`pair_product`).
+1 - p comes from p's range basis B: its range is ker p = ker B*, one
+kernel of the thin B* in every domain (`subspaces.complement`), so the
+dense p is never factorised.
 
 A float coordinate projection is held as its 0/1 mask (`masked`): by
 `coordinate_projection`, and by `from_basis` for a basis with one nonzero
@@ -27,8 +21,9 @@ coordinates of its rows whatever its phases.  Coordinate projections
 commute, so their lattice is Boolean (Berberian 1972): a product keeps
 rows or columns of the other factor, meets, joins and complements are
 AND, OR and NOT, and the residuals of a basis of them are mask counts.
-Its element and range basis are formed only when read.  Exact domains
-keep no mask.
+Its element and range basis are formed only when read.  Every other
+projection, and every exact one, multiplies as its dense element
+(`Projection.product`); exact domains keep no mask.
 """
 
 from __future__ import annotations
@@ -46,9 +41,7 @@ from .errors import EmptyFamilyError, PreconditionError
 
 @dataclass(frozen=True)
 class Projection:
-    """A self-adjoint idempotent with a cached basis of its range and, for
-    floats where the construction had one, an orthonormal basis of the
-    range of 1 - p.
+    """A self-adjoint idempotent with a cached basis of its range.
 
     A float coordinate projection also carries its mask: the 0/1 diagonal
     of the element, which is then that diagonal exactly.  Its products,
@@ -57,7 +50,6 @@ class Projection:
 
     element: Element
     range_basis: np.ndarray = field(repr=False)
-    complement_basis: np.ndarray | None = field(default=None, repr=False, compare=False)
     mask: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -72,64 +64,32 @@ class Projection:
     def rank(self) -> int:
         return self.range_basis.shape[1]
 
-    @property
-    def thin(self) -> bool:
-        """A float projection of rank below dim/2: products go through its
-        range basis."""
-        return not self.domain.exact and 2 * self.rank < self.dim
-
     def product(self, a: Element, side: str = "both") -> Element:
         """p a (side "left"), a p ("right") or p a p ("both").
 
         A masked projection keeps a's rows (left), columns (right) or both
         in its mask and zeroes the others, which is the dense product with
-        the 0/1 diagonal exactly.  A thin projection goes through its range
-        basis B: B (B* a), (a B) B* and B (B* a B) B*, thin products that
-        cost O(dim² rank) where the dense ones cost O(dim³).  A float
-        projection whose complement basis C is thinner than B goes through
-        C: p a = a - C (C* a), a p = a - (a C) C*, and p a p as the one
-        after the other.  Exact domains and the rest take the dense
-        products.
+        the 0/1 diagonal exactly.  Every other projection takes the dense
+        products with its element.
         """
         p = self.element
         p._check(a)
-        comp = self.complement_basis
-        if self.mask is not None:
-            m = self.mask
-            keep = (m[:, None] if side == "left" else m[None, :] if side == "right"
-                    else m[:, None] & m[None, :])
-            mat = np.where(keep, a.mat, 0)
-        elif self.thin:
-            b = self.range_basis
-            bh = b.conj().T
+        if self.mask is None:
             if side == "left":
-                mat = b @ (bh @ a.mat)
-            elif side == "right":
-                mat = (a.mat @ b) @ bh
-            else:
-                mat = b @ ((bh @ (a.mat @ b)) @ bh)
-        elif comp is not None and comp.shape[1] < self.rank:
-            ch = comp.conj().T
-            mat = a.mat
-            if side != "right":
-                mat = mat - comp @ (ch @ mat)
-            if side != "left":
-                mat = mat - (mat @ comp) @ ch
-        elif side == "left":
-            return p @ a
-        else:
+                return p @ a
             return a @ p if side == "right" else p @ a @ p
-        return Element(self.domain, mat)
+        m = self.mask
+        keep = (m[:, None] if side == "left" else m[None, :] if side == "right"
+                else m[:, None] & m[None, :])
+        return Element(self.domain, np.where(keep, a.mat, 0))
 
     def complement(self) -> "Projection":
         """1 - p, from the range basis B alone: the range of 1 - p is
-        ker p = ker B* (`subspaces.complement`), and B is kept as the
-        complement basis of 1 - p.  A masked p gives the masked 1 - p, the
-        other coordinates."""
+        ker p = ker B* (`subspaces.complement`).  A masked p gives the
+        masked 1 - p, the other coordinates."""
         if self.mask is not None:
-            return masked(self.domain, ~self.mask, complement=self.range_basis)
-        comp = subspaces.complement(self.domain, self.range_basis)
-        return from_basis(self.domain, comp, self.range_basis)
+            return masked(self.domain, ~self.mask)
+        return from_basis(self.domain, subspaces.complement(self.domain, self.range_basis))
 
     def equals(self, other: "Projection") -> bool:
         return self.element.equals(other.element)
@@ -141,12 +101,10 @@ class _Masked(Projection):
     unless a basis was given, are formed on first use, so a masked
     projection that only enters index operations allocates neither."""
 
-    def __init__(self, domain: ScalarDomain, mask: np.ndarray, basis: np.ndarray | None,
-                 complement: np.ndarray | None):
+    def __init__(self, domain: ScalarDomain, mask: np.ndarray, basis: np.ndarray | None):
         mask.setflags(write=False)
-        for name, value in (("mask", mask), ("complement_basis", complement),
-                            ("_domain", domain), ("_basis", basis), ("_element", None),
-                            ("_rank", int(np.count_nonzero(mask)))):
+        for name, value in (("mask", mask), ("_domain", domain), ("_basis", basis),
+                            ("_element", None), ("_rank", int(np.count_nonzero(mask)))):
             object.__setattr__(self, name, value)
 
     @property
@@ -181,13 +139,11 @@ class _Masked(Projection):
         return self._rank
 
 
-def masked(domain: ScalarDomain, mask: np.ndarray, basis: np.ndarray | None = None,
-           complement: np.ndarray | None = None) -> Projection:
+def masked(domain: ScalarDomain, mask: np.ndarray, basis: np.ndarray | None = None) -> Projection:
     """The float coordinate projection diag(mask), with basis as its range
-    basis (the identity's columns in the mask when None) and complement as
-    its complement basis, kept as `from_basis` keeps it; its products go
+    basis (the identity's columns in the mask when None); its products go
     through the mask."""
-    return _Masked(domain, mask, basis, complement)
+    return _Masked(domain, mask, basis)
 
 
 def coordinate_mask(basis: np.ndarray) -> np.ndarray | None:
@@ -202,30 +158,18 @@ def coordinate_mask(basis: np.ndarray) -> np.ndarray | None:
     return mask if np.count_nonzero(mask) == rows.size else None
 
 
-def from_basis(domain: ScalarDomain, basis: np.ndarray,
-               complement: np.ndarray | None = None) -> Projection:
+def from_basis(domain: ScalarDomain, basis: np.ndarray) -> Projection:
     """The projection onto span(basis).  A float basis with one nonzero per
     column at distinct rows spans a coordinate subspace, whatever the
     phases of its entries, so its projection is the masked 0/1 diagonal
-    (`coordinate_mask`), with no product.  A float caller that holds an
-    orthonormal basis C of the orthogonal complement passes it as
-    complement: the projection keeps it for its products and is built as
-    1 - C C* when C is the thinner; a float basis of the whole space has
-    the empty complement, so its projection is the identity.  Exact
-    domains keep no complement and no mask."""
-    if domain.exact:
-        complement = None
-    else:
+    (`coordinate_mask`), with no product.  Any other basis gives the
+    dense projection (`subspaces.proj_matrix`); exact domains keep no
+    mask."""
+    if not domain.exact:
         mask = coordinate_mask(basis)
         if mask is not None:
-            return masked(domain, mask, basis, complement)
-        if complement is None and basis.shape[1] == basis.shape[0]:
-            complement = basis[:, :0]
-    if complement is not None and complement.shape[1] < basis.shape[1]:
-        mat = domain.eye(basis.shape[0]) - subspaces.proj_matrix(domain, complement)
-    else:
-        mat = subspaces.proj_matrix(domain, basis)
-    return Projection(Element(domain, mat), basis, complement)
+            return masked(domain, mask, basis)
+    return Projection(Element(domain, subspaces.proj_matrix(domain, basis)), basis)
 
 
 def from_element(e: Element) -> Projection:
@@ -242,10 +186,9 @@ def projection_defects(e: Element) -> tuple:
 
 
 def pair_product(p: Projection, q: Projection) -> Element:
-    """p q through a masked factor's mask, else through the basis of the
-    lower-rank factor (`Projection.product`); pq = 0 is the orthogonality
-    of p and q."""
-    if p.mask is None and (q.mask is not None or p.rank > q.rank):
+    """p q through a masked factor's mask, else the dense product
+    (`Projection.product`); pq = 0 is the orthogonality of p and q."""
+    if p.mask is None and q.mask is not None:
         return q.product(p.element, "right")
     return p.product(q.element, "left")
 

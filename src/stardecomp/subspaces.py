@@ -7,11 +7,9 @@ skips the SVD wherever its outcome is already known.  The cokernel peels
 off the lone entries of its matrix, whose singular values and vectors are
 read off with no arithmetic, so only the rest takes an SVD; on a truncated
 shift model that is the unitary blocks and the shifts' boundary lines.
-The complement peels the lone entries of its basis the same way, so only
-the rest takes a QR; on the shift model Wold's series basis is all lone
-unit columns and takes none.  `column_entries` reads, once per matrix,
-which columns have one nonzero and where, for the engine's walked series
-and gathered grading.
+The complement of a span is one kernel of the basis' adjoint in every
+domain.  `column_entries` reads, once per matrix, which columns have one
+nonzero and where, for the engine's walked series and gathered grading.
 """
 
 from __future__ import annotations
@@ -164,34 +162,11 @@ def complement(domain: ScalarDomain, basis: np.ndarray) -> np.ndarray:
     """Basis of the orthogonal complement of span(basis), the range of
     1 - p for p the projection onto span(basis).
 
-    That range is ker p = ker basis*, so exact domains take the kernel of
-    the thin basis* and never form p.  A float basis is orthonormal, and
-    the trailing columns of the complete QR of it are an orthonormal basis
-    of the rest of the space, with no SVD; a float basis with as many
-    columns as rows needs no QR.
-
-    Only the non-lone rest of a float basis takes the QR.  A lone entry
-    (`_lone_entries`) at row i makes e_i a basis direction, and every
-    other column is zero at row i, so the complement is zero on the lone
-    rows and is ker rest* on the others: the unit columns of those rows
-    when rest has no columns, as for a basis with no columns, else the
-    trailing columns of rest's complete QR.  A basis with no lone entry is
-    one rest and takes the QR of the whole basis; on the shift model
-    Wold's series basis is all lone unit columns and takes no QR.
+    That range is ker p = ker basis*, so every domain takes one kernel of
+    the thin basis* (`nullspace`) and never forms p: the rref kernel when
+    exact, orthonormal right singular vectors for floats.
     """
-    if domain.exact:
-        return linalg.nullspace(domain, domain.adjoint(basis))
-    n, r = basis.shape
-    if r == n:  # a basis of the whole space
-        return basis[:, :0]
-    _, _, rest_rows, rest_cols = _lone_entries(basis)
-    out = np.zeros((n, n - r), dtype=np.result_type(basis.dtype, np.float32))
-    if rest_cols.any():
-        out[rest_rows] = np.linalg.qr(basis[np.ix_(rest_rows, rest_cols)],
-                                      mode="complete")[0][:, np.count_nonzero(rest_cols):]
-    else:
-        out[rest_rows] = np.eye(n - r)
-    return out
+    return nullspace(domain, domain.adjoint(basis))
 
 
 def coordinates(domain: ScalarDomain, basis: np.ndarray, mat: np.ndarray,

@@ -3,10 +3,11 @@
 No oracle is needed: the product-PPI split of (x1, x2) is the Halmos–Wallen
 split of x1 x2, the adjoint swaps the shift and backward-shift parts, every
 split of a direct sum is the direct sum of the splits, the splits of P x P*
-for a signed permutation P are the P-conjugates of the splits of x, and a
-matrix with entries in {0, ±1} splits into blocks of the same ranks over
-every ring in which it is the same partial permutation.  Exact inputs are
-compared bit for bit.
+for a signed permutation P, and on the shift model for a unitary P that
+maps the probe window onto itself, are the P-conjugates of the splits of
+x, and a matrix with entries in {0, ±1} splits into blocks of the same
+ranks over every ring in which it is the same partial permutation.  Exact
+inputs are compared bit for bit.
 """
 
 import itertools
@@ -18,16 +19,21 @@ from hypothesis import given, settings, strategies as st
 from stardecomp import (
     COMPLEX,
     RATIONAL,
+    Adjoint,
     EngineConfig,
     Element,
     Shift,
+    Trunc,
     construct_gf_ring,
     direct_sum,
     halmos_wallen,
     hw_pair_product,
     identity,
     nfl,
+    pair_instances,
+    slocinski,
     truncate,
+    weak_bishift,
     wold,
 )
 from stardecomp.elements import from_rows
@@ -170,6 +176,55 @@ def test_complex_wold_blocks_are_covariant_under_signed_permutations(seed):
     _assert_covariant(wold, tr.element, p, EngineConfig(n_max=8, window=tr.window),
                       EngineConfig(n_max=8, window=window),
                       tol=COMPLEX.tol.eps_eq * tr.element.dim)
+
+
+def _window_unitary(keep, rng) -> Element:
+    """U_w ⊕ U_o: random complex unitaries on the window's coordinates and
+    on the rest, so U commutes with the window."""
+    mat = np.zeros((keep.size, keep.size), dtype=complex)
+    for part in (keep, ~keep):
+        idx = np.flatnonzero(part)
+        if idx.size:
+            mat[np.ix_(idx, idx)] = random_complex_unitary(idx.size, rng).mat
+    return Element(COMPLEX, mat)
+
+
+def _u_plus(*terms):
+    """A fixed 2×2 unitary ⊕ terms."""
+    return direct_sum(unitary(random_complex_unitary(2, np.random.default_rng(0)).mat), *terms)
+
+
+_CONJUGATION_CASES = (
+    [pytest.param(method, (_u_plus(Shift(mult)),), 24, 8, id=f"{method.__name__} u+shift{mult}")
+     for mult in (1, 2) for method in (wold, halmos_wallen)]
+    + [pytest.param(halmos_wallen, (_u_plus(Adjoint(Shift(1)), Trunc(3)),), 24, 8,
+                    id="halmos_wallen u+shift*+trunc3")]
+    + [pytest.param(method, tuple(pair_instances(name)), 16, 6, id=f"{method.__name__} {name}")
+       for name in ("mixed", "equal-shift", "powers", "unitary-pair")
+       for method in (slocinski, weak_bishift)])
+
+
+@pytest.mark.parametrize("method,exprs,n,n_max", _CONJUGATION_CASES)
+@given(SEEDS)
+@settings(max_examples=3, deadline=None)
+def test_complex_blocks_are_covariant_under_window_unitaries(method, exprs, n, n_max, seed):
+    """U x U* with the same window, U = U_w ⊕ U_o: equal block ranks and
+    ‖w (U p U* - p') w‖ <= 1e-10.  The conjugated parts of proper rank are
+    not coordinate projections, so they take the dense float products."""
+    trs = [truncate(e, n, n_max=n_max) for e in exprs]
+    cfg = EngineConfig(n_max=n_max, window=trs[0].window)
+    u = _window_unitary(cfg.window.mask, np.random.default_rng(seed))
+    xs = [tr.element for tr in trs]
+    rep, conj = method(*xs, cfg), method(*(u @ x @ u.star() for x in xs), cfg)
+    assert conj.condition_vector == rep.condition_vector
+    assert conj.basis.labels() == rep.basis.labels()
+    w = cfg.window.element.mat
+    for lbl, p in rep.basis.members:
+        q = conj.basis[lbl]
+        assert q.rank == p.rank, lbl
+        want = (u @ p.element @ u.star()).mat
+        assert np.linalg.norm(w @ (want - q.element.mat) @ w) <= 1e-10, lbl
+        assert q.mask is None or q.rank in (0, q.dim), lbl
 
 
 def _partial_permutations():

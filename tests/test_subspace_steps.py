@@ -1,10 +1,9 @@
 """The float subspace steps against their references
 (`subspace_step_references` in tests/chain_reference.py): the wandering
 series without per-step SVDs, the meet as one thin kernel, the mixed
-wandering subspace as one preimage per step, and the low-rank projection
-products, beside the peeled cokernel against the dense SVD's, the
-products through a complement basis against the dense ones, the walked
-series against the stepped one, the peeled complement against the
+wandering subspace as one preimage per step, and the projection
+products, beside the peeled cokernel against the dense SVD's, the walked
+series against the stepped one, the complement's kernel against the
 complete QR's, the gathered grading against the `coordinates` form and
 the gathered product `_Ctx.mul` against the dense one.
 Complex inputs must give equal ranks and projections within 1e-12.  Exact inputs
@@ -336,7 +335,7 @@ def test_walked_record_grades_as_the_gathered_blocks():
     assert got > 1
 
 
-# ------------------------------------------------------ peeled complement
+# ------------------------------------------------------------- complement
 
 
 @st.composite
@@ -373,12 +372,6 @@ def test_peeled_complement_matches_the_complete_qr(case):
     assert np.linalg.norm(basis.conj().T @ got) <= TOL
     assert np.linalg.norm(got.conj().T @ got - np.eye(n - r)) <= TOL
     assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T) <= TOL
-
-
-def test_complement_with_no_lone_entry_is_the_qr():
-    basis = _complement_basis(3, 0, 1, 6, 3)
-    want = np.linalg.qr(basis, mode="complete")[0][:, 3:]
-    assert np.array_equal(subspaces.complement(COMPLEX, basis), want)
 
 
 # ------------------------------------------------------ gathered grading
@@ -558,26 +551,6 @@ def test_product_matches_dense_on_both_sides_of_the_threshold(dim):
                 got = proj.product(a, side)
                 want = dense_product(proj, a, side)
                 assert np.linalg.norm(got.mat - want.mat) <= 1e-14, (rank, side)
-
-
-@settings(max_examples=60, deadline=None)
-@given(dim=st.integers(1, 12), co_rank=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
-def test_product_through_the_complement_basis_matches_dense(dim, co_rank, seed):
-    # rank >= dim/2, with the complement basis kept by from_basis or by
-    # complement(); the element is built as 1 - C C*
-    co_rank = min(co_rank, dim // 2)
-    rng = np.random.default_rng(seed)
-    q = random_complex_unitary(dim, rng).mat
-    b, c = q[:, :dim - co_rank], q[:, dim - co_rank:]
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    a = Element(COMPLEX, a / np.linalg.norm(a))
-    for proj in (from_basis(COMPLEX, b, c), from_basis(COMPLEX, c).complement()):
-        assert proj.complement_basis is not None
-        assert np.linalg.norm(proj.element.mat - b @ b.conj().T) <= TOL
-        for side in ("left", "right", "both"):
-            got = proj.product(a, side)
-            want = dense_product(proj, a, side)
-            assert np.linalg.norm(got.mat - want.mat) <= TOL, side
 
 
 @pytest.mark.parametrize("rank", [3, 20], ids=["below dim/2", "above dim/2"])
