@@ -10,6 +10,25 @@ from .domains import ScalarDomain
 from .errors import DomainMismatchError, MalformedElementError
 
 
+def _describe(x) -> str:
+    tol = x.domain.tol
+    if tol is None:
+        return f"{x.domain}/{x.dim}"
+    return (f"{x.domain}(eps_rank={tol.eps_rank:g}, eps_eq={tol.eps_eq:g}, "
+            f"eps_psd={tol.eps_psd:g})/{x.dim}")
+
+
+def check_match(a, b):
+    """Raise DomainMismatchError unless a and b, elements or projections,
+    share one domain and one size.  Only their domain and dim are read, so
+    a masked projection is checked by its mask's size, with no element
+    formed.  `Element._check` is this function."""
+    # the identity test first: nearly every pair shares one domain
+    # object, and the dataclass __eq__ compares field by field
+    if a.domain is not b.domain and a.domain != b.domain or a.dim != b.dim:
+        raise DomainMismatchError(f"{_describe(a)} vs {_describe(b)}")
+
+
 @dataclass(frozen=True)
 class Element:
     """A square matrix over a declared scalar domain.
@@ -39,19 +58,7 @@ class Element:
     def _wrap(self, mat: np.ndarray) -> "Element":
         return Element(self.domain, self.domain.normalize(mat))
 
-    def _describe(self) -> str:
-        tol = self.domain.tol
-        if tol is None:
-            return f"{self.domain}/{self.dim}"
-        return (f"{self.domain}(eps_rank={tol.eps_rank:g}, eps_eq={tol.eps_eq:g}, "
-                f"eps_psd={tol.eps_psd:g})/{self.dim}")
-
-    def _check(self, other: "Element"):
-        # the identity test first: nearly every pair shares one domain
-        # object, and the dataclass __eq__ compares field by field
-        if (self.domain is not other.domain and self.domain != other.domain
-                or self.dim != other.dim):
-            raise DomainMismatchError(f"{self._describe()} vs {other._describe()}")
+    _check = check_match
 
     def __add__(self, other: "Element") -> "Element":
         self._check(other)

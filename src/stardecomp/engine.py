@@ -29,10 +29,11 @@ blocks and the shifts' boundary lines only.
 On the shift model nearly every series step maps a coordinate vector to
 another along a one-nonzero column of x, so a float series of coordinate
 columns is walked along those columns with index work only (`_walk`),
-and the dense steps take over from the first block the walk cannot step
-on.  A walked series is all lone unit columns at distinct rows, so it
-spans the coordinates of those rows: the context keeps its record, the
-rows, entries and block level of its columns (`_Ctx.walked`), its
+whole or not at all: a series the walk cannot take to its end takes the
+dense steps from its seed, with no hand-over between the two.  A walked
+series is all lone unit columns at distinct rows, so it spans the
+coordinates of those rows.  Its record, the rows, entries and block
+level of its columns, travels with the series (`_wandering_series`): its
 projection is masked there and its complement is the other coordinates,
 and its grading is gathered from x's entries with no product or scan.
 
@@ -40,7 +41,8 @@ Commuting projections form a Boolean lattice, p ∧ q = pq, p ∨ q =
 p + q - pq and 1 - p (Berberian 1972), and coordinate projections, sums
 of diagonal units e_ii, all commute.  So a float coordinate projection
 carries its 0/1 mask (`projections.masked`), and its products, meets,
-joins, complement and basis residuals are index operations on it.  Its
+joins, complement and basis residuals are index operations on it; even
+its size check reads the mask's length, with no dense element formed.  Its
 certificates are read off index blocks of x with the same windowed
 Frobenius norms as the dense defects: x p - p x is the entries x_ij with
 m_i ≠ m_j, (1 - p) x p those from the mask to outside it, and
@@ -78,9 +80,8 @@ identity or 0, so p is returned with no sweep, as Słociński's ss seed is
 on the grid pair, where it is the whole space.  The wandering series
 ends when its term vanishes; a float step or final join whose Gram
 matrix is within dim·ε of the identity is its own orthonormal basis and
-takes no SVD, and a walked step or join, whose Gram matrix is diagonal, is tested as
-‖|c|² - 1‖ <= dim·ε on its entries c alone; a walked step whose factors
-are all exactly 1 has its block's entries and keeps that block's test.
+takes no SVD, and a walked series, whose Gram matrix is diagonal, is
+tested once as ‖|c|² - 1‖ <= dim·ε on all its entries c.
 Each checked identity is one defect built on `Projection.product`:
 x p - p x, (1 - p) x p, p x*x p - p, pq (`pair_product`) and pq being a
 projection (`projection_defects`); conditions test it with ctx.ok and
@@ -192,13 +193,12 @@ class DecompositionReport:
 class _Ctx:
     """Shared state of one method call: domain, window mask and the
     window's coordinates (keep), chain cap, the EngineConfig (the default
-    one when a method is given none), the Gram products, each operator's
-    column entries and the records of the series walked to their end
-    (`walked`).  A method builds one and hands it to every fixpoint it
-    runs, so the window is checked once per call, with vectorised
-    comparisons of its diagonal, or none for a masked window, whose
-    element is its mask's diagonal by construction.  Nothing in it
-    outlives the call."""
+    one when a method is given none), the Gram products and each
+    operator's column entries.  A method builds one and hands it to every
+    fixpoint it runs, so the window is checked once per call, with
+    vectorised comparisons of its diagonal, or none for a masked window,
+    whose element is its mask's diagonal by construction and whose size
+    is read off its mask.  Nothing in it outlives the call."""
 
     def __init__(self, x: Element, cfg: EngineConfig | None = None):
         self.domain = x.domain
@@ -210,18 +210,15 @@ class _Ctx:
         self.keep = None
         self._grams = {}
         self._columns = {}
-        self._walked = {}
-        if self.cfg.window is not None:
-            window = self.cfg.window.element
+        window = self.cfg.window
+        if window is not None:
             x._check(window)
-            if self.cfg.window.mask is not None:
-                self.keep = self.cfg.window.mask
-                diag = window.mat.diagonal()
-            else:
-                diag = np.diagonal(window.mat)
+            self.keep = window.mask  # a masked window is float and 0/1 by construction
+            if self.keep is None:
+                mat = window.element.mat
+                diag = np.diagonal(mat)
                 self.keep = diag == 1
-                if not (np.array_equal(window.mat, np.diag(diag))
-                        and (self.keep | (diag == 0)).all()):
+                if not (np.array_equal(mat, np.diag(diag)) and (self.keep | (diag == 0)).all()):
                     raise PreconditionError("the probe window must be a 0/1 diagonal projection")
             # a float window masks with booleans: x·1 and x·0 are the
             # products with the complex diagonal's 1 and 0, bit for bit
@@ -270,15 +267,6 @@ class _Ctx:
             out[:, dense] = a.mat @ x.mat[:, dense]
         return Element(self.domain, self.domain.normalize(out))
 
-    def walked(self, basis: np.ndarray) -> tuple | None:
-        """The record (rows, vals, level) of a series walked to its end
-        whose basis is `basis` (`_wandering_series`): its columns are
-        vals_k e_(rows_k) at distinct rows, in blocks numbered by level.
-        None for any other basis.  Each entry holds the basis itself, so
-        its id cannot pass to another array."""
-        entry = self._walked.get(id(basis))
-        return None if entry is None else entry[1]
-
     def split(self, mask: np.ndarray) -> tuple:
         """The window's coordinates in the mask and outside it."""
         if self.keep is None:
@@ -306,109 +294,78 @@ class _Ctx:
 
 
 def _wandering_series(ctx: _Ctx, x: Element, term: np.ndarray) -> tuple:
-    """A basis of the stabilised orthogonal series sum of [x^n (1 - [x])],
-    from a basis term of the range of 1 - [x], with its blocks B₀, B₁, …:
-    Bₖ₊₁ is a basis of x Bₖ, and the last block's image has rank 0.
+    """The stabilised orthogonal series sum of [x^n (1 - [x])], from a
+    basis term of the range of 1 - [x], as (basis, blocks, record): a
+    basis of the sum and its blocks B₀, B₁, …, where Bₖ₊₁ is a basis of
+    x Bₖ and the last block's image has rank 0.
 
-    An isometry maps an orthonormal block to an orthonormal block, and the
-    blocks are mutually orthogonal, so each float step x term and the final
-    join are their own bases (`subspaces.own_basis`) unless roundoff or the
-    truncation boundary has moved them off; only those take an SVD.
-
-    A float series whose seed is coordinate columns c·e_j is first walked
-    along x's one-nonzero columns (`_walk`), with no product; the blocks
-    from the first one the walk cannot step on take the dense steps above.
-    A series walked to its end whose rows are all distinct and whose
-    entries pass the `_orthonormal` predicate (`subspaces.unit_moduli`) is
-    its own basis: it is built once, and its blocks are column slices of
-    it.  Its record, the rows, entries and block level of its columns, is
-    kept on the context (`_Ctx.walked`), so that its projection, its
-    grading and the series split are read off it as coordinates.  Exact
-    domains take the dense steps throughout."""
+    A float series whose seed is coordinate columns c·e_j is walked whole
+    or not at all.  Walked to its end (`_walk`), it is lone unit columns at
+    distinct rows, its own orthonormal basis, built once with its blocks
+    as column slices; its record, the rows, entries and block levels of
+    its columns, travels with it, so that its projection, its grading and
+    the series split are read off it as coordinates.  Any other series,
+    and every exact one, takes the dense steps from its seed, with record
+    None.  An isometry maps an orthonormal block to an orthonormal block,
+    and the blocks are mutually orthogonal, so each float step x term and
+    the final join are their own bases (`subspaces.own_basis`) unless
+    roundoff or the truncation boundary has moved them off; only those
+    take an SVD."""
     dom = ctx.domain
-    walked = []
     if not dom.exact and term.shape[1]:
         counts, rows, vals = subspaces.column_entries(term)
-        if (counts == 1).all():
-            walked, defect, term = _walk(ctx, x, rows.tolist(), vals.tolist())
-    if term is None:
-        rows = [j for r, _ in walked for j in r]
-        vals = [c for _, v in walked for c in v]
-        if len(set(rows)) == len(rows) and subspaces.unit_moduli(defect, ctx.dim):
-            joined = _coordinate_block(ctx, rows, vals)
-            sizes = [len(r) for r, _ in walked]
-            record = (np.array(rows), joined[rows, np.arange(len(rows))],
-                      np.repeat(np.arange(len(sizes)), sizes))
-            ctx._walked[id(joined)] = (joined, record)
-            edges = np.cumsum([0] + sizes)
-            return joined, [joined[:, a:b] for a, b in zip(edges[:-1], edges[1:])]
-        term = dom.zeros(ctx.dim, 0)  # a repeated row or a non-unit entry: own_basis joins
-    pieces = [_coordinate_block(ctx, r, v) for r, v in walked]
-    for _ in range(ctx.cap + 1 - len(pieces)):
+        record = _walk(ctx, x, rows.tolist(), vals.tolist()) if (counts == 1).all() else None
+        if record is not None:
+            rows, vals, level = record
+            joined = dom.zeros(ctx.dim, rows.size)
+            joined[rows, np.arange(rows.size)] = vals
+            edges = [0, *np.cumsum(np.bincount(level)).tolist()]
+            return joined, [joined[:, a:b] for a, b in zip(edges, edges[1:])], record
+    pieces = []
+    for _ in range(ctx.cap + 1):
         if term.shape[1] == 0:
             joined = np.concatenate(pieces, axis=1) if pieces else dom.zeros(ctx.dim, 0)
-            return subspaces.own_basis(dom, joined), pieces
+            return subspaces.own_basis(dom, joined), pieces, None
         pieces.append(term)
         term = subspaces.own_basis(dom, x.mat @ term)
     raise IndeterminateError("wandering series did not terminate within the cap")
 
 
-def _coordinate_block(ctx: _Ctx, rows: list, vals: list) -> np.ndarray:
-    """The columns vals_k e_(rows_k)."""
-    block = ctx.domain.zeros(ctx.dim, len(rows))
-    block[rows, np.arange(len(rows))] = vals
-    return block
-
-
-def _walk(ctx: _Ctx, x: Element, rows: list, vals: list) -> tuple:
-    """The walked blocks of a float series from the seed vals_k e_(rows_k),
-    as (rows, vals) list pairs, the `subspaces.modulus_defect` of all
-    their entries, and the dense step that continues them, or None when
-    the walk reached the series' end.
+def _walk(ctx: _Ctx, x: Element, rows: list, vals: list) -> tuple | None:
+    """The record (rows, vals, level) of the float series from the seed
+    vals_k e_(rows_k) walked to its end: its columns are vals_k e_(rows_k)
+    in blocks numbered by level.  None where the dense steps would not
+    keep the walked blocks as they are: a walked column of x has more than
+    one nonzero, a row repeats anywhere in the series, or the entries fail
+    `_orthonormal`'s predicate (`subspaces.unit_moduli`).
 
     Where column j of x has one nonzero x_ij, x maps c·e_j to c·x_ij·e_i,
     and where it has none, to 0, which is dropped; x's columns are read
-    once.  The walk hands over, with the dense step `own_basis(x B)` of
-    its last block B, where a column of x has more than one nonzero, where
-    two images share a row, or where the images fail `_orthonormal`'s
-    predicate, so every walked block is one that the dense step keeps as
-    it is.  An image whose every entry is carried by a factor exactly 1 has
-    its block's entries, so its defect is its block's and, once that block
-    has passed the predicate, its test is skipped; the seed has not been
-    tested, so its image always is.  Walked blocks count toward the cap as
-    dense ones do."""
+    once.  With no repeated row the walk takes at most dim blocks, and it
+    raises at the cap where the dense steps do."""
     counts, to_row, factor = (a.tolist() for a in ctx.columns(x))
-    blocks = []
-    defect = subspaces.modulus_defect(vals)  # the current block's
-    total = 0.0
-    passed = False  # whether the current block passed the predicate
-    while rows:
-        if len(blocks) == ctx.cap:
-            raise IndeterminateError("wandering series did not terminate within the cap")
-        blocks.append((rows, vals))
-        total += defect
+    seen, walked, entries, level = set(), [], [], []
+    for k in range(ctx.cap + 1):
+        if not rows:
+            entries = np.array(entries)
+            if not subspaces.unit_moduli(entries, ctx.dim):
+                return None
+            return np.array(walked), entries, np.array(level)
+        seen.update(rows)
+        if len(seen) < len(walked) + len(rows):
+            return None
+        walked += rows
+        entries += vals
+        level += [k] * len(rows)
         nxt, nxt_vals = [], []
-        carried, dense = True, False
         for j, c in zip(rows, vals):
             if counts[j] > 1:
-                dense = True
-                break
+                return None
             if counts[j]:
                 nxt.append(to_row[j])
                 nxt_vals.append(c * factor[j])
-                carried = carried and factor[j] == 1
-            else:
-                carried = False
-        if not dense:
-            if not carried:
-                defect = subspaces.modulus_defect(nxt_vals)
-            dense = (len(set(nxt)) < len(nxt)
-                     or not (carried and passed or subspaces.unit_moduli(defect, ctx.dim)))
-        if dense:
-            return blocks, total, subspaces.own_basis(ctx.domain,
-                                                      x.mat @ _coordinate_block(ctx, rows, vals))
-        rows, vals, passed = nxt, nxt_vals, True
-    return blocks, total, None
+        rows, vals = nxt, nxt_vals
+    raise IndeterminateError("wandering series did not terminate within the cap")
 
 
 def _invariant_core(ctx: _Ctx, mats: list, p: Projection, what: str) -> Projection:
@@ -596,38 +553,31 @@ def _corner_unitary_res(ctx: _Ctx, x: Element, p: Projection) -> float:
     return max(_isometry_res(ctx, x, p), _isometry_res(ctx, x, p, star=True))
 
 
-def _grading_res(ctx: _Ctx, x: Element, basis: np.ndarray, blocks: list) -> float:
-    """Residual of the grading of the corner p x p by its series blocks
-    B₀, …, B_L, which side by side span the range of p, basis its range
-    basis.
+def _grading_res(ctx: _Ctx, x: Element, series: tuple) -> float:
+    """Residual of the grading of the corner p x p by the blocks B₀, …, B_L
+    of a series, the (basis, blocks, record) of `_wandering_series`, which
+    side by side span the range of p.
 
     If p x p maps each Bₖ into Bₖ₊₁ and B_L to 0, then (p x p)^(L+1) = 0,
     so ∧[(pxp)ⁿ] = 0 with no power formed.  In the coordinates G of
     p x p on the blocks (G = B*(x B) for an orthonormal float B) the
     grading is G's block subdiagonal; the residual is what lies off it,
     the images p x Bₖ outside Bₖ₊₁ and p x B_L.  Only the thin products
-    x B and B*(x B) are formed.  A float B that is the range basis and
-    has its one nonzero per column, c_k at row r_k, at distinct rows is
-    gathered instead: x B = x[:, r] c and G = conj(c) (x B)[r, :], the
-    same full matrix with no product, since every term a GEMM would add
-    is a product with an exact zero.  A series walked to its end gives
-    its rows, entries and levels from its record (`_Ctx.walked`), with no
-    scan of the blocks.  The grading comes from x's own action wherever
-    the series ran, so the residual is read on the whole space.
+    x B and B*(x B) are formed.  A series walked to its end carries its
+    record, its columns c_k e_(r_k) at distinct rows, so G is gathered
+    instead: x B = x[:, r] c and G = conj(c) (x B)[r, :], the same full
+    matrix with no product, since every term a GEMM would add is a
+    product with an exact zero.  The grading comes from x's own action
+    wherever the series ran, so the residual is read on the whole space.
     """
+    basis, blocks, record = series
     if not blocks:
         return 0.0
-    record = ctx.walked(basis)
     if record is None:
         level = np.repeat(np.arange(len(blocks)), [b.shape[1] for b in blocks])
         joined = np.concatenate(blocks, axis=1)
-        orthonormal = np.array_equal(joined, basis)
-        if orthonormal and not ctx.domain.exact:
-            counts, rows, vals = subspaces.column_entries(joined)
-            if (counts == 1).all() and len(set(rows.tolist())) == rows.size:
-                record = rows, vals, level
-    if record is None:
-        g = subspaces.coordinates(ctx.domain, joined, x.mat @ joined, orthonormal=orthonormal)
+        g = subspaces.coordinates(ctx.domain, joined, x.mat @ joined,
+                                  orthonormal=np.array_equal(joined, basis))
     else:
         rows, vals, level = record
         g = x.mat[rows[:, None], rows]
@@ -641,7 +591,8 @@ def _grading_res(ctx: _Ctx, x: Element, basis: np.ndarray, blocks: list) -> floa
 
 
 def _wold_parts(ctx: _Ctx, x: Element):
-    """The unitary part, the shift part and the shift part's series blocks.
+    """The unitary part, the shift part and the shift part's series
+    (`_wandering_series`).
 
     The shift part is the wandering series Σ xⁿ[ker x*] from one cokernel
     of x (`subspaces.cokernel`).  By Wold's identity u = ∧[xⁿ] = 1 - s, the
@@ -651,11 +602,11 @@ def _wold_parts(ctx: _Ctx, x: Element):
     read off the record with no scan of the basis, and u is the other
     coordinates."""
     dom = ctx.domain
-    s_basis, blocks = _wandering_series(ctx, x, subspaces.cokernel(dom, x.mat))
-    record = ctx.walked(s_basis)
+    series = _wandering_series(ctx, x, subspaces.cokernel(dom, x.mat))
+    s_basis, _, record = series
     p_s = (from_basis(dom, s_basis) if record is None
            else masked(dom, _rows_mask(ctx, record[0]), s_basis))
-    return p_s.complement(), p_s, blocks
+    return p_s.complement(), p_s, series
 
 
 def _rows_mask(ctx: _Ctx, rows: np.ndarray) -> np.ndarray:
@@ -673,7 +624,7 @@ def wold(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
     grading proves the corner nilpotent (`_grading_res`)."""
     ctx = _Ctx(x, cfg)
     _require(_isometry_on_window(ctx, x), "wold requires an isometry (on the probe window)")
-    p_u, p_s, blocks = _wold_parts(ctx, x)
+    p_u, p_s, series = _wold_parts(ctx, x)
     certificates = {
         "sum_to_one": _sum_res(ctx, [p_u, p_s]),
         "orth": _orth_res(ctx, p_u, p_s),
@@ -681,7 +632,7 @@ def wold(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
         "commute_s": _commute_res(ctx, x, p_s),
         "unitary_corner": _corner_unitary_res(ctx, x, p_u),
         "shift_corner": max(_isometry_res(ctx, x, p_s),
-                             _grading_res(ctx, x, p_s.range_basis, blocks)),
+                             _grading_res(ctx, x, series)),
     }
     return DecompositionReport(
         method="wold",
@@ -709,8 +660,8 @@ def _slocinski(ctx: _Ctx, x1: Element, x2: Element) -> DecompositionReport:
     _require(_isometry_on_window(ctx, x1) and _isometry_on_window(ctx, x2),
              "slocinski requires two isometries")
     _require(ctx.commute_ok(x1, x2), "slocinski requires a commuting pair")
-    pu1, ps1, blocks1 = _wold_parts(ctx, x1)
-    pu2, ps2, blocks2 = _wold_parts(ctx, x2)
+    pu1, ps1, series1 = _wold_parts(ctx, x1)
+    pu2, ps2, series2 = _wold_parts(ctx, x2)
     parts1 = {"u": pu1, "s": ps1}
     parts2 = {"u": pu2, "s": ps2}
 
@@ -749,10 +700,9 @@ def _slocinski(ctx: _Ctx, x1: Element, x2: Element) -> DecompositionReport:
     # a shift block p <= s_x that commutes with x has (pxp)ⁿ = p (s_x x s_x)ⁿ p,
     # so x commuting with s_x and s_x's grading, once per operator, make it
     # nilpotent beside x being isometric on p and commuting with it
-    graded1, graded2 = (max(_commute_res(ctx, x, ps),
-                            _grading_res(ctx, x, ps.range_basis, blocks))
+    graded1, graded2 = (max(_commute_res(ctx, x, ps), _grading_res(ctx, x, series))
                         if ps.rank else 0.0
-                        for x, ps, blocks in ((x1, ps1, blocks1), (x2, ps2, blocks2)))
+                        for x, ps, series in ((x1, ps1, series1), (x2, ps2, series2)))
     members = []
     block_classes = {}
     certificates = {}
@@ -907,32 +857,32 @@ def _series_split(ctx: _Ctx, y: Element) -> tuple:
     of f's and b's bases side by side, since g = b + t and t <= f.  These
     are Halmos–Wallen's u, s, b, t for a power partial isometry y, and the
     product-PPI u, is, cis, t for y = x1 x2.  Returns the four parts and
-    the series (f's basis, its blocks) and (g's basis, its blocks), whose
-    gradings certify the non-unitary corners.  f and g are met as bases
+    the series f and g (`_wandering_series`), whose gradings certify the
+    non-unitary corners.  f and g are met as bases
     (`subspaces.intersect`); neither projection is formed unless it is s
-    or b, which happens when t = 0.  When both series are walked to their
-    end (`_Ctx.walked`), f and g are the coordinates of their records'
-    rows F and G, and the four parts are the masked coordinate sets
-    F ∩ G, F ∖ G, G ∖ F and the rest, with no meet or kernel.  Seeded in
-    the window, neither series starts at the truncation boundary, where a
-    truncated shift and its adjoint both end.
+    or b, which happens when t = 0.  When both series were walked to their
+    end, f and g are the coordinates of their records' rows F and G, and
+    the four parts are the masked coordinate sets F ∩ G, F ∖ G, G ∖ F and
+    the rest, with no meet or kernel.  Seeded in the window, neither
+    series starts at the truncation boundary, where a truncated shift and
+    its adjoint both end.
     """
     dom = ctx.domain
     y_star = y.star()
-    f_basis, f_blocks = _wandering_series(ctx, y, _window_cokernel(ctx, y))
-    g_basis, g_blocks = _wandering_series(ctx, y_star, _window_cokernel(ctx, y_star))
-    f_record, g_record = ctx.walked(f_basis), ctx.walked(g_basis)
+    f = _wandering_series(ctx, y, _window_cokernel(ctx, y))
+    g = _wandering_series(ctx, y_star, _window_cokernel(ctx, y_star))
+    (f_basis, _, f_record), (g_basis, _, g_record) = f, g
     if f_record is not None and g_record is not None:
-        f, g = _rows_mask(ctx, f_record[0]), _rows_mask(ctx, g_record[0])
-        parts = (masked(dom, ~(f | g)), masked(dom, f & ~g), masked(dom, g & ~f),
-                 masked(dom, f & g))
-        return parts, (f_basis, f_blocks), (g_basis, g_blocks)
+        fm, gm = _rows_mask(ctx, f_record[0]), _rows_mask(ctx, g_record[0])
+        parts = (masked(dom, ~(fm | gm)), masked(dom, fm & ~gm), masked(dom, gm & ~fm),
+                 masked(dom, fm & gm))
+        return parts, f, g
     t_basis = subspaces.intersect(dom, f_basis, g_basis)
     s_basis, b_basis = _without(ctx, f_basis, t_basis), _without(ctx, g_basis, t_basis)
     rest = subspaces.complement(dom, np.concatenate([f_basis, b_basis], axis=1))
     parts = (from_basis(dom, rest), from_basis(dom, s_basis), from_basis(dom, b_basis),
              from_basis(dom, t_basis))
-    return parts, (f_basis, f_blocks), (g_basis, g_blocks)
+    return parts, f, g
 
 
 def halmos_wallen(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
@@ -952,14 +902,14 @@ def _halmos_wallen(ctx: _Ctx, x: Element) -> DecompositionReport:
     certificates = {f"basis_{k}": v for k, v in basis.residuals().items()}
     for lbl, p in basis.members:
         certificates[f"commute[{lbl}]"] = _commute_res(ctx, x, p)
-    f_res = _grading_res(ctx, x, *f)
+    f_res = _grading_res(ctx, x, f)
     if p_u.rank:
         certificates["block[u]"] = _corner_unitary_res(ctx, x, p_u)
     if p_s.rank:
         certificates["block[s]"] = max(_isometry_res(ctx, x, p_s), f_res)
     if p_b.rank:
         certificates["block[b]"] = max(_isometry_res(ctx, x, p_b, star=True),
-                                       _grading_res(ctx, x.star(), *g))
+                                       _grading_res(ctx, x.star(), g))
     if p_t.rank:
         certificates["block[t]"] = f_res
     block_classes = {"u": "unitary", "s": "unilateral-shift",
@@ -1062,7 +1012,7 @@ def hw_pair_product(x1: Element, x2: Element, cfg: EngineConfig | None = None) -
     if p_t.rank:
         # t lies in the series f and, with no commute certificate here,
         # its commutation with y is checked beside f's grading
-        certificates["block[t]"] = max(_grading_res(ctx, y, *f), _commute_res(ctx, y, p_t))
+        certificates["block[t]"] = max(_grading_res(ctx, y, f), _commute_res(ctx, y, p_t))
     literal_agrees = proj_leq(p_u, proj_sup([p_is, p_cis])) if p_u.rank else True
     block_classes = {"u": "unitary pair", "is": "isometry pair",
                      "cis": "co-isometry pair", "t": "product truncated-shifts"}
@@ -1084,7 +1034,7 @@ def _series_prefixes(ctx: _Ctx, y: Element) -> list:
     basis unless roundoff has moved it off (`subspaces.own_basis`), as the
     series' join is."""
     dom = ctx.domain
-    _, blocks = _wandering_series(ctx, y, subspaces.cokernel(dom, y.mat))
+    _, blocks, _ = _wandering_series(ctx, y, subspaces.cokernel(dom, y.mat))
     return [from_basis(dom, subspaces.own_basis(dom, np.concatenate(blocks[:n], axis=1)))
             for n in range(1, len(blocks) + 1)] or [zero_projection(dom, ctx.dim)]
 

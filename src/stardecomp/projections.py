@@ -21,7 +21,8 @@ coordinates of its rows whatever its phases.  Coordinate projections
 commute, so their lattice is Boolean (Berberian 1972): a product keeps
 rows or columns of the other factor, meets, joins and complements are
 AND, OR and NOT, and the residuals of a basis of them are mask counts.
-Its element and range basis are formed only when read.  Every other
+Its element and range basis are formed only when read, and its domain
+and size check reads the mask's size (`Projection._check`).  Every other
 projection, and every exact one, multiplies as its dense element
 (`Projection.product`); exact domains keep no mask.
 """
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import subspaces
 from .domains import ScalarDomain
-from .elements import Element, classify, identity
+from .elements import Element, check_match, classify, identity
 from .errors import EmptyFamilyError, PreconditionError
 
 
@@ -64,6 +65,10 @@ class Projection:
     def rank(self) -> int:
         return self.range_basis.shape[1]
 
+    # the domain and size check against an element or projection: a
+    # masked p reads its size off its mask, with no element formed
+    _check = check_match
+
     def product(self, a: Element, side: str = "both") -> Element:
         """p a (side "left"), a p ("right") or p a p ("both").
 
@@ -72,9 +77,9 @@ class Projection:
         the 0/1 diagonal exactly.  Every other projection takes the dense
         products with its element.
         """
-        p = self.element
-        p._check(a)
+        self._check(a)
         if self.mask is None:
+            p = self.element
             if side == "left":
                 return p @ a
             return a @ p if side == "right" else p @ a @ p
@@ -237,7 +242,7 @@ def proj_inf(family: Sequence[Projection]) -> Projection:
         raise EmptyFamilyError("proj_inf of an empty family")
     first = family[0]
     for p in family[1:]:
-        first.element._check(p.element)
+        first._check(p)
     if all(p.mask is not None for p in family):
         return masked(first.domain, np.logical_and.reduce([p.mask for p in family]))
     basis = first.range_basis
@@ -254,7 +259,7 @@ def proj_sup(family: Sequence[Projection]) -> Projection:
         raise EmptyFamilyError("proj_sup of an empty family")
     first = family[0]
     for p in family[1:]:
-        first.element._check(p.element)
+        first._check(p)
     if all(p.mask is not None for p in family):
         return masked(first.domain, np.logical_or.reduce([p.mask for p in family]))
     joined = np.concatenate([p.range_basis for p in family], axis=1)

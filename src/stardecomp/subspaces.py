@@ -9,7 +9,7 @@ read off with no arithmetic, so only the rest takes an SVD; on a truncated
 shift model that is the unitary blocks and the shifts' boundary lines.
 The complement of a span is one kernel of the basis' adjoint in every
 domain.  `column_entries` reads, once per matrix, which columns have one
-nonzero and where, for the engine's walked series and gathered grading.
+nonzero and where, for the engine's walked series and gathered products.
 """
 
 from __future__ import annotations
@@ -61,17 +61,13 @@ def _orthonormal(mat: np.ndarray) -> bool:
     return np.sqrt(np.vdot(gram, gram).real) <= mat.shape[0] * _EPS
 
 
-def modulus_defect(vals) -> float:
-    """‖|vals|² - 1‖², vals a list of Python complex numbers: the squared
-    distance of the Gram matrix diag(|vals|²) of the columns vals_k e_(r_k)
-    at distinct rows r_k from the identity, with no matrix formed."""
-    return sum(((c.conjugate() * c).real - 1) ** 2 for c in vals)
-
-
-def unit_moduli(defect: float, dim: int) -> bool:
-    """`_orthonormal`'s predicate for columns vals_k e_(r_k) at distinct
-    rows of dim rows, from their `modulus_defect`: ‖|vals|² - 1‖ <= dim·ε."""
-    return defect ** 0.5 <= dim * _EPS
+def unit_moduli(vals: np.ndarray, dim: int) -> bool:
+    """`_orthonormal`'s predicate for the columns vals_k e_(r_k) at
+    distinct rows of dim rows: their Gram matrix is diag(|vals|²), so the
+    test is ‖|vals|² - 1‖ <= dim·ε on the entries alone, with no matrix
+    formed.  A non-finite defect fails."""
+    defect = vals.real ** 2 + vals.imag ** 2 - 1
+    return bool(np.sqrt(np.dot(defect, defect)) <= dim * _EPS)
 
 
 def own_basis(domain: ScalarDomain, mat: np.ndarray) -> np.ndarray:

@@ -64,12 +64,13 @@ def stepped_range_chain_inf(ctx, x, start=None):
 
 def stepped_wandering_series(ctx, x, term):
     """A basis of the wandering series with one orth per step and one for
-    the join, returned with its blocks as the engine's series is."""
+    the join, returned with its blocks and no record, as the engine's
+    unwalked series is."""
     pieces = []
     for _ in range(ctx.cap + 1):
         if term.shape[1] == 0:
             joined = np.concatenate(pieces, axis=1) if pieces else ctx.domain.zeros(ctx.dim, 0)
-            return subspaces.orth(ctx.domain, joined), pieces
+            return subspaces.orth(ctx.domain, joined), pieces, None
         pieces.append(term)
         term = subspaces.orth(ctx.domain, x.mat @ term)
     raise IndeterminateError("wandering series did not terminate within the cap")
@@ -78,16 +79,17 @@ def stepped_wandering_series(ctx, x, term):
 def chain_wold_parts(ctx, x):
     """The Wold parts with the unitary part built as the range chain
     ∧[xⁿ], walked one index at a time, and the shift part as the stepped
-    series from ker x*; the engine takes u as the complement of s."""
-    s_basis, blocks = stepped_wandering_series(ctx, x, subspaces.nullspace(ctx.domain,
-                                                                            x.star().mat))
-    return stepped_range_chain_inf(ctx, x), from_basis(ctx.domain, s_basis), blocks
+    series from ker x*, returned as its series; the engine takes u as the
+    complement of s."""
+    series = stepped_wandering_series(ctx, x, subspaces.nullspace(ctx.domain, x.star().mat))
+    return stepped_range_chain_inf(ctx, x), from_basis(ctx.domain, series[0]), series
 
 
-def chain_shift_corner_res(ctx, x, basis, blocks):
-    """The residual ∧[(pxp)ⁿ] of the corner p onto span(basis) by the
-    stepped range chain of p x p, whatever grading its blocks give."""
-    p = from_basis(ctx.domain, basis)
+def chain_shift_corner_res(ctx, x, series):
+    """The residual ∧[(pxp)ⁿ] of the corner p onto the span of the series'
+    basis by the stepped range chain of p x p, whatever grading its blocks
+    and record give."""
+    p = from_basis(ctx.domain, series[0])
     inf_proj = stepped_range_chain_inf(ctx, p.product(x), start=p.range_basis)
     return ctx.wres(inf_proj.element)
 
@@ -95,9 +97,9 @@ def chain_shift_corner_res(ctx, x, basis, blocks):
 def chain_pair_split(ctx, y):
     """The fourfold split by the stepped range chains of y and of y*: with
     fwd = ∧[yⁿ] and bwd = ∧[y*ⁿ], u = fwd ∧ bwd, then bwd - u, fwd - u and
-    the remainder.  The series f = s + t and g = b + t whose bases the
-    engine returns beside the parts are 1 - fwd and 1 - bwd here, with no
-    blocks;
+    the remainder.  The series f = s + t and g = b + t that the engine
+    returns beside the parts are the bases of 1 - fwd and 1 - bwd here,
+    with no blocks and no record;
     `chain_shift_corner_res` walks its own chain in place of a grading."""
     fwd = stepped_range_chain_inf(ctx, y)
     bwd = stepped_range_chain_inf(ctx, y.star())
@@ -108,7 +110,8 @@ def chain_pair_split(ctx, y):
         from_element(fwd.element - p_u.element),
         from_element(ctx.one - (fwd.element + bwd.element - p_u.element)),
     )
-    return parts, (fwd.complement().range_basis, []), (bwd.complement().range_basis, [])
+    return (parts, (fwd.complement().range_basis, [], None),
+            (bwd.complement().range_basis, [], None))
 
 
 def full_svd_nullspace(domain, mat):

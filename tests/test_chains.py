@@ -8,8 +8,9 @@ certificates and weak bi-shift's p_uu, m_us and m_su, which the engine
 reads off the Wold parts, are checked against the stepped range chain, and
 every reference is checked to be reached.  The factorisation budgets of
 Wold's parts (one SVD, one QR) and of one reducing-fixpoint sweep are
-pinned too, with the SVD, QR, matmul and power budgets of one `wold`, of
-one `halmos_wallen` and of `slocinski` and `weak_bishift` on the grid pair,
+pinned too, with the SVD, QR, matmul, power and masked-element budgets of
+one `wold`, of one `halmos_wallen` and of `slocinski` and `weak_bishift` on
+the grid pair,
 the rref budget of `halmos_wallen` on a full-rank x, the
 `left_projection` budget of the lemma residuals and the no-power,
 no-range-projection budget of the product-PPI constraint.  That
@@ -56,7 +57,7 @@ from stardecomp import (
     weak_bishift,
     wold,
 )
-from stardecomp import engine, linalg, serialize, subspaces
+from stardecomp import engine, linalg, projections, serialize, subspaces
 from stardecomp.cli import main
 from stardecomp.elements import is_partial_isometry
 from stardecomp.fixtures import (
@@ -320,9 +321,8 @@ def _wold_both_ways(x, window, n_max=16):
     ctx = engine._Ctx(x, EngineConfig(n_max=n_max, window=window))
     got = engine._wold_parts(ctx, x)
     want = chain_wold_parts(ctx, x)
-    p_s, blocks = got[1], got[2]
-    return (got, want, engine._grading_res(ctx, x, p_s.range_basis, blocks),
-            chain_shift_corner_res(ctx, x, p_s.range_basis, blocks))
+    return (got, want, engine._grading_res(ctx, x, got[2]),
+            chain_shift_corner_res(ctx, x, got[2]))
 
 
 @pytest.mark.parametrize("case", range(6))
@@ -364,8 +364,8 @@ def test_graded_shift_certificate_reads_the_last_block_image(domain):
     for name, mat in (("cycle", cycle), ("jordan", jordan)):
         x = Element(domain, mat)
         ctx = engine._Ctx(x, EngineConfig(window=coordinate_projection(domain, keep)))
-        res[name] = (engine._grading_res(ctx, x, one.range_basis, blocks),
-                     chain_shift_corner_res(ctx, x, one.range_basis, blocks))
+        series = (one.range_basis, blocks, None)
+        res[name] = (engine._grading_res(ctx, x, series), chain_shift_corner_res(ctx, x, series))
     assert res["cycle"] == pytest.approx((1.0, np.sqrt(n - 1)))
     assert res["jordan"] == (0.0, 0.0)
 
@@ -486,7 +486,7 @@ def _pair_infima_both_ways(x1, x2, cfg):
         want = max(
             engine._corner_unitary_res(ctx, x, p) if kind == "u"
             else max(engine._isometry_res(ctx, x, p),
-                     chain_shift_corner_res(ctx, x, p.range_basis, []))
+                     chain_shift_corner_res(ctx, x, (p.range_basis, [], None)))
             for x, kind in zip((x1, x2), label)
         )
         certificates.append((rep.certificates[f"block[{label}]"], want))
@@ -651,7 +651,7 @@ def test_wold_parts_take_one_svd_and_no_qr(monkeypatch):
     ctx = engine._Ctx(tr.element, EngineConfig(n_max=16, window=tr.window))
     calls = _count_svds(monkeypatch)
     qrs = _count_qrs(monkeypatch)
-    p_u, p_s, blocks = engine._wold_parts(ctx, tr.element)
+    p_u, p_s, (_, blocks, _) = engine._wold_parts(ctx, tr.element)
     assert (p_u.rank, p_s.rank, len(blocks)) == (3, 128, 128)
     assert (calls, qrs) == ([(4, 4)], [])
 
@@ -778,6 +778,42 @@ def test_weak_bishift_svd_budget(monkeypatch):
     assert len([shape for shape, _ in calls if shape != (10, 10)]) <= 1
     assert len(matmuls) <= 1
     assert not powers
+
+
+def _masked_elements_formed(monkeypatch, method, *args):
+    """The dims of the dense elements formed from masks in one call."""
+    formed = []
+    element = projections._Masked.element
+
+    def counting(self):
+        if self._element is None:
+            formed.append(self.dim)
+        return element.fget(self)
+
+    monkeypatch.setattr(projections._Masked, "element", property(counting))
+    method(*args)
+    return formed
+
+
+@pytest.mark.parametrize("method", ["wold", "halmos_wallen", "slocinski", "weak_bishift"])
+def test_masked_projections_form_no_dense_element(monkeypatch, method):
+    # the window, the Wold and Halmos–Wallen parts, the Słociński seeds
+    # and fixpoints and their certificates go through masks alone, and so
+    # do the size checks of their products, meets and joins: only
+    # weak_bishift's p_ws, the dense wrap of 1 - p_uu - p_us - p_su, forms
+    # its three summands' elements
+    if method == "wold":
+        tr = truncate(_unitary_plus_shift(), 128, n_max=16)
+        args = (wold, tr.element, EngineConfig(n_max=16, window=tr.window))
+    elif method == "halmos_wallen":
+        (x,), window = _spec_operators("hw64.json", 64)
+        args = (halmos_wallen, x, EngineConfig(n_max=16, window=window))
+    else:
+        trs = [truncate(e, 10, n_max=4) for e in pair_instances("grid")]
+        args = (slocinski if method == "slocinski" else weak_bishift,
+                *(t.element for t in trs), EngineConfig(n_max=4, window=trs[0].window))
+    formed = _masked_elements_formed(monkeypatch, *args)
+    assert len(formed) == (3 if method == "weak_bishift" else 0)
 
 
 @pytest.mark.parametrize("method", [slocinski, weak_bishift, hw_pair_doubly, nfl_pair_doubly,

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from stardecomp import (
     COMPLEX,
+    DomainMismatchError,
     EmptyFamilyError,
     PreconditionError,
     ProjectionBasis,
@@ -393,3 +394,23 @@ def test_near_coordinate_basis_is_not_masked(spoil):
     p = from_basis(COMPLEX, basis)
     assert p.mask is None
     assert np.array_equal(p.element.mat, subspaces.proj_matrix(COMPLEX, basis))
+
+
+@pytest.mark.parametrize("op", ["product", "pair_product", "pair_product reversed",
+                                "proj_inf", "proj_sup"])
+def test_masked_projection_of_another_size_is_refused_by_its_mask(op):
+    # the size check reads the mask's size: the dense element is never
+    # formed just to be refused
+    small = coordinate_projection(COMPLEX, [True, False, True])
+    big = coordinate_projection(COMPLEX, [True, True, False, True])
+    dense = _unmasked(coordinate_projection(COMPLEX, [True, False, False, True]))
+    calls = {
+        "product": lambda: small.product(identity(COMPLEX, 4)),
+        "pair_product": lambda: pair_product(small, dense),
+        "pair_product reversed": lambda: pair_product(dense, small),
+        "proj_inf": lambda: proj_inf([big, small]),
+        "proj_sup": lambda: proj_sup([small, big]),
+    }
+    with pytest.raises(DomainMismatchError):
+        calls[op]()
+    assert small._element is None and big._element is None

@@ -212,16 +212,16 @@ def _ctx_with_cap(x, cap=None):
 
 
 def _assert_same_series(x, term, cap=None):
-    """The engine's series (walked, then dense) and the stepped one both
-    raise at the cap, or give equal ranks, equal block shapes, and equal
-    projections onto the join and onto every block."""
+    """The engine's series (walked, or dense from its seed) and the
+    stepped one both raise at the cap, or give equal ranks, equal block
+    shapes, and equal projections onto the join and onto every block."""
     ctx = _ctx_with_cap(x, cap)
     got = _series_or_raise(engine._wandering_series, ctx, x, term)
     want = _series_or_raise(stepped_wandering_series, ctx, x, term)
     assert (got is None) == (want is None)
     if got is None:
         return None
-    (basis, blocks), (ref, ref_blocks) = got, want
+    (basis, blocks, _), (ref, ref_blocks, _) = got, want
     assert basis.shape == ref.shape
     assert [b.shape for b in blocks] == [b.shape for b in ref_blocks]
     for b, r in [(basis, ref), *zip(blocks, ref_blocks)]:
@@ -294,7 +294,7 @@ def test_walked_series_matches_the_stepped_series(case):
                          ids=["walked", "handed over at once", "handed over mid-series"])
 def test_walked_series_cap_edge(walked, dense):
     # a series of L blocks ends at cap L and raises at cap L - 1, walked or
-    # handed over to the dense steps, exactly as the stepped series does: a
+    # stepped densely from its seed, exactly as the stepped series does: a
     # unit path of `walked` steps into a rotated nilpotent shift on `dense`
     # coordinates has walked + dense blocks
     x, term = _walk_matrix(0, [walked], -1, ["dense"], dense, False)
@@ -307,31 +307,29 @@ def test_walked_series_cap_edge(walked, dense):
 
 @pytest.mark.parametrize("modulus", [1.0, 2.0, 1 + 1e-13])
 def test_walk_tests_the_seed_of_a_unit_factor_path(modulus):
-    # every factor of a truncated shift is exactly 1, so each image has its
-    # block's entries and skips its test once that block passed; the seed
-    # has not been tested, so a seed of another modulus hands over to the
-    # dense steps at its first image
+    # every factor of a truncated shift is exactly 1, so every entry of
+    # the walk is the seed's: the seed is tested with every other entry,
+    # and a seed of another modulus takes the dense steps from the seed
     x = Element(COMPLEX, np.eye(6, k=-1, dtype=complex))
     term = np.zeros((6, 1), dtype=complex)
     term[0, 0] = modulus * np.exp(0.3j)
     assert _assert_same_series(x, term) == 6
-    basis, _ = engine._wandering_series(_ctx_with_cap(x), x, term)
+    basis, _, _ = engine._wandering_series(_ctx_with_cap(x), x, term)
     assert np.linalg.norm(basis.conj().T @ basis - np.eye(6)) <= TOL
 
 
 def test_walked_record_grades_as_the_gathered_blocks():
-    # the grading of any y read off a walked series' record equals the one
-    # gathered from its blocks in a context that holds no record
+    # the grading of any y gathered from a walked series' record equals
+    # the `coordinates` form of its blocks (the series with no record)
+    # within 1e-13
     x, term = _walk_matrix(0, [3, 2, 4], -1, ["zero", "zero", "zero"], 0, False)
     ctx = _ctx_with_cap(x)
-    basis, blocks = engine._wandering_series(ctx, x, term)
-    assert ctx.walked(basis) is not None
-    fresh = _ctx_with_cap(x)
-    assert fresh.walked(basis) is None
+    basis, blocks, record = engine._wandering_series(ctx, x, term)
+    assert record is not None
     rng = np.random.default_rng(4)
     for y in (x, Element(COMPLEX, rng.standard_normal(x.mat.shape) + 0j)):
-        got = engine._grading_res(ctx, y, basis, blocks)
-        assert got == engine._grading_res(fresh, y, basis, blocks)
+        got = engine._grading_res(ctx, y, (basis, blocks, record))
+        assert abs(got - engine._grading_res(ctx, y, (basis, blocks, None))) <= 1e-13
     assert got > 1
 
 
@@ -425,12 +423,15 @@ def _graded_blocks(seed, sizes, outside, graded):
 def test_gathered_grading_matches_the_coordinates_form(case):
     x, basis, blocks = _graded_blocks(*case)
     ctx = engine._Ctx(x, EngineConfig())
+    # the blocks are no series of x, so their record is read off them
+    _, rows, vals = subspaces.column_entries(basis)
+    level = np.repeat(np.arange(len(blocks)), [b.shape[1] for b in blocks])
     calls = []
     coordinates = subspaces.coordinates
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(subspaces, "coordinates",
                    lambda *a, **k: calls.append(1) or coordinates(*a, **k))
-        got = engine._grading_res(ctx, x, basis, blocks)
+        got = engine._grading_res(ctx, x, (basis, blocks, (rows, vals, level)))
     assert not calls  # the gather, with no product
     want = _coordinates_grading(x.mat, blocks)
     assert abs(got - want) <= TOL
@@ -507,8 +508,8 @@ def test_steps_match_their_references(name, n, n_max):
         assert got.rank == want.rank
         assert np.linalg.norm(got.element.mat - want.element.mat) <= TOL
         coker = subspaces.cokernel(ctx.domain, a.mat)
-        (got, got_blocks), (want, want_blocks) = (engine._wandering_series(ctx, a, coker),
-                                                  stepped_wandering_series(ctx, a, coker))
+        (got, got_blocks, _), (want, want_blocks, _) = (engine._wandering_series(ctx, a, coker),
+                                                        stepped_wandering_series(ctx, a, coker))
         got, want = from_basis(ctx.domain, got), from_basis(ctx.domain, want)
         assert got.rank == want.rank
         assert np.linalg.norm(got.element.mat - want.element.mat) <= TOL
