@@ -16,16 +16,17 @@ Frobenius norm is below the rank cutoff takes no SVD, since σ₁ <= ‖·‖_F,
 and x*x and xx* are formed at most once per operator.  A product a x is
 gathered along x's one-nonzero columns (`_Ctx.mul`): such a column c·e_r
 maps to a[:, r]·c, the dense sum's one nonzero term, so only x's other
-columns take a GEMM; the preconditions' x*x and commutators, Słociński's
-x1 x2 and the PPI precondition's powers are formed so.  Each method call
-builds one context (`_Ctx`) and runs every fixpoint in it, and reads each
-operator's column entries once there, for the gathers and the walk; a
-method composed of others (`hw_pair_doubly`, `nfl_pair_doubly`,
-`corollary_check`) runs their bodies (`_halmos_wallen`, `_nfl`,
-`_slocinski`) in its own context.
+columns take a GEMM; the preconditions' x*x and commutators and
+Słociński's x1 x2 are formed so.  Each method call builds one context
+(`_Ctx`) and runs every fixpoint in it, and reads each operator's column
+entries and connected components once there, for the gathers, the walk
+and the PPI precondition; a method composed of others (`hw_pair_doubly`,
+`nfl_pair_doubly`, `corollary_check`) runs their bodies
+(`_halmos_wallen`, `_nfl`, `_slocinski`) in its own context.
 The series' seed ker x* is one cokernel whose lone entries are peeled off
 (`subspaces.cokernel`): a truncated shift model's SVD is of its unitary
-blocks and the shifts' boundary lines only.
+blocks beside the shifts' zero boundary lines, and with no unitary block
+it takes none.
 On the shift model nearly every series step maps a coordinate vector to
 another along a one-nonzero column of x, so a float series of coordinate
 columns is walked along those columns with index work only (`_walk`),
@@ -87,11 +88,15 @@ x p - p x, (1 - p) x p, p x*x p - p, pq (`pair_product`) and pq being a
 projection (`projection_defects`); conditions test it with ctx.ok and
 certificates measure it with ctx.wres, or a masked projection's index
 blocks against the same tolerance.  A projection that is not masked,
-exact or float, multiplies as its dense element.  The windowed PPI
-precondition reads xⁿ (xⁿ)* xⁿ - xⁿ on the window's rows and columns
-alone.  The iteration cap is max(n_max, dim + 1), and a series or core
-still moving at the cap raises IndeterminateError instead of silently
-truncating.
+exact or float, multiplies as its dense element.  The float PPI
+precondition splits x into its connected components, each a reducing
+subspace (join i and j where x_ij ≠ 0): on a monomial component, at most
+one nonzero in every row and column, each power is a partial map with
+distinct rows and its defect is read in closed form with no power formed,
+and only the other components take xⁿ (xⁿ)* xⁿ - xⁿ, on the window's rows
+and columns alone; on the shift model that is the unitary block.  The
+iteration cap is max(n_max, dim + 1), and a series or core still moving
+at the cap raises IndeterminateError instead of silently truncating.
 Certificate residuals are measured after compression to the probe window
 when the input came from a truncated symbolic operator; a grading residual
 is read on the whole space, which can only be stricter.  The window is a 0/1
@@ -194,11 +199,11 @@ class _Ctx:
     """Shared state of one method call: domain, window mask and the
     window's coordinates (keep), chain cap, the EngineConfig (the default
     one when a method is given none), the Gram products and each
-    operator's column entries.  A method builds one and hands it to every
-    fixpoint it runs, so the window is checked once per call, with
-    vectorised comparisons of its diagonal, or none for a masked window,
-    whose element is its mask's diagonal by construction and whose size
-    is read off its mask.  Nothing in it outlives the call."""
+    operator's column entries and component labels.  A method builds one
+    and hands it to every fixpoint it runs, so the window is checked once
+    per call, with vectorised comparisons of its diagonal, or none for a
+    masked window, whose element is its mask's diagonal by construction
+    and whose size is read off its mask.  Nothing in it outlives the call."""
 
     def __init__(self, x: Element, cfg: EngineConfig | None = None):
         self.domain = x.domain
@@ -209,7 +214,7 @@ class _Ctx:
         self.mask = None
         self.keep = None
         self._grams = {}
-        self._columns = {}
+        self._read = {}
         window = self.cfg.window
         if window is not None:
             x._check(window)
@@ -242,13 +247,21 @@ class _Ctx:
             self._grams[key] = (x, x @ x.star() if star else self.mul(x.star(), x))
         return self._grams[key][1]
 
+    def _held(self, x: Element, read) -> object:
+        """read(x.mat), read once per operator and held with x, as in
+        `gram`."""
+        key = (id(x), read)
+        if key not in self._read:
+            self._read[key] = (x, read(x.mat))
+        return self._read[key][1]
+
     def columns(self, x: Element) -> tuple:
-        """`subspaces.column_entries` of the operator x, read once per
-        operator and held with x, as in `gram`."""
-        key = id(x)
-        if key not in self._columns:
-            self._columns[key] = (x, subspaces.column_entries(x.mat))
-        return self._columns[key][1]
+        """`subspaces.column_entries` of the operator x."""
+        return self._held(x, subspaces.column_entries)
+
+    def labels(self, x: Element) -> np.ndarray:
+        """`subspaces.component_labels` of the operator x."""
+        return self._held(x, subspaces.component_labels)
 
     def mul(self, a: Element, x: Element) -> Element:
         """a x, gathered along x's one-nonzero columns.
@@ -430,26 +443,80 @@ def _gram_res(ctx: _Ctx, x: Element, idx: np.ndarray, star: bool = False) -> flo
 def _ppi_on_window(ctx: _Ctx, x: Element) -> bool:
     """xⁿ (xⁿ)* xⁿ = xⁿ on the window for n <= min(n_max, dim).
 
-    With a float window of coordinates k, w (P P* P - P) w for P = xⁿ is
-    (P[k] P*) P[:, k] - P[k, k], formed from the window rows and columns
-    of P alone and tested against the same tolerance eps_eq·dim.  Exact
-    inputs and inputs with no window take the dense defect."""
-    windowed = ctx.keep is not None and not ctx.domain.exact
+    Exact inputs take the dense defect.  A float x is the direct sum of
+    its components (`_Ctx.labels`), so xⁿ and the windowed defect
+    w (P P* P - P) w, P = xⁿ, split over them: each n tests the Frobenius
+    norm of both parts together against eps_eq·dim, as the dense defect
+    is tested.  A component whose rows and columns each hold at most one
+    nonzero is monomial, and is read in closed form with no power formed
+    (`_monomial_ppi_defects`).  The other components D take the windowed
+    defect on x[D, D]: with window coordinates k (every coordinate with
+    no window), (P[k] P*) P[:, k] - P[k, k], formed from the window rows
+    and columns of P alone, each power gathered along x's one-nonzero
+    columns."""
+    top = min(ctx.cfg.n_max, ctx.dim)
+    if ctx.domain.exact:
+        pw = x
+        for n in range(top):
+            if n:
+                pw = ctx.mul(pw, x)
+            if not ctx.ok(pw @ pw.star() @ pw - pw):
+                return False
+        return True
+    counts, rows, _ = ctx.columns(x)
+    labels = ctx.labels(x)
+    crowded = (counts > 1) | (np.bincount(rows[counts == 1], minlength=ctx.dim) > 1)
+    flagged = np.zeros(ctx.dim, dtype=bool)
+    flagged[labels[crowded]] = True
+    dense = flagged[labels]
+    keep = np.ones(ctx.dim, dtype=bool) if ctx.keep is None else ctx.keep
+    defects = _monomial_ppi_defects(ctx, x, ~dense, keep, top)
     tol = ctx.domain.residual_tol(ctx.dim)
-    k = ctx.keep
-    pw = x
-    for n in range(1, min(ctx.cfg.n_max, ctx.dim) + 1):
-        if n > 1:
-            pw = ctx.mul(pw, x)
-        if windowed:
-            p = pw.mat
-            rows = p[k]
-            ok = ctx.domain.norm((rows @ p.conj().T) @ p[:, k] - rows[:, k]) <= tol
-        else:
-            ok = ctx.ok(pw @ pw.star() @ pw - pw)
-        if not ok:
+    if not dense.any():
+        return bool((np.sqrt(defects) <= tol).all())
+    idx = np.flatnonzero(dense)
+    k = keep[idx]
+    xd = Element(ctx.domain, x.mat[np.ix_(idx, idx)])
+    pw = xd
+    for n in range(top):
+        if n:
+            pw = ctx.mul(pw, xd)
+        p = pw.mat
+        rows = p[k]
+        part = ctx.domain.norm((rows @ p.conj().T) @ p[:, k] - rows[:, k])
+        if not np.sqrt(defects[n] + part * part) <= tol:
             return False
     return True
+
+
+def _monomial_ppi_defects(ctx: _Ctx, x: Element, mono: np.ndarray, keep: np.ndarray,
+                          top: int) -> np.ndarray:
+    """‖w (P P* P - P) w‖² for P = xⁿ on the monomial coordinates, n = 1
+    … top, w the 0/1 diagonal keep.
+
+    There column j of x is c_j e_(r_j), or zero, and no two share a row,
+    so P is a partial map with distinct rows: its column j is p_j e_(r_j)
+    with r_j and p_j followed along x's columns n times, so
+    P* P = diag(|p_j|²) and the defect's column j is
+    p_j (|p_j|² - 1) e_(r_j).  Its windowed square norm is the sum of
+    |p_j|² (|p_j|² - 1)² over window columns j whose row r_j is in the
+    window: index gathers only, with no product.  A zero column maps to a
+    sink slot past the last coordinate, whose factor 0 keeps it zero."""
+    counts, to_row, factor = ctx.columns(x)
+    sink = ctx.dim
+    nxt = np.append(np.where(counts > 0, to_row, sink), sink)
+    fac = np.append(factor, 0)
+    inside = np.append(keep, False)
+    cols = np.flatnonzero(mono)
+    r, p = cols, np.ones(cols.size, dtype=fac.dtype)
+    rs, ps = [], []
+    for _ in range(top):
+        p = p * fac[r]
+        r = nxt[r]
+        rs.append(r)
+        ps.append(p)
+    a2 = np.abs(np.array(ps)) ** 2
+    return np.where(inside[np.array(rs)] & keep[cols], a2 * (a2 - 1) ** 2, 0).sum(axis=1)
 
 
 def _isometry_defect(ctx: _Ctx, x: Element, p: Projection | None = None,

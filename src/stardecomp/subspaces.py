@@ -5,11 +5,14 @@ column bases and build projections through the Gram matrix; the complex
 domain keeps orthonormal bases, from SVDs with a relative rank cutoff, and
 skips the SVD wherever its outcome is already known.  The cokernel peels
 off the lone entries of its matrix, whose singular values and vectors are
-read off with no arithmetic, so only the rest takes an SVD; on a truncated
-shift model that is the unitary blocks and the shifts' boundary lines.
+read off with no arithmetic, so only the rest takes an SVD, and only when
+it has a nonzero entry; on a truncated shift model that is the unitary
+blocks beside the shifts' zero boundary lines.
 The complement of a span is one kernel of the basis' adjoint in every
 domain.  `column_entries` reads, once per matrix, which columns have one
-nonzero and where, for the engine's walked series and gathered products.
+nonzero and where, for the engine's walked series and gathered products,
+and `component_labels` the connected components of a matrix's
+coordinates, for the engine's PPI precondition.
 """
 
 from __future__ import annotations
@@ -122,6 +125,29 @@ def column_entries(mat: np.ndarray) -> tuple:
     return nz.sum(axis=0), rows, mat[rows, np.arange(mat.shape[1])]
 
 
+def component_labels(mat: np.ndarray) -> np.ndarray:
+    """The connected components of the square mat's coordinates, i and j
+    joined where mat_ij ≠ 0, as each coordinate's label: the least
+    coordinate of its component.  mat and mat* both map the coordinates of
+    a component into themselves, so each spans a reducing subspace.
+
+    Label propagation: each round lowers every edge's two ends to the
+    smaller label (`np.minimum.at`) and then follows labels to their own
+    labels until none moves (pointer jumping, `lab = lab[lab]`).  Labels
+    only fall and always name a coordinate of the same component, so a
+    round that moves none is the fixpoint."""
+    i, j = np.nonzero(mat)
+    lab = np.arange(mat.shape[0])
+    while True:
+        old = lab.copy()
+        np.minimum.at(lab, i, old[j])
+        np.minimum.at(lab, j, old[i])
+        while not np.array_equal(up := lab[lab], lab):
+            lab = up
+        if np.array_equal(lab, old):
+            return lab
+
+
 def cokernel(domain: ScalarDomain, mat: np.ndarray) -> np.ndarray:
     """Basis of ker mat*, the range of 1 - [mat].
 
@@ -138,12 +164,20 @@ def cokernel(domain: ScalarDomain, mat: np.ndarray) -> np.ndarray:
     rank cut is `_rank_cut`'s, eps_rank·max(σ₁, 1) with σ₁ the largest
     over both parts; a lone entry at or below it gives e_i.  Zero rows and
     columns stay in rest, so a matrix with no lone entry is one rest: a
-    truncated shift is all lone entries but its two boundary lines.
+    truncated shift is all lone entries but its two boundary lines.  A
+    rest with no nonzero entry, such as those lines, takes no SVD: its
+    cokernel is its coordinate rows, the identity, which is also the U
+    LAPACK returns for a zero matrix (a -0.0 entry can flip a column's
+    sign there, which spans the same line).
     """
     if domain.exact:
         return linalg.nullspace(domain, domain.adjoint(mat))
     rows, cols, rest_rows, rest_cols = _lone_entries(mat)
-    u, s, _ = np.linalg.svd(mat[np.ix_(rest_rows, rest_cols)])
+    rest = mat[np.ix_(rest_rows, rest_cols)]
+    if rest.any():
+        u, s, _ = np.linalg.svd(rest)
+    else:
+        u, s = np.eye(rest.shape[0], dtype=np.result_type(rest.dtype, np.float32)), np.zeros(0)
     lone = np.abs(mat[rows, cols])
     cut = _cut(float(max(s.max(initial=0.0), lone.max(initial=0.0))), domain.tol.eps_rank)
     small = rows[lone <= cut]

@@ -20,7 +20,8 @@ engine reads the constraint's range projections off two wandering
 series), and
 the cnu corner keeps its own kernel loop instead of reusing the NFL one.
 The reducing fixpoint meets each operator's full preimage with the
-subspace.
+subspace, and the PPI precondition forms every power of x whole, where the
+engine reads x's monomial components in closed form.
 
 The float subspace steps have references of their own: the wandering
 series takes one orth per step, the meet is the kernel of the stacked
@@ -234,6 +235,30 @@ def power_lemma_certificates(ctx, x1, x2):
     return out
 
 
+def dense_ppi_on_window(ctx, x):
+    """The PPI precondition as one defect per power, with no split into
+    components: xⁿ (xⁿ)* xⁿ - xⁿ for n <= min(n_max, dim), each power
+    gathered along x's one-nonzero columns; with a float window of
+    coordinates k, (P[k] P*) P[:, k] - P[k, k] for P = xⁿ, tested against
+    eps_eq·dim, and the dense defect otherwise."""
+    windowed = ctx.keep is not None and not ctx.domain.exact
+    tol = ctx.domain.residual_tol(ctx.dim)
+    k = ctx.keep
+    pw = x
+    for n in range(1, min(ctx.cfg.n_max, ctx.dim) + 1):
+        if n > 1:
+            pw = ctx.mul(pw, x)
+        if windowed:
+            p = pw.mat
+            rows = p[k]
+            ok = ctx.domain.norm((rows @ p.conj().T) @ p[:, k] - rows[:, k]) <= tol
+        else:
+            ok = ctx.ok(pw @ pw.star() @ pw - pw)
+        if not ok:
+            return False
+    return True
+
+
 def reducing_fixpoint_by_meets(ctx, ops, e):
     """M <- M ∩ a^{-1} M over ops and adjoints, each preimage a full kernel
     of (1 - [M]) a met with M, with no exit at rank dim."""
@@ -279,6 +304,7 @@ REFERENCES = {
     "_product_ppi_constraint": product_ppi_constraint_to_cap,
     "_corner_cnu_res": corner_cnu_res_to_cap,
     "_reducing_fixpoint": reducing_fixpoint_by_meets,
+    "_ppi_on_window": dense_ppi_on_window,
 }
 
 

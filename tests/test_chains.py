@@ -17,6 +17,10 @@ no-range-projection budget of the product-PPI constraint.  That
 constraint reads [yⁿ] = 1 - (B₀ ⊕ … ⊕ Bₙ₋₁) off y's wandering series,
 checked against `left_projection(yⁿ)`, and one pair with a proper
 constraint checks it end to end.
+The PPI precondition, which reads x's monomial components in closed form
+and checks only the rest densely, is checked against one dense check of
+every power (`dense_ppi_on_window`) on random direct sums, and its
+products are pinned to the dense block.
 The zero-matrix exits of orth and nullspace are checked against the SVD
 path."""
 
@@ -83,6 +87,7 @@ from chain_reference import (
     chain_shift_corner_res,
     chain_wold_parts,
     corner_cnu_res_to_cap,
+    dense_ppi_on_window,
     mixed_wandering_to_cap,
     nfl_unitary_part_to_cap,
     power_lemma_certificates,
@@ -627,9 +632,9 @@ def test_range_chain_costs_at_most_three_factorisations(monkeypatch, n):
     ctx = engine._Ctx(tr.element, EngineConfig(n_max=16, window=tr.window))
     calls = _count_svds(monkeypatch)
     assert _unitary_part(ctx, tr.element).rank == 0
-    # the SVD of x for ker x*; the series ends on a zero matrix, which
-    # takes no SVD
-    assert len(calls) == 1
+    # x's non-lone rest is the shift's zero boundary row and column, whose
+    # cokernel is its coordinate rows with no SVD, and the series is walked
+    assert not calls
     calls.clear()
     assert stepped_range_chain_inf(ctx, tr.element).rank == 0
     # one per index; the last step is the zero matrix
@@ -751,18 +756,18 @@ def _grid_counts(monkeypatch, method):
 
 
 def test_slocinski_svd_budget(monkeypatch):
-    # one SVD of each operator for its Wold series; no meet stacks its
-    # bases into a wide matrix, no series step or meet of nested spans
-    # takes an SVD, and the shift blocks are certified by the Wold series'
-    # gradings with no chain or power.  The preconditions' x*x, the
-    # commutators and x1 x2 are gathered along one-nonzero columns, the
-    # full-rank ss seed is its own fixpoint with no sweep, and the Wold
-    # parts, their meets and the fixpoints are masked coordinate
-    # projections, so c2's pq is the AND of two masks, a projection exactly,
-    # and no Element product is formed
+    # none: each operator's cokernel for its Wold series peels its lone
+    # entries and reads its zero 10x10 rest as coordinate rows; no meet
+    # stacks its bases into a wide matrix, no series step or meet of
+    # nested spans takes an SVD, and the shift blocks are certified by the
+    # Wold series' gradings with no chain or power.  The preconditions'
+    # x*x, the commutators and x1 x2 are gathered along one-nonzero
+    # columns, the full-rank ss seed is its own fixpoint with no sweep,
+    # and the Wold parts, their meets and the fixpoints are masked
+    # coordinate projections, so c2's pq is the AND of two masks, a
+    # projection exactly, and no Element product is formed
     calls, matmuls, powers = _grid_counts(monkeypatch, slocinski)
-    assert not [shape for shape, full in calls if full and shape[1] > shape[0]]
-    assert len(calls) <= 2
+    assert not calls
     assert not matmuls
     assert not powers
 
@@ -770,12 +775,12 @@ def test_slocinski_svd_budget(monkeypatch):
 def test_weak_bishift_svd_budget(monkeypatch):
     # each mixed wandering step is one thin kernel inside K_1 = ker b*,
     # b's peeled cokernel, and p_uu, m_us and m_su are a fixpoint and two
-    # meets of the Wold parts, with no chain or power; every SVD but
-    # p_ws's is of a cokernel's 10x10 non-lone rest, and the only Element
-    # product is p_ws's projection check
+    # meets of the Wold parts, with no chain or power; every cokernel's
+    # 10x10 non-lone rest is zero and takes no SVD, so the one SVD is
+    # p_ws's, and the only Element product is p_ws's projection check
     calls, matmuls, powers = _grid_counts(monkeypatch, weak_bishift)
-    assert len(calls) <= 5
-    assert len([shape for shape, _ in calls if shape != (10, 10)]) <= 1
+    assert len(calls) <= 1
+    assert all(shape == (100, 100) for shape, _ in calls)
     assert len(matmuls) <= 1
     assert not powers
 
@@ -839,8 +844,8 @@ def test_pair_call_builds_one_context(monkeypatch, method):
 def test_product_ppi_constraint_budget(monkeypatch):
     # the truncated mixed pair at N = 32: the constraint reads every [x1ⁿ]
     # and [x2*ⁿ] off two wandering series, so no power and no range
-    # projection is formed in the call, and its only SVDs are the 1x1
-    # non-lone rests of the two series' cokernels
+    # projection is formed in the call, and it takes no SVD: the 1x1
+    # non-lone rests of the two series' cokernels are zero
     xs, cfg = _truncated(list(pair_instances("mixed")), 32, 6)
     svds = _count_svds(monkeypatch)
     powers = _count_calls(monkeypatch, "power")
@@ -849,7 +854,7 @@ def test_product_ppi_constraint_budget(monkeypatch):
     monkeypatch.setattr(engine, "left_projection", lambda a: ranges.append(1) or left(a))
     largest_product_ppi(*xs, cfg)
     assert not powers and not ranges
-    assert len(svds) <= 2
+    assert not svds
 
 
 def test_full_rank_first_step_is_its_own_basis(monkeypatch):
@@ -878,28 +883,130 @@ def test_lemma_identity_is_not_factorised(monkeypatch):
 
 
 def test_halmos_wallen_budget(monkeypatch):
-    # i ⊕ S* ⊕ J3 at N = 64 (dim 68): one SVD of the window rows of x and
-    # of x* for the two series seeds; both series are walked, x*'s dropping
+    # i ⊕ S* ⊕ J3 at N = 64 (dim 68): no SVD, since the window rows of x
+    # and of x* are lone entries beside zero lines, so the two series
+    # seeds are coordinate rows; both series are walked, x*'s dropping
     # J3's zero image, so the four parts are masked coordinate sets read
     # off the two walks, with no meet, kernel or QR; no range chain, so no
-    # power, and no part wrapped by from_element; the PPI precondition
-    # gathers one power of x per n along x's one-nonzero columns and reads
-    # the window's rows and columns of it with thin products, and the
-    # certificates of the masked parts are index blocks of x, so no
-    # Element product is formed
+    # power, and no part wrapped by from_element; every component of x is
+    # monomial, so the PPI precondition reads each in closed form and
+    # forms no power of x or of a block of it; and the certificates of the
+    # masked parts are index blocks of x, so no Element product is formed
     (x,), window = _spec_operators("hw64.json", 64)
     svds = _count_svds(monkeypatch)
     qrs = _count_qrs(monkeypatch)
     matmuls = _count_calls(monkeypatch, "__matmul__")
     powers = _count_calls(monkeypatch, "power")
+    muls = _count_muls(monkeypatch)
     wrapped = []
     monkeypatch.setattr(engine, "from_element", lambda e: wrapped.append(e))
     rep = halmos_wallen(x, EngineConfig(n_max=16, window=window))
     assert {lbl: p.rank for lbl, p in rep.basis.members} == {"u": 1, "s": 0, "b": 64, "t": 3}
-    assert len(svds) <= 2
+    assert not svds
     assert qrs == []
     assert not matmuls
-    assert not powers and not wrapped
+    assert not powers and not wrapped and not muls
+
+
+def _count_muls(monkeypatch):
+    """Shapes of the gathered products `_Ctx.mul` forms, (a, x) each."""
+    calls = []
+    mul = engine._Ctx.mul
+    monkeypatch.setattr(engine._Ctx, "mul", lambda self, a, x:
+                        calls.append((a.mat.shape, x.mat.shape)) or mul(self, a, x))
+    return calls
+
+
+def test_ppi_check_multiplies_the_dense_block_alone(monkeypatch):
+    # the shift-model's hw input u5 ⊕ S* ⊕ J4 at N = 64 (dim 73): the 5×5
+    # unitary block is the one component with a column of more than one
+    # nonzero, so it alone takes the dense check, one gathered power per
+    # n > 1 and thin products of its window rows and columns; the tails
+    # are read in closed form
+    u = unitary(random_complex_unitary(5, np.random.default_rng(7)).mat)
+    tr = truncate(direct_sum(u, Adjoint(Shift(1)), Trunc(4)), 64, n_max=16)
+    ctx = engine._Ctx(tr.element, EngineConfig(n_max=16, window=tr.window))
+    matmuls = _count_calls(monkeypatch, "__matmul__")
+    muls = _count_muls(monkeypatch)
+    assert engine._ppi_on_window(ctx, tr.element)
+    assert muls == [((5, 5), (5, 5))] * 15
+    assert not matmuls
+
+
+@pytest.mark.parametrize("rows,ppi", [
+    ([[1, 1], [0, 0]], False),  # one row holds two entries: x x* x = 2x
+    ([[0, 0], [1, 0]], True),
+    ([[0, 0, 0], [1j, 0, 0], [0, -1, 0]], True),
+    ([[2, 0], [0, 1]], False),
+    ([[0, 0], [0.5, 0]], False),
+], ids=["repeated row", "J2", "J3 with phases", "modulus 2", "modulus 1/2"])
+def test_ppi_check_on_small_monomial_matrices(rows, ppi):
+    x = from_rows(COMPLEX, rows)
+    for window in (None, coordinate_projection(COMPLEX, [True] * x.dim)):
+        cfg = EngineConfig(window=window)
+        assert engine._ppi_on_window(engine._Ctx(x, cfg), x) is ppi
+        assert dense_ppi_on_window(engine._Ctx(x, cfg), x) is ppi
+
+
+# moduli off 1 in steps of eps_eq·dim/2: a lone entry 1 + k·eps_eq·dim/2
+# has the defect |c|·(|c|² - 1), about k·eps_eq·dim, against the cut eps_eq·dim
+_CUT_STEPS = (0.0, 0.5, 0.99, 1.0, 1.01, 2.0)
+_PHASES = (1, -1, 1j, -1j, np.exp(0.3j))
+
+
+@st.composite
+def _ppi_split_inputs(draw):
+    """(x, window, n_max): a direct sum of monomial pieces, some with a
+    repeated row, and small dense blocks (unitary or a contraction), its
+    coordinates shuffled, with a random 0/1 window or none.  Half the
+    pieces have moduli at and around the cut, the others unit moduli, so
+    that one faulty piece often decides the answer alone."""
+    kinds = draw(st.lists(st.sampled_from(["monomial", "repeated row", "unitary", "contraction"]),
+                          min_size=1, max_size=4))
+    sizes = [draw(st.integers(2 if kind == "repeated row" else 1, 5)) for kind in kinds]
+    dim = sum(sizes)
+    step = COMPLEX.tol.eps_eq * dim / 2
+
+    def modulus():
+        if not near:
+            return 1.0
+        return 1 + draw(st.sampled_from((-1, 1))) * draw(st.sampled_from(_CUT_STEPS)) * step
+
+    x = np.zeros((dim, dim), dtype=complex)
+    at = 0
+    for kind, m in zip(kinds, sizes):
+        near = draw(st.booleans())
+        block = np.zeros((m, m), dtype=complex)
+        if kind in ("monomial", "repeated row"):
+            rows = list(draw(st.permutations(range(m))))
+            if kind == "repeated row":
+                rows[0] = rows[1]
+            for j, r in enumerate(rows):
+                if draw(st.integers(0, 3)):  # a zero column one time in four
+                    block[r, j] = modulus() * draw(st.sampled_from(_PHASES))
+        else:
+            u = random_complex_unitary(m, np.random.default_rng(draw(st.integers(0, 99)))).mat
+            block = u * modulus()
+            if kind == "contraction":
+                block[:, 0] /= 2
+        x[at:at + m, at:at + m] = block
+        at += m
+    order = np.array(draw(st.permutations(range(dim))))
+    x = x[np.ix_(order, order)]
+    keep = draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=dim, max_size=dim)))
+    window = None if keep is None else coordinate_projection(COMPLEX, keep)
+    return Element(COMPLEX, x), window, draw(st.sampled_from((1, 2, 3, 16)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ppi_split_inputs())
+def test_ppi_split_matches_the_dense_check(case):
+    # the monomial components in closed form beside the dense check of the
+    # rest accept exactly what one dense check of every power accepts
+    x, window, n_max = case
+    cfg = EngineConfig(n_max=n_max, window=window)
+    assert engine._ppi_on_window(engine._Ctx(x, cfg), x) == \
+        dense_ppi_on_window(engine._Ctx(x, cfg), x)
 
 
 def test_carried_powers_start_at_x(monkeypatch):

@@ -2,7 +2,8 @@
 (`subspace_step_references` in tests/chain_reference.py): the wandering
 series without per-step SVDs, the meet as one thin kernel, the mixed
 wandering subspace as one preimage per step, and the projection
-products, beside the peeled cokernel against the dense SVD's, the walked
+products, beside the peeled cokernel against the dense SVD's (and its
+zero rest against the SVD's U, bit for bit), the walked
 series against the stepped one, the complement's kernel against the
 complete QR's, the gathered grading against the `coordinates` form and
 the gathered product `_Ctx.mul` against the dense one.
@@ -192,6 +193,23 @@ def test_lone_entry_at_the_cut_is_in_the_cokernel(monkeypatch, scale, rank):
     if rank == 1:
         assert np.array_equal(got, np.array([[0], [1]], dtype=complex))
     assert not any(calls)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (8, 8), (10, 10), (3, 2), (2, 3), (3, 0), (0, 3)])
+def test_zero_rest_is_read_as_coordinate_rows(monkeypatch, m, n):
+    # diag(3 lone entries) ⊕ an m×n zero rest: the rest's cokernel is its
+    # coordinate rows, bit for bit the U the SVD returns for it, with no SVD
+    mat = np.zeros((3 + m, 3 + n), dtype=complex)
+    mat[np.arange(3), np.arange(3)] = [1, 1j, -2]
+    want = np.zeros((3 + m, m), dtype=complex)
+    want[3:] = np.linalg.svd(np.zeros((m, n), dtype=complex))[0]
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *r, **k: calls.append(a.shape) or svd(a, *r, **k))
+    got = subspaces.cokernel(COMPLEX, mat)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert not calls
 
 
 # ------------------------------------------------------ walked series
