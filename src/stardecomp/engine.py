@@ -10,33 +10,48 @@ part ∧[xⁿ] equals 1 - s, s the wandering series Σ xⁿ[ker x*] (Wold's
 identity), so `_wold_parts` takes u as the complement of the series' basis.
 The series also grades the shift corner: p x p maps each block Bₖ into Bₖ₊₁
 and the last block to 0, so it is nilpotent and ∧[(pxp)ⁿ] = 0; the
-certificate measures what lies off that grading with thin products only
-(`_grading_res`), beside x being isometric on s.  A float matrix whose
-Frobenius norm is below the rank cutoff takes no SVD, since σ₁ <= ‖·‖_F,
-and x*x and xx* are formed at most once per operator.  A product a x is
-gathered along x's one-nonzero columns (`_Ctx.mul`): such a column c·e_r
-maps to a[:, r]·c, the dense sum's one nonzero term, so only x's other
-columns take a GEMM; the preconditions' x*x and commutators and
-Słociński's x1 x2 are formed so.  Each method call builds one context
-(`_Ctx`) and runs every fixpoint in it, and reads each operator's column
-entries and connected components once there, for the gathers, the walk
-and the PPI precondition; a method composed of others (`hw_pair_doubly`,
-`nfl_pair_doubly`, `corollary_check`) runs their bodies
-(`_halmos_wallen`, `_nfl`, `_slocinski`) in its own context.
-The series' seed ker x* is one cokernel whose lone entries are peeled off
-(`subspaces.cokernel`): a truncated shift model's SVD is of its unitary
-blocks beside the shifts' zero boundary lines, and with no unitary block
-it takes none.
-On the shift model nearly every series step maps a coordinate vector to
-another along a one-nonzero column of x, so a float series of coordinate
-columns is walked along those columns with index work only (`_walk`),
-whole or not at all: a series the walk cannot take to its end takes the
-dense steps from its seed, with no hand-over between the two.  A walked
-series is all lone unit columns at distinct rows, so it spans the
-coordinates of those rows.  Its record, the rows, entries and block
-level of its columns, travels with the series (`_wandering_series`): its
-projection is masked there and its complement is the other coordinates,
-and its grading is gathered from x's entries with no product or scan.
+certificate measures what lies off that grading (`_grading_res`),
+beside x being isometric on s.  A float matrix whose Frobenius norm is
+below the rank cutoff takes no SVD, since σ₁ <= ‖·‖_F, and x*x and xx*
+are formed at most once per operator, and in the float preconditions
+not at all.
+
+Each method call builds one context (`_Ctx`) and runs every fixpoint in
+it; a method composed of others (`hw_pair_doubly`, `nfl_pair_doubly`,
+`corollary_check`) runs their bodies (`_halmos_wallen`, `_nfl`,
+`_slocinski`) in its own context.  The context reads one record per
+operator, from one scan of its nonzeros (`subspaces.entries`): the
+count, row and entry of each column and of each row.  On the shift model
+every operator is a weighted partial map beside a small unitary block,
+and the record says which columns are which.  It serves x* as well, with
+its axes swapped (`_Ctx.star`), so x* is never scanned, and every
+consumer takes the same single path: columns with at most one nonzero
+are read off the record, and only crowded columns touch the dense
+matrix.
+- A product a x is gathered along x's one-nonzero columns (`_Ctx.mul`):
+  such a column c·e_r maps to a[:, r]·c, the dense sum's one nonzero
+  term, so only x's other columns take a GEMM; the commutators and
+  Słociński's x1 x2 are formed so.
+- The isometry block (x*x)[J, J] - 1 of the float precondition and of a
+  masked corner is |c|² - 1 on a column c·e_r alone in its row, -1 on a
+  zero column, and a thin Gram product of the other columns in J alone
+  (`_gram_res`), with no x*x.
+- The series' seed ker x* is one cokernel whose lone entries, the window
+  rows' included, are peeled off the record (`subspaces.cokernel`): a
+  truncated shift model's SVD is of its unitary blocks beside the shifts'
+  zero boundary lines, and with no unitary block it takes none.
+- On the shift model nearly every series step maps a coordinate vector to
+  another along a one-nonzero column of x, so a float series of
+  coordinate columns is walked along those columns (`_walk`), by
+  pointer jumping on their successor map (Wyllie 1979) with no step per
+  column.  It is walked whole or not at all: a series the walk cannot
+  take to its end takes the dense steps from its seed, with no hand-over
+  between the two.  A walked series is all lone unit columns at distinct rows, so it
+  spans the coordinates of those rows.  Its record, the rows, entries and
+  block level of its columns, travels with the series
+  (`_wandering_series`): its projection is masked there, its complement
+  is the other coordinates, and its grading is read off x's record in
+  O(L), with no product or gather.
 
 Commuting projections form a Boolean lattice, p ∧ q = pq, p ∨ q =
 p + q - pq and 1 - p (Berberian 1972), and coordinate projections, sums
@@ -47,10 +62,10 @@ its size check reads the mask's length, with no dense element formed.  Its
 certificates are read off index blocks of x with the same windowed
 Frobenius norms as the dense defects: x p - p x is the entries x_ij with
 m_i ≠ m_j, (1 - p) x p those from the mask to outside it, and
-p x*x p - p is (x*x)[J, J] - 1 for J the mask ∧ the window, read off the
-held Gram product or x's columns in J (`_commute_res`,
-`_invariance_res`, `_isometry_res`); pq of two masked projections is
-their AND, a projection exactly.  Every Wold part, Halmos–Wallen part,
+p x*x p - p is (x*x)[J, J] - 1 for J the mask ∧ the window, read off x's
+record (`_commute_res`, `_invariance_res`, `_isometry_res`); each mask's
+window coordinates are split once per call (`_Ctx.split`).  pq of two
+masked projections is their AND, a projection exactly.  Every Wold part, Halmos–Wallen part,
 Słociński seed and their fixpoints on the shift model are masked.
 
 The pair methods read their infima off the Wold parts of x1 and x2
@@ -198,12 +213,14 @@ class DecompositionReport:
 class _Ctx:
     """Shared state of one method call: domain, window mask and the
     window's coordinates (keep), chain cap, the EngineConfig (the default
-    one when a method is given none), the Gram products and each
-    operator's column entries and component labels.  A method builds one
-    and hands it to every fixpoint it runs, so the window is checked once
-    per call, with vectorised comparisons of its diagonal, or none for a
-    masked window, whose element is its mask's diagonal by construction
-    and whose size is read off its mask.  Nothing in it outlives the call."""
+    one when a method is given none), the Gram products, and what is read
+    once per operator or mask: each operator's adjoint, its record
+    (`subspaces.entries`) and component labels, and each mask's split of
+    the window.  A method builds one and hands it to every fixpoint it
+    runs, so the window is checked once per call, with vectorised
+    comparisons of its diagonal, or none for a masked window, whose element
+    is its mask's diagonal by construction and whose size is read off its
+    mask.  Nothing in it outlives the call."""
 
     def __init__(self, x: Element, cfg: EngineConfig | None = None):
         self.domain = x.domain
@@ -215,6 +232,7 @@ class _Ctx:
         self.keep = None
         self._grams = {}
         self._read = {}
+        self._adjoint_of = {}
         window = self.cfg.window
         if window is not None:
             x._check(window)
@@ -233,6 +251,11 @@ class _Ctx:
     def one(self) -> Element:
         return identity(self.domain, self.dim)
 
+    @cached_property
+    def window_coords(self) -> np.ndarray:
+        """The window's coordinates, every coordinate with no window."""
+        return np.arange(self.dim) if self.keep is None else np.flatnonzero(self.keep)
+
     def compress(self, e: Element) -> Element:
         """w e w for the window w, as the entrywise product with the mask."""
         if self.mask is None:
@@ -244,24 +267,35 @@ class _Ctx:
         holds x itself, so x's id cannot pass to another operator."""
         key = (id(x), star)
         if key not in self._grams:
-            self._grams[key] = (x, x @ x.star() if star else self.mul(x.star(), x))
+            self._grams[key] = (x, x @ self.star(x) if star else self.mul(self.star(x), x))
         return self._grams[key][1]
 
-    def _held(self, x: Element, read) -> object:
-        """read(x.mat), read once per operator and held with x, as in
-        `gram`."""
-        key = (id(x), read)
+    def _held(self, obj, what: str, read) -> object:
+        """read(), read once per operator or mask and held with obj, as in
+        `gram`; only obj and the result are kept, so the context holds no
+        reference to itself and is freed with the call."""
+        key = (id(obj), what)
         if key not in self._read:
-            self._read[key] = (x, read(x.mat))
+            self._read[key] = (obj, read())
         return self._read[key][1]
 
-    def columns(self, x: Element) -> tuple:
-        """`subspaces.column_entries` of the operator x."""
-        return self._held(x, subspaces.column_entries)
+    def star(self, x: Element) -> Element:
+        """x*, formed once per operator; its record is x's, read off with
+        the axes swapped (`entries`)."""
+        adjoint = self._held(x, "star", x.star)
+        self._adjoint_of[id(adjoint)] = x
+        return adjoint
+
+    def entries(self, x: Element) -> subspaces.Entries:
+        """The record of the operator x (`subspaces.entries`), from one scan
+        of x, or of the operator whose adjoint `star` formed as x."""
+        of = self._adjoint_of.get(id(x))
+        return self._held(x, "entries", lambda: subspaces.entries(x.mat) if of is None
+                          else self.entries(of).star(conjugate=not self.domain.exact))
 
     def labels(self, x: Element) -> np.ndarray:
         """`subspaces.component_labels` of the operator x."""
-        return self._held(x, subspaces.component_labels)
+        return self._held(x, "labels", lambda: subspaces.component_labels(self.entries(x)))
 
     def mul(self, a: Element, x: Element) -> Element:
         """a x, gathered along x's one-nonzero columns.
@@ -270,31 +304,22 @@ class _Ctx:
         sum for it has that one nonzero term, so the column is the same, bit
         for bit where c is real (a complex c can round its one product
         differently from BLAS).  A zero column of x has c = 0
-        (`subspaces.column_entries`) and gives a zero column; the other
-        columns take a dense product."""
+        (`subspaces.entries`) and gives a zero column; the other columns
+        take a dense product."""
         a._check(x)
-        counts, rows, vals = self.columns(x)
-        out = a.mat[:, rows] * vals
-        dense = counts > 1
+        e = self.entries(x)
+        out = a.mat[:, e.rows] * e.vals
+        dense = e.counts > 1
         if dense.any():
             out[:, dense] = a.mat @ x.mat[:, dense]
         return Element(self.domain, self.domain.normalize(out))
 
     def split(self, mask: np.ndarray) -> tuple:
-        """The window's coordinates in the mask and outside it."""
-        if self.keep is None:
-            return np.flatnonzero(mask), np.flatnonzero(~mask)
-        return np.flatnonzero(mask & self.keep), np.flatnonzero(self.keep & ~mask)
-
-    def gram_block(self, x: Element, idx: np.ndarray, star: bool = False) -> np.ndarray:
-        """(x* x)[idx, idx], or (x x*)[idx, idx] with star: read off the
-        Gram product where `gram` formed it, else the thin product of x's
-        columns (rows with star) in idx."""
-        held = self._grams.get((id(x), star))
-        if held is not None:
-            return held[1].mat[idx[:, None], idx]
-        part = x.mat[idx].conj().T if star else x.mat[:, idx]
-        return part.conj().T @ part
+        """The window's coordinates in the mask and outside it, held per
+        mask (masks are read-only)."""
+        keep = np.ones_like(mask) if self.keep is None else self.keep
+        return self._held(mask, "split", lambda: (np.flatnonzero(mask & keep),
+                                                  np.flatnonzero(keep & ~mask)))
 
     def wres(self, e: Element) -> float:
         return self.compress(e).norm()
@@ -304,6 +329,16 @@ class _Ctx:
 
     def commute_ok(self, a: Element, b: Element) -> bool:
         return self.ok(self.mul(a, b) - self.mul(b, a))
+
+
+def _cokernel(ctx: _Ctx, y: Element, window: bool = False) -> np.ndarray:
+    """Basis of ker y*, or with window of ker y* ∩ W for W the probe
+    window (the whole space when there is none), peeled off y's record
+    (`subspaces.cokernel`): the float basis is left singular vectors of
+    y's window rows, not a kernel of y*, whose roundoff tail the series
+    would carry into subnormal blocks."""
+    record = None if ctx.domain.exact else ctx.entries(y)
+    return subspaces.cokernel(ctx.domain, y.mat, record, ctx.keep if window else None)
 
 
 def _wandering_series(ctx: _Ctx, x: Element, term: np.ndarray) -> tuple:
@@ -327,7 +362,7 @@ def _wandering_series(ctx: _Ctx, x: Element, term: np.ndarray) -> tuple:
     dom = ctx.domain
     if not dom.exact and term.shape[1]:
         counts, rows, vals = subspaces.column_entries(term)
-        record = _walk(ctx, x, rows.tolist(), vals.tolist()) if (counts == 1).all() else None
+        record = _walk(ctx, x, rows, vals) if (counts == 1).all() else None
         if record is not None:
             rows, vals, level = record
             joined = dom.zeros(ctx.dim, rows.size)
@@ -344,7 +379,7 @@ def _wandering_series(ctx: _Ctx, x: Element, term: np.ndarray) -> tuple:
     raise IndeterminateError("wandering series did not terminate within the cap")
 
 
-def _walk(ctx: _Ctx, x: Element, rows: list, vals: list) -> tuple | None:
+def _walk(ctx: _Ctx, x: Element, rows: np.ndarray, vals: np.ndarray) -> tuple | None:
     """The record (rows, vals, level) of the float series from the seed
     vals_k e_(rows_k) walked to its end: its columns are vals_k e_(rows_k)
     in blocks numbered by level.  None where the dense steps would not
@@ -353,32 +388,41 @@ def _walk(ctx: _Ctx, x: Element, rows: list, vals: list) -> tuple | None:
     `_orthonormal`'s predicate (`subspaces.unit_moduli`).
 
     Where column j of x has one nonzero x_ij, x maps c·e_j to c·x_ij·e_i,
-    and where it has none, to 0, which is dropped; x's columns are read
-    once.  With no repeated row the walk takes at most dim blocks, and it
-    raises at the cap where the dense steps do."""
-    counts, to_row, factor = (a.tolist() for a in ctx.columns(x))
-    seen, walked, entries, level = set(), [], [], []
-    for k in range(ctx.cap + 1):
-        if not rows:
-            entries = np.array(entries)
-            if not subspaces.unit_moduli(entries, ctx.dim):
-                return None
-            return np.array(walked), entries, np.array(level)
-        seen.update(rows)
-        if len(seen) < len(walked) + len(rows):
-            return None
-        walked += rows
-        entries += vals
-        level += [k] * len(rows)
-        nxt, nxt_vals = [], []
-        for j, c in zip(rows, vals):
-            if counts[j] > 1:
-                return None
-            if counts[j]:
-                nxt.append(to_row[j])
-                nxt_vals.append(c * factor[j])
-        rows, vals = nxt, nxt_vals
-    raise IndeterminateError("wandering series did not terminate within the cap")
+    and where it has none, to 0, which is dropped.  So each coordinate's
+    successor is the row of its column's one nonzero, an end slot past the
+    last coordinate for a zero column, or a crowded slot for a column of
+    more than one, read off x's record; both slots are their own
+    successors.  Pointer jumping (Wyllie 1979) squares the successor map
+    and lays out the chain from each seed twice as deep per round, one row
+    of coordinates per seed, until every chain has reached a slot or the
+    horizon of min(cap, dim) + 1 blocks, with no step per column.  Block
+    by block, those coordinates are the series' rows: one that repeats or
+    has a crowded column ends the walk with None, as the stepped loop does
+    at its block, and a chain still going at the horizon raises at the cap
+    where the dense steps do (a longer chain without a repeated row cannot
+    exist).  The entries are the products along each chain in order
+    (`np.multiply.accumulate`), the stepped loop's own products."""
+    e = ctx.entries(x)
+    n = ctx.dim
+    succ = np.append(np.where(e.counts == 1, e.rows, n + (e.counts > 1)), [n, n + 1])
+    horizon = min(ctx.cap, n) + 1
+    chains = rows[:, None]
+    while chains.shape[1] < horizon and chains[:, -1].min() < n:
+        chains = np.concatenate([chains, succ[chains]], axis=1)
+        succ = succ[succ]
+    chains = chains[:, :horizon]
+    alive = chains < n
+    walked = chains.T[alive.T]
+    if (np.bincount(walked, minlength=n) > 1).any() or (e.counts[walked] > 1).any():
+        return None
+    if alive[:, -1].any():
+        raise IndeterminateError("wandering series did not terminate within the cap")
+    factors = np.append(e.vals, np.ones(2, dtype=e.vals.dtype))[chains[:, :-1]]
+    products = np.multiply.accumulate(np.concatenate([vals[:, None], factors], axis=1), axis=1)
+    entries = products.T[alive.T]
+    if not subspaces.unit_moduli(entries, n):
+        return None
+    return walked, entries, np.repeat(np.arange(alive.shape[1]), alive.sum(axis=0))
 
 
 def _invariant_core(ctx: _Ctx, mats: list, p: Projection, what: str) -> Projection:
@@ -407,7 +451,7 @@ def _invariant_core(ctx: _Ctx, mats: list, p: Projection, what: str) -> Projecti
 
 
 def _reducing_fixpoint(ctx: _Ctx, ops: list, e: Projection) -> Projection:
-    mats = [a.mat for a in ops] + [a.star().mat for a in ops]
+    mats = [a.mat for a in ops] + [ctx.star(a).mat for a in ops]
     return _invariant_core(ctx, mats, e, "reducing fixpoint")
 
 
@@ -426,18 +470,36 @@ def _require(cond: bool, message: str):
 
 def _isometry_on_window(ctx: _Ctx, x: Element) -> bool:
     """x* x = 1 on the window; for floats ‖(x* x)[K, K] - 1‖ within the
-    tolerance, K the window's coordinates, read off the Gram product."""
+    tolerance, K the window's coordinates, read off x's record with no
+    Gram product (`_gram_res`)."""
     if ctx.domain.exact:
         return ctx.ok(_isometry_defect(ctx, x))
-    ctx.gram(x)
-    return _gram_res(ctx, x, ctx.split(np.ones(ctx.dim, dtype=bool))[0]) <= ctx.tol
+    return _gram_res(ctx, x, ctx.window_coords) <= ctx.tol
 
 
 def _gram_res(ctx: _Ctx, x: Element, idx: np.ndarray, star: bool = False) -> float:
-    """‖(x* x)[idx, idx] - 1‖, or ‖(x x*)[idx, idx] - 1‖ with star."""
-    g = ctx.gram_block(x, idx, star)
-    g.flat[:: idx.size + 1] -= 1
-    return float(np.linalg.norm(g))
+    """‖(x* x)[idx, idx] - 1‖, or ‖(x x*)[idx, idx] - 1‖ with star, read off
+    the record of x (of x* with star).
+
+    A column c·e_r that is the only nonzero of its row r is orthogonal to
+    every other column, so its row and column of x* x hold |c|² on the
+    diagonal alone, and those of a zero column are 0: they add (|c|² - 1)²
+    and 1 to the square.  Only the other columns in idx take a thin Gram
+    product, among themselves."""
+    y = ctx.star(x) if star else x
+    e = ctx.entries(y)
+    counts = e.counts[idx]
+    lone = (counts == 1) & (e.row_counts[e.rows[idx]] == 1)
+    c = e.vals[idx[lone]]
+    defect = c.real ** 2 + c.imag ** 2 - 1
+    square = np.dot(defect, defect) + np.count_nonzero(counts == 0)
+    rest = idx[~lone & (counts > 0)]
+    if rest.size:
+        part = y.mat[:, rest]
+        g = part.conj().T @ part
+        g.flat[:: rest.size + 1] -= 1
+        square += np.vdot(g, g).real
+    return float(np.sqrt(square))
 
 
 def _ppi_on_window(ctx: _Ctx, x: Element) -> bool:
@@ -463,9 +525,9 @@ def _ppi_on_window(ctx: _Ctx, x: Element) -> bool:
             if not ctx.ok(pw @ pw.star() @ pw - pw):
                 return False
         return True
-    counts, rows, _ = ctx.columns(x)
+    e = ctx.entries(x)
     labels = ctx.labels(x)
-    crowded = (counts > 1) | (np.bincount(rows[counts == 1], minlength=ctx.dim) > 1)
+    crowded = (e.counts > 1) | (e.row_counts > 1)
     flagged = np.zeros(ctx.dim, dtype=bool)
     flagged[labels[crowded]] = True
     dense = flagged[labels]
@@ -502,10 +564,10 @@ def _monomial_ppi_defects(ctx: _Ctx, x: Element, mono: np.ndarray, keep: np.ndar
     |p_j|² (|p_j|² - 1)² over window columns j whose row r_j is in the
     window: index gathers only, with no product.  A zero column maps to a
     sink slot past the last coordinate, whose factor 0 keeps it zero."""
-    counts, to_row, factor = ctx.columns(x)
+    e = ctx.entries(x)
     sink = ctx.dim
-    nxt = np.append(np.where(counts > 0, to_row, sink), sink)
-    fac = np.append(factor, 0)
+    nxt = np.append(np.where(e.counts > 0, e.rows, sink), sink)
+    fac = np.append(e.vals, 0)
     inside = np.append(keep, False)
     cols = np.flatnonzero(mono)
     r, p = cols, np.ones(cols.size, dtype=fac.dtype)
@@ -545,8 +607,8 @@ def _commute_defect(x: Element, p: Projection) -> Element:
 def _isometry_res(ctx: _Ctx, x: Element, p: Projection, star: bool = False) -> float:
     """‖w (p x* x p - p) w‖ for the window w.  For a masked p it is
     ‖(x* x)[J, J] - 1‖ (x x* with star), J the window's coordinates in the
-    mask, from the Gram product's entries or x's columns in J alone
-    (`_Ctx.gram_block`)."""
+    mask, read off x's record and x's columns (rows with star) in J
+    alone (`_gram_res`)."""
     if p.mask is None:
         return ctx.wres(_isometry_defect(ctx, x, p, star))
     return _gram_res(ctx, x, ctx.split(p.mask)[0], star)
@@ -636,6 +698,11 @@ def _grading_res(ctx: _Ctx, x: Element, series: tuple) -> float:
     matrix with no product, since every term a GEMM would add is a
     product with an exact zero.  The grading comes from x's own action
     wherever the series ran, so the residual is read on the whole space.
+    Those entries are read off x's record (`_Ctx.entries`): the column at
+    a series row r_b that is c·e_t has its one entry at the series row t,
+    if t is one, and only columns of more than one nonzero are gathered
+    from x, so a walked series, whose columns of x have at most one,
+    reads O(L) entries with no gather.
     """
     basis, blocks, record = series
     if not blocks:
@@ -645,13 +712,21 @@ def _grading_res(ctx: _Ctx, x: Element, series: tuple) -> float:
         joined = np.concatenate(blocks, axis=1)
         g = subspaces.coordinates(ctx.domain, joined, x.mat @ joined,
                                   orthonormal=np.array_equal(joined, basis))
-    else:
-        rows, vals, level = record
-        g = x.mat[rows[:, None], rows]
-        g *= vals
-        g *= vals.conj()[:, None]
-    g[level[:, None] == level[None, :] + 1] = ctx.domain.zero()
-    return ctx.domain.norm(g)
+        g[level[:, None] == level[None, :] + 1] = ctx.domain.zero()
+        return ctx.domain.norm(g)
+    rows, vals, level = record
+    e = ctx.entries(x)
+    at = np.full(ctx.dim, -1)
+    at[rows] = np.arange(rows.size)
+    counts = e.counts[rows]
+    one = np.flatnonzero(counts == 1)
+    into = at[e.rows[rows[one]]]
+    b, a = one[into >= 0], into[into >= 0]
+    off = (e.vals[rows[b]] * vals[b] * vals[a].conj())[level[a] != level[b] + 1]
+    crowded = np.flatnonzero(counts > 1)
+    g = x.mat[rows[:, None], rows[crowded]] * vals[crowded] * vals.conj()[:, None]
+    g[level[:, None] == level[crowded] + 1] = 0
+    return float(np.hypot(np.linalg.norm(off), np.linalg.norm(g)))
 
 
 # ---------------------------------------------------------------- Wold
@@ -669,7 +744,7 @@ def _wold_parts(ctx: _Ctx, x: Element):
     read off the record with no scan of the basis, and u is the other
     coordinates."""
     dom = ctx.domain
-    series = _wandering_series(ctx, x, subspaces.cokernel(dom, x.mat))
+    series = _wandering_series(ctx, x, _cokernel(ctx, x))
     s_basis, _, record = series
     p_s = (from_basis(dom, s_basis) if record is None
            else masked(dom, _rows_mask(ctx, record[0]), s_basis))
@@ -833,7 +908,7 @@ def _mixed_wandering(ctx: _Ctx, a: Element, b: Element) -> Projection:
     K_1 = ker b* is b's cokernel (`subspaces.cokernel`), which peels b's
     lone entries, so only b's non-lone rest takes an SVD.
     """
-    k1 = from_basis(ctx.domain, subspaces.cokernel(ctx.domain, b.mat))
+    k1 = from_basis(ctx.domain, _cokernel(ctx, b))
     return _invariant_core(ctx, [a.mat], k1, "mixed wandering subspace")
 
 
@@ -890,20 +965,6 @@ def weak_bishift(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> D
 # ------------------------------------------------------ Halmos-Wallen
 
 
-def _window_cokernel(ctx: _Ctx, y: Element) -> np.ndarray:
-    """Basis of ker y* ∩ W, W the probe window (the whole space when there
-    is none): the cokernel of y's window rows, put back in the full space
-    with zeros off the window.  As in `_wold_parts` the float basis is the
-    left singular vectors of y (`subspaces.cokernel`), not a kernel of y*,
-    whose roundoff tail the series would carry into subnormal blocks."""
-    if ctx.keep is None:
-        return subspaces.cokernel(ctx.domain, y.mat)
-    rows = subspaces.cokernel(ctx.domain, y.mat[ctx.keep])
-    seed = ctx.domain.zeros(ctx.dim, rows.shape[1])
-    seed[ctx.keep] = rows
-    return seed
-
-
 def _without(ctx: _Ctx, basis: np.ndarray, t_basis: np.ndarray) -> np.ndarray:
     """A basis of span(basis) ∧ (1 - t) for t <= span(basis), t_basis t's
     range basis: the vectors B c with T* B c = 0, one kernel of the small
@@ -935,9 +996,9 @@ def _series_split(ctx: _Ctx, y: Element) -> tuple:
     its adjoint both end.
     """
     dom = ctx.domain
-    y_star = y.star()
-    f = _wandering_series(ctx, y, _window_cokernel(ctx, y))
-    g = _wandering_series(ctx, y_star, _window_cokernel(ctx, y_star))
+    y_star = ctx.star(y)
+    f = _wandering_series(ctx, y, _cokernel(ctx, y, window=True))
+    g = _wandering_series(ctx, y_star, _cokernel(ctx, y_star, window=True))
     (f_basis, _, f_record), (g_basis, _, g_record) = f, g
     if f_record is not None and g_record is not None:
         fm, gm = _rows_mask(ctx, f_record[0]), _rows_mask(ctx, g_record[0])
@@ -976,7 +1037,7 @@ def _halmos_wallen(ctx: _Ctx, x: Element) -> DecompositionReport:
         certificates["block[s]"] = max(_isometry_res(ctx, x, p_s), f_res)
     if p_b.rank:
         certificates["block[b]"] = max(_isometry_res(ctx, x, p_b, star=True),
-                                       _grading_res(ctx, x.star(), g))
+                                       _grading_res(ctx, ctx.star(x), g))
     if p_t.rank:
         certificates["block[t]"] = f_res
     block_classes = {"u": "unitary", "s": "unilateral-shift",
@@ -1101,7 +1162,7 @@ def _series_prefixes(ctx: _Ctx, y: Element) -> list:
     basis unless roundoff has moved it off (`subspaces.own_basis`), as the
     series' join is."""
     dom = ctx.domain
-    _, blocks, _ = _wandering_series(ctx, y, subspaces.cokernel(dom, y.mat))
+    _, blocks, _ = _wandering_series(ctx, y, _cokernel(ctx, y))
     return [from_basis(dom, subspaces.own_basis(dom, np.concatenate(blocks[:n], axis=1)))
             for n in range(1, len(blocks) + 1)] or [zero_projection(dom, ctx.dim)]
 
@@ -1120,7 +1181,7 @@ def _product_ppi_constraint(ctx: _Ctx, x1: Element, x2: Element) -> Projection:
     annihilator R of all the defects, a single stacked kernel.  A series
     still moving at the cap raises IndeterminateError.
     """
-    f, g = _series_prefixes(ctx, x1), _series_prefixes(ctx, x2.star())
+    f, g = _series_prefixes(ctx, x1), _series_prefixes(ctx, ctx.star(x2))
     pairs = ((f[min(n, len(f) - 1)], g[min(n, len(g) - 1)]) for n in range(max(len(f), len(g))))
     return right_annihilator_projection([pair_product(p, q) - pair_product(q, p)
                                          for p, q in pairs])
@@ -1159,7 +1220,7 @@ def _nfl_unitary_part(ctx: _Ctx, x: Element) -> Projection:
     the core of that meet under x and x*.
     """
     meet = right_annihilator_projection([ctx.one - ctx.gram(x), ctx.one - ctx.gram(x, star=True)])
-    return _invariant_core(ctx, [x.mat, x.star().mat], meet, "nfl unitary part")
+    return _invariant_core(ctx, [x.mat, ctx.star(x).mat], meet, "nfl unitary part")
 
 
 def nfl(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:

@@ -9,13 +9,17 @@ read off with no arithmetic, so only the rest takes an SVD, and only when
 it has a nonzero entry; on a truncated shift model that is the unitary
 blocks beside the shifts' zero boundary lines.
 The complement of a span is one kernel of the basis' adjoint in every
-domain.  `column_entries` reads, once per matrix, which columns have one
-nonzero and where, for the engine's walked series and gathered products,
-and `component_labels` the connected components of a matrix's
-coordinates, for the engine's PPI precondition.
+domain.  `entries` reads a matrix's nonzeros in one scan: the count, row
+and entry of each column and row (`Entries`), which the adjoint shares
+with its axes swapped.  The engine reads it once per operator, for its
+gathered products, Gram blocks, walked series and gradings, the
+cokernel's lone entries, window rows included, and `component_labels`,
+the connected components of the coordinates, for its PPI precondition.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,43 +105,78 @@ def proj_matrix(domain: ScalarDomain, basis: np.ndarray) -> np.ndarray:
     return domain.normalize(basis @ ginv_bt)
 
 
-def _lone_entries(mat: np.ndarray) -> tuple:
-    """Row and column indices of the lone entries of mat, the nonzero
-    entries that are the only nonzero in both their row and their column,
-    and the masks of the other rows and columns, the rest."""
-    nz = mat != 0
-    lone = nz & (nz.sum(axis=1) == 1)[:, None] & (nz.sum(axis=0) == 1)[None, :]
-    rows, cols = np.nonzero(lone)
-    rest_rows = np.ones(mat.shape[0], dtype=bool)
-    rest_rows[rows] = False
-    rest_cols = np.ones(mat.shape[1], dtype=bool)
-    rest_cols[cols] = False
-    return rows, cols, rest_rows, rest_cols
+@dataclass(frozen=True)
+class Entries:
+    """The nonzeros of a matrix, read in one scan (`entries`): their
+    coordinates i, j, and for each column the number of its nonzeros, the
+    row of one of them and the entry there (row 0 and its zero entry for a
+    zero column), so that a column with at most one nonzero is
+    vals·e_rows; and the same for each row.  The adjoint's record is this
+    one with the axes swapped and, in the complex domain, the entries
+    conjugated (`star`), with no scan of the adjoint."""
+
+    i: np.ndarray
+    j: np.ndarray
+    counts: np.ndarray
+    rows: np.ndarray
+    vals: np.ndarray
+    row_counts: np.ndarray
+    cols: np.ndarray
+    row_vals: np.ndarray
+
+    def star(self, conjugate: bool) -> "Entries":
+        conj = np.conj if conjugate else (lambda v: v)
+        return Entries(self.j, self.i, self.row_counts, self.cols, conj(self.row_vals),
+                       self.counts, self.rows, conj(self.vals))
+
+
+def entries(mat: np.ndarray) -> Entries:
+    """The record of mat's nonzeros (`Entries`).  A complex mat is compared
+    with 0 as the floats of its real and imaginary parts, and each nonzero
+    entry keeps one of their flat indices."""
+    m, n = mat.shape
+    if mat.dtype.kind == "c":
+        flat = np.flatnonzero(np.ascontiguousarray(mat).view(mat.real.dtype) != 0) >> 1
+        first = np.ones(flat.size, dtype=bool)
+        first[1:] = flat[1:] != flat[:-1]
+        flat = flat[first]
+    else:
+        flat = np.flatnonzero(mat != 0)
+    i, j = np.divmod(flat, n)
+    rows = np.zeros(n, dtype=np.intp)
+    rows[j] = i
+    cols = np.zeros(m, dtype=np.intp)
+    cols[i] = j
+    at = (lambda r, c: mat[r, c]) if mat.size else (lambda r, c: np.zeros(r.size, mat.dtype))
+    return Entries(i, j, np.bincount(j, minlength=n), rows, at(rows, np.arange(n)),
+                   np.bincount(i, minlength=m), cols, at(np.arange(m), cols))
 
 
 def column_entries(mat: np.ndarray) -> tuple:
     """(counts, rows, vals): the number of nonzeros in each column of mat,
     and the row and value of the column's first nonzero (row 0 and its
     entry, 0, for a zero column).  Where counts is 1 the column is
-    vals·e_rows, and where it is 0 as well."""
+    vals·e_rows, and where it is 0 as well.  For a basis, whose rows are
+    not read, this is cheaper than its `entries`."""
     nz = mat != 0
     rows = nz.argmax(axis=0)
     return nz.sum(axis=0), rows, mat[rows, np.arange(mat.shape[1])]
 
 
-def component_labels(mat: np.ndarray) -> np.ndarray:
-    """The connected components of the square mat's coordinates, i and j
-    joined where mat_ij ≠ 0, as each coordinate's label: the least
-    coordinate of its component.  mat and mat* both map the coordinates of
-    a component into themselves, so each spans a reducing subspace.
+def component_labels(e: Entries) -> np.ndarray:
+    """The connected components of a square matrix's coordinates, i and j
+    joined where its (i, j) entry is nonzero (its record e), as each
+    coordinate's label: the least coordinate of its component.  The matrix
+    and its adjoint both map the coordinates of a component into
+    themselves, so each spans a reducing subspace.
 
     Label propagation: each round lowers every edge's two ends to the
     smaller label (`np.minimum.at`) and then follows labels to their own
     labels until none moves (pointer jumping, `lab = lab[lab]`).  Labels
     only fall and always name a coordinate of the same component, so a
     round that moves none is the fixpoint."""
-    i, j = np.nonzero(mat)
-    lab = np.arange(mat.shape[0])
+    i, j = e.i, e.j
+    lab = np.arange(e.counts.size)
     while True:
         old = lab.copy()
         np.minimum.at(lab, i, old[j])
@@ -148,37 +187,55 @@ def component_labels(mat: np.ndarray) -> np.ndarray:
             return lab
 
 
-def cokernel(domain: ScalarDomain, mat: np.ndarray) -> np.ndarray:
-    """Basis of ker mat*, the range of 1 - [mat].
+def cokernel(domain: ScalarDomain, mat: np.ndarray, record: Entries | None = None,
+             keep: np.ndarray | None = None) -> np.ndarray:
+    """Basis of ker mat*, the range of 1 - [mat]; with keep, a 0/1 mask of
+    mat's rows, the basis of ker mat[keep]* put back in the full space
+    with zeros off keep.
 
-    Exact domains take the rref kernel of mat*.  Floats take the left
-    singular vectors of mat past the rank, and not the right singular
-    vectors of mat*: on a truncated shift those carry a roundoff tail that
-    decays geometrically into subnormal range, which the wandering series
-    then multiplies through every block.
+    Exact domains take the rref kernel of mat[keep]*.  Floats take the left
+    singular vectors of mat[keep] past the rank, and not the right singular
+    vectors of its adjoint: on a truncated shift those carry a roundoff
+    tail that decays geometrically into subnormal range, which the
+    wandering series then multiplies through every block.
 
-    Only the non-lone rest of a float mat takes an SVD.  Up to row and
-    column permutations mat is diag(x_ij) ⊕ rest, x_ij its lone entries
-    (`_lone_entries`), so its singular values are the |x_ij| beside those
-    of rest, and row i of a lone entry is a left singular vector.  The
-    rank cut is `_rank_cut`'s, eps_rank·max(σ₁, 1) with σ₁ the largest
-    over both parts; a lone entry at or below it gives e_i.  Zero rows and
-    columns stay in rest, so a matrix with no lone entry is one rest: a
-    truncated shift is all lone entries but its two boundary lines.  A
-    rest with no nonzero entry, such as those lines, takes no SVD: its
-    cokernel is its coordinate rows, the identity, which is also the U
-    LAPACK returns for a zero matrix (a -0.0 entry can flip a column's
-    sign there, which spans the same line).
+    Only the non-lone rest of a float mat[keep] takes an SVD.  Up to row
+    and column permutations it is diag(x_ij) ⊕ rest, x_ij its lone entries,
+    the nonzeros alone in their row and alone among their column's
+    nonzeros in keep, so its singular values are the |x_ij| beside those of
+    rest, and row i of a lone entry is a left singular vector.  They are
+    read off mat's record (`entries`, scanned here when none is given),
+    with no copy of mat[keep].  The rank cut is `_rank_cut`'s,
+    eps_rank·max(σ₁, 1) with σ₁ the largest over both parts; a lone entry
+    at or below it gives e_i.  Zero rows and columns stay in rest, so a
+    matrix with no lone entry is one rest: a truncated shift is all lone
+    entries but its two boundary lines.  A rest with no nonzero entry, such
+    as those lines, takes no SVD: its cokernel is its coordinate rows, the
+    identity, which is also the U LAPACK returns for a zero matrix (a -0.0
+    entry can flip a column's sign there, which spans the same line).
     """
     if domain.exact:
-        return linalg.nullspace(domain, domain.adjoint(mat))
-    rows, cols, rest_rows, rest_cols = _lone_entries(mat)
+        basis = linalg.nullspace(domain, domain.adjoint(mat if keep is None else mat[keep]))
+        if keep is None:
+            return basis
+        out = domain.zeros(mat.shape[0], basis.shape[1])
+        out[keep] = basis
+        return out
+    inside = np.ones(mat.shape[0], dtype=bool) if keep is None else keep
+    e = record if record is not None else entries(mat)
+    in_keep = e.counts if keep is None else np.bincount(e.j[keep[e.i]], minlength=mat.shape[1])
+    lone_rows = inside & (e.row_counts == 1)
+    lone_rows[lone_rows] = in_keep[e.cols[lone_rows]] == 1
+    rows = np.flatnonzero(lone_rows)
+    rest_rows = inside & ~lone_rows
+    rest_cols = np.ones(mat.shape[1], dtype=bool)
+    rest_cols[e.cols[rows]] = False
     rest = mat[np.ix_(rest_rows, rest_cols)]
     if rest.any():
         u, s, _ = np.linalg.svd(rest)
     else:
         u, s = np.eye(rest.shape[0], dtype=np.result_type(rest.dtype, np.float32)), np.zeros(0)
-    lone = np.abs(mat[rows, cols])
+    lone = np.abs(e.row_vals[rows])
     cut = _cut(float(max(s.max(initial=0.0), lone.max(initial=0.0))), domain.tol.eps_rank)
     small = rows[lone <= cut]
     rank = int(np.sum(s > cut))

@@ -44,8 +44,8 @@ MUTANTS = (
     Mutant(
         "ppi-closed-form-without-distinct-rows",
         "src/stardecomp/engine.py",
-        "crowded = (counts > 1) | (np.bincount(rows[counts == 1], minlength=ctx.dim) > 1)",
-        "crowded = counts > 1",
+        "crowded = (e.counts > 1) | (e.row_counts > 1)",
+        "crowded = e.counts > 1",
         ("tests/test_chains.py::test_ppi_check_on_small_monomial_matrices[repeated row]",
          "tests/test_chains.py::test_ppi_split_matches_the_dense_check"),
     ),
@@ -70,7 +70,46 @@ MUTANTS = (
         "src/stardecomp/projections.py",
         'keep = (m[:, None] if side == "left" else m[None, :] if side == "right"',
         'keep = (m[None, :] if side == "left" else m[:, None] if side == "right"',
-        ("tests/test_projections.py::test_masked_lattice_matches_the_dense_one",),
+        ("tests/test_projections.py::test_masked_lattice_matches_the_dense_one",
+         "tests/test_projections.py::test_masked_product_of_a_non_symmetric_operator"),
+    ),
+    Mutant(
+        "gram-record-without-zero-columns",
+        "src/stardecomp/engine.py",
+        "square = np.dot(defect, defect) + np.count_nonzero(counts == 0)",
+        "square = np.dot(defect, defect)",
+        ("tests/test_subspace_steps.py::test_gram_record_matches_the_dense_gram",),
+    ),
+    Mutant(
+        "windowed-cokernel-crowded-column-as-lone",
+        "src/stardecomp/subspaces.py",
+        "lone_rows[lone_rows] = in_keep[e.cols[lone_rows]] == 1",
+        "lone_rows[lone_rows] = in_keep[e.cols[lone_rows]] >= 1",
+        ("tests/test_subspace_steps.py::test_record_cokernel_matches_the_dense_svd",),
+    ),
+    Mutant(
+        "walk-without-crowded-column-exit",
+        "src/stardecomp/engine.py",
+        "if (np.bincount(walked, minlength=n) > 1).any() or (e.counts[walked] > 1).any():",
+        "if (np.bincount(walked, minlength=n) > 1).any():",
+        ("tests/test_subspace_steps.py::test_walked_series_matches_the_stepped_series",
+         "tests/test_subspace_steps.py::test_pointer_jumped_walk_and_its_grading"),
+    ),
+    Mutant(
+        "walk-without-repeated-row-exit",
+        "src/stardecomp/engine.py",
+        "if (np.bincount(walked, minlength=n) > 1).any() or (e.counts[walked] > 1).any():",
+        "if (e.counts[walked] > 1).any():",
+        ("tests/test_subspace_steps.py::test_walked_series_matches_the_stepped_series",
+         "tests/test_subspace_steps.py::test_pointer_jumped_walk_and_its_grading"),
+    ),
+    Mutant(
+        "walked-grading-reads-level-equal-level",
+        "src/stardecomp/engine.py",
+        "[level[a] != level[b] + 1]",
+        "[level[a] != level[b]]",
+        ("tests/test_subspace_steps.py::test_gathered_grading_matches_the_coordinates_form",
+         "tests/test_subspace_steps.py::test_pointer_jumped_walk_and_its_grading"),
     ),
     Mutant(
         "slocinski-us-su-swap",

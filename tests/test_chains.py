@@ -24,6 +24,7 @@ products are pinned to the dense block.
 The zero-matrix exits of orth and nullspace are checked against the SVD
 path."""
 
+import gc
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -718,13 +719,65 @@ def test_wold_walks_its_series_with_no_own_basis(monkeypatch):
 
 
 def test_wold_matmul_budget(monkeypatch):
-    # none: the isometry precondition's x*x is gathered along x's
-    # one-nonzero columns (`_Ctx.mul`), no chain takes a power, the shift
-    # corner's grading takes thin products only, the rank-3 unitary part
-    # enters its certificates through its basis (its co-isometry corner
-    # with no xx*), and the rank-128 shift part through u's basis
+    # none, and no gathered product either: the isometry precondition
+    # reads x's record, |c|² - 1 on its 127 lone columns and a thin Gram
+    # product of the unitary block's, with no x*x; no chain takes a power,
+    # the shift corner's grading is read off the record, and the masked
+    # parts' corners off the record and thin products of their columns
+    muls = _count_muls(monkeypatch)
     _, _, matmuls, _ = _wold_128(monkeypatch)
     assert not matmuls
+    assert not muls
+
+
+def _scans(monkeypatch, call, x, *args):
+    """The matrices `subspaces.entries` scans in one call on x."""
+    scanned = []
+    entries = subspaces.entries
+    monkeypatch.setattr(subspaces, "entries", lambda mat: scanned.append(mat) or entries(mat))
+    call(x, *args)
+    return scanned
+
+
+@pytest.mark.parametrize("method", ["wold", "halmos_wallen"])
+def test_each_operator_is_scanned_once(monkeypatch, method):
+    # x's record serves the isometry or PPI precondition, the cokernels,
+    # the walks, the gradings and the Gram blocks, and x*'s is x's with
+    # the axes swapped: x itself is scanned once, and every other scan is
+    # of a series seed or basis, thinner than x
+    if method == "wold":
+        tr = truncate(_unitary_plus_shift(), 128, n_max=16)
+        x, call, cfg = tr.element, wold, EngineConfig(n_max=16, window=tr.window)
+    else:
+        (x,), window = _spec_operators("hw64.json", 64)
+        call, cfg = halmos_wallen, EngineConfig(n_max=16, window=window)
+    scanned = _scans(monkeypatch, call, x, cfg)
+    assert sum(mat is x.mat for mat in scanned) == 1
+    assert all(mat is x.mat or mat.shape[1] < x.dim for mat in scanned)
+
+
+@pytest.mark.parametrize("method", ["wold", "halmos_wallen", "weak_bishift"])
+def test_a_call_leaves_no_reference_cycle(method):
+    # the context holds each operator's reads with the operator, never
+    # with itself, so reference counting frees it, its records, adjoints
+    # and splits when the call returns; a cycle would keep them until the
+    # cyclic collector runs, and a long run's memory would grow meanwhile
+    if method == "wold":
+        tr = truncate(_unitary_plus_shift(), 64, n_max=16)
+        args = (wold, tr.element, EngineConfig(n_max=16, window=tr.window))
+    elif method == "halmos_wallen":
+        (x,), window = _spec_operators("hw64.json", 64)
+        args = (halmos_wallen, x, EngineConfig(n_max=16, window=window))
+    else:
+        trs = [truncate(e, 10, n_max=4) for e in pair_instances("grid")]
+        args = (weak_bishift, *(t.element for t in trs), EngineConfig(n_max=4, window=trs[0].window))
+    gc.collect()
+    gc.disable()
+    try:
+        args[0](*args[1:])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_wold_svd_budget(monkeypatch):
@@ -918,11 +971,12 @@ def _count_muls(monkeypatch):
 
 
 def test_ppi_check_multiplies_the_dense_block_alone(monkeypatch):
-    # the shift-model's hw input u5 ⊕ S* ⊕ J4 at N = 64 (dim 73): the 5×5
-    # unitary block is the one component with a column of more than one
-    # nonzero, so it alone takes the dense check, one gathered power per
-    # n > 1 and thin products of its window rows and columns; the tails
-    # are read in closed form
+    # u5 ⊕ S* ⊕ J4 at N = 64 (dim 73), the shift-model's hw input
+    # (u2 ⊕ S* ⊕ J4, dim 70) with a larger unitary block: the 5×5 unitary
+    # block is the one component with a column of more than one nonzero,
+    # so it alone takes the dense check, one gathered power per n > 1 and
+    # thin products of its window rows and columns; the tails are read in
+    # closed form
     u = unitary(random_complex_unitary(5, np.random.default_rng(7)).mat)
     tr = truncate(direct_sum(u, Adjoint(Shift(1)), Trunc(4)), 64, n_max=16)
     ctx = engine._Ctx(tr.element, EngineConfig(n_max=16, window=tr.window))

@@ -372,6 +372,20 @@ def test_masked_lattice_matches_the_dense_one(case):
     assert all(abs(got[k] - want[k]) <= MASK_TOL for k in got)
 
 
+@pytest.mark.parametrize("side", ["left", "right", "both"])
+def test_masked_product_of_a_non_symmetric_operator(side):
+    # p a keeps a's rows in the mask, a p its columns: on an a whose rows
+    # and columns differ, the masked product is the dense product with the
+    # 0/1 diagonal, entry for entry
+    rng = np.random.default_rng(3)
+    a = Element(COMPLEX, rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    p = coordinate_projection(COMPLEX, [True, False, True, True, False, False])
+    d = p.element
+    want = {"left": d @ a, "right": a @ d, "both": d @ a @ d}[side]
+    assert p.mask is not None
+    assert np.array_equal(p.product(a, side).mat, want.mat)
+
+
 def test_phased_coordinate_basis_gives_the_exact_diagonal():
     rng = np.random.default_rng(11)
     mask = np.array([True, False, True, True, False, True])

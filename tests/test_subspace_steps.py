@@ -6,7 +6,10 @@ products, beside the peeled cokernel against the dense SVD's (and its
 zero rest against the SVD's U, bit for bit), the walked
 series against the stepped one, the complement's kernel against the
 complete QR's, the gathered grading against the `coordinates` form and
-the gathered product `_Ctx.mul` against the dense one.
+the gathered product `_Ctx.mul` against the dense one; and the reads of an
+operator's record (`subspaces.entries`) against the dense forms: the
+Gram block, the cokernel with and without the window, and the
+pointer-jumped walk with its grading, on x and on x*.
 Complex inputs must give equal ranks and projections within 1e-12.  Exact inputs
 must come out bit-identical; `reference_engine` swaps these references in
 too, so the exact comparisons in tests/test_chains.py cover them."""
@@ -497,6 +500,116 @@ def test_gathered_product_matches_dense_exactly_over_q():
         assert np.array_equal(got, (left @ right).mat)
 
 
+# ------------------------------------------------------- record reads
+
+
+@st.composite
+def _record_cases(draw):
+    """(x, keep): a direct sum of monomial pieces, partial maps with zero
+    columns one time in four, some with a repeated row, permutation
+    cycles and dense blocks, its coordinates shuffled, with a random 0/1
+    mask or none.  Most monomial entries have modulus 1, the others 2 or
+    1/2."""
+    kinds = draw(st.lists(st.sampled_from(["monomial", "repeated row", "cycle", "dense"]),
+                          min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for kind in kinds:
+        m = draw(st.integers(2 if kind == "repeated row" else 1, 5))
+        if kind == "dense":
+            blocks.append(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+            continue
+        rows = np.roll(np.arange(m), 1) if kind == "cycle" else rng.permutation(m)
+        if kind == "repeated row":
+            rows[0] = rows[1]
+        live = np.flatnonzero(np.ones(m, dtype=bool) if kind == "cycle" else rng.random(m) < 0.75)
+        block = np.zeros((m, m), dtype=complex)
+        block[rows[live], live] = [_phase(rng, rng.choice([1, 1, 1, 2, 0.5])) for _ in live]
+        blocks.append(block)
+    dim = sum(b.shape[0] for b in blocks)
+    x = np.zeros((dim, dim), dtype=complex)
+    at = 0
+    for b in blocks:
+        x[at:at + b.shape[0], at:at + b.shape[0]] = b
+        at += b.shape[0]
+    perm = rng.permutation(dim)
+    keep = draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=dim, max_size=dim)))
+    return Element(COMPLEX, x[np.ix_(perm, perm)]), None if keep is None else np.array(keep)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_record_cases(), star=st.booleans())
+def test_gram_record_matches_the_dense_gram(case, star):
+    # |c|² - 1 for a column alone in its row, -1 for a zero column and the
+    # thin Gram product of the rest, read off the record of x (of x*, the
+    # record of x with its axes swapped, with star), against
+    # ‖(x* x)[idx, idx] - 1‖ from the dense product
+    x, keep = case
+    idx = np.arange(x.dim) if keep is None else np.flatnonzero(keep)
+    mat = x.mat.conj().T if star else x.mat
+    want = np.linalg.norm((mat.conj().T @ mat)[np.ix_(idx, idx)] - np.eye(idx.size))
+    got = engine._gram_res(engine._Ctx(x, EngineConfig()), x, idx, star)
+    assert abs(got - want) <= TOL
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_record_cases())
+def test_record_cokernel_matches_the_dense_svd(case):
+    # the lone entries of y[keep] peeled off the record of y, for y = x and
+    # x* (whose record is x's, swapped), with the window and without: the
+    # span of the dense SVD's left singular vectors of y[keep] past the
+    # rank, put back with zeros off keep
+    x, keep = case
+    ctx = engine._Ctx(x, EngineConfig())
+    for y in (x, ctx.star(x)):
+        for rows in (None, keep):
+            k = np.ones(x.dim, dtype=bool) if rows is None else rows
+            got = subspaces.cokernel(COMPLEX, y.mat, ctx.entries(y), rows)
+            want = np.zeros((x.dim, 0), dtype=complex)
+            if k.any():
+                u, s, _ = np.linalg.svd(y.mat[k])
+                want = np.zeros((x.dim, u.shape[1] - subspaces._rank_cut(s, EPS_RANK)),
+                                dtype=complex)
+                want[k] = u[:, subspaces._rank_cut(s, EPS_RANK):]
+            assert got.shape == want.shape
+            assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T) <= TOL
+
+
+_MERGE = np.zeros((3, 3), dtype=complex)
+_MERGE[2, :2] = 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_record_cases())
+@example(case=(Element(COMPLEX, _MERGE), np.array([True, True, False])))  # two seeds, one image
+def test_pointer_jumped_walk_and_its_grading(case):
+    # unit seeds on the chain starts, the coordinates no column maps to (in
+    # the mask where it holds one), and on the masked coordinates
+    # (coordinate 0 with no mask): the walk, or the dense steps from the
+    # seed where it gives up (a merge, a dense block, a cycle), matches
+    # the stepped series; and the grading of x and of x* read off a walked
+    # series' record matches the `coordinates` form of its blocks
+    x, keep = case
+    starts = subspaces.entries(x.mat).row_counts == 0
+    masked = np.zeros(x.dim, dtype=bool) if keep is None else keep
+    for seeds in (np.flatnonzero(starts & masked if (starts & masked).any() else starts),
+                  np.flatnonzero(masked) if masked.any() else np.arange(1)):
+        if not seeds.size:
+            continue
+        rng = np.random.default_rng(seeds.size)
+        term = np.zeros((x.dim, seeds.size), dtype=complex)
+        term[seeds, np.arange(seeds.size)] = [_phase(rng) for _ in seeds]
+        _assert_same_series(x, term)
+        ctx = _ctx_with_cap(x)
+        series = _series_or_raise(engine._wandering_series, ctx, x, term)
+        if series is None or series[2] is None:
+            continue
+        basis, blocks, _ = series
+        for y in (x, ctx.star(x)):
+            got = engine._grading_res(ctx, y, series)
+            assert abs(got - engine._grading_res(ctx, y, (basis, blocks, None))) <= TOL
+
+
 # ------------------------------------------------- truncated complex inputs
 
 
@@ -613,7 +726,8 @@ def _masked_certificate_cases(draw):
 def test_masked_certificates_match_the_dense_defects(case):
     # the index blocks of a masked p give the windowed norms of the dense
     # defects: x p - p x, (1 - p) x p, and p x* x p - p and p x x* p - p,
-    # read off the held Gram product or formed from x's columns in the mask
+    # read off x's record and x's columns in the mask, whether or not the
+    # context holds x's Gram products
     x, mask, window = case
     cfg = EngineConfig(window=None if window is None else coordinate_projection(COMPLEX, window))
     p = coordinate_projection(COMPLEX, mask)
