@@ -223,7 +223,10 @@ class ComplexDomain(ScalarDomain):
         return f"{v.real:.17g}{sign}{abs(v.imag):.17g} i"
 
     def adjoint(self, mat: np.ndarray) -> np.ndarray:
-        return mat.conj().T.copy()
+        """mat*, C-ordered, conjugated straight into one new array."""
+        import numpy as np
+
+        return np.conjugate(mat.T, order="C")
 
     def norm(self, mat: np.ndarray) -> float:
         import numpy as np

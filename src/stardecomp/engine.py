@@ -47,11 +47,18 @@ matrix.
   column.  It is walked whole or not at all: a series the walk cannot
   take to its end takes the dense steps from its seed, with no hand-over
   between the two.  A walked series is all lone unit columns at distinct rows, so it
-  spans the coordinates of those rows.  Its record, the rows, entries and
-  block level of its columns, travels with the series
-  (`_wandering_series`): its projection is masked there, its complement
-  is the other coordinates, and its grading is read off x's record in
-  O(L), with no product or gather.
+  spans the coordinates of those rows.  It carries only its record, the
+  rows, entries and block level of its columns (`_Series`): its
+  projection is masked there, its complement is the other coordinates,
+  and its grading is read off x's record in O(L), with no product or
+  gather; its basis and blocks are formed only when read.
+- x* is formed only where a dense product or a series of x* needs it.
+  The co-isometry block (x x*)[J, J] - 1 reads x*'s record, x's swapped,
+  and x's rows (`_gram_res`), and the reducing fixpoint's preimages under
+  x* read x's columns, adjoint (`subspaces.preimage`).  So on the shift
+  model `wold` forms no dim × dim complex array, `halmos_wallen` forms
+  x* once, for its g series, and the pair methods form only the products
+  of their commutator check and Słociński's x1 x2 (`_Ctx.mul`).
 
 Commuting projections form a Boolean lattice, p ∧ q = pq, p ∨ q =
 p + q - pq and 1 - p (Berberian 1972), and coordinate projections, sums
@@ -78,12 +85,10 @@ are of u1 ∧ s2 and s1 ∧ u2: the unitary part of x1 x2 reduces both
 isometries and makes both unitary, and conversely.  Its m_us =
 ∧ₙ x1ⁿ W_us is the meet W_us ∧ u1, since x1* maps W_us ∩ u1 into itself
 (x2* x1* = x1* x2*), and likewise m_su = W_su ∧ u2.  Its p_ws =
-1 - p_uu - p_us - p_su keeps its dense wrap (`from_element`, one SVD of
-the sum), although with p_uu, p_us and p_su masked it could be
-NOT(m_uu ∨ m_us ∨ m_su) with no arithmetic: that SVD's buffer is the
-largest temporary of a shift-model round, and without it the C heap is
-trimmed after each smaller temporary and faulted back in, which ate the
-gain.
+1 - p_uu - p_us - p_su is the complement of the join p_uu ∨ p_us ∨ p_su
+in every domain: NOT(m_uu ∨ m_us ∨ m_su) with no arithmetic when the
+three are masked, and one kernel of the join's B* otherwise, with no SVD
+of the dense sum.
 
 The reducing fixpoints, the weak bi-shift wandering subspaces and the NFL
 unitary part are one lattice operation, the largest projection below some
@@ -166,7 +171,6 @@ from .projections import (
     Projection,
     ProjectionBasis,
     from_basis,
-    from_element,
     identity_projection,
     left_projection,
     masked,
@@ -286,12 +290,18 @@ class _Ctx:
         self._adjoint_of[id(adjoint)] = x
         return adjoint
 
-    def entries(self, x: Element) -> subspaces.Entries:
+    def entries(self, x: Element, star: bool = False) -> subspaces.Entries:
         """The record of the operator x (`subspaces.entries`), from one scan
-        of x, or of the operator whose adjoint `star` formed as x."""
+        of x, or with star the record of x*, x's with the axes swapped,
+        with no x* formed or scanned; an adjoint that `star` formed reads
+        its operator's so."""
+        if star:
+            return self._held(x, "star entries",
+                              lambda: self.entries(x).star(conjugate=not self.domain.exact))
         of = self._adjoint_of.get(id(x))
-        return self._held(x, "entries", lambda: subspaces.entries(x.mat) if of is None
-                          else self.entries(of).star(conjugate=not self.domain.exact))
+        if of is not None:
+            return self.entries(of, star=True)
+        return self._held(x, "entries", lambda: subspaces.entries(x.mat))
 
     def labels(self, x: Element) -> np.ndarray:
         """`subspaces.component_labels` of the operator x."""
@@ -341,39 +351,64 @@ def _cokernel(ctx: _Ctx, y: Element, window: bool = False) -> np.ndarray:
     return subspaces.cokernel(ctx.domain, y.mat, record, ctx.keep if window else None)
 
 
-def _wandering_series(ctx: _Ctx, x: Element, term: np.ndarray) -> tuple:
+class _Series:
+    """A wandering series: a basis of its sum, its blocks B₀, B₁, …, where
+    Bₖ₊₁ is a basis of x Bₖ, and its record, None unless it was walked.
+
+    A walked series (`_walk`) holds its record alone: the rows, entries and
+    block levels of its columns vals_k e_(rows_k).  Its basis, those
+    columns side by side, and its blocks, their slices by level, are
+    formed only when read, with the bits an eager build gives, so a call
+    that reads its projection, grading and split off the record forms no
+    dim × L array."""
+
+    def __init__(self, basis: np.ndarray | None, blocks: list | None,
+                 record: tuple | None = None, dim: int = 0):
+        self.record, self.dim = record, dim
+        if record is None:  # set here, so the properties below are not read
+            self.basis, self.blocks = basis, blocks
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        rows, vals, _ = self.record
+        basis = np.zeros((self.dim, rows.size), dtype=complex)
+        basis[rows, np.arange(rows.size)] = vals
+        return basis
+
+    @cached_property
+    def blocks(self) -> list:
+        edges = [0, *np.cumsum(np.bincount(self.record[2])).tolist()]
+        return [self.basis[:, a:b] for a, b in zip(edges, edges[1:])]
+
+
+def _wandering_series(ctx: _Ctx, x: Element, term: np.ndarray) -> _Series:
     """The stabilised orthogonal series sum of [x^n (1 - [x])], from a
-    basis term of the range of 1 - [x], as (basis, blocks, record): a
-    basis of the sum and its blocks B₀, B₁, …, where Bₖ₊₁ is a basis of
-    x Bₖ and the last block's image has rank 0.
+    basis term of the range of 1 - [x] (`_Series`): a basis of the sum and
+    its blocks B₀, B₁, …, where Bₖ₊₁ is a basis of x Bₖ and the last
+    block's image has rank 0.
 
     A float series whose seed is coordinate columns c·e_j is walked whole
     or not at all.  Walked to its end (`_walk`), it is lone unit columns at
-    distinct rows, its own orthonormal basis, built once with its blocks
-    as column slices; its record, the rows, entries and block levels of
-    its columns, travels with it, so that its projection, its grading and
-    the series split are read off it as coordinates.  Any other series,
-    and every exact one, takes the dense steps from its seed, with record
-    None.  An isometry maps an orthonormal block to an orthonormal block,
-    and the blocks are mutually orthogonal, so each float step x term and
-    the final join are their own bases (`subspaces.own_basis`) unless
-    roundoff or the truncation boundary has moved them off; only those
-    take an SVD."""
+    distinct rows, its own orthonormal basis, and carries only its record,
+    the rows, entries and block levels of its columns, so that its
+    projection, its grading and the series split are read off it as
+    coordinates.  Any other series, and every exact one, takes the dense
+    steps from its seed, with record None.  An isometry maps an
+    orthonormal block to an orthonormal block, and the blocks are mutually
+    orthogonal, so each float step x term and the final join are their own
+    bases (`subspaces.own_basis`) unless roundoff or the truncation
+    boundary has moved them off; only those take an SVD."""
     dom = ctx.domain
     if not dom.exact and term.shape[1]:
         counts, rows, vals = subspaces.column_entries(term)
         record = _walk(ctx, x, rows, vals) if (counts == 1).all() else None
         if record is not None:
-            rows, vals, level = record
-            joined = dom.zeros(ctx.dim, rows.size)
-            joined[rows, np.arange(rows.size)] = vals
-            edges = [0, *np.cumsum(np.bincount(level)).tolist()]
-            return joined, [joined[:, a:b] for a, b in zip(edges, edges[1:])], record
+            return _Series(None, None, record, ctx.dim)
     pieces = []
     for _ in range(ctx.cap + 1):
         if term.shape[1] == 0:
             joined = np.concatenate(pieces, axis=1) if pieces else dom.zeros(ctx.dim, 0)
-            return subspaces.own_basis(dom, joined), pieces, None
+            return _Series(subspaces.own_basis(dom, joined), pieces)
         pieces.append(term)
         term = subspaces.own_basis(dom, x.mat @ term)
     raise IndeterminateError("wandering series did not terminate within the cap")
@@ -426,7 +461,9 @@ def _walk(ctx: _Ctx, x: Element, rows: np.ndarray, vals: np.ndarray) -> tuple | 
 
 
 def _invariant_core(ctx: _Ctx, mats: list, p: Projection, what: str) -> Projection:
-    """Largest projection <= p whose range every listed matrix maps into itself.
+    """Largest projection <= p whose range every listed matrix maps into
+    itself, each given as (mat, star) for mat or, with star, its adjoint,
+    which is never formed (`subspaces.preimage`).
 
     Subspace iteration M <- M ∩ (∩_a a^{-1} M); the rank falls by at least
     one per sweep until the fixpoint, so a repeated rank, or rank 0 or dim,
@@ -442,8 +479,8 @@ def _invariant_core(ctx: _Ctx, mats: list, p: Projection, what: str) -> Projecti
             return p
         comp = ~p.mask if p.mask is not None else (ctx.one - p.element).mat
         nxt = p.range_basis
-        for m in mats:
-            nxt = subspaces.preimage(ctx.domain, m, comp, nxt)
+        for m, star in mats:
+            nxt = subspaces.preimage(ctx.domain, m, comp, nxt, star)
         if nxt.shape[1] == p.rank:
             return p
         p = from_basis(ctx.domain, nxt)
@@ -451,7 +488,7 @@ def _invariant_core(ctx: _Ctx, mats: list, p: Projection, what: str) -> Projecti
 
 
 def _reducing_fixpoint(ctx: _Ctx, ops: list, e: Projection) -> Projection:
-    mats = [a.mat for a in ops] + [ctx.star(a).mat for a in ops]
+    mats = [(a.mat, star) for star in (False, True) for a in ops]
     return _invariant_core(ctx, mats, e, "reducing fixpoint")
 
 
@@ -479,15 +516,15 @@ def _isometry_on_window(ctx: _Ctx, x: Element) -> bool:
 
 def _gram_res(ctx: _Ctx, x: Element, idx: np.ndarray, star: bool = False) -> float:
     """‖(x* x)[idx, idx] - 1‖, or ‖(x x*)[idx, idx] - 1‖ with star, read off
-    the record of x (of x* with star).
+    the record of x (of x* with star, x's swapped, so x* is not formed).
 
     A column c·e_r that is the only nonzero of its row r is orthogonal to
     every other column, so its row and column of x* x hold |c|² on the
     diagonal alone, and those of a zero column are 0: they add (|c|² - 1)²
     and 1 to the square.  Only the other columns in idx take a thin Gram
-    product, among themselves."""
-    y = ctx.star(x) if star else x
-    e = ctx.entries(y)
+    product, among themselves; with star those columns of x* are x's rows,
+    conjugated."""
+    e = ctx.entries(x, star)
     counts = e.counts[idx]
     lone = (counts == 1) & (e.row_counts[e.rows[idx]] == 1)
     c = e.vals[idx[lone]]
@@ -495,7 +532,7 @@ def _gram_res(ctx: _Ctx, x: Element, idx: np.ndarray, star: bool = False) -> flo
     square = np.dot(defect, defect) + np.count_nonzero(counts == 0)
     rest = idx[~lone & (counts > 0)]
     if rest.size:
-        part = y.mat[:, rest]
+        part = x.mat[rest].conj().T if star else x.mat[:, rest]
         g = part.conj().T @ part
         g.flat[:: rest.size + 1] -= 1
         square += np.vdot(g, g).real
@@ -682,10 +719,10 @@ def _corner_unitary_res(ctx: _Ctx, x: Element, p: Projection) -> float:
     return max(_isometry_res(ctx, x, p), _isometry_res(ctx, x, p, star=True))
 
 
-def _grading_res(ctx: _Ctx, x: Element, series: tuple) -> float:
+def _grading_res(ctx: _Ctx, x: Element, series: _Series) -> float:
     """Residual of the grading of the corner p x p by the blocks B₀, …, B_L
-    of a series, the (basis, blocks, record) of `_wandering_series`, which
-    side by side span the range of p.
+    of a series (`_wandering_series`), which side by side span the range
+    of p.
 
     If p x p maps each Bₖ into Bₖ₊₁ and B_L to 0, then (p x p)^(L+1) = 0,
     so ∧[(pxp)ⁿ] = 0 with no power formed.  In the coordinates G of
@@ -702,19 +739,20 @@ def _grading_res(ctx: _Ctx, x: Element, series: tuple) -> float:
     a series row r_b that is c·e_t has its one entry at the series row t,
     if t is one, and only columns of more than one nonzero are gathered
     from x, so a walked series, whose columns of x have at most one,
-    reads O(L) entries with no gather.
+    reads O(L) entries with no gather, and neither its basis nor its
+    blocks are formed.
     """
-    basis, blocks, record = series
-    if not blocks:
-        return 0.0
-    if record is None:
+    if series.record is None:
+        blocks = series.blocks
+        if not blocks:
+            return 0.0
         level = np.repeat(np.arange(len(blocks)), [b.shape[1] for b in blocks])
         joined = np.concatenate(blocks, axis=1)
         g = subspaces.coordinates(ctx.domain, joined, x.mat @ joined,
-                                  orthonormal=np.array_equal(joined, basis))
+                                  orthonormal=np.array_equal(joined, series.basis))
         g[level[:, None] == level[None, :] + 1] = ctx.domain.zero()
         return ctx.domain.norm(g)
-    rows, vals, level = record
+    rows, vals, level = series.record
     e = ctx.entries(x)
     at = np.full(ctx.dim, -1)
     at[rows] = np.arange(rows.size)
@@ -741,13 +779,12 @@ def _wold_parts(ctx: _Ctx, x: Element):
     unitary part is its complement, taken from the series' own basis
     (`Projection.complement`) with no range chain.  A series walked to its
     end spans the coordinates of its record's rows, so s is masked there,
-    read off the record with no scan of the basis, and u is the other
-    coordinates."""
+    read off the record with no scan of the basis, which is formed only
+    when s's range basis is read, and u is the other coordinates."""
     dom = ctx.domain
     series = _wandering_series(ctx, x, _cokernel(ctx, x))
-    s_basis, _, record = series
-    p_s = (from_basis(dom, s_basis) if record is None
-           else masked(dom, _rows_mask(ctx, record[0]), s_basis))
+    p_s = (from_basis(dom, series.basis) if series.record is None
+           else masked(dom, _rows_mask(ctx, series.record[0]), lambda: series.basis))
     return p_s.complement(), p_s, series
 
 
@@ -909,16 +946,17 @@ def _mixed_wandering(ctx: _Ctx, a: Element, b: Element) -> Projection:
     lone entries, so only b's non-lone rest takes an SVD.
     """
     k1 = from_basis(ctx.domain, _cokernel(ctx, b))
-    return _invariant_core(ctx, [a.mat], k1, "mixed wandering subspace")
+    return _invariant_core(ctx, [(a.mat, False)], k1, "mixed wandering subspace")
 
 
 def weak_bishift(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
     """The fourfold basis {p_uu, p_us, p_su, p_ws} that always exists.
 
-    On the shift model p_uu, p_us, p_su, W_us, W_su, m_us and m_su are
-    masked coordinate projections, so their certificates are index blocks
-    of x1 and x2; p_ws stays the dense wrap of 1 - p_uu - p_us - p_su, one
-    SVD, for the allocator's sake (see the module docstring)."""
+    p_ws = 1 - p_uu - p_us - p_su is the complement of the join of the
+    other three, one kernel of its basis' adjoint, with no SVD of the dense
+    sum.  On the shift model p_uu, p_us, p_su, p_ws, W_us, W_su, m_us and
+    m_su are masked coordinate projections, so p_ws is the NOT of the OR
+    of three masks and every certificate is an index block of x1 or x2."""
     ctx = _Ctx(x1, cfg)
     _require(_isometry_on_window(ctx, x1) and _isometry_on_window(ctx, x2),
              "weak_bishift requires two isometries")
@@ -933,8 +971,7 @@ def weak_bishift(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> D
     p_uu = _reducing_fixpoint(ctx, [x1, x2], proj_inf([pu1, pu2]))
     p_us = _reducing_fixpoint(ctx, [x1, x2], proj_inf([pu1, ps2]))
     p_su = _reducing_fixpoint(ctx, [x1, x2], proj_inf([ps1, pu2]))
-    # one SVD of the sum, kept on purpose: see the module docstring
-    p_ws = from_element(ctx.one - (p_uu.element + p_us.element + p_su.element))
+    p_ws = proj_sup([p_uu, p_us, p_su]).complement()
 
     # ∧ₙ x1ⁿ W_us = W_us ∧ u1, and ∧ₙ x2ⁿ W_su = W_su ∧ u2
     m_us = proj_inf([w_us, pu1])
@@ -999,12 +1036,12 @@ def _series_split(ctx: _Ctx, y: Element) -> tuple:
     y_star = ctx.star(y)
     f = _wandering_series(ctx, y, _cokernel(ctx, y, window=True))
     g = _wandering_series(ctx, y_star, _cokernel(ctx, y_star, window=True))
-    (f_basis, _, f_record), (g_basis, _, g_record) = f, g
-    if f_record is not None and g_record is not None:
-        fm, gm = _rows_mask(ctx, f_record[0]), _rows_mask(ctx, g_record[0])
+    if f.record is not None and g.record is not None:
+        fm, gm = _rows_mask(ctx, f.record[0]), _rows_mask(ctx, g.record[0])
         parts = (masked(dom, ~(fm | gm)), masked(dom, fm & ~gm), masked(dom, gm & ~fm),
                  masked(dom, fm & gm))
         return parts, f, g
+    f_basis, g_basis = f.basis, g.basis
     t_basis = subspaces.intersect(dom, f_basis, g_basis)
     s_basis, b_basis = _without(ctx, f_basis, t_basis), _without(ctx, g_basis, t_basis)
     rest = subspaces.complement(dom, np.concatenate([f_basis, b_basis], axis=1))
@@ -1162,7 +1199,7 @@ def _series_prefixes(ctx: _Ctx, y: Element) -> list:
     basis unless roundoff has moved it off (`subspaces.own_basis`), as the
     series' join is."""
     dom = ctx.domain
-    _, blocks, _ = _wandering_series(ctx, y, _cokernel(ctx, y))
+    blocks = _wandering_series(ctx, y, _cokernel(ctx, y)).blocks
     return [from_basis(dom, subspaces.own_basis(dom, np.concatenate(blocks[:n], axis=1)))
             for n in range(1, len(blocks) + 1)] or [zero_projection(dom, ctx.dim)]
 
@@ -1220,7 +1257,7 @@ def _nfl_unitary_part(ctx: _Ctx, x: Element) -> Projection:
     the core of that meet under x and x*.
     """
     meet = right_annihilator_projection([ctx.one - ctx.gram(x), ctx.one - ctx.gram(x, star=True)])
-    return _invariant_core(ctx, [x.mat, ctx.star(x).mat], meet, "nfl unitary part")
+    return _invariant_core(ctx, [(x.mat, False), (x.mat, True)], meet, "nfl unitary part")
 
 
 def nfl(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:

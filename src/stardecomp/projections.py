@@ -30,7 +30,7 @@ projection, and every exact one, multiplies as its dense element
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -103,10 +103,12 @@ class Projection:
 class _Masked(Projection):
     """A float coordinate projection held as its mask: the element, the
     0/1 diagonal, and the range basis, the identity's columns in the mask
-    unless a basis was given, are formed on first use, so a masked
-    projection that only enters index operations allocates neither."""
+    unless a basis or a function forming one was given, are formed on
+    first use, so a masked projection that only enters index operations
+    allocates neither."""
 
-    def __init__(self, domain: ScalarDomain, mask: np.ndarray, basis: np.ndarray | None):
+    def __init__(self, domain: ScalarDomain, mask: np.ndarray,
+                 basis: np.ndarray | Callable[[], np.ndarray] | None):
         mask.setflags(write=False)
         for name, value in (("mask", mask), ("_domain", domain), ("_basis", basis),
                             ("_element", None), ("_rank", int(np.count_nonzero(mask)))):
@@ -124,7 +126,9 @@ class _Masked(Projection):
 
     @property
     def range_basis(self) -> np.ndarray:
-        if self._basis is None:
+        if callable(self._basis):
+            object.__setattr__(self, "_basis", self._basis())
+        elif self._basis is None:
             idx = np.flatnonzero(self.mask)
             basis = np.zeros((self.mask.size, idx.size), dtype=complex)
             basis[idx, np.arange(idx.size)] = 1
@@ -144,9 +148,11 @@ class _Masked(Projection):
         return self._rank
 
 
-def masked(domain: ScalarDomain, mask: np.ndarray, basis: np.ndarray | None = None) -> Projection:
+def masked(domain: ScalarDomain, mask: np.ndarray,
+           basis: np.ndarray | Callable[[], np.ndarray] | None = None) -> Projection:
     """The float coordinate projection diag(mask), with basis as its range
-    basis (the identity's columns in the mask when None); its products go
+    basis (the identity's columns in the mask when None, and the result of
+    calling it, on first read, when it is a function); its products go
     through the mask."""
     return _Masked(domain, mask, basis)
 

@@ -312,17 +312,24 @@ def intersect(domain: ScalarDomain, b1: np.ndarray, b2: np.ndarray) -> np.ndarra
 
 
 def preimage(domain: ScalarDomain, op: np.ndarray, comp: np.ndarray,
-             within: np.ndarray) -> np.ndarray:
-    """Basis of {v ∈ span(within) : comp op v = 0}.
+             within: np.ndarray, star: bool = False) -> np.ndarray:
+    """Basis of {v ∈ span(within) : comp op v = 0}, or of op* with star.
 
     With comp = 1 - [basis] these are the vectors of span(within) that op
     maps into span(basis); one kernel of the thin matrix comp op within.
     A boolean comp is the mask of a 0/1 diagonal 1 - [basis], a coordinate
     one: comp op within is then zero but for op's rows in the mask, and
-    the kernel is that of those rows of op times within.  An orthonormal
-    `within` gives an orthonormal result.
+    the kernel is that of those rows of op times within.  With star, op*
+    is never formed: its rows in the mask are op's columns there, adjoint,
+    and a dense comp takes (within* op)*, the same thin op* within.  An
+    orthonormal `within` gives an orthonormal result.
     """
     if within.shape[1] == 0:
         return within
-    ker = nullspace(domain, op[comp] @ within if comp.dtype == bool else comp @ (op @ within))
+    if comp.dtype == bool:
+        rows = domain.adjoint(op[:, comp]) if star else op[comp]
+        ker = nullspace(domain, rows @ within)
+    else:
+        image = domain.adjoint(domain.adjoint(within) @ op) if star else op @ within
+        ker = nullspace(domain, comp @ image)
     return domain.normalize(within @ ker)

@@ -71,7 +71,7 @@ def stepped_wandering_series(ctx, x, term):
     for _ in range(ctx.cap + 1):
         if term.shape[1] == 0:
             joined = np.concatenate(pieces, axis=1) if pieces else ctx.domain.zeros(ctx.dim, 0)
-            return subspaces.orth(ctx.domain, joined), pieces, None
+            return engine._Series(subspaces.orth(ctx.domain, joined), pieces)
         pieces.append(term)
         term = subspaces.orth(ctx.domain, x.mat @ term)
     raise IndeterminateError("wandering series did not terminate within the cap")
@@ -83,14 +83,14 @@ def chain_wold_parts(ctx, x):
     series from ker x*, returned as its series; the engine takes u as the
     complement of s."""
     series = stepped_wandering_series(ctx, x, subspaces.nullspace(ctx.domain, x.star().mat))
-    return stepped_range_chain_inf(ctx, x), from_basis(ctx.domain, series[0]), series
+    return stepped_range_chain_inf(ctx, x), from_basis(ctx.domain, series.basis), series
 
 
 def chain_shift_corner_res(ctx, x, series):
     """The residual ∧[(pxp)ⁿ] of the corner p onto the span of the series'
     basis by the stepped range chain of p x p, whatever grading its blocks
     and record give."""
-    p = from_basis(ctx.domain, series[0])
+    p = from_basis(ctx.domain, series.basis)
     inf_proj = stepped_range_chain_inf(ctx, p.product(x), start=p.range_basis)
     return ctx.wres(inf_proj.element)
 
@@ -111,8 +111,8 @@ def chain_pair_split(ctx, y):
         from_element(fwd.element - p_u.element),
         from_element(ctx.one - (fwd.element + bwd.element - p_u.element)),
     )
-    return (parts, (fwd.complement().range_basis, [], None),
-            (bwd.complement().range_basis, [], None))
+    return (parts, engine._Series(fwd.complement().range_basis, []),
+            engine._Series(bwd.complement().range_basis, []))
 
 
 def full_svd_nullspace(domain, mat):

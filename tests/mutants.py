@@ -116,16 +116,36 @@ MUTANTS = (
         "src/stardecomp/engine.py",
         "p = seeds[label]",
         'p = seeds[{"us": "su", "su": "us"}.get(label, label)]',
-        (),
-        "items 1, 2",
+        ("tests/test_chains.py::test_shift_beside_the_identity_is_one_mixed_block",),
     ),
     Mutant(
         "weak-bishift-us-su-swap",
         "src/stardecomp/engine.py",
         'ProjectionBasis((("uu", p_uu), ("us", p_us), ("su", p_su), ("ws", p_ws)))',
         'ProjectionBasis((("uu", p_uu), ("us", p_su), ("su", p_us), ("ws", p_ws)))',
-        (),
-        "items 1, 2",
+        ("tests/test_chains.py::test_shift_beside_the_identity_is_one_mixed_block",),
+    ),
+    Mutant(
+        "weak-bishift-ws-without-su",
+        "src/stardecomp/engine.py",
+        "p_ws = proj_sup([p_uu, p_us, p_su]).complement()",
+        "p_ws = proj_sup([p_uu, p_us]).complement()",
+        ("tests/test_chains.py::test_shift_beside_the_identity_is_one_mixed_block",),
+    ),
+    Mutant(
+        "star-gram-reads-the-columns-of-x",
+        "src/stardecomp/engine.py",
+        "part = x.mat[rest].conj().T if star else x.mat[:, rest]",
+        "part = x.mat[:, rest]",
+        ("tests/test_subspace_steps.py::test_gram_record_matches_the_dense_gram",),
+    ),
+    Mutant(
+        "star-preimage-reads-the-rows-of-x",
+        "src/stardecomp/subspaces.py",
+        "rows = domain.adjoint(op[:, comp]) if star else op[comp]",
+        "rows = op[comp]",
+        ("tests/test_subspace_steps.py::test_adjoint_preimage_reads_the_columns_of_x",
+         "tests/test_chains.py::test_reducing_fixpoint_takes_the_preimages_under_the_adjoint"),
     ),
 )
 

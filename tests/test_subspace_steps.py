@@ -9,7 +9,9 @@ complete QR's, the gathered grading against the `coordinates` form and
 the gathered product `_Ctx.mul` against the dense one; and the reads of an
 operator's record (`subspaces.entries`) against the dense forms: the
 Gram block, the cokernel with and without the window, and the
-pointer-jumped walk with its grading, on x and on x*.
+pointer-jumped walk with its grading, on x and on x*; the preimage under
+x* read off x's columns against that of the formed x*, and a walked
+series' basis and blocks, formed on first read, against the eager build.
 Complex inputs must give equal ranks and projections within 1e-12.  Exact inputs
 must come out bit-identical; `reference_engine` swaps these references in
 too, so the exact comparisons in tests/test_chains.py cover them."""
@@ -242,7 +244,7 @@ def _assert_same_series(x, term, cap=None):
     assert (got is None) == (want is None)
     if got is None:
         return None
-    (basis, blocks, _), (ref, ref_blocks, _) = got, want
+    basis, blocks, ref, ref_blocks = got.basis, got.blocks, want.basis, want.blocks
     assert basis.shape == ref.shape
     assert [b.shape for b in blocks] == [b.shape for b in ref_blocks]
     for b, r in [(basis, ref), *zip(blocks, ref_blocks)]:
@@ -335,7 +337,7 @@ def test_walk_tests_the_seed_of_a_unit_factor_path(modulus):
     term = np.zeros((6, 1), dtype=complex)
     term[0, 0] = modulus * np.exp(0.3j)
     assert _assert_same_series(x, term) == 6
-    basis, _, _ = engine._wandering_series(_ctx_with_cap(x), x, term)
+    basis = engine._wandering_series(_ctx_with_cap(x), x, term).basis
     assert np.linalg.norm(basis.conj().T @ basis - np.eye(6)) <= TOL
 
 
@@ -345,12 +347,13 @@ def test_walked_record_grades_as_the_gathered_blocks():
     # within 1e-13
     x, term = _walk_matrix(0, [3, 2, 4], -1, ["zero", "zero", "zero"], 0, False)
     ctx = _ctx_with_cap(x)
-    basis, blocks, record = engine._wandering_series(ctx, x, term)
-    assert record is not None
+    series = engine._wandering_series(ctx, x, term)
+    assert series.record is not None
     rng = np.random.default_rng(4)
     for y in (x, Element(COMPLEX, rng.standard_normal(x.mat.shape) + 0j)):
-        got = engine._grading_res(ctx, y, (basis, blocks, record))
-        assert abs(got - engine._grading_res(ctx, y, (basis, blocks, None))) <= 1e-13
+        got = engine._grading_res(ctx, y, series)
+        assert abs(got - engine._grading_res(ctx, y, engine._Series(series.basis, series.blocks))
+                   ) <= 1e-13
     assert got > 1
 
 
@@ -452,7 +455,7 @@ def test_gathered_grading_matches_the_coordinates_form(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(subspaces, "coordinates",
                    lambda *a, **k: calls.append(1) or coordinates(*a, **k))
-        got = engine._grading_res(ctx, x, (basis, blocks, (rows, vals, level)))
+        got = engine._grading_res(ctx, x, engine._Series(None, None, (rows, vals, level), x.dim))
     assert not calls  # the gather, with no product
     want = _coordinates_grading(x.mat, blocks)
     assert abs(got - want) <= TOL
@@ -539,6 +542,8 @@ def _record_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(case=_record_cases(), star=st.booleans())
+@example(case=(from_rows(COMPLEX, [[1, 2], [0, 1]]), np.array([True, False])),
+         star=True)  # (x x*)[0, 0] = 5 where (x* x)[0, 0] = 1
 def test_gram_record_matches_the_dense_gram(case, star):
     # |c|² - 1 for a column alone in its row, -1 for a zero column and the
     # thin Gram product of the rest, read off the record of x (of x*, the
@@ -590,24 +595,107 @@ def test_pointer_jumped_walk_and_its_grading(case):
     # the stepped series; and the grading of x and of x* read off a walked
     # series' record matches the `coordinates` form of its blocks
     x, keep = case
+    for term in _walk_seeds(x, keep):
+        _assert_same_series(x, term)
+        ctx = _ctx_with_cap(x)
+        series = _series_or_raise(engine._wandering_series, ctx, x, term)
+        if series is None or series.record is None:
+            continue
+        dense = engine._Series(series.basis, series.blocks)
+        for y in (x, ctx.star(x)):
+            got = engine._grading_res(ctx, y, series)
+            assert abs(got - engine._grading_res(ctx, y, dense)) <= TOL
+
+
+def _walk_seeds(x, keep):
+    """Seeds of unit coordinate columns with random phases: on the chain
+    starts, the coordinates no column maps to (in the mask where it holds
+    one), and on the masked coordinates (coordinate 0 with no mask)."""
     starts = subspaces.entries(x.mat).row_counts == 0
     masked = np.zeros(x.dim, dtype=bool) if keep is None else keep
     for seeds in (np.flatnonzero(starts & masked if (starts & masked).any() else starts),
                   np.flatnonzero(masked) if masked.any() else np.arange(1)):
-        if not seeds.size:
+        if seeds.size:
+            rng = np.random.default_rng(seeds.size)
+            term = np.zeros((x.dim, seeds.size), dtype=complex)
+            term[seeds, np.arange(seeds.size)] = [_phase(rng) for _ in seeds]
+            yield term
+
+
+def _eager_walked_basis(dim, record):
+    """A walked series' basis and blocks as they were built with the walk:
+    its columns vals_k e_(rows_k) scattered into zeros, sliced by level."""
+    rows, vals, level = record
+    basis = COMPLEX.zeros(dim, rows.size)
+    basis[rows, np.arange(rows.size)] = vals
+    edges = [0, *np.cumsum(np.bincount(level)).tolist()]
+    return basis, [basis[:, a:b] for a, b in zip(edges, edges[1:])]
+
+
+def _same_bits(got, want):
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_record_cases())
+def test_walked_basis_is_formed_on_read_as_the_eager_build(case):
+    # a walked series holds its record alone until its basis or blocks are
+    # read, and then forms them with the eager build's bits; so does the
+    # masked shift part of `_wold_parts`, whose range basis is the series'
+    x, keep = case
+    for term in _walk_seeds(x, keep):
+        series = _series_or_raise(engine._wandering_series, _ctx_with_cap(x), x, term)
+        if series is None or series.record is None:
             continue
-        rng = np.random.default_rng(seeds.size)
-        term = np.zeros((x.dim, seeds.size), dtype=complex)
-        term[seeds, np.arange(seeds.size)] = [_phase(rng) for _ in seeds]
-        _assert_same_series(x, term)
-        ctx = _ctx_with_cap(x)
-        series = _series_or_raise(engine._wandering_series, ctx, x, term)
-        if series is None or series[2] is None:
-            continue
-        basis, blocks, _ = series
-        for y in (x, ctx.star(x)):
-            got = engine._grading_res(ctx, y, series)
-            assert abs(got - engine._grading_res(ctx, y, (basis, blocks, None))) <= TOL
+        assert not {"basis", "blocks"} & set(vars(series))
+        basis, blocks = _eager_walked_basis(x.dim, series.record)
+        assert len(series.blocks) == len(blocks)
+        assert all(_same_bits(g, w) for g, w in zip(series.blocks, blocks))
+        assert _same_bits(series.basis, basis)
+    try:
+        _, p_s, series = engine._wold_parts(_ctx_with_cap(x), x)
+    except IndeterminateError:
+        return
+    if series.record is not None:
+        assert not {"basis", "blocks"} & set(vars(series))
+        assert _same_bits(p_s.range_basis, _eager_walked_basis(x.dim, series.record)[0])
+        assert p_s.range_basis is series.basis
+
+
+@st.composite
+def _preimage_cases(draw):
+    """(x, comp, within): a `_record_cases` operator, a random 0/1 mask
+    comp, and within the coordinate columns of a random window, mixed by
+    a random unitary one time in two."""
+    x, _ = draw(_record_cases())
+    comp, window = (np.array(draw(st.lists(st.booleans(), min_size=x.dim, max_size=x.dim)))
+                    for _ in range(2))
+    within = np.eye(x.dim, dtype=complex)[:, window]
+    if within.shape[1] and draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        within = within @ random_complex_unitary(within.shape[1], rng).mat
+    return x, comp, within
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_preimage_cases())
+@example(case=(Element(COMPLEX, np.eye(2, k=-1, dtype=complex)), np.array([True, False]),
+               np.eye(2, dtype=complex)))  # J2: its row 0 is zero, x*'s is not
+def test_adjoint_preimage_reads_the_columns_of_x(case):
+    # the preimage under x* of the coordinates outside comp, read off x's
+    # columns in comp, adjoint, with no x* formed, against `preimage` of
+    # the formed x*, bit for bit; and for comp as a dense 0/1 matrix, the
+    # thin (within* x)* against x* within, as projections
+    x, comp, within = case
+    star = x.star().mat
+    got = subspaces.preimage(COMPLEX, x.mat, comp, within, star=True)
+    assert _same_bits(got, subspaces.preimage(COMPLEX, star, comp, within))
+    dense = np.diag(comp).astype(complex)
+    got = subspaces.preimage(COMPLEX, x.mat, dense, within, star=True)
+    want = subspaces.preimage(COMPLEX, star, dense, within)
+    assert got.shape == want.shape
+    assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T) <= TOL
 
 
 # ------------------------------------------------- truncated complex inputs
@@ -639,9 +727,10 @@ def test_steps_match_their_references(name, n, n_max):
         assert got.rank == want.rank
         assert np.linalg.norm(got.element.mat - want.element.mat) <= TOL
         coker = subspaces.cokernel(ctx.domain, a.mat)
-        (got, got_blocks, _), (want, want_blocks, _) = (engine._wandering_series(ctx, a, coker),
-                                                        stepped_wandering_series(ctx, a, coker))
-        got, want = from_basis(ctx.domain, got), from_basis(ctx.domain, want)
+        got, want = (engine._wandering_series(ctx, a, coker),
+                     stepped_wandering_series(ctx, a, coker))
+        got_blocks, want_blocks = got.blocks, want.blocks
+        got, want = from_basis(ctx.domain, got.basis), from_basis(ctx.domain, want.basis)
         assert got.rank == want.rank
         assert np.linalg.norm(got.element.mat - want.element.mat) <= TOL
         assert [b.shape for b in got_blocks] == [b.shape for b in want_blocks]
