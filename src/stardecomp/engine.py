@@ -2,10 +2,13 @@
 
 Infinite infima and series are replaced by stabilisation detection, and no
 range chain ∧ₙ[xⁿ] is walked: every such infimum is Wold's identity or a
-meet.  Nor is any range projection [yⁿ] taken of a power: for a power
-partial isometry ker y*ⁿ is the first n blocks of y's wandering series
-(Halmos & Wallen 1970), so the product-PPI constraint reads [x1ⁿ] and
-[x2*ⁿ] off two series (`_series_prefixes`).  For an isometry the unitary
+meet.  No decomposition takes a range projection [yⁿ] of a power: for a
+power partial isometry ker y*ⁿ is the first n blocks of y's wandering
+series (Halmos & Wallen 1970), so the product-PPI constraint reads [x1ⁿ]
+and [x2*ⁿ] off two series (`_series_prefixes`).  Only the lemma residuals
+of `hw_pair_product` (`_lemma_certificates`) take `left_projection`s of
+powers, 22 on the 4 × 4 `ppipair4`, on purpose: they are evidence
+computed independently of the series split.  For an isometry the unitary
 part ∧[xⁿ] equals 1 - s, s the wandering series Σ xⁿ[ker x*] (Wold's
 identity), so `_wold_parts` takes u as the complement of the series' basis.
 The series also grades the shift corner: p x p maps each block Bₖ into Bₖ₊₁
@@ -66,14 +69,16 @@ of diagonal units e_ii, all commute.  So a float coordinate projection
 carries its 0/1 mask (`projections.masked`), and its products, meets,
 joins, complement and basis residuals are index operations on it; even
 its size check reads the mask's length, with no dense element formed.  Its
-certificates are read off index blocks of x with the same windowed
-Frobenius norms as the dense defects: x p - p x is the entries x_ij with
-m_i ≠ m_j, (1 - p) x p those from the mask to outside it, and
-p x*x p - p is (x*x)[J, J] - 1 for J the mask ∧ the window, read off x's
-record (`_commute_res`, `_invariance_res`, `_isometry_res`); each mask's
-window coordinates are split once per call (`_Ctx.split`).  pq of two
-masked projections is their AND, a projection exactly.  Every Wold part, Halmos–Wallen part,
-Słociński seed and their fixpoints on the shift model are masked.
+defects on the window are index blocks of x, with the same Frobenius
+norms as the dense defects: x p - p x is the entries x_ij with
+m_i ≠ m_j (`_commutation`), (1 - p) x p those from the mask to outside
+it (`_invariance`), and p x*x p - p is (x*x)[J, J] - 1 for J the mask ∧
+the window, read off x's record (`_isometry`); each mask's window
+coordinates are split once per call (`_Ctx.split`).  pq of two masked
+projections is their AND, a projection exactly, and Σ p - 1 of masked
+parts the count of masks holding each coordinate, less one.  Every Wold
+part, Halmos–Wallen part, Słociński seed and their fixpoints on the shift
+model are masked.
 
 The pair methods read their infima off the Wold parts of x1 and x2
 (Słociński 1980; Popovici 2004).  A Słociński block p <= s_x that
@@ -103,25 +108,33 @@ ends when its term vanishes; a float step or final join whose Gram
 matrix is within dim·ε of the identity is its own orthonormal basis and
 takes no SVD, and a walked series, whose Gram matrix is diagonal, is
 tested once as ‖|c|² - 1‖ <= dim·ε on all its entries c.
-Each checked identity is one defect built on `Projection.product`:
-x p - p x, (1 - p) x p, p x*x p - p, pq (`pair_product`) and pq being a
-projection (`projection_defects`); conditions test it with ctx.ok and
-certificates measure it with ctx.wres, or a masked projection's index
-blocks against the same tolerance.  A projection that is not masked,
-exact or float, multiplies as its dense element.  The float PPI
-precondition splits x into its connected components, each a reducing
-subspace (join i and j where x_ij ≠ 0): on a monomial component, at most
-one nonzero in every row and column, each power is a partial map with
-distinct rows and its defect is read in closed form with no power formed,
-and only the other components take xⁿ (xⁿ)* xⁿ - xⁿ, on the window's rows
-and columns alone; on the shift model that is the unitary block.  The
-iteration cap is max(n_max, dim + 1), and a series or core still moving
-at the cap raises IndeterminateError instead of silently truncating.
+Each checked identity is one function that returns its defect on the
+window, in parts: x p - p x (`_commutation`), (1 - p) x p
+(`_invariance`), p x*x p - p (`_isometry`), Σ p - 1 (`_sum`), pq
+(`_orth`, through `pair_product`) and a mask's diagonal (`_diag`), beside
+pq being a projection (`projection_defects`).  A part is an element, the
+dense defect built on `Projection.product`, an index block of x or the
+masks' cover, or a norm already taken (`_gram_res`, a mask's count).
+Only the context turns such a defect into a residual, `ctx.wres`, the
+parts' norms combined, or a verdict, `ctx.ok`: the exact zero test in
+exact domains, whose parts are elements, and the residual within
+eps_eq·dim for floats.  A projection that is not masked, exact or float,
+multiplies as its dense element.  The float PPI precondition splits x
+into its connected components, each a reducing subspace (join i and j
+where x_ij ≠ 0): on a monomial component, at most one nonzero in every
+row and column, each power is a partial map with distinct rows and its
+defect is read in closed form with no power formed, and only the other
+components take xⁿ (xⁿ)* xⁿ - xⁿ, on the window's rows and columns alone;
+on the shift model that is the unitary block.  The iteration cap is
+max(n_max, dim + 1), and a series or core still moving at the cap raises
+IndeterminateError instead of silently truncating.
 Certificate residuals are measured after compression to the probe window
 when the input came from a truncated symbolic operator; a grading residual
-is read on the whole space, which can only be stricter.  The window is a 0/1
-diagonal, so the compression w e w is the entrywise product of e with the
-mask w wᵀ, which is exact.
+is read on the whole space, which can only be stricter.  The window w is a
+0/1 diagonal, so w e w is e on the window's rows and columns and exact
+zeros elsewhere: an element part is read there (`_Ctx.window`), with no
+product and no dim × dim mask, and an index block is taken between window
+coordinates.
 
 Every intersection of kernels is one right annihilator R(S), one kernel of
 the elements of S stacked (`right_annihilator_projection`): the start
@@ -153,6 +166,7 @@ splits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -215,16 +229,17 @@ class DecompositionReport:
 
 
 class _Ctx:
-    """Shared state of one method call: domain, window mask and the
-    window's coordinates (keep), chain cap, the EngineConfig (the default
-    one when a method is given none), the Gram products, and what is read
-    once per operator or mask: each operator's adjoint, its record
-    (`subspaces.entries`) and component labels, and each mask's split of
-    the window.  A method builds one and hands it to every fixpoint it
-    runs, so the window is checked once per call, with vectorised
-    comparisons of its diagonal, or none for a masked window, whose element
-    is its mask's diagonal by construction and whose size is read off its
-    mask.  Nothing in it outlives the call."""
+    """Shared state of one method call: domain, the window's coordinates
+    (keep), chain cap, the EngineConfig (the default one when a method is
+    given none), and what is read once per operator or mask: each
+    operator's adjoint, Gram products, record (`subspaces.entries`) and
+    component labels, and each mask's split of the window.  A method
+    builds one and hands it to every fixpoint it runs, so the window is
+    checked once per call, with vectorised comparisons of its diagonal, or
+    none for a masked window, whose element is its mask's diagonal by
+    construction and whose size is read off its mask.  Its `wres` and `ok`
+    alone turn a defect on the window into a residual or a verdict.
+    Nothing in it outlives the call."""
 
     def __init__(self, x: Element, cfg: EngineConfig | None = None):
         self.domain = x.domain
@@ -232,9 +247,7 @@ class _Ctx:
         self.cfg = cfg if cfg is not None else EngineConfig()
         self.cap = max(self.cfg.n_max, self.dim + 1)
         self.tol = self.domain.residual_tol(self.dim)
-        self.mask = None
         self.keep = None
-        self._grams = {}
         self._read = {}
         self._adjoint_of = {}
         window = self.cfg.window
@@ -247,9 +260,6 @@ class _Ctx:
                 self.keep = diag == 1
                 if not (np.array_equal(mat, np.diag(diag)) and (self.keep | (diag == 0)).all()):
                     raise PreconditionError("the probe window must be a 0/1 diagonal projection")
-            # a float window masks with booleans: x·1 and x·0 are the
-            # products with the complex diagonal's 1 and 0, bit for bit
-            self.mask = np.outer(diag, diag) if self.domain.exact else np.outer(self.keep, self.keep)
 
     @cached_property
     def one(self) -> Element:
@@ -260,23 +270,23 @@ class _Ctx:
         """The window's coordinates, every coordinate with no window."""
         return np.arange(self.dim) if self.keep is None else np.flatnonzero(self.keep)
 
-    def compress(self, e: Element) -> Element:
-        """w e w for the window w, as the entrywise product with the mask."""
-        if self.mask is None:
-            return e
-        return Element(self.domain, e.mat * self.mask)
+    def window(self, e: Element) -> np.ndarray:
+        """The matrix of w e w on the window's rows and columns, for the
+        window w: the compression's other entries are exact zeros."""
+        if self.keep is None:
+            return e.mat
+        k = self.window_coords
+        return e.mat[k[:, None], k]
 
     def gram(self, x: Element, star: bool = False) -> Element:
-        """x* x, or x x* with star, formed once per operator.  Each entry
-        holds x itself, so x's id cannot pass to another operator."""
-        key = (id(x), star)
-        if key not in self._grams:
-            self._grams[key] = (x, x @ self.star(x) if star else self.mul(self.star(x), x))
-        return self._grams[key][1]
+        """x* x, or x x* with star, formed once per operator."""
+        return self._held(x, "gram*" if star else "gram",
+                          lambda: x @ self.star(x) if star else self.mul(self.star(x), x))
 
     def _held(self, obj, what: str, read) -> object:
-        """read(), read once per operator or mask and held with obj, as in
-        `gram`; only obj and the result are kept, so the context holds no
+        """read(), read once per operator or mask and held with obj.  Each
+        entry holds obj itself, so its id cannot pass to another object;
+        only obj and the result are kept, so the context holds no
         reference to itself and is freed with the call."""
         key = (id(obj), what)
         if key not in self._read:
@@ -331,11 +341,22 @@ class _Ctx:
         return self._held(mask, "split", lambda: (np.flatnonzero(mask & keep),
                                                   np.flatnonzero(keep & ~mask)))
 
-    def wres(self, e: Element) -> float:
-        return self.compress(e).norm()
+    def wres(self, *parts) -> float:
+        """The Frobenius norm on the window of a defect given in parts: an
+        element is read on the window's rows and columns (`window`), an
+        array is a float block already on it, read by one dot product, and
+        a float is a norm already taken; the parts' norms combine as one."""
+        return math.hypot(*(e if isinstance(e, float) else self.domain.norm(self.window(e))
+                            if isinstance(e, Element) else math.sqrt(np.vdot(e, e).real)
+                            for e in parts))
 
-    def ok(self, e: Element) -> bool:
-        return self.compress(e).is_zero()
+    def ok(self, *parts) -> bool:
+        """The defect in parts is 0 on the window: the exact zero test in
+        exact domains, whose parts are elements, and its residual within
+        the tolerance for floats."""
+        if self.domain.exact:
+            return all(self.domain.is_zero(self.window(e)) for e in parts)
+        return self.wres(*parts) <= self.tol
 
     def commute_ok(self, a: Element, b: Element) -> bool:
         return self.ok(self.mul(a, b) - self.mul(b, a))
@@ -505,15 +526,6 @@ def _require(cond: bool, message: str):
         raise PreconditionError(message)
 
 
-def _isometry_on_window(ctx: _Ctx, x: Element) -> bool:
-    """x* x = 1 on the window; for floats ‖(x* x)[K, K] - 1‖ within the
-    tolerance, K the window's coordinates, read off x's record with no
-    Gram product (`_gram_res`)."""
-    if ctx.domain.exact:
-        return ctx.ok(_isometry_defect(ctx, x))
-    return _gram_res(ctx, x, ctx.window_coords) <= ctx.tol
-
-
 def _gram_res(ctx: _Ctx, x: Element, idx: np.ndarray, star: bool = False) -> float:
     """‖(x* x)[idx, idx] - 1‖, or ‖(x x*)[idx, idx] - 1‖ with star, read off
     the record of x (of x* with star, x's swapped, so x* is not formed).
@@ -618,105 +630,67 @@ def _monomial_ppi_defects(ctx: _Ctx, x: Element, mono: np.ndarray, keep: np.ndar
     return np.where(inside[np.array(rs)] & keep[cols], a2 * (a2 - 1) ** 2, 0).sum(axis=1)
 
 
-def _isometry_defect(ctx: _Ctx, x: Element, p: Projection | None = None,
-                     star: bool = False) -> Element:
-    """p x* x p - p: x is an isometry on the corner p (x* is, p x x* p - p,
-    with star); x* x - 1 with no corner.
+def _isometry(ctx: _Ctx, x: Element, p: Projection | None = None, star: bool = False) -> tuple:
+    """p x* x p - p on the window: x is an isometry on the corner p (x* is,
+    p x x* p - p, with star); x* x - 1 with no corner.  For a float x with
+    no corner or a masked one it is (x* x)[J, J] - 1 (x x* with star), J
+    the window's coordinates in the corner, whose norm is read off x's
+    record and x's columns (rows with star) in J alone (`_gram_res`).
 
     The compression form p x* p x p - p differs from it by
     p x* (1 - p) x p = D* D, with D the invariance defect (1 - p) x p, so
     beside an invariance certificate the two are equally strict."""
+    if not ctx.domain.exact and (p is None or p.mask is not None):
+        return (_gram_res(ctx, x, ctx.window_coords if p is None else ctx.split(p.mask)[0], star),)
     gram = ctx.gram(x, star)
-    return gram - ctx.one if p is None else p.product(gram) - p.element
+    return (gram - ctx.one if p is None else p.product(gram) - p.element,)
 
 
-def _invariance_defect(x: Element, p: Projection) -> Element:
-    """(1 - p) x p: the range of p is x-invariant."""
-    xp = p.product(x, "right")
-    return xp - p.product(xp, "left")
-
-
-def _commute_defect(x: Element, p: Projection) -> Element:
-    """x p - p x."""
-    return p.product(x, "right") - p.product(x, "left")
-
-
-def _isometry_res(ctx: _Ctx, x: Element, p: Projection, star: bool = False) -> float:
-    """‖w (p x* x p - p) w‖ for the window w.  For a masked p it is
-    ‖(x* x)[J, J] - 1‖ (x x* with star), J the window's coordinates in the
-    mask, read off x's record and x's columns (rows with star) in J
-    alone (`_gram_res`)."""
+def _invariance(ctx: _Ctx, x: Element, p: Projection) -> tuple:
+    """(1 - p) x p on the window: the range of p is x-invariant.  For a
+    masked p = diag(m) it is the entries x_ij from the window's coordinates
+    j in the mask to those i outside it."""
     if p.mask is None:
-        return ctx.wres(_isometry_defect(ctx, x, p, star))
-    return _gram_res(ctx, x, ctx.split(p.mask)[0], star)
+        xp = p.product(x, "right")
+        return (xp - p.product(xp, "left"),)
+    inside, outside = ctx.split(p.mask)
+    return (x.mat[outside[:, None], inside],)
 
 
-def _off_mask_res(ctx: _Ctx, x: Element, mask: np.ndarray, both: bool) -> float:
-    """‖w (1 - p) x p w‖, or with both ‖w (x p - p x) w‖, for the masked
-    p = diag(mask): the entries x_ij from the window's coordinates j in the
-    mask to those i outside it, and with both back, where x p - p x is
-    x_ij (m_j - m_i)."""
-    inside, outside = ctx.split(mask)
-    res = np.linalg.norm(x.mat[outside[:, None], inside])
-    if both:
-        res = np.hypot(res, np.linalg.norm(x.mat[inside[:, None], outside]))
-    return float(res)
+def _commutation(ctx: _Ctx, x: Element, p: Projection) -> tuple:
+    """x p - p x on the window.  For a masked p = diag(m) it is
+    x_ij (m_j - m_i): the entries of x from the window's coordinates in the
+    mask to those outside it, and back."""
+    if p.mask is None:
+        return (p.product(x, "right") - p.product(x, "left"),)
+    inside, outside = ctx.split(p.mask)
+    return x.mat[outside[:, None], inside], x.mat[inside[:, None], outside]
 
 
-def _commute_res(ctx: _Ctx, x: Element, p: Projection) -> float:
-    if p.mask is not None:
-        return _off_mask_res(ctx, x, p.mask, both=True)
-    return ctx.wres(_commute_defect(x, p))
-
-
-def _invariance_res(ctx: _Ctx, x: Element, p: Projection) -> float:
-    if p.mask is not None:
-        return _off_mask_res(ctx, x, p.mask, both=False)
-    return ctx.wres(_invariance_defect(x, p))
-
-
-def _sum_res(ctx: _Ctx, parts: list) -> float:
-    """‖w (Σ p - 1) w‖; for masked parts the diagonal of how many masks
-    hold each window coordinate, less one."""
+def _sum(ctx: _Ctx, parts: list) -> tuple:
+    """Σ p - 1 on the window; for masked parts the diagonal of how many
+    masks hold each window coordinate, less one."""
     masks = [p.mask for p in parts]
     if any(m is None for m in masks):
-        return ctx.wres(sum((p.element for p in parts[1:]), parts[0].element) - ctx.one)
-    cover = np.sum(masks, axis=0) - 1
-    if ctx.keep is not None:
-        cover = cover[ctx.keep]
-    return float(np.sqrt(np.dot(cover, cover)))
+        return (sum((p.element for p in parts[1:]), parts[0].element) - ctx.one,)
+    return (np.sum(masks, axis=0)[ctx.window_coords] - 1,)
 
 
-def _mask_res(ctx: _Ctx, mask: np.ndarray) -> float:
-    """‖w diag(mask) w‖: the square root of the number of window
-    coordinates in the mask."""
-    return float(np.sqrt(np.count_nonzero(mask if ctx.keep is None else mask & ctx.keep)))
+def _diag(ctx: _Ctx, mask: np.ndarray) -> tuple:
+    """diag(mask) on the window, whose norm is the square root of the
+    number of window coordinates in the mask."""
+    return (math.sqrt(np.count_nonzero(mask[ctx.window_coords])),)
 
 
-def _orth_res(ctx: _Ctx, p: Projection, q: Projection) -> float:
-    """‖w pq w‖; for masked p and q, pq is the AND of their masks."""
+def _orth(ctx: _Ctx, p: Projection, q: Projection) -> tuple:
+    """pq on the window; for masked p and q, pq is the AND of their masks."""
     if p.mask is None or q.mask is None:
-        return ctx.wres(pair_product(p, q))
-    return _mask_res(ctx, p.mask & q.mask)
-
-
-def _commutes(ctx: _Ctx, x: Element, p: Projection) -> bool:
-    """x p = p x on the window: the exact zero test when exact, the
-    residual within the tolerance (what ctx.ok tests) for floats."""
-    if ctx.domain.exact:
-        return ctx.ok(_commute_defect(x, p))
-    return _commute_res(ctx, x, p) <= ctx.tol
-
-
-def _invariant(ctx: _Ctx, x: Element, p: Projection) -> bool:
-    """(1 - p) x p = 0 on the window, tested as `_commutes` is."""
-    if ctx.domain.exact:
-        return ctx.ok(_invariance_defect(x, p))
-    return _invariance_res(ctx, x, p) <= ctx.tol
+        return (pair_product(p, q),)
+    return _diag(ctx, p.mask & q.mask)
 
 
 def _corner_unitary_res(ctx: _Ctx, x: Element, p: Projection) -> float:
-    return max(_isometry_res(ctx, x, p), _isometry_res(ctx, x, p, star=True))
+    return max(ctx.wres(*_isometry(ctx, x, p)), ctx.wres(*_isometry(ctx, x, p, star=True)))
 
 
 def _grading_res(ctx: _Ctx, x: Element, series: _Series) -> float:
@@ -802,15 +776,15 @@ def wold(x: Element, cfg: EngineConfig | None = None) -> DecompositionReport:
     certificates and `shift_corner`: x is isometric on s, and the series'
     grading proves the corner nilpotent (`_grading_res`)."""
     ctx = _Ctx(x, cfg)
-    _require(_isometry_on_window(ctx, x), "wold requires an isometry (on the probe window)")
+    _require(ctx.ok(*_isometry(ctx, x)), "wold requires an isometry (on the probe window)")
     p_u, p_s, series = _wold_parts(ctx, x)
     certificates = {
-        "sum_to_one": _sum_res(ctx, [p_u, p_s]),
-        "orth": _orth_res(ctx, p_u, p_s),
-        "commute_u": _commute_res(ctx, x, p_u),
-        "commute_s": _commute_res(ctx, x, p_s),
+        "sum_to_one": ctx.wres(*_sum(ctx, [p_u, p_s])),
+        "orth": ctx.wres(*_orth(ctx, p_u, p_s)),
+        "commute_u": ctx.wres(*_commutation(ctx, x, p_u)),
+        "commute_s": ctx.wres(*_commutation(ctx, x, p_s)),
         "unitary_corner": _corner_unitary_res(ctx, x, p_u),
-        "shift_corner": max(_isometry_res(ctx, x, p_s),
+        "shift_corner": max(ctx.wres(*_isometry(ctx, x, p_s)),
                              _grading_res(ctx, x, series)),
     }
     return DecompositionReport(
@@ -836,7 +810,7 @@ def slocinski(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> Deco
 
 
 def _slocinski(ctx: _Ctx, x1: Element, x2: Element) -> DecompositionReport:
-    _require(_isometry_on_window(ctx, x1) and _isometry_on_window(ctx, x2),
+    _require(ctx.ok(*_isometry(ctx, x1)) and ctx.ok(*_isometry(ctx, x2)),
              "slocinski requires two isometries")
     _require(ctx.commute_ok(x1, x2), "slocinski requires a commuting pair")
     pu1, ps1, series1 = _wold_parts(ctx, x1)
@@ -847,23 +821,19 @@ def _slocinski(ctx: _Ctx, x1: Element, x2: Element) -> DecompositionReport:
     seeds = {a + b: proj_inf([parts1[a], parts2[b]]) for a in "us" for b in "us"}
     fixpoints = {k: _reducing_fixpoint(ctx, [x1, x2], seed) for k, seed in seeds.items()}
 
-    if ctx.domain.exact:
-        total = sum((fixpoints[k].element for k in ("us", "su", "ss")), fixpoints["uu"].element)
-        c1 = ctx.ok(total - ctx.one)
-    else:
-        c1 = _sum_res(ctx, list(fixpoints.values())) <= ctx.tol
+    c1 = ctx.ok(*_sum(ctx, list(fixpoints.values())))
 
     c2 = all(_product_is_fixpoint(ctx, parts1[a], parts2[b], fixpoints[a + b])
              for a in "us" for b in "us")
 
     # x1 commutes with x2's parts: the first clause of both c3 and c5
-    x1_commutes = all(_commutes(ctx, x1, parts2[a]) for a in "us")
-    c3 = x1_commutes and all(_commutes(ctx, x2, parts1[a]) for a in "us")
-    c4 = _invariant(ctx, x2, ps1) and _invariant(ctx, x1, ps2)
+    x1_commutes = all(ctx.ok(*_commutation(ctx, x1, parts2[a])) for a in "us")
+    c3 = x1_commutes and all(ctx.ok(*_commutation(ctx, x2, parts1[a])) for a in "us")
+    c4 = ctx.ok(*_invariance(ctx, x2, ps1)) and ctx.ok(*_invariance(ctx, x1, ps2))
     c5 = x1_commutes and (_commutes_with_product(ctx, x2, pu1, ps2)
                           or _commutes_with_product(ctx, x2, ps1, ps2))
     x12 = ctx.mul(x1, x2)
-    c6 = _invariant(ctx, x12, ps1) and _invariant(ctx, x12, ps2)
+    c6 = ctx.ok(*_invariance(ctx, x12, ps1)) and ctx.ok(*_invariance(ctx, x12, ps2))
 
     vector = (c1, c2, c3, c4, c5, c6)
     if len(set(vector)) != 1:
@@ -879,7 +849,7 @@ def _slocinski(ctx: _Ctx, x1: Element, x2: Element) -> DecompositionReport:
     # a shift block p <= s_x that commutes with x has (pxp)ⁿ = p (s_x x s_x)ⁿ p,
     # so x commuting with s_x and s_x's grading, once per operator, make it
     # nilpotent beside x being isometric on p and commuting with it
-    graded1, graded2 = (max(_commute_res(ctx, x, ps), _grading_res(ctx, x, series))
+    graded1, graded2 = (max(ctx.wres(*_commutation(ctx, x, ps)), _grading_res(ctx, x, series))
                         if ps.rank else 0.0
                         for x, ps, series in ((x1, ps1, series1), (x2, ps2, series2)))
     members = []
@@ -895,7 +865,8 @@ def _slocinski(ctx: _Ctx, x1: Element, x2: Element) -> DecompositionReport:
             if p.rank:
                 certificates[f"block[{label}]"] = max(
                     _corner_unitary_res(ctx, x, p) if kind == "u"
-                    else max(_isometry_res(ctx, x, p), _commute_res(ctx, x, p), graded)
+                    else max(ctx.wres(*_isometry(ctx, x, p)), ctx.wres(*_commutation(ctx, x, p)),
+                             graded)
                     for x, kind, graded in ((x1, a, graded1), (x2, b, graded2))
                 )
     basis = ProjectionBasis(tuple(members))
@@ -911,7 +882,7 @@ def _product_is_fixpoint(ctx: _Ctx, p: Projection, q: Projection, fix: Projectio
     projections is their AND, a projection exactly, and pq - fix for a
     masked fix is the 0/1 diagonal of the XOR of the AND with fix's mask."""
     if p.mask is not None and q.mask is not None and fix.mask is not None:
-        return _mask_res(ctx, (p.mask & q.mask) ^ fix.mask) <= ctx.tol
+        return ctx.ok(*_diag(ctx, (p.mask & q.mask) ^ fix.mask))
     prod = pair_product(p, q)
     return all(ctx.ok(d) for d in (*projection_defects(prod), prod - fix.element))
 
@@ -920,7 +891,7 @@ def _commutes_with_product(ctx: _Ctx, x: Element, p: Projection, q: Projection) 
     """x commutes with pq on the window; for masked p and q, pq is their
     masked meet."""
     if p.mask is not None and q.mask is not None:
-        return _commutes(ctx, x, proj_inf([p, q]))
+        return ctx.ok(*_commutation(ctx, x, proj_inf([p, q])))
     return ctx.commute_ok(x, pair_product(p, q))
 
 
@@ -958,7 +929,7 @@ def weak_bishift(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> D
     m_su are masked coordinate projections, so p_ws is the NOT of the OR
     of three masks and every certificate is an index block of x1 or x2."""
     ctx = _Ctx(x1, cfg)
-    _require(_isometry_on_window(ctx, x1) and _isometry_on_window(ctx, x2),
+    _require(ctx.ok(*_isometry(ctx, x1)) and ctx.ok(*_isometry(ctx, x2)),
              "weak_bishift requires two isometries")
     _require(ctx.commute_ok(x1, x2), "weak_bishift requires a commuting pair")
 
@@ -977,12 +948,12 @@ def weak_bishift(x1: Element, x2: Element, cfg: EngineConfig | None = None) -> D
     m_us = proj_inf([w_us, pu1])
     m_su = proj_inf([w_su, pu2])
     certificates = {
-        "w_us_invariant": _invariance_res(ctx, x1, w_us),
-        "w_su_invariant": _invariance_res(ctx, x2, w_su),
-        "w_us_isometry_corner": _isometry_res(ctx, x1, w_us),
-        "w_su_isometry_corner": _isometry_res(ctx, x2, w_su),
-        "shift_x1_w_us": _orth_res(ctx, p_ws, m_us),
-        "shift_x2_w_su": _orth_res(ctx, p_ws, m_su),
+        "w_us_invariant": ctx.wres(*_invariance(ctx, x1, w_us)),
+        "w_su_invariant": ctx.wres(*_invariance(ctx, x2, w_su)),
+        "w_us_isometry_corner": ctx.wres(*_isometry(ctx, x1, w_us)),
+        "w_su_isometry_corner": ctx.wres(*_isometry(ctx, x2, w_su)),
+        "shift_x1_w_us": ctx.wres(*_orth(ctx, p_ws, m_us)),
+        "shift_x2_w_su": ctx.wres(*_orth(ctx, p_ws, m_su)),
     }
     basis = ProjectionBasis((("uu", p_uu), ("us", p_us), ("su", p_su), ("ws", p_ws)))
     certificates.update({f"basis_{k}": v for k, v in basis.residuals().items()})
@@ -1066,14 +1037,14 @@ def _halmos_wallen(ctx: _Ctx, x: Element) -> DecompositionReport:
     basis = ProjectionBasis((("u", p_u), ("s", p_s), ("b", p_b), ("t", p_t)))
     certificates = {f"basis_{k}": v for k, v in basis.residuals().items()}
     for lbl, p in basis.members:
-        certificates[f"commute[{lbl}]"] = _commute_res(ctx, x, p)
+        certificates[f"commute[{lbl}]"] = ctx.wres(*_commutation(ctx, x, p))
     f_res = _grading_res(ctx, x, f)
     if p_u.rank:
         certificates["block[u]"] = _corner_unitary_res(ctx, x, p_u)
     if p_s.rank:
-        certificates["block[s]"] = max(_isometry_res(ctx, x, p_s), f_res)
+        certificates["block[s]"] = max(ctx.wres(*_isometry(ctx, x, p_s)), f_res)
     if p_b.rank:
-        certificates["block[b]"] = max(_isometry_res(ctx, x, p_b, star=True),
+        certificates["block[b]"] = max(ctx.wres(*_isometry(ctx, x, p_b, star=True)),
                                        _grading_res(ctx, ctx.star(x), g))
     if p_t.rank:
         certificates["block[t]"] = f_res
@@ -1171,13 +1142,15 @@ def hw_pair_product(x1: Element, x2: Element, cfg: EngineConfig | None = None) -
         certificates["block[u]"] = max(_corner_unitary_res(ctx, x1, p_u),
                                        _corner_unitary_res(ctx, x2, p_u))
     if p_is.rank:
-        certificates["block[is]"] = max(_isometry_res(ctx, x, p_is) for x in (x1, x2))
+        certificates["block[is]"] = max(ctx.wres(*_isometry(ctx, x, p_is)) for x in (x1, x2))
     if p_cis.rank:
-        certificates["block[cis]"] = max(_isometry_res(ctx, x, p_cis, star=True) for x in (x1, x2))
+        certificates["block[cis]"] = max(ctx.wres(*_isometry(ctx, x, p_cis, star=True))
+                                         for x in (x1, x2))
     if p_t.rank:
         # t lies in the series f and, with no commute certificate here,
         # its commutation with y is checked beside f's grading
-        certificates["block[t]"] = max(_grading_res(ctx, y, f), _commute_res(ctx, y, p_t))
+        certificates["block[t]"] = max(_grading_res(ctx, y, f),
+                                       ctx.wres(*_commutation(ctx, y, p_t)))
     literal_agrees = proj_leq(p_u, proj_sup([p_is, p_cis])) if p_u.rank else True
     block_classes = {"u": "unitary pair", "is": "isometry pair",
                      "cis": "co-isometry pair", "t": "product truncated-shifts"}
@@ -1273,7 +1246,7 @@ def _nfl(ctx: _Ctx, x: Element) -> DecompositionReport:
     p_u = _nfl_unitary_part(ctx, x)
     p_c = p_u.complement()
     certificates = {
-        "commute_u": _commute_res(ctx, x, p_u),
+        "commute_u": ctx.wres(*_commutation(ctx, x, p_u)),
         "unitary_corner": _corner_unitary_res(ctx, x, p_u) if p_u.rank else 0.0,
         "cnu_corner": _corner_cnu_res(ctx, x, p_c) if p_c.rank else 0.0,
     }
@@ -1324,13 +1297,15 @@ def maximality_probe(p: Projection, ops: list, predicate, rng, tries: int = 20) 
     v is the complement 1 - p applied to integers drawn from [-9, 9], the
     same draws in every domain, and each candidate is one orth of p's range
     basis next to v; a v that adds no rank is skipped.  Returns True when no
-    enlargement both commutes with every op and passes the predicate (i.e.
-    p survives falsification).
+    enlargement both commutes with every op, on the whole space (a context
+    with no window), and passes the predicate (i.e. p survives
+    falsification).
     """
     domain = p.domain
     comp = p.complement()
     if comp.rank == 0:
         return True
+    ctx = _Ctx(comp.element)
     for _ in range(tries):
         raw = np.array([domain.coerce(int(c)) for c in rng.integers(-9, 10, size=p.dim)],
                        dtype=domain.dtype)
@@ -1339,6 +1314,6 @@ def maximality_probe(p: Projection, ops: list, predicate, rng, tries: int = 20) 
         if basis.shape[1] == p.rank:
             continue
         cand = from_basis(domain, basis)
-        if all(_commute_defect(a, cand).is_zero() for a in ops) and predicate(cand):
+        if all(ctx.ok(*_commutation(ctx, a, cand)) for a in ops) and predicate(cand):
             return False
     return True

@@ -235,14 +235,13 @@ def power_lemma_certificates(ctx, x1, x2):
     return out
 
 
-def dense_ppi_on_window(ctx, x):
-    """The PPI precondition as one defect per power, with no split into
-    components: xⁿ (xⁿ)* xⁿ - xⁿ for n <= min(n_max, dim), each power
-    gathered along x's one-nonzero columns; with a float window of
-    coordinates k, (P[k] P*) P[:, k] - P[k, k] for P = xⁿ, tested against
-    eps_eq·dim, and the dense defect otherwise."""
+def dense_ppi_defects(ctx, x):
+    """The PPI defect of every power, with no split into components:
+    xⁿ (xⁿ)* xⁿ - xⁿ for n <= min(n_max, dim), each power gathered along
+    x's one-nonzero columns; with a float window of coordinates k, the
+    block (P[k] P*) P[:, k] - P[k, k] for P = xⁿ, and the dense defect as
+    an element otherwise.  A generator, so a check can stop at a power."""
     windowed = ctx.keep is not None and not ctx.domain.exact
-    tol = ctx.domain.residual_tol(ctx.dim)
     k = ctx.keep
     pw = x
     for n in range(1, min(ctx.cfg.n_max, ctx.dim) + 1):
@@ -251,12 +250,15 @@ def dense_ppi_on_window(ctx, x):
         if windowed:
             p = pw.mat
             rows = p[k]
-            ok = ctx.domain.norm((rows @ p.conj().T) @ p[:, k] - rows[:, k]) <= tol
+            yield (rows @ p.conj().T) @ p[:, k] - rows[:, k]
         else:
-            ok = ctx.ok(pw @ pw.star() @ pw - pw)
-        if not ok:
-            return False
-    return True
+            yield pw @ pw.star() @ pw - pw
+
+
+def dense_ppi_on_window(ctx, x):
+    """The PPI precondition as one defect per power (`dense_ppi_defects`),
+    each tested by ctx.ok against eps_eq·dim, or exactly."""
+    return all(ctx.ok(d) for d in dense_ppi_defects(ctx, x))
 
 
 def reducing_fixpoint_by_meets(ctx, ops, e):

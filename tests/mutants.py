@@ -147,6 +147,35 @@ MUTANTS = (
         ("tests/test_subspace_steps.py::test_adjoint_preimage_reads_the_columns_of_x",
          "tests/test_chains.py::test_reducing_fixpoint_takes_the_preimages_under_the_adjoint"),
     ),
+    Mutant(
+        "mask-diagonal-off-the-window",
+        "src/stardecomp/engine.py",
+        "return (math.sqrt(np.count_nonzero(mask[ctx.window_coords])),)",
+        "return (math.sqrt(np.count_nonzero(mask)),)",
+        ("tests/test_subspace_steps.py::test_mask_defects_off_the_window_read_zero",),
+    ),
+    Mutant(
+        "mask-cover-off-the-window",
+        "src/stardecomp/engine.py",
+        "return (np.sum(masks, axis=0)[ctx.window_coords] - 1,)",
+        "return (np.sum(masks, axis=0) - 1,)",
+        ("tests/test_subspace_steps.py::test_mask_defects_off_the_window_read_zero",),
+    ),
+    Mutant(
+        "masked-commutation-without-back-block",
+        "src/stardecomp/engine.py",
+        "return x.mat[outside[:, None], inside], x.mat[inside[:, None], outside]",
+        "return (x.mat[outside[:, None], inside],)",
+        ("tests/test_subspace_steps.py::test_masked_certificates_match_the_dense_defects",),
+    ),
+    Mutant(
+        "window-reads-the-whole-matrix",
+        "src/stardecomp/engine.py",
+        "return e.mat[k[:, None], k]",
+        "return e.mat",
+        ("tests/test_subspace_steps.py::test_truncated_single_within_tolerance[hw 48]",
+         "tests/test_engine_single.py::test_window_residual_equals_the_two_products"),
+    ),
 )
 
 

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stardecomp import (
     COMPLEX,
@@ -92,6 +92,7 @@ from chain_reference import (
     chain_shift_corner_res,
     chain_wold_parts,
     corner_cnu_res_to_cap,
+    dense_ppi_defects,
     dense_ppi_on_window,
     mixed_wandering_to_cap,
     nfl_unitary_part_to_cap,
@@ -495,7 +496,7 @@ def _pair_infima_both_ways(x1, x2, cfg):
             continue
         want = max(
             engine._corner_unitary_res(ctx, x, p) if kind == "u"
-            else max(engine._isometry_res(ctx, x, p),
+            else max(ctx.wres(*engine._isometry(ctx, x, p)),
                      chain_shift_corner_res(ctx, x, engine._Series(p.range_basis, [])))
             for x, kind in zip((x1, x2), label)
         )
@@ -1112,15 +1113,25 @@ def _ppi_split_inputs(draw):
     return Element(COMPLEX, x), window, draw(st.sampled_from((1, 2, 3, 16)))
 
 
+# a defect within this of the cut eps_eq·dim is within roundoff of it: the
+# entries' moduli are about 1, and at a step of ±1.0 |c|² - 1 cancels eight
+# digits, so the closed form and the dense check can round to either side
+_CUT_BAND = 1e-12
+
+
+@example((Element(COMPLEX, np.array([[(1 + COMPLEX.tol.eps_eq / 2) * _PHASES[-1]]])), None, 1))
 @settings(max_examples=200, deadline=None)
 @given(_ppi_split_inputs())
 def test_ppi_split_matches_the_dense_check(case):
     # the monomial components in closed form beside the dense check of the
-    # rest accept exactly what one dense check of every power accepts
+    # rest accept exactly what one dense check of every power accepts,
+    # unless some power's dense defect lies within roundoff of the cut
     x, window, n_max = case
     cfg = EngineConfig(n_max=n_max, window=window)
-    assert engine._ppi_on_window(engine._Ctx(x, cfg), x) == \
-        dense_ppi_on_window(engine._Ctx(x, cfg), x)
+    got = engine._ppi_on_window(engine._Ctx(x, cfg), x)
+    ctx = engine._Ctx(x, cfg)
+    if all(abs(ctx.wres(d) - ctx.tol) > _CUT_BAND for d in dense_ppi_defects(ctx, x)):
+        assert got == dense_ppi_on_window(engine._Ctx(x, cfg), x)
 
 
 def test_carried_powers_start_at_x(monkeypatch):

@@ -1,5 +1,5 @@
-"""Single-operator decompositions: Wold, Halmos-Wallen, NFL, and the probe
-window's compression."""
+"""Single-operator decompositions: Wold, Halmos-Wallen, NFL, and the
+residuals and verdicts read on the probe window's rows and columns."""
 
 import numpy as np
 import pytest
@@ -180,21 +180,29 @@ def _random_complex(dim, rng):
     return Element(COMPLEX, rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
 
 
-def test_window_mask_equals_the_two_products():
-    # 0·x and x + 0 are exact, so the mask and w e w agree bit for bit
+def test_window_residual_equals_the_two_products():
+    # the residual and the verdict on the window are those of w e w: bit for
+    # bit on a rational window, within 1e-15 relative on a float one, where
+    # the norm sums the window's entries without the compression's zeros
     rng = np.random.default_rng(9)
     tr = truncate(direct_sum(U2, Shift(1)), 24, n_max=8)
     ctx = engine._Ctx(tr.element, EngineConfig(n_max=8, window=tr.window))
     w = tr.window.element
-    for _ in range(5):
-        e = _random_complex(tr.element.dim, rng)
-        assert np.array_equal(ctx.compress(e).mat, (w @ e @ w).mat)
+    for scale in (1.0, 1e-12, 1e-9):
+        for _ in range(5):
+            e = Element(COMPLEX, scale * _random_complex(tr.element.dim, rng).mat)
+            want = (w @ e @ w).norm()
+            assert abs(ctx.wres(e) - want) <= 1e-15 * want
+            assert ctx.ok(e) == (w @ e @ w).is_zero()
     x = random_contraction(4, rng)
     w = from_rows(RATIONAL, [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     ctx = engine._Ctx(x, EngineConfig(window=from_element(w)))
+    one = identity(RATIONAL, 4)
     for _ in range(5):
         e = random_contraction(4, rng)
-        assert np.array_equal(ctx.compress(e).mat, (w @ e @ w).mat)
+        for d in (e, (one - w) @ e @ (one - w), w @ e @ (one - w)):
+            assert ctx.wres(d) == (w @ d @ w).norm()
+            assert ctx.ok(d) == (w @ d @ w).is_zero()
 
 
 def test_window_residual_makes_no_matmul(monkeypatch):

@@ -40,7 +40,13 @@ from stardecomp import engine, subspaces
 from stardecomp.elements import Element, from_rows
 from stardecomp.errors import IndeterminateError
 from stardecomp.fixtures import random_complex_unitary
-from stardecomp.projections import Projection, coordinate_projection, from_basis, from_element
+from stardecomp.projections import (
+    Projection,
+    coordinate_projection,
+    from_basis,
+    from_element,
+    pair_product,
+)
 
 from chain_reference import (
     dense_product,
@@ -784,7 +790,7 @@ def test_commute_certificate_sees_a_non_commuting_projection(rank):
     p = from_basis(COMPLEX, q[:, :rank])
     x, pm, w = tr.element.mat, p.element.mat, tr.window.element.mat
     want = np.linalg.norm(w @ (x @ pm - pm @ x) @ w)
-    got = engine._commute_res(ctx, tr.element, p)
+    got = ctx.wres(*engine._commutation(ctx, tr.element, p))
     assert want > 0.1
     assert abs(got - want) <= 1e-12
 
@@ -815,22 +821,42 @@ def _masked_certificate_cases(draw):
 def test_masked_certificates_match_the_dense_defects(case):
     # the index blocks of a masked p give the windowed norms of the dense
     # defects: x p - p x, (1 - p) x p, and p x* x p - p and p x x* p - p,
-    # read off x's record and x's columns in the mask, whether or not the
-    # context holds x's Gram products
+    # read off x's record and x's columns in the mask
     x, mask, window = case
     cfg = EngineConfig(window=None if window is None else coordinate_projection(COMPLEX, window))
     p = coordinate_projection(COMPLEX, mask)
-    dense = Projection(p.element, p.range_basis)
-    assert p.mask is not None and dense.mask is None
-    for held in (False, True):
+    assert p.mask is not None
+    ctx = engine._Ctx(x, cfg)
+    d = p.element
+    comp = Element(COMPLEX, np.eye(x.dim)) - d
+    pairs = [(engine._commutation(ctx, x, p), x @ d - d @ x),
+             (engine._invariance(ctx, x, p), comp @ x @ d),
+             (engine._isometry(ctx, x, p), d @ x.star() @ x @ d - d),
+             (engine._isometry(ctx, x, p, star=True), d @ x @ x.star() @ d - d)]
+    for got, want in pairs:
+        assert abs(ctx.wres(*got) - ctx.wres(want)) <= 1e-13
+
+
+def test_mask_defects_off_the_window_read_zero():
+    # the AND of p and q, its XOR with fix and how often p and q cover each
+    # coordinate, less one, are 0 on the window {0, 1, 2} and differ from
+    # 0 only off it, at {3}, {3, 5} and {3, 5}: read there they are 0 and
+    # the product is its fixpoint, read on every coordinate they are the
+    # square roots of those counts, and the unmasked twins agree with both
+    p, q, fix = (coordinate_projection(COMPLEX, [i in m for i in range(6)])
+                 for m in ((0, 3, 4), (1, 2, 3), (5,)))
+    pd, qd, fixd = (Projection(a.element, a.range_basis) for a in (p, q, fix))
+    x = Element(COMPLEX, np.eye(6))
+    window = coordinate_projection(COMPLEX, [True] * 3 + [False] * 3)
+    for cfg, counts in ((EngineConfig(window=window), (0, 0, 0)), (EngineConfig(), (1, 2, 2))):
         ctx = engine._Ctx(x, cfg)
-        if held:
-            ctx.gram(x), ctx.gram(x, star=True)
-        pairs = [(engine._commute_res(ctx, x, p), ctx.wres(engine._commute_defect(x, dense))),
-                 (engine._invariance_res(ctx, x, p),
-                  ctx.wres(engine._invariance_defect(x, dense)))]
-        pairs += [(engine._isometry_res(ctx, x, p, star),
-                   ctx.wres(engine._isometry_defect(ctx, x, dense, star)))
-                  for star in (False, True)]
-        for got, want in pairs:
-            assert abs(got - want) <= 1e-13
+        got = (ctx.wres(*engine._orth(ctx, p, q)),
+               ctx.wres(*engine._diag(ctx, (p.mask & q.mask) ^ fix.mask)),
+               ctx.wres(*engine._sum(ctx, [p, q])))
+        assert got == tuple(np.sqrt(counts))
+        assert got == (ctx.wres(*engine._orth(ctx, pd, qd)),
+                       ctx.wres(pair_product(pd, qd) - fixd.element),
+                       ctx.wres(*engine._sum(ctx, [pd, qd])))
+        fixpoint = not any(counts)
+        assert engine._product_is_fixpoint(ctx, p, q, fix) is fixpoint
+        assert engine._product_is_fixpoint(ctx, pd, qd, fixd) is fixpoint
